@@ -370,6 +370,11 @@ def dispatch(cfg: RunConfig) -> int:
         return 0
 
     if cfg.subcommand == "taming-compare":
+        if cfg.model != "cubic_no_mf":
+            raise ConfigError(
+                "taming-compare runs only model cubic_no_mf, "
+                f"got {cfg.model!r}"
+            )
         with Stopwatch() as sw:
             rep = taming_comparison(
                 x0=cfg.x0,

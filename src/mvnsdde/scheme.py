@@ -11,6 +11,7 @@ segment) to total_steps.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,24 +91,33 @@ class ParticleGrid:
         n0 = self.delay_steps
         return np.arange(-n0, self.total_steps + 1) * self.params.delta
 
-    def csv_text(self) -> str:
-        """CSV export: header t,particle,comp*; particle ids are 1-based."""
+    def write_csv(self, fh) -> None:
+        """Stream the CSV export to a text file handle, one time row at a time.
+
+        Header t,particle,comp*; particle ids are 1-based; every float is
+        formatted with %.17g.  The per-particle line tails are built once,
+        so each time row is one %-format of all its states.
+        """
         dim = self.state_dim
         header = "t,particle," + ",".join(f"comp{i}" for i in range(dim))
-        lines = [header]
+        fh.write(header + "\n")
+        values = ",".join(["%.17g"] * dim)
+        # the leading "" makes t.join(pieces) put t before every tail
+        pieces = [""] + [f",{a + 1},{values}\n" for a in range(self.particles)]
         n0 = self.delay_steps
-        for row_i in range(self.states.shape[0]):
-            t = (row_i - n0) * self.params.delta
-            for a in range(self.particles):
-                vals = ",".join(
-                    f"{x:.17g}" for x in self.states[row_i, a]
-                )
-                lines.append(f"{t:.17g},{a + 1},{vals}")
-        return "\n".join(lines) + "\n"
+        for row_i, row in enumerate(self.states):
+            t = f"{(row_i - n0) * self.params.delta:.17g}"
+            fh.write(t.join(pieces) % tuple(row.ravel().tolist()))
+
+    def csv_text(self) -> str:
+        """The CSV export of :meth:`write_csv` as one string."""
+        buf = io.StringIO()
+        self.write_csv(buf)
+        return buf.getvalue()
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(self.csv_text())
+            self.write_csv(fh)
 
 
 def delayed_state(grid: ParticleGrid, particle: int, index: int):

@@ -1,5 +1,6 @@
 """CLI parsing, dispatch, exit codes, and output determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -138,6 +139,18 @@ class TestExitCodes:
         )
         assert rc == 3
         assert (out / "grid.partial.csv").exists()
+
+    def test_taming_compare_other_model_is_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(
+            [
+                "taming-compare", "--config", str(CONFIGS / "taming.cfg"),
+                "--model", "example51", "--outdir", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "cubic_no_mf" in capsys.readouterr().err
+        assert not (out / "taming_compare.summary.json").exists()
 
     def test_taming_compare_divergence_is_0(self, tmp_path):
         out = tmp_path / "o"
@@ -282,6 +295,46 @@ class TestOutputs:
         cfg = write_cfg(tmp_path, SMALL_SIM)
         assert main(["--config", str(cfg)]) == 0
         assert (envdir / "grid.csv").exists()
+
+
+class TestGoldenBytes:
+    """sha256 of grid exports pinned from the line-by-line f-string export.
+
+    A rerun comparison cannot see a format change that both runs share;
+    these digests can.
+    """
+
+    @staticmethod
+    def _sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_simulate_small_grid(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(
+            [
+                "--config", str(CONFIGS / "simulate_small.cfg"),
+                "--outdir", str(out),
+            ]
+        )
+        assert rc == 0
+        assert self._sha256(out / "grid.csv") == (
+            "b21a398de3c521dce0189fa94dca9b72e4b81eb99393ecc0eab472a08614997c"
+        )
+
+    def test_overflow_partial_grid(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(
+            [
+                "simulate", "--model", "cubic_no_mf", "--x0", "5.0",
+                "--delta", "0.25", "--tau", "0.5", "--horizon", "4.0",
+                "--particles", "10", "--seed", "11", "--no-taming",
+                "--outdir", str(out),
+            ]
+        )
+        assert rc == 3
+        assert self._sha256(out / "grid.partial.csv") == (
+            "2cec85fdedb1b0f1909ad7df4e6b2eb28560fad3e4ac462de8051e6e5e683a17"
+        )
 
 
 class TestReplicatesFlag:

@@ -1,18 +1,21 @@
 """Integrator step, delay indexing, full runs, and export determinism."""
 
 import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mvnsdde import (
     BrownianGrid,
     EmpiricalMeasure,
     GridError,
     OverflowAbort,
+    ParticleGrid,
     SchemeParams,
     ValidationFailure,
     cubic_no_mf,
@@ -441,3 +444,79 @@ class TestCsvExport:
         a = self._small_grid().csv_text()
         b = self._small_grid().csv_text()
         assert a == b
+
+
+def reference_csv_text(grid):
+    """The line-by-line f-string export that ``write_csv`` replaced."""
+    dim = grid.state_dim
+    header = "t,particle," + ",".join(f"comp{i}" for i in range(dim))
+    lines = [header]
+    n0 = grid.delay_steps
+    for row_i in range(grid.states.shape[0]):
+        t = (row_i - n0) * grid.params.delta
+        for a in range(grid.particles):
+            vals = ",".join(f"{x:.17g}" for x in grid.states[row_i, a])
+            lines.append(f"{t:.17g},{a + 1},{vals}")
+    return "\n".join(lines) + "\n"
+
+
+# -0.0, smallest and largest subnormals, +-inf, quiet nan and a negative nan
+# with a payload, as float64 bit patterns
+_SPECIAL_BITS = [
+    0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+    0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+    0xFFF8000000000001,
+]
+
+
+class TestStreamingExport:
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 3),
+        particles=st.integers(1, 40),
+        delay_steps=st.integers(0, 4),
+        total_steps=st.integers(0, 6),
+        delta=st.floats(1e-6, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_loop(
+        self, data, dim, particles, delay_steps, total_steps, delta
+    ):
+        bits = data.draw(
+            arrays(
+                np.uint64,
+                (delay_steps + total_steps + 1, particles, dim),
+                elements=st.one_of(
+                    st.integers(0, 2**64 - 1), st.sampled_from(_SPECIAL_BITS)
+                ),
+            )
+        )
+        params = SchemeParams(
+            delta=delta, tau=delay_steps * delta, alpha=0.5,
+            particles=particles, horizon=total_steps * delta, seed=0,
+        )
+        grid = ParticleGrid(
+            states=bits.view(np.float64), params=params, model_name="test"
+        )
+        assert grid.delay_steps == delay_steps
+        buf = io.StringIO()
+        grid.write_csv(buf)
+        assert buf.getvalue() == reference_csv_text(grid)
+
+    def test_writes_one_time_row_at_a_time(self):
+        params = SchemeParams(
+            delta=0.5, tau=0.5, alpha=0.5, particles=3, horizon=1.0, seed=0
+        )
+        states = np.arange(4 * 3 * 2, dtype=np.float64).reshape(4, 3, 2)
+        grid = ParticleGrid(states=states, params=params, model_name="test")
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        grid.write_csv(Recorder())
+        assert writes[0] == "t,particle,comp0,comp1\n"
+        assert len(writes) == 1 + states.shape[0]
+        assert writes[1] == "-0.5,1,0,1\n-0.5,2,2,3\n-0.5,3,4,5\n"
+        assert "".join(writes) == reference_csv_text(grid)
