@@ -273,6 +273,22 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_report(
+    name, config_echo, table, sw, outdir, reference_slope, notes, degenerate
+) -> int:
+    """Write a study's report files; a degenerate slope fit exits 1."""
+    report = build_report(
+        name, config_echo, table, sw.seconds, reference_slope=reference_slope,
+        notes=notes, peak_rss_mb=sw.peak_rss_mb,
+    )
+    report.write(outdir)
+    if report.slope is None:
+        print(f"degenerate fit: {degenerate}", file=sys.stderr)
+        return 1
+    print(f"slope = {report.slope:.4f} ({outdir / (name + '.csv')})")
+    return 0
+
+
 def dispatch(cfg: RunConfig) -> int:
     """Run one subcommand; outputs land in the config's output directory."""
     outdir = Path(cfg.outdir)
@@ -323,20 +339,11 @@ def dispatch(cfg: RunConfig) -> int:
                 taming=cfg.taming,
                 replicates=cfg.replicates,
             )
-        report = build_report(
-            "convergence_dt", config_echo, table, sw.seconds,
-            reference_slope=0.5, notes={"stderr": _STDERR_NOTE},
+        return _write_report(
+            "convergence_dt", config_echo, table, sw, outdir, 0.5,
+            {"stderr": _STDERR_NOTE},
+            "fewer than 2 positive-error rows (drop self-comparison step sizes)",
         )
-        report.write(outdir)
-        if report.slope is None:
-            print(
-                "degenerate fit: fewer than 2 positive-error rows "
-                "(drop self-comparison step sizes)",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"slope = {report.slope:.4f} ({outdir / 'convergence_dt.csv'})")
-        return 0
 
     if cfg.subcommand == "convergence-particles":
         with Stopwatch() as sw:
@@ -351,23 +358,12 @@ def dispatch(cfg: RunConfig) -> int:
                 taming=cfg.taming,
                 replicates=cfg.replicates,
             )
-        report = build_report(
-            "convergence_particles", config_echo, table, sw.seconds,
-            reference_slope=-0.5, notes={"stderr": _STDERR_NOTE},
+        return _write_report(
+            "convergence_particles", config_echo, table, sw, outdir, -0.5,
+            {"stderr": _STDERR_NOTE},
+            "fewer than 2 positive-error rows "
+            "(measure-independent models give exact zeros)",
         )
-        report.write(outdir)
-        if report.slope is None:
-            print(
-                "degenerate fit: fewer than 2 positive-error rows "
-                "(measure-independent models give exact zeros)",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"slope = {report.slope:.4f} "
-            f"({outdir / 'convergence_particles.csv'})"
-        )
-        return 0
 
     if cfg.subcommand == "taming-compare":
         if cfg.model != "cubic_no_mf":
@@ -392,6 +388,7 @@ def dispatch(cfg: RunConfig) -> int:
                 "config": config_echo,
                 "report": rep.as_dict(),
                 "runtime_seconds": sw.seconds,
+                "peak_rss_mb": sw.peak_rss_mb,
             },
         )
         print(
@@ -410,16 +407,10 @@ def dispatch(cfg: RunConfig) -> int:
                 seed=cfg.seed,
             )
         notes = {"proxy": D5_PROXY_NOTE} if cfg.dim == 5 else {}
-        report = build_report(
-            "empirical_rate", config_echo, table, sw.seconds,
-            reference_slope=-0.5, notes=notes,
+        return _write_report(
+            "empirical_rate", config_echo, table, sw, outdir, -0.5, notes,
+            "need at least 2 rows",
         )
-        report.write(outdir)
-        if report.slope is None:
-            print("degenerate fit: need at least 2 rows", file=sys.stderr)
-            return 1
-        print(f"slope = {report.slope:.4f} ({outdir / 'empirical_rate.csv'})")
-        return 0
 
     raise ConfigError(f"unhandled subcommand {cfg.subcommand!r}")
 

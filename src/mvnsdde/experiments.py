@@ -1,20 +1,27 @@
 """Convergence, chaos, moment, and taming studies with coupled noise.
 
 The exact solution is unobservable, so every study compares against a proxy
-on the *same* Brownian path: the step-size study coarsens one fine grid of
-increments, the particle study shares per-particle streams between runs of
-different sizes (stream derivation is keyed by absolute particle id, so the
-smaller system is a prefix of the larger), and the moment study couples its
-runs the same way so the monitored bound is compared across step sizes on
-one path.  Errors are root mean squares across the particles of a single
-coupled run; the reported standard error comes from the particle-wise
-squared-error sample variance (particles are exchangeable but weakly
-correlated through the measure, which the reports state).
+on the *same* Brownian path: the step-size study feeds each coarse step the
+block sums of one fine path, the particle study shares per-particle streams
+between runs of different sizes (stream derivation is keyed by absolute
+particle id, so the smaller system is a prefix of the larger), and the
+moment study couples its runs the same way so the monitored bound is
+compared across step sizes on one path.  Errors are root mean squares across
+the particles of a single coupled run; the reported standard error comes
+from the particle-wise squared-error sample variance (particles are
+exchangeable but weakly correlated through the measure, which the reports
+state).
+
+The studies stream their noise: one pass draws the fine path block by
+block and advances every run (one :class:`~mvnsdde.scheme.Stepper` each)
+through each block, so memory is one block plus each run's delay window.
+Results equal those on the materialized ``BrownianGrid`` oracle bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import resource
 import time
 from dataclasses import dataclass, field, replace
 
@@ -28,8 +35,8 @@ from .measure import (
     w2sq_to_standard_normal_1d,
 )
 from .model import ModelSpec, SchemeParams, cubic_no_mf
-from .noise import derived_generator, generate
-from .scheme import ParticleGrid, simulate, simulate_terminal
+from .noise import block_sums, chunk_steps, derived_generator, stream
+from .scheme import ParticleGrid, Stepper, TerminalRun, sample_moments
 
 _RATE_TAG = 0x3A7E  # auxiliary stream namespace for sampling experiments
 
@@ -140,6 +147,25 @@ def _power_of_two_factor(coarse: float, fine: float, what: str) -> int:
     return factor
 
 
+def _coupled_pass(
+    seed: int, delta: float, horizon: float, levels: list[tuple[Stepper, int]]
+) -> list[TerminalRun]:
+    """Advance every run of a study on one streamed Brownian path.
+
+    ``levels`` pairs each run with its step as a multiple of ``delta``; a
+    run with fewer particles takes the leading streams.  Blocks are a
+    multiple of every factor long, so each coarse run sees ``coarsen``'s sums.
+    """
+    particles = max(run.particles for run, _ in levels)
+    bm_dim = levels[0][0].model.bm_dim
+    chunk = chunk_steps(particles, bm_dim, max(f for _, f in levels))
+    for block in stream(seed, particles, bm_dim, delta, horizon, chunk):
+        for run, factor in levels:
+            run.advance(block_sums(block[:, : run.particles], factor))
+        del block  # free it before the next block is drawn
+    return [run.result() for run, _ in levels]
+
+
 def strong_error_vs_dt(
     model: ModelSpec,
     particles: int,
@@ -154,9 +180,9 @@ def strong_error_vs_dt(
 ) -> ErrorTable:
     """Coupled strong error at the horizon as a function of the step size.
 
-    One increment grid is generated at ``delta_ref``; the reference run uses
-    it directly and every test step size consumes the block-summed
-    coarsening of the same grid, so all runs share one Brownian path.  Each
+    One Brownian path is streamed at ``delta_ref``; the reference run uses
+    its increments directly and every test step size consumes their block
+    sums, so all runs share one path and advance together in one pass.  Each
     test step must be a power-of-two multiple of the reference step.
 
     ``replicates`` repeats the whole coupled study on independent master
@@ -170,25 +196,16 @@ def strong_error_vs_dt(
     sq_errors: list[list[np.ndarray]] = [[] for _ in deltas]
     for run_seed in _replicate_seeds(seed, replicates):
         base_params = SchemeParams(
-            delta=delta_ref,
-            tau=tau,
-            alpha=alpha,
-            particles=particles,
-            horizon=horizon,
-            seed=run_seed,
-            taming_enabled=taming,
+            delta=delta_ref, tau=tau, alpha=alpha, particles=particles,
+            horizon=horizon, seed=run_seed, taming_enabled=taming,
         )
-        base_noise = generate(
-            run_seed, particles, model.bm_dim, delta_ref, horizon
-        )
-        ref = simulate_terminal(model, base_params, base_noise).terminal
-        for i, (delta, factor) in enumerate(zip(deltas, factors)):
-            params = replace(base_params, delta=delta)
-            noise = base_noise.coarsen(factor)
-            term = simulate_terminal(model, params, noise).terminal
-            sq_errors[i].append(np.sum((ref - term) ** 2, axis=1))
-            del noise
-        del base_noise
+        levels = [(Stepper(model, base_params), 1)] + [
+            (Stepper(model, replace(base_params, delta=delta)), factor)
+            for delta, factor in zip(deltas, factors)
+        ]
+        ref, *tests = _coupled_pass(run_seed, delta_ref, horizon, levels)
+        for e2s, test in zip(sq_errors, tests):
+            e2s.append(np.sum((ref.terminal - test.terminal) ** 2, axis=1))
     return ErrorTable(
         [
             _row_from_sq_errors(delta, np.concatenate(e2s))
@@ -219,30 +236,18 @@ def chaos_error_vs_particles(
     xis = [int(x) for x in xis]
     if any(b <= a for a, b in zip(xis, xis[1:])) or len(xis) < 1:
         raise ConfigError(f"particle counts must be strictly increasing: {xis}")
-    xi_max = xis[-1]
     sq_errors: list[list[np.ndarray]] = [[] for _ in xis]
     for run_seed in _replicate_seeds(seed, replicates):
-        params_max = SchemeParams(
-            delta=delta,
-            tau=tau,
-            alpha=alpha,
-            particles=xi_max,
-            horizon=horizon,
-            seed=run_seed,
-            taming_enabled=taming,
+        params = SchemeParams(
+            delta=delta, tau=tau, alpha=alpha, particles=xis[-1],
+            horizon=horizon, seed=run_seed, taming_enabled=taming,
         )
-        noise_max = generate(run_seed, xi_max, model.bm_dim, delta, horizon)
-        ref = simulate_terminal(model, params_max, noise_max).terminal
-        for i, xi in enumerate(xis):
-            if xi == xi_max:
-                sq_errors[i].append(np.zeros(xi))
-                continue
-            params = replace(params_max, particles=xi)
-            term = simulate_terminal(
-                model, params, noise_max.restrict(xi)
-            ).terminal
-            sq_errors[i].append(np.sum((ref[:xi] - term) ** 2, axis=1))
-        del noise_max
+        levels = [(Stepper(model, replace(params, particles=xi)), 1) for xi in xis]
+        *tests, ref = _coupled_pass(run_seed, delta, horizon, levels)
+        for e2s, test in zip(sq_errors, tests):
+            xi = len(test.terminal)
+            e2s.append(np.sum((ref.terminal[:xi] - test.terminal) ** 2, axis=1))
+        sq_errors[-1].append(np.zeros(xis[-1]))
     return ErrorTable(
         [
             _row_from_sq_errors(xi, np.concatenate(e2s))
@@ -264,8 +269,7 @@ def moment_monitor(grid: ParticleGrid, p: int) -> MomentMonitor:
     n (initial-segment rows included) and where it occurs.  Intended for
     even integer p >= 2.
     """
-    norms = np.linalg.norm(grid.states, axis=2)
-    moments = np.mean(norms**p, axis=1)
+    moments = sample_moments(grid.states, p)
     row = int(np.argmax(moments))
     return MomentMonitor(
         value=float(moments[row]), argmax_index=row - grid.delay_steps
@@ -286,30 +290,21 @@ def moment_bound_vs_dt(
     """Moment monitor across step sizes on one coupled Brownian path.
 
     Couples the runs exactly like the strong-error study (finest step is the
-    base grid); the sample p-th moment is heavy-tailed, so independent paths
-    per step would swamp the step-size dependence the bound is about.
-    Returns (delta, monitor value, argmax grid index) per step size.
+    streamed path); the sample p-th moment is heavy-tailed, so independent
+    paths per step would swamp the step-size dependence the bound is about.
+    Each run keeps a running maximum, equal to :func:`moment_monitor` on
+    its full grid.  Returns (delta, monitor value, argmax grid index) per step size.
     """
     deltas = sorted(float(d) for d in deltas)
     finest = deltas[0]
     factors = [_power_of_two_factor(d, finest, "step") for d in deltas]
-    base_noise = generate(seed, particles, model.bm_dim, finest, horizon)
-    out = []
-    for d, factor in zip(deltas, factors):
-        params = SchemeParams(
-            delta=d,
-            tau=tau,
-            alpha=alpha,
-            particles=particles,
-            horizon=horizon,
-            seed=seed,
-            taming_enabled=taming,
-        )
-        grid = simulate(model, params, base_noise.coarsen(factor))
-        mon = moment_monitor(grid, p)
-        out.append((d, mon.value, mon.argmax_index))
-        del grid
-    return out
+    params = SchemeParams(
+        delta=finest, tau=tau, alpha=alpha, particles=particles,
+        horizon=horizon, seed=seed, taming_enabled=taming,
+    )
+    runs = [Stepper(model, replace(params, delta=d), moment_p=p) for d in deltas]
+    _coupled_pass(seed, finest, horizon, list(zip(runs, factors)))
+    return [(d, run.moment_max, run.moment_argmax) for d, run in zip(deltas, runs)]
 
 
 @dataclass(frozen=True)
@@ -356,33 +351,26 @@ def taming_comparison(
     """
     model = cubic_no_mf(x0=x0)
     params = SchemeParams(
-        delta=delta_coarse,
-        tau=tau,
-        alpha=alpha,
-        particles=particles,
-        horizon=horizon,
-        seed=seed,
-        taming_enabled=True,
+        delta=delta_coarse, tau=tau, alpha=alpha, particles=particles,
+        horizon=horizon, seed=seed, taming_enabled=True,
     )
-    noise = generate(seed, particles, model.bm_dim, delta_coarse, horizon)
-
-    tamed_grid = simulate(model, params, noise)
-    tamed = moment_monitor(tamed_grid, p=2)
-
-    untamed = simulate_terminal(
+    tamed = Stepper(model, params, moment_p=2)
+    untamed = Stepper(
         model,
         replace(params, taming_enabled=False),
-        noise,
         track_divergence=True,
         divergence_threshold=divergence_threshold,
     )
-    assert untamed.diverged is not None
+    _, divergence = _coupled_pass(
+        seed, delta_coarse, horizon, [(tamed, 1), (untamed, 1)]
+    )
+    assert divergence.diverged is not None
     return TamingReport(
-        tamed_max_moment=tamed.value,
-        tamed_argmax_index=tamed.argmax_index,
-        untamed_divergence_fraction=untamed.divergence_fraction,
-        untamed_diverged_count=int(untamed.diverged.sum()),
-        first_divergence_step=untamed.first_divergence_step,
+        tamed_max_moment=tamed.moment_max,
+        tamed_argmax_index=tamed.moment_argmax,
+        untamed_divergence_fraction=divergence.divergence_fraction,
+        untamed_diverged_count=int(divergence.diverged.sum()),
+        first_divergence_step=divergence.first_divergence_step,
         particles=particles,
         divergence_threshold=divergence_threshold,
     )
@@ -448,6 +436,7 @@ class ExperimentReport:
     runtime_seconds: float
     reference_slope: float = 0.5
     notes: dict = field(default_factory=dict)
+    peak_rss_mb: float | None = None
 
     def summary_dict(self) -> dict:
         return {
@@ -456,6 +445,7 @@ class ExperimentReport:
             "slope": self.slope,
             "intercept": self.intercept,
             "runtime_seconds": self.runtime_seconds,
+            "peak_rss_mb": self.peak_rss_mb,
             "notes": self.notes,
         }
 
@@ -503,6 +493,7 @@ def build_report(
     runtime_seconds: float,
     reference_slope: float = 0.5,
     notes: dict | None = None,
+    peak_rss_mb: float | None = None,
 ) -> ExperimentReport:
     """Assemble a report; the slope is fit on the positive-error rows."""
     usable = table.nonzero()
@@ -519,11 +510,13 @@ def build_report(
         runtime_seconds=runtime_seconds,
         reference_slope=reference_slope,
         notes=notes or {},
+        peak_rss_mb=peak_rss_mb,
     )
 
 
 class Stopwatch:
-    """Minimal wall-clock timer for experiment reports."""
+    """Wall-clock timer for experiment reports; also reads the process's
+    peak resident set size (MiB, everything up to the exit) as peak_rss_mb."""
 
     def __enter__(self):
         self._t0 = time.perf_counter()
@@ -531,4 +524,5 @@ class Stopwatch:
 
     def __exit__(self, *exc):
         self.seconds = time.perf_counter() - self._t0
+        self.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         return False

@@ -40,7 +40,6 @@ class ModelSpec:
     initial_segment: Callable[[float], np.ndarray]
     contraction: float
     growth_power: float
-    lipschitz_constants: dict[str, float] | None = None
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Reproducible Brownian increment grids with lossless coarsening.
+"""Reproducible Brownian increments, streamed in chunks or materialized.
 
 Increments are derived from a counter-based pseudo-random function so that
 any entry is computable independently of generation order: particle ``a``
@@ -7,6 +7,12 @@ consumed in flat ``step * bm_dim + component`` order, mapped to uniforms in
 (0, 1), and pushed through the inverse normal CDF.  Coarse-step and
 fine-step runs therefore share one Brownian path: summing blocks of fine
 increments reproduces the coarse increments of the same path exactly.
+
+The studies read the path as a :func:`stream` of time-major blocks, so no
+full grid exists in memory.  :class:`BrownianGrid` (:func:`generate` writes
+the same stream into one array) is the materialized oracle: the input of
+``simulate``, the binary dump, and the reference the stream is tested
+against.  :func:`block_sums` is the one coarsening rule for both.
 """
 
 from __future__ import annotations
@@ -28,32 +34,13 @@ _DUMP_VERSION = 1
 # the two namespaces cannot collide.
 _AUX_NAMESPACE = 1 << 63
 
-
-def _uniforms(seed: int, particle: int, count: int) -> np.ndarray:
-    """Uniform (0,1) variates ``0..count-1`` of one particle's stream."""
-    n_raw = -(-count // 4) * 4  # Philox emits 4 raws per counter tick
-    raw = Philox(counter=[0, 0, 0, 0], key=[seed, particle]).random_raw(n_raw)
-    return (raw[:count] >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-
-
-def gaussian_block(
-    seed: int, particle: int, steps: int, bm_dim: int, delta: float
-) -> np.ndarray:
-    """Increments (steps, bm_dim) for one particle, variance ``delta`` each."""
-    u = _uniforms(seed, particle, steps * bm_dim)
-    return (ndtri(u) * np.sqrt(delta)).reshape(steps, bm_dim)
+# Numbers per streamed block (steps x particles x bm_dim): 1 MiB of float64.
+_CHUNK_ELEMENTS = 2**17
 
 
 def derived_generator(seed: int, tag: int) -> Generator:
     """Auxiliary RNG stream, disjoint from every particle stream."""
     return Generator(Philox(key=[seed, _AUX_NAMESPACE + tag]))
-
-
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise GridError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
 
 
 def _step_count(delta: float, horizon: float, what: str = "horizon") -> int:
@@ -72,8 +59,9 @@ class BrownianGrid:
 
     ``increments`` is stored time-major with shape
     ``(steps, particles, bm_dim)`` so the coupled particle loop reads one
-    contiguous block per step; ``increment(a, n)`` and the binary dump expose
-    the (particle, step, component) view.  Instances are immutable.
+    contiguous block per step; ``increments[n, a]`` is the increment of
+    particle ``a`` over step ``n``, and the binary dump stores the
+    (particle, step, component) order.  Instances are immutable.
     """
 
     increments: np.ndarray
@@ -85,33 +73,6 @@ class BrownianGrid:
 
     def __post_init__(self):
         self.increments.flags.writeable = False
-
-    @property
-    def horizon(self) -> float:
-        return self.steps * self.delta_base
-
-    def increment(self, particle: int, step: int) -> np.ndarray:
-        """Increment vector of ``particle`` over step ``step``."""
-        return self.increments[step, particle]
-
-    def step_slice(self, step: int) -> np.ndarray:
-        """All particles' increments for one step, shape (particles, bm_dim)."""
-        return self.increments[step]
-
-    def restrict(self, particles: int) -> "BrownianGrid":
-        """Grid over the leading ``particles`` streams (shared-path prefix)."""
-        if not 1 <= particles <= self.particles:
-            raise GridError(
-                f"cannot restrict {self.particles} particles to {particles}"
-            )
-        return BrownianGrid(
-            increments=self.increments[:, :particles, :],
-            delta_base=self.delta_base,
-            steps=self.steps,
-            particles=particles,
-            bm_dim=self.bm_dim,
-            seed=self.seed,
-        )
 
     def coarsen(self, factor: int) -> "BrownianGrid":
         return coarsen(self, factor)
@@ -160,24 +121,72 @@ def load(path) -> BrownianGrid:
     )
 
 
+def _check_grid(seed, particles, bm_dim, delta_base, horizon):
+    """Validate grid arguments; return the seed as an int and the step count."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise GridError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if particles < 1 or bm_dim < 1:
+        raise GridError("particles and bm_dim must be >= 1")
+    if delta_base <= 0:
+        raise GridError(f"delta_base must be positive, got {delta_base}")
+    return seed, _step_count(delta_base, horizon)
+
+
+def chunk_steps(particles: int, bm_dim: int, multiple: int = 1) -> int:
+    """Steps per streamed block: the element budget, a multiple of ``multiple``."""
+    fit = _CHUNK_ELEMENTS // (particles * bm_dim) // multiple * multiple
+    return max(multiple, fit)
+
+
+def stream(seed, particles, bm_dim, delta_base, horizon, chunk):
+    """The increments of :func:`generate` as blocks of ``chunk`` time rows.
+
+    Blocks are (chunk, particles, bm_dim), the last one shorter if need be.
+    Each particle keeps one Philox generator, and successive draws continue
+    its stream, so the concatenated blocks equal the grid bit for bit.
+    """
+    seed, steps = _check_grid(seed, particles, bm_dim, delta_base, horizon)
+    if chunk < 1:
+        raise GridError(f"chunk must be >= 1 step, got {chunk}")
+    streams = [Generator(Philox(key=[seed, a])) for a in range(particles)]
+    scale = np.sqrt(delta_base)
+    # a generator expression keeps no yielded block alive while the next is drawn
+    return (
+        _draw(streams, min(chunk, steps - n), bm_dim, scale)
+        for n in range(0, steps, int(chunk))
+    )
+
+
+def _draw(streams, steps, bm_dim, scale) -> np.ndarray:
+    """Next ``steps`` rows of every stream: raw -> uniform (0, 1) -> ndtri -> scale."""
+    u = np.empty((len(streams), steps * bm_dim))
+    for row, rng in zip(u, streams):
+        rng.random(out=row)  # (raw >> 11) * 2**-53, one raw per number
+    u += 2.0**-54
+    block = np.empty((steps, len(streams), bm_dim))
+    ndtri(u.reshape(len(streams), steps, bm_dim).transpose(1, 0, 2), out=block)
+    block *= scale
+    return block
+
+
 def generate(
     seed: int, particles: int, bm_dim: int, delta_base: float, horizon: float
 ) -> BrownianGrid:
-    """Materialize a full increment grid.
+    """Materialize a full increment grid by writing the :func:`stream` into it.
 
     Each entry is N(0, delta_base) i.i.d.; entry (a, n, k) depends only on
     (seed, a, n, k), so regeneration with any particle count reproduces the
     shared streams bit-for-bit.
     """
-    seed = _check_seed(seed)
-    if particles < 1 or bm_dim < 1:
-        raise GridError("particles and bm_dim must be >= 1")
-    if delta_base <= 0:
-        raise GridError(f"delta_base must be positive, got {delta_base}")
-    steps = _step_count(delta_base, horizon)
+    seed, steps = _check_grid(seed, particles, bm_dim, delta_base, horizon)
     out = np.empty((steps, particles, bm_dim))
-    for a in range(particles):
-        out[:, a, :] = gaussian_block(seed, a, steps, bm_dim, delta_base)
+    n = 0
+    for block in stream(
+        seed, particles, bm_dim, delta_base, horizon, chunk_steps(particles, bm_dim)
+    ):
+        out[n : n + len(block)] = block
+        n += len(block)
     return BrownianGrid(
         increments=out,
         delta_base=float(delta_base),
@@ -188,27 +197,35 @@ def generate(
     )
 
 
-def coarsen(grid: BrownianGrid, factor: int) -> BrownianGrid:
-    """Sum blocks of ``factor`` consecutive increments per particle.
+def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:
+    """Sum blocks of ``factor`` consecutive time rows, left to right.
 
-    Block sums run left to right so repeated coarsening keeps a fixed
-    floating-point evaluation order.  ``factor`` must divide ``grid.steps``.
+    The one coarsening rule of the grid and the stream, so both sum in the
+    same order.  ``factor`` must divide the row count; 1 returns the input.
     """
     factor = int(factor)
     if factor < 1:
         raise GridError(f"coarsening factor must be >= 1, got {factor}")
-    if grid.steps % factor != 0:
+    if len(increments) % factor != 0:
         raise GridError(
-            f"factor {factor} does not divide step count {grid.steps}"
+            f"factor {factor} does not divide step count {len(increments)}"
         )
     if factor == 1:
-        return grid
-    blocks = grid.increments.reshape(
-        grid.steps // factor, factor, grid.particles, grid.bm_dim
+        return increments
+    blocks = increments.reshape(
+        len(increments) // factor, factor, *increments.shape[1:]
     )
     acc = blocks[:, 0].copy()
     for j in range(1, factor):
         acc += blocks[:, j]
+    return acc
+
+
+def coarsen(grid: BrownianGrid, factor: int) -> BrownianGrid:
+    """Grid of the :func:`block_sums` of ``factor`` consecutive increments."""
+    acc = block_sums(grid.increments, factor)
+    if acc is grid.increments:
+        return grid
     return BrownianGrid(
         increments=acc,
         delta_base=grid.delta_base * factor,

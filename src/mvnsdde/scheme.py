@@ -80,16 +80,9 @@ class ParticleGrid:
         """All particle states at grid index ``index`` (particles, dim)."""
         return self.states[self._row(index)]
 
-    def state(self, particle: int, index: int) -> np.ndarray:
-        return self.states[self._row(index), particle]
-
     @property
     def terminal(self) -> np.ndarray:
         return self.states[-1]
-
-    def times(self) -> np.ndarray:
-        n0 = self.delay_steps
-        return np.arange(-n0, self.total_steps + 1) * self.params.delta
 
     def write_csv(self, fh) -> None:
         """Stream the CSV export to a text file handle, one time row at a time.
@@ -118,19 +111,6 @@ class ParticleGrid:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             self.write_csv(fh)
-
-
-def delayed_state(grid: ParticleGrid, particle: int, index: int):
-    """Current state and the state delay_steps back for one particle.
-
-    For index < delay_steps the lookback lands in the initial segment.
-    """
-    if index < 0:
-        raise IndexError(f"delayed_state needs index >= 0, got {index}")
-    return (
-        grid.state(particle, index),
-        grid.state(particle, index - grid.delay_steps),
-    )
 
 
 def em_step(
@@ -165,20 +145,11 @@ def em_step(
     )
 
 
-def _check_noise(model: ModelSpec, params: SchemeParams, noise: BrownianGrid):
+def _check_noise(params: SchemeParams, noise: BrownianGrid):
+    """Step and length checks; :meth:`Stepper.advance` checks the shape."""
     if not np.isclose(noise.delta_base, params.delta, rtol=1e-12, atol=0.0):
         raise GridError(
             f"noise step {noise.delta_base!r} != scheme step {params.delta!r}"
-        )
-    if noise.particles != params.particles:
-        raise GridError(
-            f"noise carries {noise.particles} particles, scheme needs "
-            f"{params.particles}"
-        )
-    if noise.bm_dim != model.bm_dim:
-        raise GridError(
-            f"noise dimension {noise.bm_dim} != model Brownian dimension "
-            f"{model.bm_dim}"
         )
     if noise.steps != params.total_steps:
         raise GridError(
@@ -186,63 +157,9 @@ def _check_noise(model: ModelSpec, params: SchemeParams, noise: BrownianGrid):
         )
 
 
-def _segment_rows(model: ModelSpec, params: SchemeParams) -> np.ndarray:
-    n0 = params.delay_steps
-    rows = np.empty((n0 + 1, params.particles, model.state_dim))
-    for i in range(n0 + 1):
-        rows[i] = np.asarray(model.initial_segment((i - n0) * params.delta))
-    return rows
-
-
-def simulate(
-    model: ModelSpec,
-    params: SchemeParams,
-    noise: BrownianGrid,
-    check: bool = True,
-) -> ParticleGrid:
-    """Run the scheme with full state storage.
-
-    Raises :class:`ValidationFailure` when the configuration violates the
-    structural conditions, :class:`GridError` on noise/scheme mismatch, and
-    :class:`OverflowAbort` (carrying the last finite prefix) when a state
-    goes non-finite.
-    """
-    if check:
-        report = validate(model, params)
-        if not report.ok:
-            raise ValidationFailure(report.violations)
-    _check_noise(model, params, noise)
-
-    n0 = params.delay_steps
-    n_steps = params.total_steps
-    states = np.empty((n0 + n_steps + 1, params.particles, model.state_dim))
-    states[: n0 + 1] = _segment_rows(model, params)
-
-    # the per-step isfinite check is the overflow detector; the float flags
-    # the overflowing arithmetic raises on the way there are redundant noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            mu = EmpiricalMeasure(states[n + n0])
-            new = em_step(
-                states[n + n0],
-                states[n],
-                states[n + 1],
-                model,
-                params,
-                mu,
-                noise.step_slice(n),
-            )
-            states[n + 1 + n0] = new
-            if not np.isfinite(new).all():
-                bad = np.where(~np.isfinite(new).all(axis=1))[0]
-                prefix = ParticleGrid(
-                    states=states[: n + 1 + n0].copy(),
-                    params=params,
-                    model_name=model.name,
-                )
-                raise OverflowAbort(step=n + 1, particles=bad, prefix=prefix)
-
-    return ParticleGrid(states=states, params=params, model_name=model.name)
+def sample_moments(states: np.ndarray, p: int) -> np.ndarray:
+    """Sample p-th moment of the state norm per time row, mean_a |U^a|^p."""
+    return np.mean(np.linalg.norm(states, axis=-1) ** p, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -260,6 +177,123 @@ class TerminalRun:
         return float(self.diverged.mean())
 
 
+class Stepper:
+    """The one stepping loop: a resumable run fed blocks of increments.
+
+    States live in a ring of delay_steps + 2 rows (the current state and
+    both lookbacks); with ``full_storage`` the ring holds every grid row and
+    never wraps.  Divergence policy: the first non-finite state raises
+    :class:`OverflowAbort` (with the finite prefix under full storage), or
+    with ``track_divergence`` the run goes on and records which particles
+    ever exceeded the threshold or went non-finite.  With ``moment_p`` it
+    keeps the largest :func:`sample_moments` value over all rows, initial
+    segment included, and the first grid index where it occurs.
+    """
+
+    def __init__(
+        self, model: ModelSpec, params: SchemeParams, check: bool = True,
+        full_storage: bool = False, track_divergence: bool = False,
+        divergence_threshold: float = 1e10, moment_p: int | None = None,
+    ):
+        if check:
+            report = validate(model, params)
+            if not report.ok:
+                raise ValidationFailure(report.violations)
+        self.model, self.params, self.particles = model, params, params.particles
+        n0 = params.delay_steps
+        cap = n0 + params.total_steps + 1 if full_storage else n0 + 2
+        self._buf = np.empty((cap, params.particles, model.state_dim))
+        self._full, self._track = full_storage, track_divergence
+        self._threshold, self._moment_p = divergence_threshold, moment_p
+        self._diverged = np.zeros(params.particles, dtype=bool)
+        self._first_bad: int | None = None
+        self.steps_done, self.moment_max, self.moment_argmax = 0, -np.inf, None
+        for i in range(n0 + 1):
+            self._buf[i] = np.asarray(model.initial_segment((i - n0) * params.delta))
+            self._note_moment(self._buf[i], i - n0)
+
+    def _note_moment(self, row: np.ndarray, index: int) -> None:
+        if self._moment_p is not None:
+            value = float(sample_moments(row, self._moment_p))
+            if value > self.moment_max:
+                self.moment_max, self.moment_argmax = value, index
+
+    @property
+    def states(self) -> np.ndarray:
+        """Rows so far of a full-storage run; row i is grid index i - delay_steps."""
+        if not self._full:
+            raise GridError("only a full-storage run keeps every state")
+        return self._buf[: self.params.delay_steps + self.steps_done + 1]
+
+    def advance(self, increments: np.ndarray) -> None:
+        """Take one step per row of ``increments`` (steps, particles, bm_dim)."""
+        n0, total = self.params.delay_steps, self.params.total_steps
+        want = (self.particles, self.model.bm_dim)
+        if increments.shape[1:] != want:
+            raise GridError(f"increment rows {increments.shape[1:]}, run needs {want}")
+        if self.steps_done + len(increments) > total:
+            raise GridError(f"more than {total} steps of noise for this run")
+        buf, cap = self._buf, len(self._buf)
+        # the per-step isfinite check is the overflow detector; the float flags
+        # the overflowing arithmetic raises on the way there are redundant noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for inc in increments:
+                n = self.steps_done
+                x = buf[(n + n0) % cap]
+                new = em_step(
+                    x, buf[n % cap], buf[(n + 1) % cap], self.model,
+                    self.params, EmpiricalMeasure(x), inc,
+                )
+                buf[(n + 1 + n0) % cap] = new
+                self.steps_done = n + 1
+                if self._track:
+                    bad = ~np.isfinite(new).all(axis=1) | (
+                        np.linalg.norm(new, axis=1) > self._threshold
+                    )
+                    if bad.any() and self._first_bad is None:
+                        self._first_bad = n + 1
+                    self._diverged |= bad
+                elif not np.isfinite(new).all():
+                    bad = np.where(~np.isfinite(new).all(axis=1))[0]
+                    prefix = None
+                    if self._full:
+                        prefix = ParticleGrid(
+                            buf[: n + 1 + n0].copy(), self.params, self.model.name
+                        )
+                    raise OverflowAbort(step=n + 1, particles=bad, prefix=prefix)
+                self._note_moment(new, n + 1)
+
+    def result(self) -> TerminalRun:
+        """Terminal states and divergence record of the finished run."""
+        n0, total = self.params.delay_steps, self.params.total_steps
+        if self.steps_done != total:
+            raise GridError(f"run stopped at step {self.steps_done} of {total}")
+        return TerminalRun(
+            terminal=self._buf[(total + n0) % len(self._buf)].copy(),
+            diverged=self._diverged if self._track else None,
+            first_divergence_step=self._first_bad,
+        )
+
+
+def simulate(
+    model: ModelSpec,
+    params: SchemeParams,
+    noise: BrownianGrid,
+    check: bool = True,
+) -> ParticleGrid:
+    """Run the scheme with full state storage.
+
+    Raises :class:`ValidationFailure` when the configuration violates the
+    structural conditions, :class:`GridError` on noise/scheme mismatch, and
+    :class:`OverflowAbort` (carrying the last finite prefix) when a state
+    goes non-finite.
+    """
+    run = Stepper(model, params, check=check, full_storage=True)
+    _check_noise(params, noise)
+    run.advance(noise.increments)
+    return ParticleGrid(states=run.states, params=params, model_name=model.name)
+
+
 def simulate_terminal(
     model: ModelSpec,
     params: SchemeParams,
@@ -275,49 +309,10 @@ def simulate_terminal(
     (expected for untamed demonstrations) and reports which particles ever
     exceeded the threshold or went non-finite, instead of raising.
     """
-    if check:
-        report = validate(model, params)
-        if not report.ok:
-            raise ValidationFailure(report.violations)
-    _check_noise(model, params, noise)
-
-    n0 = params.delay_steps
-    n_steps = params.total_steps
-    cap = n0 + 2
-    buf = np.empty((cap, params.particles, model.state_dim))
-    for i in range(n0 + 1):
-        buf[i % cap] = np.asarray(model.initial_segment((i - n0) * params.delta))
-
-    diverged = np.zeros(params.particles, dtype=bool)
-    first_bad: int | None = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            x = buf[(n + n0) % cap]
-            mu = EmpiricalMeasure(x)
-            new = em_step(
-                x,
-                buf[n % cap],
-                buf[(n + 1) % cap],
-                model,
-                params,
-                mu,
-                noise.step_slice(n),
-            )
-            buf[(n + 1 + n0) % cap] = new
-            if track_divergence:
-                bad = ~np.isfinite(new).all(axis=1) | (
-                    np.linalg.norm(new, axis=1) > divergence_threshold
-                )
-                if bad.any() and first_bad is None:
-                    first_bad = n + 1
-                diverged |= bad
-            elif not np.isfinite(new).all():
-                bad = np.where(~np.isfinite(new).all(axis=1))[0]
-                raise OverflowAbort(step=n + 1, particles=bad, prefix=None)
-
-    terminal = buf[(n_steps + n0) % cap].copy()
-    return TerminalRun(
-        terminal=terminal,
-        diverged=diverged if track_divergence else None,
-        first_divergence_step=first_bad,
+    run = Stepper(
+        model, params, check=check, track_divergence=track_divergence,
+        divergence_threshold=divergence_threshold,
     )
+    _check_noise(params, noise)
+    run.advance(noise.increments)
+    return run.result()

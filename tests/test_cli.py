@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mvnsdde import example51, moment_bound_vs_dt, taming_comparison
 from mvnsdde.cli import main, parse
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -163,6 +164,7 @@ class TestExitCodes:
         assert rc == 0
         report = json.loads((out / "taming_compare.summary.json").read_text())
         assert report["report"]["untamed_divergence_fraction"] >= 0.99
+        assert report["peak_rss_mb"] > 0.0
 
     def test_degenerate_fit_is_1(self, tmp_path):
         out = tmp_path / "o"
@@ -263,6 +265,7 @@ class TestOutputs:
         summary = json.loads((out / "convergence_dt.summary.json").read_text())
         assert summary["config"]["seed"] == 77
         assert isinstance(summary["slope"], float)
+        assert summary["peak_rss_mb"] > 0.0
 
     def test_empirical_rate_outputs(self, tmp_path):
         out = tmp_path / "o"
@@ -334,6 +337,68 @@ class TestGoldenBytes:
         assert rc == 3
         assert self._sha256(out / "grid.partial.csv") == (
             "2cec85fdedb1b0f1909ad7df4e6b2eb28560fad3e4ac462de8051e6e5e683a17"
+        )
+
+
+class TestStudyGoldenBytes:
+    """Study outputs pinned from the materialize-then-coarsen implementation.
+
+    The studies now stream their noise and advance every coupled run in
+    one pass; these digests and reprs were computed before that change.
+    """
+
+    def test_convergence_dt_csv(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(
+            [
+                "--config", str(CONFIGS / "figure1.cfg"),
+                "--delta-ref", repr(2.0**-10),
+                "--deltas", ",".join(repr(2.0**-k) for k in (9, 8, 7, 6)),
+                "--particles", "100", "--replicates", "2",
+                "--outdir", str(out),
+            ]
+        )
+        assert rc == 0
+        assert TestGoldenBytes._sha256(out / "convergence_dt.csv") == (
+            "b57d4b214b6cad1a3e3396678554b0b30bb8a6fc48fe9d5ae442daa44d5e29bb"
+        )
+
+    def test_convergence_particles_csv(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(
+            [
+                "--config", str(CONFIGS / "chaos.cfg"),
+                "--xis", "8,32,128", "--delta", repr(2.0**-7),
+                "--replicates", "2", "--outdir", str(out),
+            ]
+        )
+        assert rc == 0
+        assert TestGoldenBytes._sha256(out / "convergence_particles.csv") == (
+            "8d108eeca8088c140a15c9ec1c07f66aee642fb4b449abfc816961bc55a5209e"
+        )
+
+    def test_moment_bound_rows(self):
+        rows = moment_bound_vs_dt(
+            example51(), particles=50, deltas=[2.0**-k for k in (6, 7, 8, 9)],
+            tau=2.0**-5, alpha=0.5, horizon=1.0, seed=31, p=4,
+        )
+        assert repr(rows) == (
+            "[(0.001953125, 0.0006626606234367835, 468), "
+            "(0.00390625, 0.0006012203398980252, 234), "
+            "(0.0078125, 0.0006134922833398621, 117), "
+            "(0.015625, 0.0004500041681994178, 58)]"
+        )
+
+    def test_taming_report(self):
+        rep = taming_comparison(
+            x0=5.0, delta_coarse=0.25, particles=200, tau=0.5, horizon=1.0,
+            seed=2,
+        )
+        assert repr(rep) == (
+            "TamingReport(tamed_max_moment=62.630200909875875, "
+            "tamed_argmax_index=4, untamed_divergence_fraction=1.0, "
+            "untamed_diverged_count=200, first_divergence_step=3, "
+            "particles=200, divergence_threshold=10000000000.0)"
         )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,24 @@ class TestStrongErrorVsDt:
         a = strong_error_vs_dt(example51(), **kw)
         b = strong_error_vs_dt(example51(), **kw)
         assert a.csv_text() == b.csv_text()
+
+
+class TestStreamedMemory:
+    def test_dt_study_holds_no_fine_grid(self):
+        # the fine grid alone would be 4096 steps x 200 particles x 8 bytes
+        grid_mib = 4096 * 200 * 8 / 2**20
+        tracemalloc.start()
+        try:
+            strong_error_vs_dt(
+                example51(), particles=200, delta_ref=2.0**-12,
+                deltas=[2.0**-k for k in (11, 10, 9, 8)], tau=2.0**-5,
+                alpha=0.5, horizon=1.0, seed=7,
+            )
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert grid_mib == 6.25
+        assert peak < grid_mib / 2
 
 
 class TestChaosErrorVsParticles:

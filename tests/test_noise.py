@@ -4,9 +4,26 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from mvnsdde import GridError, coarsen, generate, load
-from mvnsdde.noise import gaussian_block
+from mvnsdde.noise import block_sums, stream
+
+
+def particle_block(seed, particle, steps, bm_dim, delta):
+    """Reference draw of one particle's increments (steps, bm_dim).
+
+    Reads the particle's Philox stream from counter 0 in one call, apart
+    from the grid and stream code it checks.
+    """
+    count = steps * bm_dim
+    n_raw = -(-count // 4) * 4  # Philox emits 4 raws per counter tick
+    raw = Philox(counter=[0, 0, 0, 0], key=[seed, particle]).random_raw(n_raw)
+    u = (raw[:count] >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    return (ndtri(u) * np.sqrt(delta)).reshape(steps, bm_dim)
 
 
 class TestGenerate:
@@ -23,7 +40,7 @@ class TestGenerate:
     def test_moment_bounds_single_step(self):
         n = 10_000
         grid = generate(77, particles=n, bm_dim=1, delta_base=0.25, horizon=0.25)
-        incs = grid.step_slice(0)[:, 0]
+        incs = grid.increments[0][:, 0]
         assert abs(incs.mean()) <= 4.0 * np.sqrt(0.25 / n)
         assert abs(incs.var(ddof=1) / 0.25 - 1.0) <= 0.05
 
@@ -31,15 +48,14 @@ class TestGenerate:
         big = generate(42, particles=8, bm_dim=2, delta_base=0.5, horizon=4.0)
         small = generate(42, particles=3, bm_dim=2, delta_base=0.5, horizon=4.0)
         assert np.array_equal(big.increments[:, :3, :], small.increments)
-        assert np.array_equal(
-            big.restrict(3).increments, small.increments
-        )
+        streamed = np.concatenate(list(stream(42, 8, 2, 0.5, 4.0, 3)))
+        assert np.array_equal(streamed[:, :3, :], small.increments)
 
     def test_entry_matches_per_particle_block(self):
         grid = generate(9, particles=4, bm_dim=3, delta_base=0.2, horizon=1.0)
-        block = gaussian_block(9, 2, steps=5, bm_dim=3, delta=0.2)
+        block = particle_block(9, 2, steps=5, bm_dim=3, delta=0.2)
         assert np.array_equal(grid.increments[:, 2, :], block)
-        assert np.array_equal(grid.increment(2, 4), block[4])
+        assert np.array_equal(grid.increments[4, 2], block[4])
 
     def test_cross_correlations_small(self):
         n = 100_000
@@ -144,10 +160,10 @@ class TestDump:
         # particle 0 steps 0..1, then particle 1 steps 0..1
         expect = np.array(
             [
-                grid.increment(0, 0)[0],
-                grid.increment(0, 1)[0],
-                grid.increment(1, 0)[0],
-                grid.increment(1, 1)[0],
+                grid.increments[0, 0][0],
+                grid.increments[1, 0][0],
+                grid.increments[0, 1][0],
+                grid.increments[1, 1][0],
             ]
         )
         assert np.array_equal(payload, expect)
@@ -157,3 +173,43 @@ class TestDump:
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(GridError):
             load(path)
+
+
+class TestStream:
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        particles=st.integers(1, 40),
+        bm_dim=st.integers(1, 3),
+        steps=st.integers(1, 64),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chunks_equal_grid_and_coarsening(
+        self, seed, particles, bm_dim, steps, data
+    ):
+        chunk = data.draw(st.integers(1, steps), label="chunk")
+        delta = 2.0**-6
+        grid = generate(seed, particles, bm_dim, delta, steps * delta)
+        blocks = list(stream(seed, particles, bm_dim, delta, steps * delta, chunk))
+        assert [len(b) for b in blocks[:-1]] == [chunk] * (len(blocks) - 1)
+        full = np.concatenate(blocks)
+        assert full.tobytes() == grid.increments.tobytes()
+        factors = [
+            f for f in (1, 2, 4, 8, 16, 32, 64) if chunk % f == 0 and steps % f == 0
+        ]
+        for f in factors:
+            coarse = coarsen(grid, f).increments
+            sums = np.concatenate([block_sums(b, f) for b in blocks])
+            assert sums.tobytes() == coarse.tobytes()
+
+    def test_block_shape_and_last_chunk(self):
+        blocks = list(stream(4, 3, 2, 0.25, 2.5, 4))
+        assert [b.shape for b in blocks] == [(4, 3, 2), (4, 3, 2), (2, 3, 2)]
+
+    def test_bad_arguments(self):
+        with pytest.raises(GridError):
+            stream(1, 2, 1, 0.5, 1.0, 0)
+        with pytest.raises(GridError):
+            stream(1, 0, 1, 0.5, 1.0, 4)
+        with pytest.raises(GridError):
+            stream(1, 2, 1, 0.3, 1.0, 4)

@@ -17,9 +17,9 @@ from mvnsdde import (
     OverflowAbort,
     ParticleGrid,
     SchemeParams,
+    Stepper,
     ValidationFailure,
     cubic_no_mf,
-    delayed_state,
     em_step,
     example51,
     generate,
@@ -111,6 +111,8 @@ class TestTameDrift:
 
 
 class TestDelayedState:
+    """The current state and its lookback delay_steps back, read by indexing."""
+
     def _grid(self, delta=0.25, tau=0.25, horizon=1.0, particles=2):
         model = example51()
         params = SchemeParams(
@@ -122,28 +124,29 @@ class TestDelayedState:
 
     def test_at_start(self):
         grid, params = self._grid()
-        cur, dly = delayed_state(grid, 0, 0)
+        cur, dly = grid.column(0)[0], grid.column(-grid.delay_steps)[0]
         assert cur[0] == 0.0  # segment value at t = 0
         assert dly[0] == -params.delta  # segment value one step back
 
     def test_at_segment_boundary(self):
         grid, _ = self._grid()
         n0 = grid.delay_steps
-        cur, dly = delayed_state(grid, 1, n0)
-        assert np.array_equal(cur, grid.state(1, n0))
+        cur, dly = grid.column(n0)[1], grid.column(0)[1]
+        assert np.array_equal(cur, grid.states[n0 + n0, 1])
         assert dly[0] == 0.0  # segment value at t = 0
 
     def test_interior_indexing(self):
         grid, _ = self._grid()
         n0 = grid.delay_steps
-        cur, dly = delayed_state(grid, 0, n0 + 3)
-        assert np.array_equal(cur, grid.state(0, n0 + 3))
-        assert np.array_equal(dly, grid.state(0, 3))
+        cur, dly = grid.column(n0 + 3)[0], grid.column(3)[0]
+        assert np.array_equal(cur, grid.states[n0 + n0 + 3, 0])
+        assert np.array_equal(dly, grid.states[n0 + 3, 0])
 
     def test_negative_index_rejected(self):
+        # a negative index has its lookback before the initial segment
         grid, _ = self._grid()
         with pytest.raises(IndexError):
-            delayed_state(grid, 0, -1)
+            grid.column(-1 - grid.delay_steps)
 
 
 class TestEmStep:
@@ -236,7 +239,7 @@ class TestSimulate:
             b /= 1.0 + sq * abs(b)
             sig = x + 0.5 * y
             path.append(
-                -0.5 * y1 + (x + 0.5 * y + b * delta + sig * noise.increment(0, n)[0])
+                -0.5 * y1 + (x + 0.5 * y + b * delta + sig * noise.increments[n, 0][0])
             )
         got = grid.states[:, 0, 0]
         np.testing.assert_allclose(got, path, rtol=1e-13, atol=1e-16)
@@ -294,7 +297,7 @@ class TestSimulate:
             mu = EmpiricalMeasure(grid.column(n))
             replay = em_step(
                 grid.column(n), grid.column(n - n0), grid.column(n + 1 - n0),
-                model, params, mu, noise.step_slice(n),
+                model, params, mu, noise.increments[n],
             )
             assert np.array_equal(replay, grid.column(n + 1))
 
@@ -370,6 +373,78 @@ class TestSimulate:
             simulate(model, params, _zero_noise(4, params.total_steps, 2.0**-7))
 
 
+class TestStepper:
+    def _setup(self, particles=30, delta=2.0**-7, seed=5):
+        model = example51()
+        params = SchemeParams(
+            delta=delta, tau=2.0**-5, alpha=0.5, particles=particles,
+            horizon=1.0, seed=seed,
+        )
+        return model, params, generate(seed, particles, 1, delta, 1.0)
+
+    @given(cuts=st.lists(st.integers(0, 128), max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_resumes_across_any_block_split(self, cuts):
+        model, params, noise = self._setup()
+        whole = simulate(model, params, noise)
+        run = Stepper(model, params, full_storage=True)
+        edges = [0] + sorted(cuts) + [params.total_steps]
+        for a, b in zip(edges, edges[1:]):
+            run.advance(noise.increments[a:b])
+        assert run.states.tobytes() == whole.states.tobytes()
+        assert run.result().terminal.tobytes() == whole.terminal.tobytes()
+
+    def test_ring_never_wraps_under_full_storage(self):
+        model, params, noise = self._setup()
+        run = Stepper(model, params, full_storage=True)
+        run.advance(noise.increments)
+        assert run.states.shape[0] == params.delay_steps + params.total_steps + 1
+
+    def test_ring_keeps_no_full_grid(self):
+        model, params, _ = self._setup()
+        run = Stepper(model, params)
+        with pytest.raises(GridError):
+            run.states
+
+    def test_moment_matches_monitor_on_full_grid(self):
+        from mvnsdde import moment_monitor
+
+        for p in (2, 4, 12):
+            model, params, noise = self._setup(particles=17, seed=p)
+            run = Stepper(model, params, moment_p=p)
+            run.advance(noise.increments)
+            mon = moment_monitor(simulate(model, params, noise), p)
+            assert run.moment_max == mon.value
+            assert run.moment_argmax == mon.argmax_index
+
+    def test_moment_argmax_in_initial_segment(self):
+        # a constant path ties on every row; the first one, -delay_steps, wins
+        model = _trivial_model()
+        params = SchemeParams(
+            delta=0.25, tau=0.5, alpha=0.5, particles=3, horizon=1.0, seed=0
+        )
+        run = Stepper(model, params, moment_p=2)
+        assert (run.moment_max, run.moment_argmax) == (2.25, -2)
+
+    def test_block_errors(self):
+        model, params, noise = self._setup()
+        run = Stepper(model, params)
+        with pytest.raises(GridError):
+            run.advance(np.zeros((2, params.particles + 1, 1)))
+        with pytest.raises(GridError):
+            run.advance(np.zeros((params.total_steps + 1, params.particles, 1)))
+        run.advance(noise.increments[:5])
+        with pytest.raises(GridError):
+            run.result()
+
+    def test_validates_unless_told_not_to(self):
+        model, params, _ = self._setup()
+        bad = dataclasses.replace(params, alpha=0.9)
+        with pytest.raises(ValidationFailure):
+            Stepper(model, bad)
+        Stepper(model, bad, check=False)
+
+
 class TestOverflow:
     def _setup(self, taming, horizon=1.0):
         model = cubic_no_mf(x0=5.0)
@@ -438,7 +513,7 @@ class TestCsvExport:
             a = i % 2
             assert float(row[0]) == n * grid.params.delta
             assert int(row[1]) == a + 1
-            assert float(row[2]) == grid.state(a, n)[0]
+            assert float(row[2]) == grid.column(n)[a][0]
 
     def test_rerun_is_byte_identical(self):
         a = self._small_grid().csv_text()
