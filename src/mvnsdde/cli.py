@@ -1,11 +1,12 @@
 """Command-line front end: flat config files, subcommands, exit codes.
 
+:class:`RunConfig` lists every config key with its type and default; the
+file parser, the ``--flags`` and the echo are derived from its fields.
 Config files are flat ``key = value`` text (``#`` comments, lists as
-comma-separated values); command-line flags override file values, and the
-fully resolved config is echoed to ``<outdir>/config.echo`` in the same
-format, so an echo file reruns the exact same job.  The seed is mandatory
-and never defaulted from the clock.  Exit status: 0 success, 2 validation
-failure, 3 overflow abort, 1 anything else.
+comma-separated values), flags override file values, and the resolved
+config is echoed to ``<outdir>/config.echo``, which reruns the same job.
+The seed is mandatory and never defaulted from the clock.  Exit status: 0
+success, 2 validation failure, 3 overflow abort, 1 anything else.
 
 The ``--workers`` flag is accepted and echoed for config compatibility; the
 numerical backend is vectorized single-process numpy, whose results are
@@ -62,129 +63,84 @@ _STDERR_NOTE = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    subcommand: str
-    model: str
-    a_coef: float
-    b_coef: float
-    sigma0: float
-    x0: float
-    delta: float
-    delta_ref: float
-    deltas: tuple[float, ...]
-    tau: float
-    alpha: float
-    particles: int
-    xis: tuple[int, ...]
-    horizon: float
-    seed: int
-    taming: bool
-    moment_order_p: int
-    mc_reps: int
-    replicates: int
-    dim: int
-    outdir: str
-    workers: int
+    """Every config key, its type and its default, in echo order; ``None``
+    marks a required key (``subcommand``, ``seed``) or one with a fallback
+    (``outdir``: ``$MVNSDDE_OUTDIR``, then ``out``)."""
+
+    subcommand: str | None = None
+    model: str = "example51"
+    a_coef: float = -1.0
+    b_coef: float = 0.5
+    sigma0: float = 0.2
+    x0: float = 0.0
+    delta: float = 2.0**-11
+    delta_ref: float = 2.0**-16
+    deltas: tuple[float, ...] = tuple(2.0**-k for k in (15, 14, 13, 12, 11))
+    tau: float = 2.0**-5
+    alpha: float = 0.5
+    particles: int = 1000
+    xis: tuple[int, ...] = (16, 64, 256, 1024)
+    horizon: float = 1.0
+    seed: int | None = None
+    taming: bool = True
+    moment_order_p: int = 12
+    mc_reps: int = 200
+    replicates: int = 1
+    dim: int = 1
+    outdir: str | None = None
+    workers: int = 1
 
 
-_KINDS = {
-    "subcommand": "str",
-    "model": "str",
-    "a_coef": "float",
-    "b_coef": "float",
-    "sigma0": "float",
-    "x0": "float",
-    "delta": "float",
-    "delta_ref": "float",
-    "deltas": "float_list",
-    "tau": "float",
-    "alpha": "float",
-    "particles": "int",
-    "xis": "int_list",
-    "horizon": "float",
-    "seed": "int",
-    "taming": "bool",
-    "moment_order_p": "int",
-    "mc_reps": "int",
-    "replicates": "int",
-    "dim": "int",
-    "outdir": "str",
-    "workers": "int",
+def _int(raw) -> int:
+    return int(str(raw), 10)
+
+
+def _bool(raw) -> bool:
+    if isinstance(raw, bool):
+        return raw
+    word = str(raw).strip().lower()
+    if word in ("true", "1", "yes", "on"):
+        return True
+    if word in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _items(item):
+    """Parser of a comma-separated list of ``item`` values."""
+    return lambda raw: tuple(item(s) for s in str(raw).split(",") if s.strip())
+
+
+# Per field annotation (its text, ``| None`` dropped): parse a file, flag or
+# override value; format it for the echo; the flag's metavar.
+_TYPES = {
+    "str": (str, str, "TEXT"),
+    "int": (_int, str, "INT"),
+    "float": (float, lambda v: repr(float(v)), "FLOAT"),
+    "bool": (_bool, lambda v: "true" if v else "false", None),
+    "tuple[int, ...]": (_items(_int), lambda v: ",".join(map(str, v)), "INT,..."),
+    "tuple[float, ...]": (_items(float), lambda v: ",".join(map(repr, v)), "FLOAT,..."),
 }
-
-_DEFAULTS = {
-    "subcommand": None,
-    "model": "example51",
-    "a_coef": -1.0,
-    "b_coef": 0.5,
-    "sigma0": 0.2,
-    "x0": 0.0,
-    "delta": 2.0**-11,
-    "delta_ref": 2.0**-16,
-    "deltas": (2.0**-15, 2.0**-14, 2.0**-13, 2.0**-12, 2.0**-11),
-    "tau": 2.0**-5,
-    "alpha": 0.5,
-    "particles": 1000,
-    "xis": (16, 64, 256, 1024),
-    "horizon": 1.0,
-    "seed": None,
-    "taming": True,
-    "moment_order_p": 12,
-    "mc_reps": 200,
-    "replicates": 1,
-    "dim": 1,
-    "outdir": None,
-    "workers": 1,
+_FIELDS = {
+    f.name: _TYPES[f.type.removesuffix(" | None")]
+    for f in dataclasses.fields(RunConfig)
 }
-
-_TRUE_WORDS = {"true", "1", "yes", "on"}
-_FALSE_WORDS = {"false", "0", "no", "off"}
+_VALID_KEYS = "valid keys: " + ", ".join(sorted(_FIELDS))
 
 
 def _coerce(key: str, raw):
     """Coerce a raw (string or already typed) value to its config type."""
-    kind = _KINDS[key]
     try:
-        if kind == "str":
-            return str(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(str(raw), 10)
-        if kind == "bool":
-            if isinstance(raw, bool):
-                return raw
-            word = str(raw).strip().lower()
-            if word in _TRUE_WORDS:
-                return True
-            if word in _FALSE_WORDS:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        items = [s for s in str(raw).split(",") if s.strip() != ""]
-        if kind == "float_list":
-            return tuple(float(s) for s in items)
-        if kind == "int_list":
-            return tuple(int(s.strip(), 10) for s in items)
+        return _FIELDS[key][0](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    raise AssertionError(f"unhandled kind {kind}")
-
-
-def _format(key: str, value) -> str:
-    kind = _KINDS[key]
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind in ("float_list", "int_list"):
-        return ",".join(repr(v) if kind == "float_list" else str(v) for v in value)
-    if kind == "float":
-        return repr(float(value))
-    return str(value)
 
 
 def echo_text(cfg: RunConfig) -> str:
     """Render the effective config in the flat file format (reparseable)."""
     lines = ["# effective configuration (reparseable)"]
-    for f in dataclasses.fields(RunConfig):
-        lines.append(f"{f.name} = {_format(f.name, getattr(cfg, f.name))}")
+    for key, (_, fmt, _) in _FIELDS.items():
+        lines.append(f"{key} = {fmt(getattr(cfg, key))}")
     return "\n".join(lines) + "\n"
 
 
@@ -200,10 +156,9 @@ def _read_config_file(path) -> dict:
                 f"{path}:{lineno}: expected 'key = value', got {line!r}"
             )
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KINDS:
+        if key not in _FIELDS:
             raise ConfigError(
-                f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                + ", ".join(sorted(_KINDS))
+                f"{path}:{lineno}: unknown key {key!r}; {_VALID_KEYS}"
             )
         values[key] = _coerce(key, raw)
     return values
@@ -214,15 +169,12 @@ def parse(
 ) -> RunConfig:
     """Resolve defaults, config file, and command-line overrides (in that
     order of increasing precedence) into a fully explicit RunConfig."""
-    values = dict(_DEFAULTS)
+    values = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     if config_path is not None:
         values.update(_read_config_file(config_path))
     for key, raw in (overrides or {}).items():
-        if key not in _KINDS:
-            raise ConfigError(
-                f"unknown config key {key!r}; valid keys: "
-                + ", ".join(sorted(_KINDS))
-            )
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown config key {key!r}; {_VALID_KEYS}")
         values[key] = _coerce(key, raw)
     if subcommand is not None:
         values["subcommand"] = subcommand
@@ -232,11 +184,11 @@ def parse(
             "no subcommand given (positional argument or 'subcommand' key); "
             "one of: " + ", ".join(SUBCOMMANDS)
         )
-    if values["subcommand"] not in SUBCOMMANDS:
-        raise ConfigError(
-            f"unknown subcommand {values['subcommand']!r}; valid: "
-            + ", ".join(SUBCOMMANDS)
-        )
+    for key, valid in (("subcommand", SUBCOMMANDS), ("model", MODEL_NAMES)):
+        if values[key] not in valid:
+            raise ConfigError(
+                f"unknown {key} {values[key]!r}; valid: " + ", ".join(valid)
+            )
     if values["seed"] is None:
         raise ConfigError("missing seed: every run must set one explicitly")
     if not 0 <= values["seed"] < 2**64:
@@ -254,9 +206,9 @@ def parse(
     return RunConfig(**values)
 
 
-def _scheme_params(cfg: RunConfig, delta: float | None = None) -> SchemeParams:
+def _scheme_params(cfg: RunConfig) -> SchemeParams:
     return SchemeParams(
-        delta=cfg.delta if delta is None else delta,
+        delta=cfg.delta,
         tau=cfg.tau,
         alpha=cfg.alpha,
         particles=cfg.particles,
@@ -430,40 +382,22 @@ def _build_argparser() -> _Parser:
     )
     p.add_argument("subcommand", nargs="?", choices=SUBCOMMANDS)
     p.add_argument("--config", help="flat 'key = value' config file")
-    p.add_argument("--model", choices=MODEL_NAMES)
-    p.add_argument("--a-coef", dest="a_coef", type=float)
-    p.add_argument("--b-coef", dest="b_coef", type=float)
-    p.add_argument("--sigma0", type=float)
-    p.add_argument("--x0", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--delta-ref", dest="delta_ref", type=float)
-    p.add_argument("--deltas", help="comma-separated step sizes")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--particles", type=int)
-    p.add_argument("--xis", help="comma-separated particle counts")
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--taming", action=argparse.BooleanOptionalAction)
-    p.add_argument("--moment-order-p", dest="moment_order_p", type=int)
-    p.add_argument("--mc-reps", dest="mc_reps", type=int)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--outdir")
-    p.add_argument("--workers", type=int)
+    for key, (parse_value, _, metavar) in _FIELDS.items():
+        if key == "subcommand":  # the positional argument above
+            continue
+        # a bool key gets --key and --no-key
+        action = argparse.BooleanOptionalAction if parse_value is _bool else "store"
+        p.add_argument("--" + key.replace("_", "-"), action=action, metavar=metavar)
     return p
 
 
 def main(argv=None) -> int:
     parser = _build_argparser()
     try:
-        args = parser.parse_args(argv)
-        overrides = {
-            key: value
-            for key, value in vars(args).items()
-            if key in _KINDS and value is not None and key != "subcommand"
-        }
-        cfg = parse(args.config, overrides, subcommand=args.subcommand)
+        args = vars(parser.parse_args(argv))
+        config, subcommand = args.pop("config"), args.pop("subcommand")
+        overrides = {key: value for key, value in args.items() if value is not None}
+        cfg = parse(config, overrides, subcommand=subcommand)
         return dispatch(cfg)
     except ValidationFailure as exc:
         for violation in exc.violations:

@@ -156,12 +156,3 @@ def w2sq_to_standard_normal_1d(
     a, b = _normal_cell_moments(mu.size, nodes_per_cell)
     value = float(np.dot(xs, xs) / mu.size - 2.0 * np.dot(xs, a) + b.sum())
     return max(value, 0.0)
-
-
-def measure_from_column(grid, step_index: int) -> EmpiricalMeasure:
-    """Empirical measure of all particle states at one grid time.
-
-    ``step_index`` uses the grid's own convention (negative indices address
-    the initial segment).  Out-of-range indices raise :class:`IndexError`.
-    """
-    return EmpiricalMeasure(grid.column(step_index))

@@ -40,6 +40,9 @@ _CHUNK_ELEMENTS = 2**17
 
 def derived_generator(seed: int, tag: int) -> Generator:
     """Auxiliary RNG stream, disjoint from every particle stream."""
+    # Known defect: numpy rounds this list key's high word through float64,
+    # so nearby tags collide; exact uint64 words, as in :func:`stream`,
+    # would change the empirical-rate outputs.
     return Generator(Philox(key=[seed, _AUX_NAMESPACE + tag]))
 
 
@@ -73,9 +76,6 @@ class BrownianGrid:
 
     def __post_init__(self):
         self.increments.flags.writeable = False
-
-    def coarsen(self, factor: int) -> "BrownianGrid":
-        return coarsen(self, factor)
 
     def dump(self, path) -> None:
         """Write the binary dump (header + particle-major float64 payload)."""
@@ -149,7 +149,12 @@ def stream(seed, particles, bm_dim, delta_base, horizon, chunk):
     seed, steps = _check_grid(seed, particles, bm_dim, delta_base, horizon)
     if chunk < 1:
         raise GridError(f"chunk must be >= 1 step, got {chunk}")
-    streams = [Generator(Philox(key=[seed, a])) for a in range(particles)]
+    # exact uint64 words: numpy rounds a list key's words >= 2**63 through
+    # float64, so distinct seeds would share a stream
+    streams = [
+        Generator(Philox(key=np.array([seed, a], dtype=np.uint64)))
+        for a in range(particles)
+    ]
     scale = np.sqrt(delta_base)
     # a generator expression keeps no yielded block alive while the next is drawn
     return (

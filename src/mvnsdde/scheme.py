@@ -146,7 +146,9 @@ def em_step(
 
 
 def _check_noise(params: SchemeParams, noise: BrownianGrid):
-    """Step and length checks; :meth:`Stepper.advance` checks the shape."""
+    """Seed, step and length checks; :meth:`Stepper.advance` checks the shape."""
+    if noise.seed != params.seed:
+        raise GridError(f"noise seed {noise.seed} != scheme seed {params.seed}")
     if not np.isclose(noise.delta_base, params.delta, rtol=1e-12, atol=0.0):
         raise GridError(
             f"noise step {noise.delta_base!r} != scheme step {params.delta!r}"

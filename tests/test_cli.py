@@ -1,5 +1,6 @@
 """CLI parsing, dispatch, exit codes, and output determinism."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mvnsdde import example51, moment_bound_vs_dt, taming_comparison
-from mvnsdde.cli import main, parse
+from mvnsdde.cli import RunConfig, echo_text, main, parse
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -88,17 +89,16 @@ class TestExitCodes:
         assert "ok" in capsys.readouterr().out
 
     def test_validate_shipped_configs(self, tmp_path):
-        for name in (
-            "figure1.cfg", "chaos.cfg", "taming.cfg", "simulate_small.cfg",
-            "meanfield_oracle.cfg",
-        ):
+        paths = sorted(CONFIGS.glob("*.cfg"))
+        assert len(paths) >= 7
+        for path in paths:
             rc = main(
                 [
-                    "validate", "--config", str(CONFIGS / name),
-                    "--outdir", str(tmp_path / name),
+                    "validate", "--config", str(path),
+                    "--outdir", str(tmp_path / path.name),
                 ]
             )
-            assert rc == 0, name
+            assert rc == 0, path.name
 
     def test_validation_failure_is_2(self, tmp_path):
         rc = main(
@@ -127,6 +127,23 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_1(self):
         assert main(["meditate", "--seed", "1"]) == 1
+
+    def test_bad_model_flag_is_1_before_echo(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(
+            ["validate", "--seed", "1", "--model", "nope", "--outdir", str(out)]
+        )
+        assert rc == 1
+        assert "unknown model 'nope'" in capsys.readouterr().err
+        assert not (out / "config.echo").exists()
+
+    def test_bad_model_key_is_1_before_echo(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        path = write_cfg(tmp_path, "seed = 1\nmodel = nope\n")
+        rc = main(["validate", "--config", str(path), "--outdir", str(out)])
+        assert rc == 1
+        assert "unknown model 'nope'" in capsys.readouterr().err
+        assert not (out / "config.echo").exists()
 
     def test_untamed_overflow_is_3(self, tmp_path):
         out = tmp_path / "o"
@@ -298,6 +315,67 @@ class TestOutputs:
         cfg = write_cfg(tmp_path, SMALL_SIM)
         assert main(["--config", str(cfg)]) == 0
         assert (envdir / "grid.csv").exists()
+
+
+class TestConfigEcho:
+    # sha256 of echo_text(parse(<config>, {"outdir": "out"})), computed
+    # before the keys, defaults and flags were derived from RunConfig.
+    ECHO_SHA256 = {
+        "chaos.cfg": "98b54c6451cd029317180bfbf511a52d0f6e0047bea4aa287bf077c00454669d",
+        "empirical_rate_d1.cfg": "1c01b04257b34f550c99442440e0c0948aceab86ce46534e74dd4b673bb477a2",
+        "empirical_rate_d5.cfg": "3831012ab9b95ddba64a0f5ccbd81e8a7267281a69f99f778fc270144eb77c03",
+        "figure1.cfg": "61a368f10be2a7128fbff48f0ec723d34827523643374ee2e6fb91c547fb3b4c",
+        "meanfield_oracle.cfg": "f618a8af61a697380427f954561e17c69b5ef9d94e08f8fd103e0a60c861e60b",
+        "simulate_small.cfg": "bfb4310d04fc0b796271d21fb6279f41f32489e2df55e594d12c832a72c844d9",
+        "taming.cfg": "ee5a902a7cc0dcc0192b9ca7477419521d754526246681164e5ca611861937ce",
+    }
+
+    # one non-default value per key, as a flag value; taming goes by --no-taming
+    FLAG_VALUES = {
+        "model": "linear_meanfield",
+        "a_coef": "-2.5",
+        "b_coef": "0.75",
+        "sigma0": "0.1",
+        "x0": "1.25",
+        "delta": "0.125",
+        "delta_ref": "0.03125",
+        "deltas": "0.0625, 0.125",
+        "tau": "0.25",
+        "alpha": "0.25",
+        "particles": "3",
+        "xis": "2,4,8",
+        "horizon": "0.5",
+        "seed": str(2**64 - 1),
+        "moment_order_p": "4",
+        "mc_reps": "7",
+        "replicates": "2",
+        "dim": "5",
+        "workers": "3",
+    }
+
+    def test_echo_bytes_of_shipped_configs(self, monkeypatch):
+        monkeypatch.delenv("MVNSDDE_OUTDIR", raising=False)
+        paths = sorted(CONFIGS.glob("*.cfg"))
+        assert [p.name for p in paths] == sorted(self.ECHO_SHA256)
+        for path in paths:
+            text = echo_text(parse(path, {"outdir": "out"}))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == self.ECHO_SHA256[path.name], path.name
+
+    def test_every_key_round_trips_through_its_flag(self, tmp_path):
+        fields = dataclasses.fields(RunConfig)
+        flagged = set(self.FLAG_VALUES) | {"subcommand", "taming", "outdir"}
+        assert flagged == {f.name for f in fields}
+        out = tmp_path / "o"
+        argv = ["validate", "--no-taming", "--outdir", str(out)]
+        for key, value in self.FLAG_VALUES.items():
+            argv += ["--" + key.replace("_", "-"), value]
+        main(argv)  # config.echo is written before the run, whatever its status
+        cfg = parse(out / "config.echo")
+        assert all(getattr(cfg, f.name) != f.default for f in fields)
+        overrides = dict(self.FLAG_VALUES, taming=False, outdir=str(out))
+        assert cfg == parse(None, overrides, subcommand="validate")
+        assert parse(write_cfg(tmp_path, echo_text(cfg), "again.cfg")) == cfg
 
 
 class TestGoldenBytes:

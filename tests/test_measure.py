@@ -14,7 +14,6 @@ from mvnsdde import (
     ParticleGrid,
     SchemeParams,
     ShapeError,
-    measure_from_column,
     moment_wq,
     w2_1d,
     w2_assignment,
@@ -251,14 +250,14 @@ def _tiny_grid(states):
 class TestMeasureFromColumn:
     def test_singleton(self):
         grid = _tiny_grid(np.arange(6.0).reshape(6, 1, 1))
-        mu = measure_from_column(grid, 0)
+        mu = EmpiricalMeasure(grid.column(0))
         assert mu.size == 1
         assert mu.points[0, 0] == 1.0  # row index delay_steps = 1
 
     def test_identical_particles(self):
         states = np.full((4, 5, 1), 2.0)
         grid = _tiny_grid(states)
-        mu = measure_from_column(grid, 1)
+        mu = EmpiricalMeasure(grid.column(1))
         assert mu.size == 5
         assert moment_wq(mu, 2.0) == 2.0
 
@@ -266,11 +265,11 @@ class TestMeasureFromColumn:
         states = np.zeros((3, 2, 1))
         states[2, 0, 0], states[2, 1, 0] = 3.0, -1.0
         grid = _tiny_grid(states)
-        mu = measure_from_column(grid, 1)
+        mu = EmpiricalMeasure(grid.column(1))
         assert sorted(mu.points[:, 0]) == [-1.0, 3.0]
         assert w2_1d(mu, mu) == 0.0
 
     def test_out_of_range(self):
         grid = _tiny_grid(np.zeros((3, 2, 1)))
         with pytest.raises(IndexError):
-            measure_from_column(grid, 5)
+            EmpiricalMeasure(grid.column(5))

@@ -21,7 +21,8 @@ def particle_block(seed, particle, steps, bm_dim, delta):
     """
     count = steps * bm_dim
     n_raw = -(-count // 4) * 4  # Philox emits 4 raws per counter tick
-    raw = Philox(counter=[0, 0, 0, 0], key=[seed, particle]).random_raw(n_raw)
+    key = np.array([seed, particle], dtype=np.uint64)  # exact 64-bit words
+    raw = Philox(counter=[0, 0, 0, 0], key=key).random_raw(n_raw)
     u = (raw[:count] >> np.uint64(11)) * 2.0**-53 + 2.0**-54
     return (ndtri(u) * np.sqrt(delta)).reshape(steps, bm_dim)
 
@@ -36,6 +37,18 @@ class TestGenerate:
         a = generate(5, particles=10, bm_dim=1, delta_base=0.01, horizon=1.0)
         b = generate(6, particles=10, bm_dim=1, delta_base=0.01, horizon=1.0)
         assert not np.array_equal(a.increments, b.increments)
+
+    @pytest.mark.parametrize(
+        "seed_a, seed_b", [(2**64 - 1, 2**64 - 2), (2**63, 2**63 + 5)]
+    )
+    def test_high_seeds_draw_distinct_streams(self, seed_a, seed_b):
+        # key words >= 2**63 must reach Philox exactly, not through float64
+        a = generate(seed_a, particles=2, bm_dim=1, delta_base=0.25, horizon=1.0)
+        b = generate(seed_b, particles=2, bm_dim=1, delta_base=0.25, horizon=1.0)
+        assert not np.array_equal(a.increments, b.increments)
+        for seed, grid in ((seed_a, a), (seed_b, b)):
+            block = particle_block(seed, 1, steps=4, bm_dim=1, delta=0.25)
+            assert np.array_equal(grid.increments[:, 1, :], block)
 
     def test_moment_bounds_single_step(self):
         n = 10_000
@@ -92,7 +105,7 @@ class TestCoarsen:
 
     def test_two_steps_sum(self):
         grid = generate(4, particles=3, bm_dim=2, delta_base=0.5, horizon=1.0)
-        out = grid.coarsen(2)
+        out = coarsen(grid, 2)
         assert out.steps == 1
         assert out.delta_base == 1.0
         expect = grid.increments[0] + grid.increments[1]

@@ -119,7 +119,7 @@ class TestDelayedState:
             delta=delta, tau=tau, alpha=0.5, particles=particles,
             horizon=horizon, seed=3,
         )
-        noise = _zero_noise(particles, params.total_steps, delta)
+        noise = _zero_noise(particles, params.total_steps, delta, seed=params.seed)
         return simulate(model, params, noise, check=False), params
 
     def test_at_start(self):
@@ -254,7 +254,7 @@ class TestSimulate:
             delta=delta, tau=2.0**-5, alpha=0.5, particles=1, horizon=1.0,
             seed=1, taming_enabled=False,
         )
-        noise = _zero_noise(1, params.total_steps, delta)
+        noise = _zero_noise(1, params.total_steps, delta, seed=params.seed)
         grid = simulate(model, params, noise)
         assert grid.terminal[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
 
@@ -266,7 +266,7 @@ class TestSimulate:
             delta=2.0**-6, tau=2.0**-5, alpha=0.5, particles=5, horizon=0.5,
             seed=2,
         )
-        noise = _zero_noise(5, params.total_steps, 2.0**-6)
+        noise = _zero_noise(5, params.total_steps, 2.0**-6, seed=params.seed)
         grid = simulate(model, params, noise)
         assert np.all(grid.states == 0.0)
 
@@ -371,6 +371,11 @@ class TestSimulate:
             simulate(model, params, _zero_noise(4, 7, 2.0**-6))
         with pytest.raises(GridError):
             simulate(model, params, _zero_noise(4, params.total_steps, 2.0**-7))
+        other_seed = _zero_noise(4, params.total_steps, 2.0**-6, seed=1)
+        with pytest.raises(GridError, match="seed"):
+            simulate(model, params, other_seed)
+        with pytest.raises(GridError, match="seed"):
+            simulate_terminal(model, params, other_seed)
 
 
 class TestStepper:
