@@ -7,10 +7,6 @@ comma-separated values), flags override file values, and the resolved
 config is echoed to ``<outdir>/config.echo``, which reruns the same job.
 The seed is mandatory and never defaulted from the clock.  Exit status: 0
 success, 2 validation failure, 3 overflow abort, 1 anything else.
-
-The ``--workers`` flag is accepted and echoed for config compatibility; the
-numerical backend is vectorized single-process numpy, whose results are
-schedule-independent, so the worker count cannot change any output byte.
 """
 
 from __future__ import annotations
@@ -88,7 +84,6 @@ class RunConfig:
     replicates: int = 1
     dim: int = 1
     outdir: str | None = None
-    workers: int = 1
 
 
 def _int(raw) -> int:
@@ -107,8 +102,14 @@ def _bool(raw) -> bool:
 
 
 def _items(item):
-    """Parser of a comma-separated list of ``item`` values."""
-    return lambda raw: tuple(item(s) for s in str(raw).split(",") if s.strip())
+    """Parser of a list of ``item`` values: a sequence, or comma-separated text."""
+
+    def parse_list(raw):
+        if isinstance(raw, (list, tuple)):
+            return tuple(item(v) for v in raw)
+        return tuple(item(s) for s in str(raw).split(",") if s.strip())
+
+    return parse_list
 
 
 # Per field annotation (its text, ``| None`` dropped): parse a file, flag or
@@ -145,7 +146,7 @@ def echo_text(cfg: RunConfig) -> str:
 
 
 def _read_config_file(path) -> dict:
-    values = {}
+    values, seen = {}, {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -160,6 +161,11 @@ def _read_config_file(path) -> dict:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r}; {_VALID_KEYS}"
             )
+        if key in seen:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r} already set on line {seen[key]}"
+            )
+        seen[key] = lineno
         values[key] = _coerce(key, raw)
     return values
 
@@ -195,8 +201,6 @@ def parse(
         raise ConfigError(
             f"seed must be a 64-bit unsigned integer, got {values['seed']}"
         )
-    if values["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {values['workers']}")
     if values["replicates"] < 1:
         raise ConfigError(
             f"replicates must be >= 1, got {values['replicates']}"

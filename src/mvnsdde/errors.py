@@ -41,16 +41,21 @@ class OverflowAbort(MvnsddeError, RuntimeError):
     """A simulation produced a non-finite state.
 
     Carries the step index at which the first non-finite coordinate appeared,
-    the offending particle indices (0-based), and the last fully finite grid
+    the seed of the particle system it appeared in and that system's
+    offending particle indices (0-based), and the last fully finite grid
     prefix when the caller kept full storage.
     """
 
-    def __init__(self, step: int, particles: np.ndarray, prefix=None):
+    def __init__(
+        self, step: int, particles: np.ndarray, prefix=None, seed: int | None = None
+    ):
         self.step = int(step)
         self.particles = np.asarray(particles, dtype=np.int64)
         self.prefix = prefix
+        self.seed = seed
         ids = ", ".join(str(p) for p in self.particles[:8])
         more = "..." if self.particles.size > 8 else ""
+        where = "" if seed is None else f"seed {seed}, "
         super().__init__(
-            f"non-finite state at step {self.step} (particles {ids}{more})"
+            f"non-finite state at step {self.step} ({where}particles {ids}{more})"
         )

@@ -13,9 +13,14 @@ exchangeable but weakly correlated through the measure, which the reports
 state).
 
 The studies stream their noise: one pass draws the fine path block by
-block and advances every run (one :class:`~mvnsdde.scheme.Stepper` each)
-through each block, so memory is one block plus each run's delay window.
-Results equal those on the materialized ``BrownianGrid`` oracle bit for bit.
+block and advances every run through each block.  The runs of one step
+size share one :class:`~mvnsdde.scheme.Stepper` as row segments: the
+replicate seeds of the pass, and in the particle study every particle
+count.  A pass takes as many replicate seeds as
+:func:`~mvnsdde.noise.seeds_per_block` lets share one noise budget, so
+memory is that budget plus each segment's delay window.  Results equal
+those of one run per seed and size on the materialized ``BrownianGrid``
+oracle bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import json
 import resource
 import time
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,7 +41,13 @@ from .measure import (
     w2sq_to_standard_normal_1d,
 )
 from .model import ModelSpec, SchemeParams, cubic_no_mf
-from .noise import block_sums, chunk_steps, derived_generator, stream
+from .noise import (
+    block_sums,
+    chunk_steps,
+    derived_generator,
+    seeds_per_block,
+    stream_seeds,
+)
 from .scheme import ParticleGrid, Stepper, TerminalRun, sample_moments
 
 _RATE_TAG = 0x3A7E  # auxiliary stream namespace for sampling experiments
@@ -147,21 +159,40 @@ def _power_of_two_factor(coarse: float, fine: float, what: str) -> int:
     return factor
 
 
-def _coupled_pass(
-    seed: int, delta: float, horizon: float, levels: list[tuple[Stepper, int]]
-) -> list[TerminalRun]:
-    """Advance every run of a study on one streamed Brownian path.
+def _passes(seeds: list[int], particles: int, bm_dim: int, multiple: int):
+    """The replicate seeds in groups, one per pass (:func:`seeds_per_block`)."""
+    size = seeds_per_block(particles, bm_dim, multiple)
+    return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
-    ``levels`` pairs each run with its step as a multiple of ``delta``; a
-    run with fewer particles takes the leading streams.  Blocks are a
-    multiple of every factor long, so each coarse run sees ``coarsen``'s sums.
+
+def _coupled_pass(
+    delta: float, horizon: float, levels: list[tuple[Stepper, int]]
+) -> list[TerminalRun]:
+    """Advance every run of a study on its seeds' streamed Brownian paths.
+
+    ``levels`` pairs each run with its step as a multiple of ``delta``;
+    every run has the same segments.  A segment takes the leading columns
+    of its seed's stream, gathered once per block, so a smaller system
+    reuses a larger one's streams.  The seeds share one block budget, and
+    blocks are a multiple of every factor long, so each coarse run sees
+    ``coarsen``'s sums.
     """
-    particles = max(run.particles for run, _ in levels)
+    layout = [(seg.seed, seg.particles) for seg in levels[0][0].segments]
+    columns: dict[int, int] = {}
+    for seed, particles in layout:
+        columns[seed] = max(columns.get(seed, 0), particles)
+    first = dict(zip(columns, accumulate([0, *columns.values()])))
+    gather = np.concatenate([first[seed] + np.arange(n) for seed, n in layout])
+    width = sum(columns.values())
+    if np.array_equal(gather, np.arange(width)):
+        gather = None  # every drawn column, in order
     bm_dim = levels[0][0].model.bm_dim
-    chunk = chunk_steps(particles, bm_dim, max(f for _, f in levels))
-    for block in stream(seed, particles, bm_dim, delta, horizon, chunk):
+    chunk = chunk_steps(width, bm_dim, max(f for _, f in levels))
+    for block in stream_seeds(columns, bm_dim, delta, horizon, chunk):
+        if gather is not None:
+            block = block.take(gather, axis=1)
         for run, factor in levels:
-            run.advance(block_sums(block[:, : run.particles], factor))
+            run.advance(block_sums(block, factor))
         del block  # free it before the next block is drawn
     return [run.result() for run, _ in levels]
 
@@ -187,23 +218,28 @@ def strong_error_vs_dt(
 
     ``replicates`` repeats the whole coupled study on independent master
     seeds (seed, seed + 1, ...) and pools the particle-wise squared errors,
-    for sensitivity checks of the single-run estimate.
+    for sensitivity checks of the single-run estimate.  Replicates that
+    share a pass are segments of each step size's one run.
     """
     deltas = sorted(float(d) for d in deltas)
     factors = [
         _power_of_two_factor(d, delta_ref, "test step") for d in deltas
     ]
     sq_errors: list[list[np.ndarray]] = [[] for _ in deltas]
-    for run_seed in _replicate_seeds(seed, replicates):
-        base_params = SchemeParams(
-            delta=delta_ref, tau=tau, alpha=alpha, particles=particles,
-            horizon=horizon, seed=run_seed, taming_enabled=taming,
-        )
-        levels = [(Stepper(model, base_params), 1)] + [
-            (Stepper(model, replace(base_params, delta=delta)), factor)
+    seeds = _replicate_seeds(seed, replicates)
+    for group in _passes(seeds, particles, model.bm_dim, max(factors, default=1)):
+        base = [
+            SchemeParams(
+                delta=delta_ref, tau=tau, alpha=alpha, particles=particles,
+                horizon=horizon, seed=run_seed, taming_enabled=taming,
+            )
+            for run_seed in group
+        ]
+        levels = [(Stepper(model, base), 1)] + [
+            (Stepper(model, [replace(p, delta=delta) for p in base]), factor)
             for delta, factor in zip(deltas, factors)
         ]
-        ref, *tests = _coupled_pass(run_seed, delta_ref, horizon, levels)
+        ref, *tests = _coupled_pass(delta_ref, horizon, levels)
         for e2s, test in zip(sq_errors, tests):
             e2s.append(np.sum((ref.terminal - test.terminal) ** 2, axis=1))
     return ErrorTable(
@@ -232,22 +268,31 @@ def chaos_error_vs_particles(
     noise in every run and the only difference is the empirical measure it
     interacts with.  Measure-independent models therefore give exact zeros.
     ``replicates`` pools independent master seeds as in the step-size study.
+    Every system of the seeds that share a pass is a segment of one run.
     """
     xis = [int(x) for x in xis]
     if any(b <= a for a, b in zip(xis, xis[1:])) or len(xis) < 1:
         raise ConfigError(f"particle counts must be strictly increasing: {xis}")
     sq_errors: list[list[np.ndarray]] = [[] for _ in xis]
-    for run_seed in _replicate_seeds(seed, replicates):
-        params = SchemeParams(
-            delta=delta, tau=tau, alpha=alpha, particles=xis[-1],
-            horizon=horizon, seed=run_seed, taming_enabled=taming,
-        )
-        levels = [(Stepper(model, replace(params, particles=xi)), 1) for xi in xis]
-        *tests, ref = _coupled_pass(run_seed, delta, horizon, levels)
-        for e2s, test in zip(sq_errors, tests):
-            xi = len(test.terminal)
-            e2s.append(np.sum((ref.terminal[:xi] - test.terminal) ** 2, axis=1))
-        sq_errors[-1].append(np.zeros(xis[-1]))
+    seeds = _replicate_seeds(seed, replicates)
+    for group in _passes(seeds, xis[-1], model.bm_dim, 1):
+        segments = [
+            SchemeParams(
+                delta=delta, tau=tau, alpha=alpha, particles=xi,
+                horizon=horizon, seed=run_seed, taming_enabled=taming,
+            )
+            for run_seed in group
+            for xi in xis
+        ]
+        run = Stepper(model, segments)
+        (result,) = _coupled_pass(delta, horizon, [(run, 1)])
+        systems = [result.terminal[start:stop] for start, stop in run.bounds]
+        for k in range(len(group)):
+            *tests, ref = systems[k * len(xis) : (k + 1) * len(xis)]
+            for e2s, test in zip(sq_errors, tests):
+                xi = len(test)
+                e2s.append(np.sum((ref[:xi] - test) ** 2, axis=1))
+            sq_errors[-1].append(np.zeros(xis[-1]))
     return ErrorTable(
         [
             _row_from_sq_errors(xi, np.concatenate(e2s))
@@ -303,7 +348,7 @@ def moment_bound_vs_dt(
         horizon=horizon, seed=seed, taming_enabled=taming,
     )
     runs = [Stepper(model, replace(params, delta=d), moment_p=p) for d in deltas]
-    _coupled_pass(seed, finest, horizon, list(zip(runs, factors)))
+    _coupled_pass(finest, horizon, list(zip(runs, factors)))
     return [(d, run.moment_max, run.moment_argmax) for d, run in zip(deltas, runs)]
 
 
@@ -362,7 +407,7 @@ def taming_comparison(
         divergence_threshold=divergence_threshold,
     )
     _, divergence = _coupled_pass(
-        seed, delta_coarse, horizon, [(tamed, 1), (untamed, 1)]
+        delta_coarse, horizon, [(tamed, 1), (untamed, 1)]
     )
     assert divergence.diverged is not None
     return TamingReport(

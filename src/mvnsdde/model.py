@@ -5,9 +5,17 @@ mean-field neutral delay equation together with the two constants the
 validation layer needs: the contraction modulus of the neutral map and the
 polynomial growth power of the drift.  Coefficient callbacks are vectorized:
 state arguments arrive as (batch, state_dim) arrays, the diffusion returns
-(batch, state_dim, bm_dim), and the measure argument is a shared
-:class:`~mvnsdde.measure.EmpiricalMeasure` whose functionals (currently the
-mean) are cached per step.  Callbacks must be pure.
+(batch, state_dim, bm_dim), and the measure argument is shared by the whole
+step and caches its functionals (currently the mean).
+
+A batch may hold several particle systems, each a segment of rows (the
+replicate seeds and particle counts of one study).  The integrator passes a
+:class:`~mvnsdde.measure.BatchMeasure`: ``mu.points`` is the whole batch,
+and ``mu.mean`` broadcasts by row, with shape (batch, state_dim), row i
+holding the mean of particle i's own system.  Callbacks must therefore use
+the measure's functionals row by row and never reduce over the batch
+themselves.  Callbacks must be pure: the integrator computes
+``neutral(y)`` for a lookback row once and reuses it at the next step.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .measure import EmpiricalMeasure
+from .measure import BatchMeasure
 from .noise import derived_generator
 
 _PROBE_TAG = 0xA55E55  # validation probe stream, disjoint from particle keys
@@ -35,8 +43,8 @@ class ModelSpec:
     state_dim: int
     bm_dim: int
     neutral: Callable[[np.ndarray], np.ndarray]
-    drift: Callable[[np.ndarray, np.ndarray, EmpiricalMeasure], np.ndarray]
-    diffusion: Callable[[np.ndarray, np.ndarray, EmpiricalMeasure], np.ndarray]
+    drift: Callable[[np.ndarray, np.ndarray, BatchMeasure], np.ndarray]
+    diffusion: Callable[[np.ndarray, np.ndarray, BatchMeasure], np.ndarray]
     initial_segment: Callable[[float], np.ndarray]
     contraction: float
     growth_power: float

@@ -8,8 +8,9 @@ consumed in flat ``step * bm_dim + component`` order, mapped to uniforms in
 fine-step runs therefore share one Brownian path: summing blocks of fine
 increments reproduces the coarse increments of the same path exactly.
 
-The studies read the path as a :func:`stream` of time-major blocks, so no
-full grid exists in memory.  :class:`BrownianGrid` (:func:`generate` writes
+The studies read the path as a :func:`stream` of time-major blocks (the
+paths of several seeds side by side: :func:`stream_seeds`), so no full grid
+exists in memory.  :class:`BrownianGrid` (:func:`generate` writes
 the same stream into one array) is the materialized oracle: the input of
 ``simulate``, the binary dump, and the reference the stream is tested
 against.  :func:`block_sums` is the one coarsening rule for both.
@@ -34,7 +35,8 @@ _DUMP_VERSION = 1
 # the two namespaces cannot collide.
 _AUX_NAMESPACE = 1 << 63
 
-# Numbers per streamed block (steps x particles x bm_dim): 1 MiB of float64.
+# Numbers per streamed block (steps x particles x bm_dim), shared by all the
+# seeds drawn side by side: 1 MiB of float64.
 _CHUNK_ELEMENTS = 2**17
 
 
@@ -139,6 +141,23 @@ def chunk_steps(particles: int, bm_dim: int, multiple: int = 1) -> int:
     return max(multiple, fit)
 
 
+def seeds_per_block(particles: int, bm_dim: int, multiple: int = 1) -> int:
+    """How many seeds' streams of ``particles`` columns share one block.
+
+    Seeds join while the shared block still fits the element budget and
+    keeps at least half (rounded down) the steps of the block one seed gets
+    alone; both block lengths are :func:`chunk_steps`.
+    """
+    half = chunk_steps(particles, bm_dim, multiple) // 2
+    seeds = 1
+    while True:
+        width = (seeds + 1) * particles
+        chunk = chunk_steps(width, bm_dim, multiple)
+        if chunk < half or chunk * width * bm_dim > _CHUNK_ELEMENTS:
+            return seeds
+        seeds += 1
+
+
 def stream(seed, particles, bm_dim, delta_base, horizon, chunk):
     """The increments of :func:`generate` as blocks of ``chunk`` time rows.
 
@@ -146,15 +165,24 @@ def stream(seed, particles, bm_dim, delta_base, horizon, chunk):
     Each particle keeps one Philox generator, and successive draws continue
     its stream, so the concatenated blocks equal the grid bit for bit.
     """
-    seed, steps = _check_grid(seed, particles, bm_dim, delta_base, horizon)
+    return stream_seeds({seed: particles}, bm_dim, delta_base, horizon, chunk)
+
+
+def stream_seeds(columns: dict, bm_dim, delta_base, horizon, chunk):
+    """The :func:`stream` of several seeds side by side in one block.
+
+    ``columns`` maps each seed to its particle count; a block holds the
+    first seed's particles, then the next seed's, and so on.
+    """
+    keys = []
+    for seed, particles in columns.items():
+        seed, steps = _check_grid(seed, particles, bm_dim, delta_base, horizon)
+        keys += [(seed, a) for a in range(particles)]
     if chunk < 1:
         raise GridError(f"chunk must be >= 1 step, got {chunk}")
     # exact uint64 words: numpy rounds a list key's words >= 2**63 through
     # float64, so distinct seeds would share a stream
-    streams = [
-        Generator(Philox(key=np.array([seed, a], dtype=np.uint64)))
-        for a in range(particles)
-    ]
+    streams = [Generator(Philox(key=np.array(key, dtype=np.uint64))) for key in keys]
     scale = np.sqrt(delta_base)
     # a generator expression keeps no yielded block alive while the next is drawn
     return (

@@ -12,12 +12,15 @@ segment) to total_steps.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import GridError, OverflowAbort, ValidationFailure
-from .measure import EmpiricalMeasure
+from .errors import ConfigError, GridError, OverflowAbort, ValidationFailure
+from .measure import BatchMeasure, EmpiricalMeasure
 from .model import ModelSpec, SchemeParams, validate
 from .noise import BrownianGrid
 
@@ -28,14 +31,35 @@ def tame_drift(b_value: np.ndarray, delta: float, alpha: float) -> np.ndarray:
     The norm is the Euclidean norm of the whole vector (one shared scalar
     denominator), so the output is a nonnegative scalar multiple of the
     input with |output| <= min(delta^-alpha, |input|).  A 1-D input is one
-    vector; a 2-D input is a batch of vectors tamed row by row.
+    vector; a 2-D input is a batch of vectors tamed row by row.  A finite
+    drift whose squared norm overflows is still capped at about
+    delta^-alpha, never zeroed.
     """
-    b = np.asarray(b_value, dtype=np.float64)
-    if b.ndim == 1:
-        denom = 1.0 + delta**alpha * np.linalg.norm(b)
+    b = np.ascontiguousarray(b_value, dtype=np.float64)  # so reshapes are views
+    scale = delta**alpha
+    dim = b.shape[-1]
+    if dim == 1:
+        # equals sqrt(b * b) bit for bit wherever b * b neither overflows nor
+        # underflows, and where it underflows the denominator is 1 either way
+        denom = np.abs(b)
     else:
-        denom = 1.0 + delta**alpha * np.linalg.norm(b, axis=-1, keepdims=True)
-    return b / denom
+        axis = None if b.ndim == 1 else -1
+        with np.errstate(over="ignore"):
+            denom = np.linalg.norm(b, axis=axis, keepdims=True)
+    denom *= scale
+    denom += 1.0
+    tamed = b / denom
+    if dim > 1:
+        vectors, out = b.reshape(-1, dim), tamed.reshape(-1, dim)
+        rows = np.isinf(denom.ravel()) & np.isfinite(vectors).all(axis=1)
+        if rows.any():
+            # the squared norm overflowed: divide through by the largest component
+            big = vectors[rows]
+            top = np.abs(big).max(axis=1, keepdims=True)
+            unit = big / top
+            unit_norm = np.linalg.norm(unit, axis=1, keepdims=True)
+            out[rows] = unit / (1.0 / top + scale * unit_norm)
+    return tamed
 
 
 @dataclass(frozen=True)
@@ -119,8 +143,10 @@ def em_step(
     delayed_next: np.ndarray,
     model: ModelSpec,
     params: SchemeParams,
-    measure: EmpiricalMeasure,
+    measure: EmpiricalMeasure | BatchMeasure,
     increments: np.ndarray,
+    neutral: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Advance all particles one step from a frozen snapshot.
 
@@ -128,21 +154,29 @@ def em_step(
     indices n, n - delay_steps, n + 1 - delay_steps; ``measure`` must be the
     empirical measure of ``current`` (frozen before any update); and
     ``increments`` are the Brownian increments of the step, shape
-    (particles, bm_dim).
+    (particles, bm_dim).  ``neutral`` may pass the neutral map of
+    ``delayed`` and of ``delayed_next`` when the caller already has them,
+    and ``out`` receives the new states (it must not be an input).
     """
+    if neutral is None:
+        neutral = model.neutral(delayed), model.neutral(delayed_next)
     b = model.drift(current, delayed, measure)
     if params.taming_enabled:
-        b_eff = tame_drift(b, params.delta, params.alpha)
+        drift_step = tame_drift(b, params.delta, params.alpha)
+        drift_step *= params.delta
     else:
-        b_eff = b
+        drift_step = b * params.delta
     sigma = model.diffusion(current, delayed, measure)
     if model.state_dim == 1 and model.bm_dim == 1:
         noise_term = sigma[..., 0] * increments
     else:
         noise_term = np.einsum("pdm,pm->pd", sigma, increments)
-    return model.neutral(delayed_next) + (
-        current - model.neutral(delayed) + b_eff * params.delta + noise_term
-    )
+    # neutral(delayed_next) + (current - neutral(delayed) + b_eff * delta
+    # + noise_term), summed in that order
+    new = np.subtract(current, neutral[0], out=out)
+    new += drift_step
+    new += noise_term
+    return np.add(neutral[1], new, out=new)
 
 
 def _check_noise(params: SchemeParams, noise: BrownianGrid):
@@ -182,36 +216,68 @@ class TerminalRun:
 class Stepper:
     """The one stepping loop: a resumable run fed blocks of increments.
 
+    ``params`` is one run, or several that differ only in ``seed`` and
+    ``particles``: each is a segment of rows (``bounds``) of one state
+    array, and one Python step advances them all.  The step's
+    :class:`~mvnsdde.measure.BatchMeasure` gives every row its own
+    segment's mean, so each segment ends bit for bit where a run of its own
+    would.
+
     States live in a ring of delay_steps + 2 rows (the current state and
     both lookbacks); with ``full_storage`` the ring holds every grid row and
     never wraps.  Divergence policy: the first non-finite state raises
-    :class:`OverflowAbort` (with the finite prefix under full storage), or
+    :class:`OverflowAbort`, naming its segment's seed and that segment's
+    offending particles (with the finite prefix under full storage), or
     with ``track_divergence`` the run goes on and records which particles
-    ever exceeded the threshold or went non-finite.  With ``moment_p`` it
-    keeps the largest :func:`sample_moments` value over all rows, initial
-    segment included, and the first grid index where it occurs.
+    ever exceeded the threshold or went non-finite.  Under mean-field
+    coupling one non-finite particle makes the mean, and so every particle
+    of its system, non-finite one step later; the tracked fraction then
+    counts the whole system.  With ``moment_p`` it keeps the largest
+    :func:`sample_moments` value over all rows, initial segment included,
+    and the first grid index where it occurs.  Full storage, tracking and
+    moments describe one particle system, so several segments refuse them.
     """
 
     def __init__(
-        self, model: ModelSpec, params: SchemeParams, check: bool = True,
-        full_storage: bool = False, track_divergence: bool = False,
-        divergence_threshold: float = 1e10, moment_p: int | None = None,
+        self, model: ModelSpec, params: SchemeParams | Sequence[SchemeParams],
+        check: bool = True, full_storage: bool = False,
+        track_divergence: bool = False, divergence_threshold: float = 1e10,
+        moment_p: int | None = None,
     ):
+        segments = (params,) if isinstance(params, SchemeParams) else tuple(params)
+        first = segments[0]
+        for seg in segments:
+            if replace(seg, seed=first.seed, particles=first.particles) != first:
+                raise ConfigError(
+                    "the segments of one run may differ only in seed and particles"
+                )
+        if len(segments) > 1 and (
+            full_storage or track_divergence or moment_p is not None
+        ):
+            raise ConfigError(
+                "full storage, divergence tracking and moments need a run of "
+                f"one segment, got {len(segments)}"
+            )
         if check:
-            report = validate(model, params)
-            if not report.ok:
-                raise ValidationFailure(report.violations)
-        self.model, self.params, self.particles = model, params, params.particles
-        n0 = params.delay_steps
-        cap = n0 + params.total_steps + 1 if full_storage else n0 + 2
-        self._buf = np.empty((cap, params.particles, model.state_dim))
+            for seg in segments:
+                report = validate(model, seg)
+                if not report.ok:
+                    raise ValidationFailure(report.violations)
+        self.model, self.params, self.segments = model, first, segments
+        stops = list(accumulate(seg.particles for seg in segments))
+        self.bounds = tuple(zip([0] + stops[:-1], stops))
+        self.particles = stops[-1]
+        n0 = first.delay_steps
+        cap = n0 + first.total_steps + 1 if full_storage else n0 + 2
+        self._buf = np.empty((cap, self.particles, model.state_dim))
         self._full, self._track = full_storage, track_divergence
         self._threshold, self._moment_p = divergence_threshold, moment_p
-        self._diverged = np.zeros(params.particles, dtype=bool)
+        self._diverged = np.zeros(self.particles, dtype=bool)
         self._first_bad: int | None = None
+        self._neutral = None  # neutral map of the next step's delayed row
         self.steps_done, self.moment_max, self.moment_argmax = 0, -np.inf, None
         for i in range(n0 + 1):
-            self._buf[i] = np.asarray(model.initial_segment((i - n0) * params.delta))
+            self._buf[i] = np.asarray(model.initial_segment((i - n0) * first.delta))
             self._note_moment(self._buf[i], i - n0)
 
     def _note_moment(self, row: np.ndarray, index: int) -> None:
@@ -235,18 +301,25 @@ class Stepper:
             raise GridError(f"increment rows {increments.shape[1:]}, run needs {want}")
         if self.steps_done + len(increments) > total:
             raise GridError(f"more than {total} steps of noise for this run")
+        model, params, bounds = self.model, self.params, self.bounds
         buf, cap = self._buf, len(self._buf)
         # the per-step isfinite check is the overflow detector; the float flags
         # the overflowing arithmetic raises on the way there are redundant noise
         with np.errstate(over="ignore", invalid="ignore"):
             for inc in increments:
                 n = self.steps_done
-                x = buf[(n + n0) % cap]
+                x, delayed = buf[(n + n0) % cap], buf[n % cap]
+                delayed_next = buf[(n + 1) % cap]
+                # callbacks are pure: this step's neutral(delayed) is the last
+                # step's neutral(delayed_next)
+                if self._neutral is None:
+                    self._neutral = model.neutral(delayed)
+                neutral = self._neutral, model.neutral(delayed_next)
                 new = em_step(
-                    x, buf[n % cap], buf[(n + 1) % cap], self.model,
-                    self.params, EmpiricalMeasure(x), inc,
+                    x, delayed, delayed_next, model, params,
+                    BatchMeasure(x, bounds), inc, neutral, buf[(n + 1 + n0) % cap],
                 )
-                buf[(n + 1 + n0) % cap] = new
+                self._neutral = neutral[1]
                 self.steps_done = n + 1
                 if self._track:
                     bad = ~np.isfinite(new).all(axis=1) | (
@@ -256,14 +329,25 @@ class Stepper:
                         self._first_bad = n + 1
                     self._diverged |= bad
                 elif not np.isfinite(new).all():
-                    bad = np.where(~np.isfinite(new).all(axis=1))[0]
-                    prefix = None
-                    if self._full:
-                        prefix = ParticleGrid(
-                            buf[: n + 1 + n0].copy(), self.params, self.model.name
-                        )
-                    raise OverflowAbort(step=n + 1, particles=bad, prefix=prefix)
-                self._note_moment(new, n + 1)
+                    self._abort(new, n + 1)
+                if self._moment_p is not None:
+                    self._note_moment(new, n + 1)
+
+    def _abort(self, new: np.ndarray, step: int):
+        """Raise :class:`OverflowAbort` for the first segment with a bad row."""
+        bad = np.flatnonzero(~np.isfinite(new).all(axis=1))
+        k = bisect_right([stop for _, stop in self.bounds], bad[0])
+        start, stop = self.bounds[k]
+        prefix = None
+        if self._full:
+            prefix = ParticleGrid(
+                self._buf[: self.params.delay_steps + step].copy(), self.params,
+                self.model.name,
+            )
+        raise OverflowAbort(
+            step=step, particles=bad[bad < stop] - start, prefix=prefix,
+            seed=self.segments[k].seed,
+        )
 
     def result(self) -> TerminalRun:
         """Terminal states and divergence record of the finished run."""

@@ -30,6 +30,7 @@ from mvnsdde import (
     w2_1d,
     w2_assignment,
 )
+from mvnsdde import noise
 from mvnsdde.cli import main as cli_main
 from mvnsdde.noise import derived_generator
 
@@ -296,34 +297,48 @@ def test_criterion_8_oracle_equivalence_and_metric_axioms():
     )
 
 
-def test_criterion_9_worker_count_determinism(tmp_path):
-    """Worker counts 1 and 8 produce byte-identical CSV outputs."""
+def test_criterion_9_schedule_determinism(tmp_path, monkeypatch):
+    """Every schedule of the coupled passes gives byte-identical CSV outputs.
+
+    The noise budget sets the schedule of chaos.cfg at 2 replicates: 2**10
+    numbers run each replicate seed in its own pass with one-step blocks,
+    the default pairs the seeds with 64-step blocks, and 2**22 runs both
+    seeds in one block that spans the whole horizon.
+    """
     chaos_bytes = []
     grid_bytes = []
-    for workers in ("1", "8"):
-        out = tmp_path / f"chaos-w{workers}"
+    schedules = []
+    for budget in (2**10, noise._CHUNK_ELEMENTS, 2**22):
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", budget)
+        seeds = noise.seeds_per_block(1024, 1)
+        schedules.append((seeds, min(noise.chunk_steps(seeds * 1024, 1), 512)))
+        out = tmp_path / f"chaos-{budget}"
         rc = cli_main(
             [
                 "--config", str(CONFIGS / "chaos.cfg"),
-                "--workers", workers, "--outdir", str(out),
+                "--replicates", "2", "--outdir", str(out),
             ]
         )
         assert rc == 0
         chaos_bytes.append((out / "convergence_particles.csv").read_bytes())
 
-        out = tmp_path / f"sim-w{workers}"
+        out = tmp_path / f"sim-{budget}"
         rc = cli_main(
             [
                 "--config", str(CONFIGS / "simulate_small.cfg"),
-                "--workers", workers, "--outdir", str(out),
+                "--outdir", str(out),
             ]
         )
         assert rc == 0
         grid_bytes.append((out / "grid.csv").read_bytes())
-    ok = chaos_bytes[0] == chaos_bytes[1] and grid_bytes[0] == grid_bytes[1]
+    ok = (
+        schedules == [(1, 1), (2, 64), (2, 512)]
+        and chaos_bytes.count(chaos_bytes[0]) == 3
+        and grid_bytes.count(grid_bytes[0]) == 3
+    )
     _verdict(
         9,
         ok,
-        "convergence_particles.csv and grid.csv byte-identical for "
-        "workers 1 and 8",
+        "convergence_particles.csv and grid.csv byte-identical for one seed "
+        f"per pass and both seeds per pass, (seeds, block steps) = {schedules}",
     )

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from mvnsdde import example51, moment_bound_vs_dt, taming_comparison
+from mvnsdde import example51, moment_bound_vs_dt, noise, taming_comparison
 from mvnsdde.cli import RunConfig, echo_text, main, parse
+from mvnsdde.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -54,6 +55,27 @@ class TestParse:
         path = write_cfg(tmp_path, "seed = 1\nstepsize = 0.5\n")
         with pytest.raises(Exception, match="valid keys"):
             parse(path, subcommand="simulate")
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = write_cfg(tmp_path, "seed = 1\n# later\nseed = 2\n")
+        with pytest.raises(ConfigError, match=r":3: key 'seed' already set on line 1"):
+            parse(path, subcommand="validate")
+
+    def test_typed_list_overrides(self):
+        cfg = parse(
+            None, {"xis": (2, 4), "deltas": [0.5, 0.25], "seed": 1},
+            subcommand="validate",
+        )
+        assert cfg.xis == (2, 4)
+        assert cfg.deltas == (0.5, 0.25)
+        text = {"xis": "2,4", "deltas": "0.5, 0.25", "seed": "1"}
+        assert parse(None, text, subcommand="validate") == cfg
+
+    def test_workers_is_an_unknown_key(self, tmp_path):
+        path = write_cfg(tmp_path, "seed = 1\nworkers = 1\n")
+        with pytest.raises(ConfigError, match="unknown key 'workers'"):
+            parse(path, subcommand="validate")
+        assert main(["validate", "--seed", "1", "--workers", "2"]) == 1
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = write_cfg(tmp_path, "# a comment\n\nseed = 9  # trailing\n")
@@ -247,21 +269,19 @@ class TestOutputs:
         echo = (out / "config.echo").read_text()
         for key in (
             "subcommand", "model", "delta", "deltas", "xis", "seed",
-            "taming", "workers", "outdir", "mc_reps",
+            "taming", "outdir", "mc_reps",
         ):
             assert f"{key} = " in echo
 
-    def test_worker_count_does_not_change_outputs(self, tmp_path):
+    def test_noise_budget_does_not_change_outputs(self, tmp_path, monkeypatch):
+        # 16 numbers a block draw the 64 steps of 8 particles 2 at a time;
+        # the default draws them in one block
         outs = []
         cfg = write_cfg(tmp_path, SMALL_SIM)
-        for workers in ("1", "8"):
-            out = tmp_path / f"w{workers}"
-            rc = main(
-                [
-                    "--config", str(cfg), "--workers", workers,
-                    "--outdir", str(out),
-                ]
-            )
+        for budget in (2**4, noise._CHUNK_ELEMENTS):
+            monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", budget)
+            out = tmp_path / f"b{budget}"
+            rc = main(["--config", str(cfg), "--outdir", str(out)])
             assert rc == 0
             outs.append((out / "grid.csv").read_bytes())
         assert outs[0] == outs[1]
@@ -319,7 +339,8 @@ class TestOutputs:
 
 class TestConfigEcho:
     # sha256 of echo_text(parse(<config>, {"outdir": "out"})), computed
-    # before the keys, defaults and flags were derived from RunConfig.
+    # before the keys, defaults and flags were derived from RunConfig, when
+    # the echo still ended in the line of the since removed ``workers`` key.
     ECHO_SHA256 = {
         "chaos.cfg": "98b54c6451cd029317180bfbf511a52d0f6e0047bea4aa287bf077c00454669d",
         "empirical_rate_d1.cfg": "1c01b04257b34f550c99442440e0c0948aceab86ce46534e74dd4b673bb477a2",
@@ -350,7 +371,6 @@ class TestConfigEcho:
         "mc_reps": "7",
         "replicates": "2",
         "dim": "5",
-        "workers": "3",
     }
 
     def test_echo_bytes_of_shipped_configs(self, monkeypatch):
@@ -359,7 +379,8 @@ class TestConfigEcho:
         assert [p.name for p in paths] == sorted(self.ECHO_SHA256)
         for path in paths:
             text = echo_text(parse(path, {"outdir": "out"}))
-            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert "workers" not in text
+            digest = hashlib.sha256((text + "workers = 1\n").encode()).hexdigest()
             assert digest == self.ECHO_SHA256[path.name], path.name
 
     def test_every_key_round_trips_through_its_flag(self, tmp_path):

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from mvnsdde import (
     w2_assignment,
     w2sq_to_standard_normal_1d,
 )
+import mvnsdde
+from mvnsdde.measure import BatchMeasure
 from mvnsdde.noise import derived_generator
 
 
@@ -69,6 +75,27 @@ class TestEmpiricalMeasure:
         m1 = mu.mean
         assert m1 is mu.mean
         np.testing.assert_array_equal(m1, [1.0])
+
+
+class TestBatchMeasure:
+    def test_mean_is_each_segments_own_mean(self):
+        g = np.random.default_rng(3)
+        for dim in (1, 3):
+            points = g.normal(size=(1360, dim)) * 10.0
+            bounds = ((0, 16), (16, 80), (80, 336), (336, 1360))
+            mean = BatchMeasure(points, bounds).mean
+            assert mean.shape == points.shape
+            for start, stop in bounds:
+                own = EmpiricalMeasure(points[start:stop]).mean
+                expect = np.broadcast_to(own, (stop - start, dim))
+                assert mean[start:stop].tobytes() == expect.tobytes()
+
+    def test_points_are_the_whole_batch(self):
+        points = np.arange(6.0).reshape(6, 1)
+        mu = BatchMeasure(points, ((0, 2), (2, 6)))
+        assert mu.points is points
+        assert mu.mean.ravel().tolist() == [0.5, 0.5, 3.5, 3.5, 3.5, 3.5]
+        assert mu.mean is mu.mean  # computed once
 
 
 class TestMomentWq:
@@ -141,6 +168,19 @@ class TestW21d:
 
 
 class TestW2Assignment:
+    def test_cli_import_leaves_assignment_solver_unloaded(self):
+        code = (
+            "import sys, mvnsdde.cli; "
+            "print('scipy.optimize' in sys.modules, 'scipy.spatial' in sys.modules)"
+        )
+        src = Path(mvnsdde.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=env,
+        )
+        assert out.stdout.split() == ["False", "False"]
+
     def test_identity(self):
         mu = EmpiricalMeasure([[0.0, 1.0], [2.0, -1.0]])
         assert w2_assignment(mu, mu) == 0.0

@@ -10,7 +10,8 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from mvnsdde import GridError, coarsen, generate, load
-from mvnsdde.noise import block_sums, stream
+from mvnsdde import noise
+from mvnsdde.noise import block_sums, seeds_per_block, stream, stream_seeds
 
 
 def particle_block(seed, particle, steps, bm_dim, delta):
@@ -219,6 +220,16 @@ class TestStream:
         blocks = list(stream(4, 3, 2, 0.25, 2.5, 4))
         assert [b.shape for b in blocks] == [(4, 3, 2), (4, 3, 2), (2, 3, 2)]
 
+    def test_seeds_side_by_side(self):
+        # each seed's columns are its own stream, whatever the neighbours
+        blocks = list(stream_seeds({9: 3, 2**64 - 1: 5}, 2, 0.25, 2.5, 4))
+        assert [b.shape for b in blocks] == [(4, 8, 2), (4, 8, 2), (2, 8, 2)]
+        full = np.concatenate(blocks)
+        nine = np.concatenate(list(stream(9, 3, 2, 0.25, 2.5, 4)))
+        last = np.concatenate(list(stream(2**64 - 1, 5, 2, 0.25, 2.5, 4)))
+        assert full[:, :3].tobytes() == nine.tobytes()
+        assert full[:, 3:].tobytes() == last.tobytes()
+
     def test_bad_arguments(self):
         with pytest.raises(GridError):
             stream(1, 2, 1, 0.5, 1.0, 0)
@@ -226,3 +237,36 @@ class TestStream:
             stream(1, 0, 1, 0.5, 1.0, 4)
         with pytest.raises(GridError):
             stream(1, 2, 1, 0.3, 1.0, 4)
+
+
+class TestSeedsPerBlock:
+    def test_shipped_study_sizes(self):
+        # 1000 particles at factor 32: one seed alone gets 128 steps, two
+        # share 64, three would get 32
+        assert seeds_per_block(1000, 1, 32) == 2
+        assert noise.chunk_steps(2000, 1, 32) == 64
+        assert seeds_per_block(1024, 1) == 2
+        # 10 particles alone get 13107 steps, and two seeds 6553 each
+        assert seeds_per_block(10, 1) == 2
+
+    def test_no_seed_joins_an_overfull_block(self):
+        # one seed already overruns the budget at the floor of one factor
+        assert noise.chunk_steps(2**17, 1, 4) == 4
+        assert seeds_per_block(2**17, 1, 4) == 1
+        assert seeds_per_block(2**16 + 1, 2, 1) == 1
+
+    @given(
+        particles=st.integers(1, 3000),
+        bm_dim=st.integers(1, 3),
+        multiple=st.sampled_from([1, 2, 8, 32]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rule(self, particles, bm_dim, multiple):
+        half = noise.chunk_steps(particles, bm_dim, multiple) // 2
+        seeds = seeds_per_block(particles, bm_dim, multiple)
+        chunk = noise.chunk_steps(seeds * particles, bm_dim, multiple)
+        budget = noise._CHUNK_ELEMENTS
+        assert chunk >= half
+        assert seeds == 1 or chunk * seeds * particles * bm_dim <= budget
+        more = noise.chunk_steps((seeds + 1) * particles, bm_dim, multiple)
+        assert more < half or more * (seeds + 1) * particles * bm_dim > budget

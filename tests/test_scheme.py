@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from mvnsdde import (
     BrownianGrid,
+    ConfigError,
     EmpiricalMeasure,
     GridError,
     OverflowAbort,
@@ -69,6 +70,30 @@ class TestTameDrift:
     def test_huge_drift_capped(self):
         out = tame_drift(np.array([1e6]), 0.01, 0.5)
         assert abs(out[0]) < 0.01**-0.5
+
+    def test_huge_scalar_drift_capped_not_zeroed(self):
+        # |b| * |b| overflows above ~1.3e154; the cap is delta^-alpha = 2
+        out = tame_drift(np.array([1e200]), 0.25, 0.5)
+        assert out.tolist() == [2.0]
+        batch = tame_drift(np.array([[1e200], [-1.7e308], [3.0]]), 0.25, 0.5)
+        assert batch[:2, 0].tolist() == [2.0, -2.0]
+        assert batch[2, 0] == 3.0 / (1.0 + 0.5 * 3.0)
+
+    def test_huge_vector_drift_capped_not_zeroed(self):
+        for b in ([[1e200, 1e200, 0.0]], [[1.7e308, -1.7e308, 1e308]]):
+            out = tame_drift(np.array(b), 0.25, 0.5)
+            np.testing.assert_allclose(np.linalg.norm(out), 2.0, rtol=1e-12)
+            np.testing.assert_array_equal(np.sign(out), np.sign(b))
+        single = tame_drift(np.array([1e200, 1e200, 0.0]), 0.25, 0.5)
+        np.testing.assert_allclose(single, [2**0.5, 2**0.5, 0.0], rtol=1e-12)
+        # rows whose norm is finite keep the plain formula bit for bit, and a
+        # non-finite drift stays non-finite
+        rows = np.array([[3.0, 4.0, 0.0], [1e200, 0.0, 1e200], [np.inf, 1.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            out = tame_drift(rows, 0.25, 0.5)
+        assert out[0].tolist() == (rows[0] / (1.0 + 0.5 * 5.0)).tolist()
+        np.testing.assert_allclose(np.linalg.norm(out[1]), 2.0, rtol=1e-12)
+        assert not np.isfinite(out[2]).all()
 
     def test_batch_matches_single(self):
         vs = np.array([[1.0, -2.0], [100.0, 0.5], [0.0, 0.0]])
@@ -450,6 +475,65 @@ class TestStepper:
         Stepper(model, bad, check=False)
 
 
+class TestSegments:
+    """Several particle systems as row segments of one Stepper."""
+
+    def _segments(self, model=None, taming=True):
+        base = SchemeParams(
+            delta=2.0**-7, tau=2.0**-5, alpha=0.5, particles=1, horizon=0.5,
+            seed=0, taming_enabled=taming,
+        )
+        return [
+            dataclasses.replace(base, seed=seed, particles=n)
+            for seed, n in ((3, 5), (2**64 - 1, 17), (3, 9))
+        ]
+
+    def test_each_segment_ends_where_its_own_run_does(self):
+        for model in (example51(), linear_meanfield()):
+            segments = self._segments()
+            grids = [
+                generate(p.seed, p.particles, 1, p.delta, p.horizon) for p in segments
+            ]
+            batch = Stepper(model, segments)
+            assert batch.bounds == ((0, 5), (5, 22), (22, 31))
+            increments = np.concatenate([g.increments for g in grids], axis=1)
+            batch.advance(increments[:20])
+            batch.advance(increments[20:])
+            terminal = batch.result().terminal
+            for (start, stop), p, grid in zip(batch.bounds, segments, grids):
+                alone = simulate(model, p, grid).terminal
+                assert terminal[start:stop].tobytes() == alone.tobytes()
+
+    def test_statistics_of_one_system_refuse_several(self):
+        model, segments = example51(), self._segments()
+        for kwargs in (
+            {"moment_p": 2}, {"track_divergence": True}, {"full_storage": True}
+        ):
+            with pytest.raises(ConfigError, match="one segment"):
+                Stepper(model, segments, **kwargs)
+        Stepper(model, segments[:1], moment_p=2, track_divergence=True)
+
+    def test_segments_share_the_grid(self):
+        segments = self._segments()
+        segments[1] = dataclasses.replace(segments[1], delta=2.0**-8)
+        with pytest.raises(ConfigError, match="seed and particles"):
+            Stepper(example51(), segments)
+
+    def test_overflow_names_the_segments_seed_and_particles(self):
+        model = dataclasses.replace(
+            _trivial_model(), diffusion=lambda x, y, mu: np.ones(x.shape + (1,))
+        )
+        segments = self._segments()
+        run = Stepper(model, segments)
+        increments = np.zeros((4, 31, 1))
+        increments[2, [5 + 1, 5 + 3, 22 + 2], 0] = np.inf
+        with pytest.raises(OverflowAbort, match="seed 18446744073709551615") as info:
+            run.advance(increments)
+        abort = info.value
+        assert (abort.step, abort.seed) == (3, 2**64 - 1)
+        assert abort.particles.tolist() == [1, 3]
+
+
 class TestOverflow:
     def _setup(self, taming, horizon=1.0):
         model = cubic_no_mf(x0=5.0)
@@ -469,6 +553,7 @@ class TestOverflow:
                 simulate(model, params, noise)
         abort = info.value
         assert abort.step >= 1
+        assert abort.seed == params.seed
         assert abort.particles.size > 0
         assert abort.prefix is not None
         assert np.all(np.isfinite(abort.prefix.states))
