@@ -10,7 +10,8 @@ class MvnsddeError(Exception):
 
 
 class ShapeError(MvnsddeError, ValueError):
-    """Dimension or size mismatch between measures or arrays."""
+    """Dimension or size mismatch between measures or arrays, or a measure
+    with a non-finite point."""
 
 
 class CapacityError(MvnsddeError):

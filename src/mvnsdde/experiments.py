@@ -33,7 +33,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFitError
+from .errors import CapacityError, ConfigError, DegenerateFitError
 from .measure import (
     DEFAULT_ASSIGNMENT_CAP,
     EmpiricalMeasure,
@@ -440,6 +440,10 @@ def empirical_measure_rate(
     xis = sorted(int(x) for x in xis)
     if any(b <= a for a, b in zip(xis, xis[1:])):
         raise ConfigError(f"sample sizes must be distinct: {xis}")
+    if dim == 5 and xis and xis[-1] > assignment_cap:
+        raise CapacityError(
+            f"size {xis[-1]} exceeds assignment cap {assignment_cap}"
+        )
     rng = derived_generator(seed, _RATE_TAG + dim)
     rows = []
     if mc_reps <= 0:

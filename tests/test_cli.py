@@ -440,10 +440,13 @@ class TestGoldenBytes:
 
 
 class TestStudyGoldenBytes:
-    """Study outputs pinned from the materialize-then-coarsen implementation.
+    """Study outputs pinned from earlier implementations.
 
-    The studies now stream their noise and advance every coupled run in
-    one pass; these digests and reprs were computed before that change.
+    The step-size, particle, moment and taming outputs were computed with
+    the materialize-then-coarsen implementation, before the studies
+    streamed their noise and advanced every coupled run in one pass.  The
+    ``empirical-rate`` digests were computed with the assignment solver
+    started from zero duals, before it got reduced costs.
     """
 
     def test_convergence_dt_csv(self, tmp_path):
@@ -475,6 +478,26 @@ class TestStudyGoldenBytes:
         assert TestGoldenBytes._sha256(out / "convergence_particles.csv") == (
             "8d108eeca8088c140a15c9ec1c07f66aee642fb4b449abfc816961bc55a5209e"
         )
+
+    @pytest.mark.parametrize(
+        "dim, xis, digest",
+        [
+            (1, "16,64",
+             "714f7d51bdd0be146a6a25c4fa8b2ea7cc08a1e49b4cae0011ac5a5598a8019f"),
+            (5, "16,64,128",
+             "a940fef124a5963ff04b9fe2c125f42dc21d7b30587853cc1ce5ed30ec7523fb"),
+        ],
+    )
+    def test_empirical_rate_csv(self, tmp_path, dim, xis, digest):
+        out = tmp_path / "o"
+        rc = main(
+            [
+                "--config", str(CONFIGS / f"empirical_rate_d{dim}.cfg"),
+                "--xis", xis, "--mc-reps", "5", "--outdir", str(out),
+            ]
+        )
+        assert rc == 0
+        assert TestGoldenBytes._sha256(out / "empirical_rate.csv") == digest
 
     def test_moment_bound_rows(self):
         rows = moment_bound_vs_dt(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mvnsdde import (
+    CapacityError,
     ConfigError,
     DegenerateFitError,
     ErrorRow,
@@ -19,6 +20,7 @@ from mvnsdde import (
     cubic_no_mf,
     empirical_measure_rate,
     example51,
+    experiments,
     fit_loglog_slope,
     linear_meanfield,
     moment_bound_vs_dt,
@@ -277,6 +279,18 @@ class TestEmpiricalMeasureRate:
         )
         slope, _ = fit_loglog_slope(table)
         assert slope <= -0.45
+
+    def test_cap_checked_before_any_draw_or_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew or solved before checking the cap")
+
+        monkeypatch.setattr(experiments, "w2_assignment", forbidden)
+        monkeypatch.setattr(experiments, "derived_generator", forbidden)
+        with pytest.raises(CapacityError, match="1024"):
+            empirical_measure_rate(
+                dim=5, xis=[16, 64, 1024], mc_reps=2, seed=1,
+                assignment_cap=512,
+            )
 
     def test_five_dim_decays(self):
         table = empirical_measure_rate(dim=5, xis=[16, 64], mc_reps=10, seed=6)
