@@ -16,14 +16,12 @@ from .experiments import (
     ErrorRow,
     ErrorTable,
     ExperimentReport,
-    MomentMonitor,
     TamingReport,
     build_report,
     chaos_error_vs_particles,
     empirical_measure_rate,
     fit_loglog_slope,
     moment_bound_vs_dt,
-    moment_monitor,
     strong_error_vs_dt,
     taming_comparison,
 )
@@ -44,7 +42,7 @@ from .model import (
     linear_meanfield_mean,
     validate,
 )
-from .noise import BrownianGrid, coarsen, generate, load
+from .noise import coarsen, generate
 from .scheme import (
     ParticleGrid,
     Stepper,
@@ -58,7 +56,6 @@ from .scheme import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BrownianGrid",
     "CapacityError",
     "ConfigError",
     "DegenerateFitError",
@@ -68,7 +65,6 @@ __all__ = [
     "ExperimentReport",
     "GridError",
     "ModelSpec",
-    "MomentMonitor",
     "MvnsddeError",
     "OverflowAbort",
     "ParticleGrid",
@@ -91,9 +87,7 @@ __all__ = [
     "generate",
     "linear_meanfield",
     "linear_meanfield_mean",
-    "load",
     "moment_bound_vs_dt",
-    "moment_monitor",
     "simulate",
     "simulate_terminal",
     "strong_error_vs_dt",

@@ -36,7 +36,6 @@ from .experiments import (
     taming_comparison,
 )
 from .model import MODEL_NAMES, SchemeParams, build_model, validate
-from .noise import generate
 from .scheme import simulate
 
 SUBCOMMANDS = (
@@ -79,7 +78,6 @@ class RunConfig:
     horizon: float = 1.0
     seed: int | None = None
     taming: bool = True
-    moment_order_p: int = 12
     mc_reps: int = 200
     replicates: int = 1
     dim: int = 1
@@ -219,7 +217,6 @@ def _scheme_params(cfg: RunConfig) -> SchemeParams:
         horizon=cfg.horizon,
         seed=cfg.seed,
         taming_enabled=cfg.taming,
-        moment_order_p=cfg.moment_order_p,
     )
 
 
@@ -263,12 +260,8 @@ def dispatch(cfg: RunConfig) -> int:
         return 0 if report.ok else 2
 
     if cfg.subcommand == "simulate":
-        params = _scheme_params(cfg)
-        noise = generate(
-            cfg.seed, cfg.particles, model.bm_dim, cfg.delta, cfg.horizon
-        )
         try:
-            grid = simulate(model, params, noise)
+            grid = simulate(model, _scheme_params(cfg))
         except OverflowAbort as abort:
             if abort.prefix is not None:
                 abort.prefix.to_csv(outdir / "grid.partial.csv")
@@ -342,7 +335,7 @@ def dispatch(cfg: RunConfig) -> int:
             {
                 "experiment": "taming_compare",
                 "config": config_echo,
-                "report": rep.as_dict(),
+                "report": dataclasses.asdict(rep),
                 "runtime_seconds": sw.seconds,
                 "peak_rss_mb": sw.peak_rss_mb,
             },

@@ -12,15 +12,14 @@ from the particle-wise squared-error sample variance (particles are
 exchangeable but weakly correlated through the measure, which the reports
 state).
 
-The studies stream their noise: one pass draws the fine path block by
-block and advances every run through each block.  The runs of one step
-size share one :class:`~mvnsdde.scheme.Stepper` as row segments: the
-replicate seeds of the pass, and in the particle study every particle
-count.  A pass takes as many replicate seeds as
-:func:`~mvnsdde.noise.seeds_per_block` lets share one noise budget, so
-memory is that budget plus each segment's delay window.  Results equal
-those of one run per seed and size on the materialized ``BrownianGrid``
-oracle bit for bit.
+The studies stream their noise: one :func:`~mvnsdde.scheme.coupled_pass`
+draws the fine path block by block and advances every run through each
+block.  The runs of one step size share one
+:class:`~mvnsdde.scheme.Stepper` as row segments: the replicate seeds of
+the pass, and in the particle study every particle count.  A pass takes as
+many replicate seeds as :func:`~mvnsdde.noise.seeds_per_block` lets share
+one noise budget, so memory is that budget plus each segment's delay
+window.  Results equal those of one run per seed and size bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import json
 import resource
 import time
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -41,14 +39,8 @@ from .measure import (
     w2sq_to_standard_normal_1d,
 )
 from .model import ModelSpec, SchemeParams, cubic_no_mf
-from .noise import (
-    block_sums,
-    chunk_steps,
-    derived_generator,
-    seeds_per_block,
-    stream_seeds,
-)
-from .scheme import ParticleGrid, Stepper, TerminalRun, sample_moments
+from .noise import derived_generator, seeds_per_block
+from .scheme import Stepper, coupled_pass
 
 _RATE_TAG = 0x3A7E  # auxiliary stream namespace for sampling experiments
 
@@ -165,38 +157,6 @@ def _passes(seeds: list[int], particles: int, bm_dim: int, multiple: int):
     return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
 
-def _coupled_pass(
-    delta: float, horizon: float, levels: list[tuple[Stepper, int]]
-) -> list[TerminalRun]:
-    """Advance every run of a study on its seeds' streamed Brownian paths.
-
-    ``levels`` pairs each run with its step as a multiple of ``delta``;
-    every run has the same segments.  A segment takes the leading columns
-    of its seed's stream, gathered once per block, so a smaller system
-    reuses a larger one's streams.  The seeds share one block budget, and
-    blocks are a multiple of every factor long, so each coarse run sees
-    ``coarsen``'s sums.
-    """
-    layout = [(seg.seed, seg.particles) for seg in levels[0][0].segments]
-    columns: dict[int, int] = {}
-    for seed, particles in layout:
-        columns[seed] = max(columns.get(seed, 0), particles)
-    first = dict(zip(columns, accumulate([0, *columns.values()])))
-    gather = np.concatenate([first[seed] + np.arange(n) for seed, n in layout])
-    width = sum(columns.values())
-    if np.array_equal(gather, np.arange(width)):
-        gather = None  # every drawn column, in order
-    bm_dim = levels[0][0].model.bm_dim
-    chunk = chunk_steps(width, bm_dim, max(f for _, f in levels))
-    for block in stream_seeds(columns, bm_dim, delta, horizon, chunk):
-        if gather is not None:
-            block = block.take(gather, axis=1)
-        for run, factor in levels:
-            run.advance(block_sums(block, factor))
-        del block  # free it before the next block is drawn
-    return [run.result() for run, _ in levels]
-
-
 def strong_error_vs_dt(
     model: ModelSpec,
     particles: int,
@@ -239,7 +199,7 @@ def strong_error_vs_dt(
             (Stepper(model, [replace(p, delta=delta) for p in base]), factor)
             for delta, factor in zip(deltas, factors)
         ]
-        ref, *tests = _coupled_pass(delta_ref, horizon, levels)
+        ref, *tests = coupled_pass(delta_ref, horizon, levels)
         for e2s, test in zip(sq_errors, tests):
             e2s.append(np.sum((ref.terminal - test.terminal) ** 2, axis=1))
     return ErrorTable(
@@ -285,7 +245,7 @@ def chaos_error_vs_particles(
             for xi in xis
         ]
         run = Stepper(model, segments)
-        (result,) = _coupled_pass(delta, horizon, [(run, 1)])
+        (result,) = coupled_pass(delta, horizon, [(run, 1)])
         systems = [result.terminal[start:stop] for start, stop in run.bounds]
         for k in range(len(group)):
             *tests, ref = systems[k * len(xis) : (k + 1) * len(xis)]
@@ -298,26 +258,6 @@ def chaos_error_vs_particles(
             _row_from_sq_errors(xi, np.concatenate(e2s))
             for xi, e2s in zip(xis, sq_errors)
         ]
-    )
-
-
-@dataclass(frozen=True)
-class MomentMonitor:
-    value: float
-    argmax_index: int
-
-
-def moment_monitor(grid: ParticleGrid, p: int) -> MomentMonitor:
-    """Largest sample p-th moment of the state norm over the whole grid.
-
-    Returns the maximum of (1/particles) * sum_a |U_n^a|^p over grid indices
-    n (initial-segment rows included) and where it occurs.  Intended for
-    even integer p >= 2.
-    """
-    moments = sample_moments(grid.states, p)
-    row = int(np.argmax(moments))
-    return MomentMonitor(
-        value=float(moments[row]), argmax_index=row - grid.delay_steps
     )
 
 
@@ -337,8 +277,9 @@ def moment_bound_vs_dt(
     Couples the runs exactly like the strong-error study (finest step is the
     streamed path); the sample p-th moment is heavy-tailed, so independent
     paths per step would swamp the step-size dependence the bound is about.
-    Each run keeps a running maximum, equal to :func:`moment_monitor` on
-    its full grid.  Returns (delta, monitor value, argmax grid index) per step size.
+    Each run keeps a running maximum of the sample moment over its grid,
+    initial segment included.  Returns (delta, monitor value, argmax grid
+    index) per step size.
     """
     deltas = sorted(float(d) for d in deltas)
     finest = deltas[0]
@@ -348,7 +289,7 @@ def moment_bound_vs_dt(
         horizon=horizon, seed=seed, taming_enabled=taming,
     )
     runs = [Stepper(model, replace(params, delta=d), moment_p=p) for d in deltas]
-    _coupled_pass(finest, horizon, list(zip(runs, factors)))
+    coupled_pass(finest, horizon, list(zip(runs, factors)))
     return [(d, run.moment_max, run.moment_argmax) for d, run in zip(deltas, runs)]
 
 
@@ -363,17 +304,6 @@ class TamingReport:
     first_divergence_step: int | None
     particles: int
     divergence_threshold: float
-
-    def as_dict(self) -> dict:
-        return {
-            "tamed_max_moment": self.tamed_max_moment,
-            "tamed_argmax_index": self.tamed_argmax_index,
-            "untamed_divergence_fraction": self.untamed_divergence_fraction,
-            "untamed_diverged_count": self.untamed_diverged_count,
-            "first_divergence_step": self.first_divergence_step,
-            "particles": self.particles,
-            "divergence_threshold": self.divergence_threshold,
-        }
 
 
 def taming_comparison(
@@ -406,7 +336,7 @@ def taming_comparison(
         track_divergence=True,
         divergence_threshold=divergence_threshold,
     )
-    _, divergence = _coupled_pass(
+    _, divergence = coupled_pass(
         delta_coarse, horizon, [(tamed, 1), (untamed, 1)]
     )
     assert divergence.diverged is not None

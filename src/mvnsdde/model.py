@@ -65,7 +65,6 @@ class SchemeParams:
     horizon: float
     seed: int
     taming_enabled: bool = True
-    moment_order_p: int = 12
 
     @property
     def delay_steps(self) -> int:
@@ -96,14 +95,16 @@ def _is_integer_ratio(num: float, den: float) -> bool:
 
 
 def validate(
-    model: ModelSpec, params: SchemeParams, q: float = 2.0
+    model: ModelSpec, params: SchemeParams, q: float = 2.0, p: float = 12
 ) -> ValidationReport:
     """Report every violated structural condition; never raises.
 
     Covers the contraction modulus, the neutral map probes (zero at zero,
     contractivity on random pairs), grid integrality (tau/delta and
     horizon/delta), the step/exponent ranges, and the error-exponent window
-    q <= p / (2 (c + 1)) for the requested q.
+    q <= p / (2 (c + 1)) for the requested q and initial-segment moment
+    order p.  Every built-in initial segment is deterministic, so it has
+    every moment.
     """
     report = ValidationReport()
     v = report.violations
@@ -162,7 +163,6 @@ def validate(
             f"horizon/delta = {params.horizon / params.delta!r} is not an integer"
         )
 
-    p = params.moment_order_p
     q_max = p / (2.0 * (model.growth_power + 1.0))
     if q < 2.0:
         v.append(f"error exponent q must be >= 2, got {q}")

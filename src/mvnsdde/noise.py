@@ -1,4 +1,4 @@
-"""Reproducible Brownian increments, streamed in chunks or materialized.
+"""Reproducible Brownian increments, streamed in time-major blocks.
 
 Increments are derived from a counter-based pseudo-random function so that
 any entry is computable independently of generation order: particle ``a``
@@ -8,27 +8,20 @@ consumed in flat ``step * bm_dim + component`` order, mapped to uniforms in
 fine-step runs therefore share one Brownian path: summing blocks of fine
 increments reproduces the coarse increments of the same path exactly.
 
-The studies read the path as a :func:`stream` of time-major blocks (the
+Every run reads the path as a :func:`stream` of time-major blocks (the
 paths of several seeds side by side: :func:`stream_seeds`), so no full grid
-exists in memory.  :class:`BrownianGrid` (:func:`generate` writes
-the same stream into one array) is the materialized oracle: the input of
-``simulate``, the binary dump, and the reference the stream is tested
-against.  :func:`block_sums` is the one coarsening rule for both.
+exists in memory.  :func:`generate` concatenates the stream into one array,
+the oracle the tests check streamed runs against, and :func:`coarsen` is
+the one coarsening rule.
 """
 
 from __future__ import annotations
-
-import struct
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .errors import GridError
-
-_DUMP_MAGIC = b"BGRD"
-_DUMP_VERSION = 1
 
 # Particle streams use key=[seed, particle] with particle < 2**63; auxiliary
 # streams (validation probes, sampling experiments) live in the high half so
@@ -56,71 +49,6 @@ def _step_count(delta: float, horizon: float, what: str = "horizon") -> int:
             f"{what}/delta = {ratio!r} is not a positive integer step count"
         )
     return steps
-
-
-@dataclass(frozen=True)
-class BrownianGrid:
-    """Materialized per-particle, per-step Brownian increments.
-
-    ``increments`` is stored time-major with shape
-    ``(steps, particles, bm_dim)`` so the coupled particle loop reads one
-    contiguous block per step; ``increments[n, a]`` is the increment of
-    particle ``a`` over step ``n``, and the binary dump stores the
-    (particle, step, component) order.  Instances are immutable.
-    """
-
-    increments: np.ndarray
-    delta_base: float
-    steps: int
-    particles: int
-    bm_dim: int
-    seed: int
-
-    def __post_init__(self):
-        self.increments.flags.writeable = False
-
-    def dump(self, path) -> None:
-        """Write the binary dump (header + particle-major float64 payload)."""
-        header = _DUMP_MAGIC + struct.pack(
-            "<IQQQdQ",
-            _DUMP_VERSION,
-            self.particles,
-            self.bm_dim,
-            self.steps,
-            self.delta_base,
-            self.seed,
-        )
-        payload = np.ascontiguousarray(
-            self.increments.transpose(1, 0, 2), dtype="<f8"
-        )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload.tobytes())
-
-
-def load(path) -> BrownianGrid:
-    """Read a grid written by :meth:`BrownianGrid.dump`."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head_len = 4 + struct.calcsize("<IQQQdQ")
-    if blob[:4] != _DUMP_MAGIC:
-        raise GridError(f"bad magic in {path!r}")
-    version, particles, bm_dim, steps, delta_base, seed = struct.unpack(
-        "<IQQQdQ", blob[4:head_len]
-    )
-    if version != _DUMP_VERSION:
-        raise GridError(f"unsupported dump version {version}")
-    data = np.frombuffer(blob[head_len:], dtype="<f8").reshape(
-        particles, steps, bm_dim
-    )
-    return BrownianGrid(
-        increments=np.ascontiguousarray(data.transpose(1, 0, 2)),
-        delta_base=float(delta_base),
-        steps=int(steps),
-        particles=int(particles),
-        bm_dim=int(bm_dim),
-        seed=int(seed),
-    )
 
 
 def _check_grid(seed, particles, bm_dim, delta_base, horizon):
@@ -159,11 +87,11 @@ def seeds_per_block(particles: int, bm_dim: int, multiple: int = 1) -> int:
 
 
 def stream(seed, particles, bm_dim, delta_base, horizon, chunk):
-    """The increments of :func:`generate` as blocks of ``chunk`` time rows.
+    """The increments of ``particles`` streams as blocks of ``chunk`` time rows.
 
     Blocks are (chunk, particles, bm_dim), the last one shorter if need be.
     Each particle keeps one Philox generator, and successive draws continue
-    its stream, so the concatenated blocks equal the grid bit for bit.
+    its stream, so the blocks are the same path whatever their length.
     """
     return stream_seeds({seed: particles}, bm_dim, delta_base, horizon, chunk)
 
@@ -205,36 +133,25 @@ def _draw(streams, steps, bm_dim, scale) -> np.ndarray:
 
 def generate(
     seed: int, particles: int, bm_dim: int, delta_base: float, horizon: float
-) -> BrownianGrid:
-    """Materialize a full increment grid by writing the :func:`stream` into it.
+) -> np.ndarray:
+    """The whole :func:`stream` as one (steps, particles, bm_dim) array.
 
-    Each entry is N(0, delta_base) i.i.d.; entry (a, n, k) depends only on
+    Each entry is N(0, delta_base) i.i.d.; entry (n, a, k) depends only on
     (seed, a, n, k), so regeneration with any particle count reproduces the
     shared streams bit-for-bit.
     """
-    seed, steps = _check_grid(seed, particles, bm_dim, delta_base, horizon)
-    out = np.empty((steps, particles, bm_dim))
-    n = 0
-    for block in stream(
-        seed, particles, bm_dim, delta_base, horizon, chunk_steps(particles, bm_dim)
-    ):
-        out[n : n + len(block)] = block
-        n += len(block)
-    return BrownianGrid(
-        increments=out,
-        delta_base=float(delta_base),
-        steps=steps,
-        particles=int(particles),
-        bm_dim=int(bm_dim),
-        seed=seed,
-    )
+    # chunk_steps divides by particles * bm_dim, so check them first
+    _check_grid(seed, particles, bm_dim, delta_base, horizon)
+    chunk = chunk_steps(particles, bm_dim)
+    return np.concatenate(list(stream(seed, particles, bm_dim, delta_base, horizon, chunk)))
 
 
-def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:
+def coarsen(increments: np.ndarray, factor: int) -> np.ndarray:
     """Sum blocks of ``factor`` consecutive time rows, left to right.
 
-    The one coarsening rule of the grid and the stream, so both sum in the
-    same order.  ``factor`` must divide the row count; 1 returns the input.
+    The one coarsening rule, so a coarse run sees the same sums whether its
+    fine path arrives whole or in blocks of a multiple of ``factor`` rows.
+    ``factor`` must divide the row count; 1 returns the input.
     """
     factor = int(factor)
     if factor < 1:
@@ -252,18 +169,3 @@ def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:
     for j in range(1, factor):
         acc += blocks[:, j]
     return acc
-
-
-def coarsen(grid: BrownianGrid, factor: int) -> BrownianGrid:
-    """Grid of the :func:`block_sums` of ``factor`` consecutive increments."""
-    acc = block_sums(grid.increments, factor)
-    if acc is grid.increments:
-        return grid
-    return BrownianGrid(
-        increments=acc,
-        delta_base=grid.delta_base * factor,
-        steps=grid.steps // factor,
-        particles=grid.particles,
-        bm_dim=grid.bm_dim,
-        seed=grid.seed,
-    )

@@ -7,11 +7,15 @@ the neutral combination is unwound by adding back the neutral map of the
 already-known lookback state, so no implicit solve ever occurs.  States are
 stored time-major; grid index n runs from -delay_steps (start of the initial
 segment) to total_steps.
+
+Every run gets its noise the same way: :func:`coupled_pass` streams its
+seeds' Brownian paths block by block into one or more :class:`Stepper`
+runs.  :func:`simulate` and :func:`simulate_terminal` are such a pass over
+one run, so the path follows from the run's seed, step and horizon.
 """
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -22,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, GridError, OverflowAbort, ValidationFailure
 from .measure import BatchMeasure, EmpiricalMeasure
 from .model import ModelSpec, SchemeParams, validate
-from .noise import BrownianGrid
+from .noise import chunk_steps, coarsen, stream_seeds
 
 
 def tame_drift(b_value: np.ndarray, delta: float, alpha: float) -> np.ndarray:
@@ -126,12 +130,6 @@ class ParticleGrid:
             t = f"{(row_i - n0) * self.params.delta:.17g}"
             fh.write(t.join(pieces) % tuple(row.ravel().tolist()))
 
-    def csv_text(self) -> str:
-        """The CSV export of :meth:`write_csv` as one string."""
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             self.write_csv(fh)
@@ -177,20 +175,6 @@ def em_step(
     new += drift_step
     new += noise_term
     return np.add(neutral[1], new, out=new)
-
-
-def _check_noise(params: SchemeParams, noise: BrownianGrid):
-    """Seed, step and length checks; :meth:`Stepper.advance` checks the shape."""
-    if noise.seed != params.seed:
-        raise GridError(f"noise seed {noise.seed} != scheme seed {params.seed}")
-    if not np.isclose(noise.delta_base, params.delta, rtol=1e-12, atol=0.0):
-        raise GridError(
-            f"noise step {noise.delta_base!r} != scheme step {params.delta!r}"
-        )
-    if noise.steps != params.total_steps:
-        raise GridError(
-            f"noise has {noise.steps} steps, scheme needs {params.total_steps}"
-        )
 
 
 def sample_moments(states: np.ndarray, p: int) -> np.ndarray:
@@ -361,29 +345,55 @@ class Stepper:
         )
 
 
+def coupled_pass(
+    delta: float, horizon: float, levels: list[tuple[Stepper, int]]
+) -> list[TerminalRun]:
+    """Advance every run of a study on its seeds' streamed Brownian paths.
+
+    ``levels`` pairs each run with its step as a multiple of ``delta``;
+    every run has the same segments.  A segment takes the leading columns
+    of its seed's stream, gathered once per block, so a smaller system
+    reuses a larger one's streams.  The seeds share one block budget, and
+    blocks are a multiple of every factor long, so each coarse run sees
+    :func:`~mvnsdde.noise.coarsen`'s sums of the whole path.
+    """
+    layout = [(seg.seed, seg.particles) for seg in levels[0][0].segments]
+    columns: dict[int, int] = {}
+    for seed, particles in layout:
+        columns[seed] = max(columns.get(seed, 0), particles)
+    first = dict(zip(columns, accumulate([0, *columns.values()])))
+    gather = np.concatenate([first[seed] + np.arange(n) for seed, n in layout])
+    width = sum(columns.values())
+    if np.array_equal(gather, np.arange(width)):
+        gather = None  # every drawn column, in order
+    bm_dim = levels[0][0].model.bm_dim
+    chunk = chunk_steps(width, bm_dim, max(f for _, f in levels))
+    for block in stream_seeds(columns, bm_dim, delta, horizon, chunk):
+        if gather is not None:
+            block = block.take(gather, axis=1)
+        for run, factor in levels:
+            run.advance(coarsen(block, factor))
+        del block  # free it before the next block is drawn
+    return [run.result() for run, _ in levels]
+
+
 def simulate(
-    model: ModelSpec,
-    params: SchemeParams,
-    noise: BrownianGrid,
-    check: bool = True,
+    model: ModelSpec, params: SchemeParams, check: bool = True
 ) -> ParticleGrid:
-    """Run the scheme with full state storage.
+    """Run the scheme with full state storage on the path of ``params.seed``.
 
     Raises :class:`ValidationFailure` when the configuration violates the
-    structural conditions, :class:`GridError` on noise/scheme mismatch, and
-    :class:`OverflowAbort` (carrying the last finite prefix) when a state
-    goes non-finite.
+    structural conditions, and :class:`OverflowAbort` (carrying the last
+    finite prefix) when a state goes non-finite.
     """
     run = Stepper(model, params, check=check, full_storage=True)
-    _check_noise(params, noise)
-    run.advance(noise.increments)
+    coupled_pass(params.delta, params.horizon, [(run, 1)])
     return ParticleGrid(states=run.states, params=params, model_name=model.name)
 
 
 def simulate_terminal(
     model: ModelSpec,
     params: SchemeParams,
-    noise: BrownianGrid,
     check: bool = True,
     track_divergence: bool = False,
     divergence_threshold: float = 1e10,
@@ -399,6 +409,5 @@ def simulate_terminal(
         model, params, check=check, track_divergence=track_divergence,
         divergence_threshold=divergence_threshold,
     )
-    _check_noise(params, noise)
-    run.advance(noise.increments)
-    return run.result()
+    (result,) = coupled_pass(params.delta, params.horizon, [(run, 1)])
+    return result

@@ -19,7 +19,6 @@ from mvnsdde import (
     empirical_measure_rate,
     example51,
     fit_loglog_slope,
-    generate,
     linear_meanfield,
     linear_meanfield_mean,
     moment_bound_vs_dt,
@@ -154,8 +153,7 @@ def test_criterion_3_meanfield_oracle():
         delta=2.0**-10, tau=2.0**-5, alpha=0.5, particles=2000, horizon=1.0,
         seed=SEED_MEANFIELD,
     )
-    noise = generate(SEED_MEANFIELD, 2000, 1, 2.0**-10, 1.0)
-    terminal = simulate_terminal(model, params, noise).terminal[:, 0]
+    terminal = simulate_terminal(model, params).terminal[:, 0]
     est = float(terminal.mean())
     stderr = float(terminal.std(ddof=1) / math.sqrt(terminal.size))
     target = linear_meanfield_mean(1.0, a_coef=-1.0, b_coef=0.5, x0=1.0)

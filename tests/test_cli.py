@@ -3,6 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +80,15 @@ class TestParse:
         with pytest.raises(ConfigError, match="unknown key 'workers'"):
             parse(path, subcommand="validate")
         assert main(["validate", "--seed", "1", "--workers", "2"]) == 1
+
+    def test_moment_order_p_is_an_unknown_key(self, tmp_path):
+        # the studies never read it, so it was a key that did nothing
+        path = write_cfg(tmp_path, "seed = 1\nmoment_order_p = 4\n")
+        with pytest.raises(ConfigError, match="unknown key 'moment_order_p'"):
+            parse(path, subcommand="validate")
+        argv = ["convergence-dt", "--seed", "1", "--moment-order-p", "4"]
+        assert main(argv + ["--outdir", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = write_cfg(tmp_path, "# a comment\n\nseed = 9  # trailing\n")
@@ -204,6 +217,18 @@ class TestExitCodes:
         report = json.loads((out / "taming_compare.summary.json").read_text())
         assert report["report"]["untamed_divergence_fraction"] >= 0.99
         assert report["peak_rss_mb"] > 0.0
+        # the report block's bytes, pinned from the hand-listed report dict
+        assert (
+            '  "report": {\n'
+            '    "divergence_threshold": 10000000000.0,\n'
+            '    "first_divergence_step": 3,\n'
+            '    "particles": 50,\n'
+            '    "tamed_argmax_index": 3,\n'
+            '    "tamed_max_moment": 60.03540081705514,\n'
+            '    "untamed_diverged_count": 50,\n'
+            '    "untamed_divergence_fraction": 1.0\n'
+            '  },\n'
+        ) in (out / "taming_compare.summary.json").read_text()
 
     def test_degenerate_fit_is_1(self, tmp_path):
         out = tmp_path / "o"
@@ -340,7 +365,8 @@ class TestOutputs:
 class TestConfigEcho:
     # sha256 of echo_text(parse(<config>, {"outdir": "out"})), computed
     # before the keys, defaults and flags were derived from RunConfig, when
-    # the echo still ended in the line of the since removed ``workers`` key.
+    # the echo still held a ``moment_order_p = 12`` line after ``taming`` and
+    # ended in the line of ``workers``; both keys were removed since.
     ECHO_SHA256 = {
         "chaos.cfg": "98b54c6451cd029317180bfbf511a52d0f6e0047bea4aa287bf077c00454669d",
         "empirical_rate_d1.cfg": "1c01b04257b34f550c99442440e0c0948aceab86ce46534e74dd4b673bb477a2",
@@ -367,7 +393,6 @@ class TestConfigEcho:
         "xis": "2,4,8",
         "horizon": "0.5",
         "seed": str(2**64 - 1),
-        "moment_order_p": "4",
         "mc_reps": "7",
         "replicates": "2",
         "dim": "5",
@@ -379,7 +404,10 @@ class TestConfigEcho:
         assert [p.name for p in paths] == sorted(self.ECHO_SHA256)
         for path in paths:
             text = echo_text(parse(path, {"outdir": "out"}))
-            assert "workers" not in text
+            assert "workers" not in text and "moment_order_p" not in text
+            text = re.sub(
+                r"^(taming = \w+\n)", r"\1moment_order_p = 12\n", text, flags=re.M
+            )
             digest = hashlib.sha256((text + "workers = 1\n").encode()).hexdigest()
             assert digest == self.ECHO_SHA256[path.name], path.name
 
@@ -547,3 +575,36 @@ class TestReplicatesFlag:
             ]
         )
         assert rc == 1
+
+
+class TestBenchmarkTracer:
+    def test_tracer_installs_and_counts_a_run(self, tmp_path):
+        # perfbench/spans.py rebinds package names by hand; a renamed or
+        # deleted name must fail here, not only under ``run.py --trace 1``
+        root = Path(__file__).resolve().parent.parent
+        code = (
+            "import json, sys\n"
+            "sys.path.insert(0, 'perfbench')\n"
+            "import mvnsdde.cli as cli\n"
+            "from spans import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install(cli)\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "calls = {name: rec[0] for name, rec in tracer.calls.items()}\n"
+            "print(json.dumps([rc, tracer.counts, calls]))\n"
+        )
+        argv = [
+            "simulate", "--seed", "4", "--particles", "3", "--delta", "0.25",
+            "--tau", "0.5", "--horizon", "1.0", "--outdir", str(tmp_path / "o"),
+        ]
+        paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        rc, counts, calls = json.loads(done.stdout.splitlines()[-1])
+        assert rc == 0
+        assert counts["scheme.run.particle_steps"] == 3 * 4
+        assert [calls[k] for k in ("scheme.run", "scheme.em_step", "scheme.export")] == [1, 4, 1]

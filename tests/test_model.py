@@ -203,7 +203,7 @@ class TestValidate:
     def test_exponent_window(self):
         ok = validate(example51(), _params(), q=2.0)
         assert ok.ok
-        bad_q = validate(example51(), _params(moment_order_p=8), q=2.0)
+        bad_q = validate(example51(), _params(), q=2.0, p=8)
         assert any("p/(2(c+1))" in v for v in bad_q.violations)
         small_q = validate(example51(), _params(), q=1.0)
         assert any("q must be >= 2" in v for v in small_q.violations)

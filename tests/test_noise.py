@@ -1,6 +1,4 @@
-"""Brownian grid generation, coarsening, and the binary dump format."""
-
-import struct
+"""Brownian stream generation and coarsening."""
 
 import numpy as np
 import pytest
@@ -9,16 +7,16 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from mvnsdde import GridError, coarsen, generate, load
+from mvnsdde import GridError, coarsen, generate
 from mvnsdde import noise
-from mvnsdde.noise import block_sums, seeds_per_block, stream, stream_seeds
+from mvnsdde.noise import seeds_per_block, stream, stream_seeds
 
 
 def particle_block(seed, particle, steps, bm_dim, delta):
     """Reference draw of one particle's increments (steps, bm_dim).
 
     Reads the particle's Philox stream from counter 0 in one call, apart
-    from the grid and stream code it checks.
+    from the stream code it checks.
     """
     count = steps * bm_dim
     n_raw = -(-count // 4) * 4  # Philox emits 4 raws per counter tick
@@ -32,12 +30,12 @@ class TestGenerate:
     def test_same_seed_bit_identical(self):
         a = generate(123, particles=7, bm_dim=2, delta_base=0.125, horizon=2.0)
         b = generate(123, particles=7, bm_dim=2, delta_base=0.125, horizon=2.0)
-        assert np.array_equal(a.increments, b.increments)
+        assert np.array_equal(a, b)
 
     def test_adjacent_seeds_differ(self):
         a = generate(5, particles=10, bm_dim=1, delta_base=0.01, horizon=1.0)
         b = generate(6, particles=10, bm_dim=1, delta_base=0.01, horizon=1.0)
-        assert not np.array_equal(a.increments, b.increments)
+        assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
         "seed_a, seed_b", [(2**64 - 1, 2**64 - 2), (2**63, 2**63 + 5)]
@@ -46,35 +44,35 @@ class TestGenerate:
         # key words >= 2**63 must reach Philox exactly, not through float64
         a = generate(seed_a, particles=2, bm_dim=1, delta_base=0.25, horizon=1.0)
         b = generate(seed_b, particles=2, bm_dim=1, delta_base=0.25, horizon=1.0)
-        assert not np.array_equal(a.increments, b.increments)
+        assert not np.array_equal(a, b)
         for seed, grid in ((seed_a, a), (seed_b, b)):
             block = particle_block(seed, 1, steps=4, bm_dim=1, delta=0.25)
-            assert np.array_equal(grid.increments[:, 1, :], block)
+            assert np.array_equal(grid[:, 1, :], block)
 
     def test_moment_bounds_single_step(self):
         n = 10_000
         grid = generate(77, particles=n, bm_dim=1, delta_base=0.25, horizon=0.25)
-        incs = grid.increments[0][:, 0]
+        incs = grid[0][:, 0]
         assert abs(incs.mean()) <= 4.0 * np.sqrt(0.25 / n)
         assert abs(incs.var(ddof=1) / 0.25 - 1.0) <= 0.05
 
     def test_particle_prefix_property(self):
         big = generate(42, particles=8, bm_dim=2, delta_base=0.5, horizon=4.0)
         small = generate(42, particles=3, bm_dim=2, delta_base=0.5, horizon=4.0)
-        assert np.array_equal(big.increments[:, :3, :], small.increments)
+        assert np.array_equal(big[:, :3, :], small)
         streamed = np.concatenate(list(stream(42, 8, 2, 0.5, 4.0, 3)))
-        assert np.array_equal(streamed[:, :3, :], small.increments)
+        assert np.array_equal(streamed[:, :3, :], small)
 
     def test_entry_matches_per_particle_block(self):
         grid = generate(9, particles=4, bm_dim=3, delta_base=0.2, horizon=1.0)
         block = particle_block(9, 2, steps=5, bm_dim=3, delta=0.2)
-        assert np.array_equal(grid.increments[:, 2, :], block)
-        assert np.array_equal(grid.increments[4, 2], block[4])
+        assert np.array_equal(grid[:, 2, :], block)
+        assert np.array_equal(grid[4, 2], block[4])
 
     def test_cross_correlations_small(self):
         n = 100_000
         grid = generate(11, particles=2, bm_dim=2, delta_base=1.0, horizon=n)
-        flat = grid.increments.reshape(n, 4)
+        flat = grid.reshape(n, 4)
         corr = np.corrcoef(flat.T)
         off = corr[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off)) < 5.0 / np.sqrt(n)
@@ -91,41 +89,32 @@ class TestGenerate:
         with pytest.raises(GridError):
             generate(1, particles=1, bm_dim=1, delta_base=-0.5, horizon=1.0)
 
-    def test_increments_immutable(self):
-        grid = generate(1, particles=1, bm_dim=1, delta_base=0.5, horizon=1.0)
-        with pytest.raises(ValueError):
-            grid.increments[0, 0, 0] = 0.0
-
 
 class TestCoarsen:
     def test_factor_one_is_identity(self):
         grid = generate(3, particles=2, bm_dim=1, delta_base=0.25, horizon=1.0)
-        out = coarsen(grid, 1)
-        assert np.array_equal(out.increments, grid.increments)
-        assert out.delta_base == grid.delta_base
+        assert coarsen(grid, 1) is grid
 
     def test_two_steps_sum(self):
         grid = generate(4, particles=3, bm_dim=2, delta_base=0.5, horizon=1.0)
         out = coarsen(grid, 2)
-        assert out.steps == 1
-        assert out.delta_base == 1.0
-        expect = grid.increments[0] + grid.increments[1]
-        assert np.array_equal(out.increments[0], expect)
+        assert out.shape == (1, 3, 2)
+        expect = grid[0] + grid[1]
+        assert np.array_equal(out[0], expect)
 
     def test_endpoint_sums_preserved(self):
         grid = generate(8, particles=5, bm_dim=2, delta_base=0.125, horizon=4.0)
-        base_end = grid.increments.sum(axis=0)
+        base_end = grid.sum(axis=0)
         for k in (2, 4, 8, 16):
-            end = coarsen(grid, k).increments.sum(axis=0)
+            end = coarsen(grid, k).sum(axis=0)
             np.testing.assert_allclose(end, base_end, rtol=1e-12, atol=1e-14)
 
     def test_composition(self):
         grid = generate(15, particles=4, bm_dim=1, delta_base=0.0625, horizon=4.0)
         a = coarsen(coarsen(grid, 2), 4)
         b = coarsen(grid, 8)
-        assert a.delta_base == b.delta_base
-        assert a.steps == b.steps
-        np.testing.assert_allclose(a.increments, b.increments, rtol=1e-12)
+        assert a.shape == b.shape == (8, 4, 1)
+        np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_divisibility_error(self):
         grid = generate(2, particles=1, bm_dim=1, delta_base=0.2, horizon=1.0)
@@ -137,56 +126,8 @@ class TestCoarsen:
     def test_variance_scales_with_factor(self):
         grid = generate(21, particles=2000, bm_dim=1, delta_base=0.01, horizon=1.0)
         out = coarsen(grid, 10)
-        var = out.increments.var(ddof=1)
+        var = out.var(ddof=1)
         assert abs(var / 0.1 - 1.0) < 0.05
-
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        grid = generate(99, particles=3, bm_dim=2, delta_base=0.25, horizon=2.0)
-        path = tmp_path / "grid.bin"
-        grid.dump(path)
-        back = load(path)
-        assert np.array_equal(back.increments, grid.increments)
-        assert back.delta_base == grid.delta_base
-        assert back.seed == grid.seed
-        assert (back.particles, back.bm_dim, back.steps) == (3, 2, 8)
-
-    def test_header_layout(self, tmp_path):
-        grid = generate(7, particles=2, bm_dim=1, delta_base=0.5, horizon=1.0)
-        path = tmp_path / "grid.bin"
-        grid.dump(path)
-        blob = path.read_bytes()
-        assert blob[:4] == b"BGRD"
-        version, particles, bm_dim, steps, delta, seed = struct.unpack(
-            "<IQQQdQ", blob[4 : 4 + struct.calcsize("<IQQQdQ")]
-        )
-        assert (version, particles, bm_dim, steps) == (1, 2, 1, 2)
-        assert delta == 0.5 and seed == 7
-
-    def test_payload_particle_major(self, tmp_path):
-        grid = generate(13, particles=2, bm_dim=1, delta_base=0.5, horizon=1.0)
-        path = tmp_path / "grid.bin"
-        grid.dump(path)
-        blob = path.read_bytes()
-        head = 4 + struct.calcsize("<IQQQdQ")
-        payload = np.frombuffer(blob[head:], dtype="<f8")
-        # particle 0 steps 0..1, then particle 1 steps 0..1
-        expect = np.array(
-            [
-                grid.increments[0, 0][0],
-                grid.increments[1, 0][0],
-                grid.increments[0, 1][0],
-                grid.increments[1, 1][0],
-            ]
-        )
-        assert np.array_equal(payload, expect)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\0" * 64)
-        with pytest.raises(GridError):
-            load(path)
 
 
 class TestStream:
@@ -207,13 +148,13 @@ class TestStream:
         blocks = list(stream(seed, particles, bm_dim, delta, steps * delta, chunk))
         assert [len(b) for b in blocks[:-1]] == [chunk] * (len(blocks) - 1)
         full = np.concatenate(blocks)
-        assert full.tobytes() == grid.increments.tobytes()
+        assert full.tobytes() == grid.tobytes()
         factors = [
             f for f in (1, 2, 4, 8, 16, 32, 64) if chunk % f == 0 and steps % f == 0
         ]
         for f in factors:
-            coarse = coarsen(grid, f).increments
-            sums = np.concatenate([block_sums(b, f) for b in blocks])
+            coarse = coarsen(grid, f)
+            sums = np.concatenate([coarsen(b, f) for b in blocks])
             assert sums.tobytes() == coarse.tobytes()
 
     def test_block_shape_and_last_chunk(self):

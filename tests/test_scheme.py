@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mvnsdde import (
-    BrownianGrid,
     ConfigError,
     EmpiricalMeasure,
     GridError,
@@ -30,17 +29,14 @@ from mvnsdde import (
     tame_drift,
 )
 from mvnsdde.model import ModelSpec
+from mvnsdde.noise import chunk_steps
+from oracles import moment_monitor, run_on
 
 
-def _zero_noise(particles, steps, delta, bm_dim=1, seed=0):
-    return BrownianGrid(
-        increments=np.zeros((steps, particles, bm_dim)),
-        delta_base=delta,
-        steps=steps,
-        particles=particles,
-        bm_dim=bm_dim,
-        seed=seed,
-    )
+def _csv_text(grid):
+    buf = io.StringIO()
+    grid.write_csv(buf)
+    return buf.getvalue()
 
 
 def _trivial_model(name="still"):
@@ -144,8 +140,8 @@ class TestDelayedState:
             delta=delta, tau=tau, alpha=0.5, particles=particles,
             horizon=horizon, seed=3,
         )
-        noise = _zero_noise(particles, params.total_steps, delta, seed=params.seed)
-        return simulate(model, params, noise, check=False), params
+        noise = np.zeros((params.total_steps, particles, 1))
+        return run_on(model, params, noise, check=False), params
 
     def test_at_start(self):
         grid, params = self._grid()
@@ -253,7 +249,7 @@ class TestSimulate:
             seed=21,
         )
         noise = generate(21, 1, 1, delta, 0.5)
-        grid = simulate(model, params, noise)
+        grid = simulate(model, params)
 
         n0 = params.delay_steps
         path = [(i - n0) * delta for i in range(n0 + 1)]
@@ -264,7 +260,7 @@ class TestSimulate:
             b /= 1.0 + sq * abs(b)
             sig = x + 0.5 * y
             path.append(
-                -0.5 * y1 + (x + 0.5 * y + b * delta + sig * noise.increments[n, 0][0])
+                -0.5 * y1 + (x + 0.5 * y + b * delta + sig * noise[n, 0][0])
             )
         got = grid.states[:, 0, 0]
         np.testing.assert_allclose(got, path, rtol=1e-13, atol=1e-16)
@@ -279,8 +275,7 @@ class TestSimulate:
             delta=delta, tau=2.0**-5, alpha=0.5, particles=1, horizon=1.0,
             seed=1, taming_enabled=False,
         )
-        noise = _zero_noise(1, params.total_steps, delta, seed=params.seed)
-        grid = simulate(model, params, noise)
+        grid = run_on(model, params, np.zeros((params.total_steps, 1, 1)))
         assert grid.terminal[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
 
     def test_zero_equilibrium(self):
@@ -291,8 +286,7 @@ class TestSimulate:
             delta=2.0**-6, tau=2.0**-5, alpha=0.5, particles=5, horizon=0.5,
             seed=2,
         )
-        noise = _zero_noise(5, params.total_steps, 2.0**-6, seed=params.seed)
-        grid = simulate(model, params, noise)
+        grid = run_on(model, params, np.zeros((params.total_steps, 5, 1)))
         assert np.all(grid.states == 0.0)
 
     def test_segment_rows_match_initial_path(self):
@@ -301,7 +295,7 @@ class TestSimulate:
             delta=2.0**-7, tau=2.0**-5, alpha=0.5, particles=3, horizon=0.25,
             seed=9,
         )
-        grid = simulate(model, params, generate(9, 3, 1, 2.0**-7, 0.25))
+        grid = simulate(model, params)
         n0 = params.delay_steps
         for n in range(-n0, 1):
             expect = model.initial_segment(n * params.delta)
@@ -316,13 +310,13 @@ class TestSimulate:
             seed=33,
         )
         noise = generate(33, 8, 1, 2.0**-6, 0.5)
-        grid = simulate(model, params, noise)
+        grid = simulate(model, params)
         n0 = params.delay_steps
         for n in (0, 1, n0, params.total_steps - 1):
             mu = EmpiricalMeasure(grid.column(n))
             replay = em_step(
                 grid.column(n), grid.column(n - n0), grid.column(n + 1 - n0),
-                model, params, mu, noise.increments[n],
+                model, params, mu, noise[n],
             )
             assert np.array_equal(replay, grid.column(n + 1))
 
@@ -332,10 +326,21 @@ class TestSimulate:
             delta=2.0**-8, tau=2.0**-5, alpha=0.5, particles=40, horizon=1.0,
             seed=77,
         )
-        noise = generate(77, 40, 1, 2.0**-8, 1.0)
-        full = simulate(model, params, noise)
-        ring = simulate_terminal(model, params, noise)
+        full = simulate(model, params)
+        ring = simulate_terminal(model, params)
         assert np.array_equal(full.terminal, ring.terminal)
+
+    @pytest.mark.parametrize("model", [example51(), linear_meanfield()])
+    def test_streamed_path_equals_the_whole_grid(self, model):
+        # 3000 particles take 43-step blocks, so the 128 steps arrive in 3
+        params = SchemeParams(
+            delta=2.0**-7, tau=2.0**-5, alpha=0.5, particles=3000, horizon=1.0,
+            seed=2**64 - 3,
+        )
+        assert -(-params.total_steps // chunk_steps(params.particles, 1)) == 3
+        noise = generate(params.seed, params.particles, 1, params.delta, 1.0)
+        whole = run_on(model, params, noise)
+        assert simulate(model, params).states.tobytes() == whole.states.tobytes()
 
     def test_permutation_equivariance_exact_without_mean_field(self):
         model = cubic_no_mf(x0=1.0)
@@ -344,15 +349,10 @@ class TestSimulate:
             seed=13,
         )
         noise = generate(13, 12, 1, 2.0**-6, 1.0)
-        base = simulate(model, params, noise)
+        base = run_on(model, params, noise)
 
         perm = np.random.default_rng(0).permutation(12)
-        permuted_noise = BrownianGrid(
-            increments=np.ascontiguousarray(noise.increments[:, perm, :]),
-            delta_base=noise.delta_base, steps=noise.steps,
-            particles=12, bm_dim=1, seed=noise.seed,
-        )
-        out = simulate(model, params, permuted_noise)
+        out = run_on(model, params, np.ascontiguousarray(noise[:, perm, :]))
         assert np.array_equal(out.states, base.states[:, perm, :])
 
     def test_permutation_equivariance_mean_field(self):
@@ -364,14 +364,9 @@ class TestSimulate:
             seed=13,
         )
         noise = generate(13, 12, 1, 2.0**-6, 1.0)
-        base = simulate(model, params, noise)
+        base = run_on(model, params, noise)
         perm = np.random.default_rng(1).permutation(12)
-        permuted_noise = BrownianGrid(
-            increments=np.ascontiguousarray(noise.increments[:, perm, :]),
-            delta_base=noise.delta_base, steps=noise.steps,
-            particles=12, bm_dim=1, seed=noise.seed,
-        )
-        out = simulate(model, params, permuted_noise)
+        out = run_on(model, params, np.ascontiguousarray(noise[:, perm, :]))
         np.testing.assert_allclose(
             out.states, base.states[:, perm, :], rtol=1e-12, atol=1e-15
         )
@@ -382,25 +377,7 @@ class TestSimulate:
             delta=0.3, tau=1.0, alpha=0.5, particles=2, horizon=1.0, seed=0
         )
         with pytest.raises(ValidationFailure):
-            simulate(model, params, _zero_noise(2, 3, 0.3))
-
-    def test_noise_mismatch_errors(self):
-        model = example51()
-        params = SchemeParams(
-            delta=2.0**-6, tau=2.0**-5, alpha=0.5, particles=4, horizon=0.5,
-            seed=0,
-        )
-        with pytest.raises(GridError):
-            simulate(model, params, _zero_noise(3, params.total_steps, 2.0**-6))
-        with pytest.raises(GridError):
-            simulate(model, params, _zero_noise(4, 7, 2.0**-6))
-        with pytest.raises(GridError):
-            simulate(model, params, _zero_noise(4, params.total_steps, 2.0**-7))
-        other_seed = _zero_noise(4, params.total_steps, 2.0**-6, seed=1)
-        with pytest.raises(GridError, match="seed"):
-            simulate(model, params, other_seed)
-        with pytest.raises(GridError, match="seed"):
-            simulate_terminal(model, params, other_seed)
+            simulate(model, params)
 
 
 class TestStepper:
@@ -416,18 +393,18 @@ class TestStepper:
     @settings(max_examples=25, deadline=None)
     def test_resumes_across_any_block_split(self, cuts):
         model, params, noise = self._setup()
-        whole = simulate(model, params, noise)
+        whole = simulate(model, params)
         run = Stepper(model, params, full_storage=True)
         edges = [0] + sorted(cuts) + [params.total_steps]
         for a, b in zip(edges, edges[1:]):
-            run.advance(noise.increments[a:b])
+            run.advance(noise[a:b])
         assert run.states.tobytes() == whole.states.tobytes()
         assert run.result().terminal.tobytes() == whole.terminal.tobytes()
 
     def test_ring_never_wraps_under_full_storage(self):
         model, params, noise = self._setup()
         run = Stepper(model, params, full_storage=True)
-        run.advance(noise.increments)
+        run.advance(noise)
         assert run.states.shape[0] == params.delay_steps + params.total_steps + 1
 
     def test_ring_keeps_no_full_grid(self):
@@ -437,13 +414,11 @@ class TestStepper:
             run.states
 
     def test_moment_matches_monitor_on_full_grid(self):
-        from mvnsdde import moment_monitor
-
         for p in (2, 4, 12):
             model, params, noise = self._setup(particles=17, seed=p)
             run = Stepper(model, params, moment_p=p)
-            run.advance(noise.increments)
-            mon = moment_monitor(simulate(model, params, noise), p)
+            run.advance(noise)
+            mon = moment_monitor(simulate(model, params), p)
             assert run.moment_max == mon.value
             assert run.moment_argmax == mon.argmax_index
 
@@ -463,7 +438,7 @@ class TestStepper:
             run.advance(np.zeros((2, params.particles + 1, 1)))
         with pytest.raises(GridError):
             run.advance(np.zeros((params.total_steps + 1, params.particles, 1)))
-        run.advance(noise.increments[:5])
+        run.advance(noise[:5])
         with pytest.raises(GridError):
             run.result()
 
@@ -496,12 +471,12 @@ class TestSegments:
             ]
             batch = Stepper(model, segments)
             assert batch.bounds == ((0, 5), (5, 22), (22, 31))
-            increments = np.concatenate([g.increments for g in grids], axis=1)
+            increments = np.concatenate(grids, axis=1)
             batch.advance(increments[:20])
             batch.advance(increments[20:])
             terminal = batch.result().terminal
-            for (start, stop), p, grid in zip(batch.bounds, segments, grids):
-                alone = simulate(model, p, grid).terminal
+            for (start, stop), p in zip(batch.bounds, segments):
+                alone = simulate(model, p).terminal
                 assert terminal[start:stop].tobytes() == alone.tobytes()
 
     def test_statistics_of_one_system_refuse_several(self):
@@ -541,16 +516,15 @@ class TestOverflow:
             delta=0.25, tau=0.5, alpha=0.5, particles=20, horizon=horizon,
             seed=11, taming_enabled=taming,
         )
-        noise = generate(11, 20, 1, 0.25, horizon)
-        return model, params, noise
+        return model, params
 
     def test_untamed_aborts_with_prefix(self):
         # the doubly exponential cubic recursion needs ~7 steps to pass the
         # float64 ceiling, hence the longer horizon
-        model, params, noise = self._setup(taming=False, horizon=4.0)
+        model, params = self._setup(taming=False, horizon=4.0)
         with np.errstate(all="ignore"):
             with pytest.raises(OverflowAbort) as info:
-                simulate(model, params, noise)
+                simulate(model, params)
         abort = info.value
         assert abort.step >= 1
         assert abort.seed == params.seed
@@ -560,13 +534,13 @@ class TestOverflow:
         assert abort.prefix.states.shape[0] == params.delay_steps + abort.step
 
     def test_tamed_run_completes(self):
-        model, params, noise = self._setup(taming=True)
-        grid = simulate(model, params, noise)
+        model, params = self._setup(taming=True)
+        grid = simulate(model, params)
         assert np.all(np.isfinite(grid.states))
 
     def test_tracked_run_reports_divergence(self):
-        model, params, noise = self._setup(taming=False)
-        run = simulate_terminal(model, params, noise, track_divergence=True)
+        model, params = self._setup(taming=False)
+        run = simulate_terminal(model, params, track_divergence=True)
         assert run.divergence_fraction == 1.0
         assert run.first_divergence_step is not None
 
@@ -577,18 +551,17 @@ class TestCsvExport:
         params = SchemeParams(
             delta=0.25, tau=0.25, alpha=0.5, particles=2, horizon=0.5, seed=4
         )
-        noise = generate(4, 2, 1, 0.25, 0.5)
-        return simulate(model, params, noise, check=False)
+        return simulate(model, params, check=False)
 
     def test_header_and_shape(self):
         grid = self._small_grid()
-        lines = grid.csv_text().strip().split("\n")
+        lines = _csv_text(grid).strip().split("\n")
         assert lines[0] == "t,particle,comp0"
         assert len(lines) == 1 + (grid.delay_steps + grid.total_steps + 1) * 2
 
     def test_first_rows_are_segment(self):
         grid = self._small_grid()
-        lines = grid.csv_text().strip().split("\n")
+        lines = _csv_text(grid).strip().split("\n")
         assert lines[1] == "-0.25,1,-0.25"
         assert lines[2] == "-0.25,2,-0.25"
 
@@ -606,8 +579,8 @@ class TestCsvExport:
             assert float(row[2]) == grid.column(n)[a][0]
 
     def test_rerun_is_byte_identical(self):
-        a = self._small_grid().csv_text()
-        b = self._small_grid().csv_text()
+        a = _csv_text(self._small_grid())
+        b = _csv_text(self._small_grid())
         assert a == b
 
 
