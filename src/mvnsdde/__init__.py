@@ -17,7 +17,6 @@ from .experiments import (
     ErrorTable,
     ExperimentReport,
     TamingReport,
-    build_report,
     chaos_error_vs_particles,
     empirical_measure_rate,
     fit_loglog_slope,
@@ -46,7 +45,6 @@ from .noise import coarsen, generate
 from .scheme import (
     ParticleGrid,
     Stepper,
-    TerminalRun,
     em_step,
     simulate,
     simulate_terminal,
@@ -72,11 +70,9 @@ __all__ = [
     "ShapeError",
     "Stepper",
     "TamingReport",
-    "TerminalRun",
     "ValidationFailure",
     "ValidationReport",
     "build_model",
-    "build_report",
     "chaos_error_vs_particles",
     "coarsen",
     "cubic_no_mf",

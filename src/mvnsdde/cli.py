@@ -13,27 +13,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    DegenerateFitError,
-    MvnsddeError,
-    OverflowAbort,
-    ValidationFailure,
-)
+from .errors import ConfigError, MvnsddeError, OverflowAbort, ValidationFailure
 from .experiments import (
     D5_PROXY_NOTE,
+    ExperimentReport,
     Stopwatch,
-    build_report,
     chaos_error_vs_particles,
     empirical_measure_rate,
     strong_error_vs_dt,
     taming_comparison,
+    write_json,
 )
 from .model import MODEL_NAMES, SchemeParams, build_model, validate
 from .scheme import simulate
@@ -220,17 +214,11 @@ def _scheme_params(cfg: RunConfig) -> SchemeParams:
     )
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_report(
     name, config_echo, table, sw, outdir, reference_slope, notes, degenerate
 ) -> int:
     """Write a study's report files; a degenerate slope fit exits 1."""
-    report = build_report(
+    report = ExperimentReport(
         name, config_echo, table, sw.seconds, reference_slope=reference_slope,
         notes=notes, peak_rss_mb=sw.peak_rss_mb,
     )
@@ -330,7 +318,7 @@ def dispatch(cfg: RunConfig) -> int:
                 seed=cfg.seed,
                 alpha=cfg.alpha,
             )
-        _write_json(
+        write_json(
             outdir / "taming_compare.summary.json",
             {
                 "experiment": "taming_compare",
@@ -403,9 +391,6 @@ def main(argv=None) -> int:
     except OverflowAbort as exc:
         print(f"overflow abort: {exc}", file=sys.stderr)
         return 3
-    except DegenerateFitError as exc:
-        print(f"degenerate fit: {exc}", file=sys.stderr)
-        return 1
     except (MvnsddeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,7 @@ from .measure import (
 )
 from .model import ModelSpec, SchemeParams, cubic_no_mf
 from .noise import derived_generator, seeds_per_block
-from .scheme import Stepper, coupled_pass
+from .scheme import DIVERGENCE_THRESHOLD, Stepper, coupled_pass
 
 _RATE_TAG = 0x3A7E  # auxiliary stream namespace for sampling experiments
 
@@ -199,7 +199,8 @@ def strong_error_vs_dt(
             (Stepper(model, [replace(p, delta=delta) for p in base]), factor)
             for delta, factor in zip(deltas, factors)
         ]
-        ref, *tests = coupled_pass(delta_ref, horizon, levels)
+        coupled_pass(levels)
+        ref, *tests = [run for run, _ in levels]
         for e2s, test in zip(sq_errors, tests):
             e2s.append(np.sum((ref.terminal - test.terminal) ** 2, axis=1))
     return ErrorTable(
@@ -245,8 +246,8 @@ def chaos_error_vs_particles(
             for xi in xis
         ]
         run = Stepper(model, segments)
-        (result,) = coupled_pass(delta, horizon, [(run, 1)])
-        systems = [result.terminal[start:stop] for start, stop in run.bounds]
+        coupled_pass([(run, 1)])
+        systems = [run.terminal[start:stop] for start, stop in run.bounds]
         for k in range(len(group)):
             *tests, ref = systems[k * len(xis) : (k + 1) * len(xis)]
             for e2s, test in zip(sq_errors, tests):
@@ -289,7 +290,7 @@ def moment_bound_vs_dt(
         horizon=horizon, seed=seed, taming_enabled=taming,
     )
     runs = [Stepper(model, replace(params, delta=d), moment_p=p) for d in deltas]
-    coupled_pass(finest, horizon, list(zip(runs, factors)))
+    coupled_pass(list(zip(runs, factors)))
     return [(d, run.moment_max, run.moment_argmax) for d, run in zip(deltas, runs)]
 
 
@@ -314,7 +315,6 @@ def taming_comparison(
     horizon: float,
     seed: int,
     alpha: float = 0.5,
-    divergence_threshold: float = 1e10,
 ) -> TamingReport:
     """Tamed vs untamed runs of the cubic model from a constant segment.
 
@@ -331,23 +331,17 @@ def taming_comparison(
     )
     tamed = Stepper(model, params, moment_p=2)
     untamed = Stepper(
-        model,
-        replace(params, taming_enabled=False),
-        track_divergence=True,
-        divergence_threshold=divergence_threshold,
+        model, replace(params, taming_enabled=False), track_divergence=True
     )
-    _, divergence = coupled_pass(
-        delta_coarse, horizon, [(tamed, 1), (untamed, 1)]
-    )
-    assert divergence.diverged is not None
+    coupled_pass([(tamed, 1), (untamed, 1)])
     return TamingReport(
         tamed_max_moment=tamed.moment_max,
         tamed_argmax_index=tamed.moment_argmax,
-        untamed_divergence_fraction=divergence.divergence_fraction,
-        untamed_diverged_count=int(divergence.diverged.sum()),
-        first_divergence_step=divergence.first_divergence_step,
+        untamed_divergence_fraction=untamed.divergence_fraction,
+        untamed_diverged_count=int(untamed.diverged.sum()),
+        first_divergence_step=untamed.first_divergence_step,
         particles=particles,
-        divergence_threshold=divergence_threshold,
+        divergence_threshold=DIVERGENCE_THRESHOLD,
     )
 
 
@@ -356,23 +350,23 @@ def empirical_measure_rate(
     xis: list[int],
     mc_reps: int,
     seed: int,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> ErrorTable:
     """Mean squared W2 distance of standard normal samples vs sample size.
 
     dim = 1 integrates each sorted sample against the exact N(0,1) quantile
     function; dim = 5 uses the two-independent-samples assignment proxy (see
-    ``D5_PROXY_NOTE``).  The rms_error column holds the mean squared
-    distance; stderr is its Monte Carlo standard error over the repetitions.
+    ``D5_PROXY_NOTE``), with sizes up to ``DEFAULT_ASSIGNMENT_CAP``.  The
+    rms_error column holds the mean squared distance; stderr is its Monte
+    Carlo standard error over the repetitions.
     """
     if dim not in (1, 5):
         raise ConfigError(f"supported dims are 1 and 5, got {dim}")
     xis = sorted(int(x) for x in xis)
     if any(b <= a for a, b in zip(xis, xis[1:])):
         raise ConfigError(f"sample sizes must be distinct: {xis}")
-    if dim == 5 and xis and xis[-1] > assignment_cap:
+    if dim == 5 and xis and xis[-1] > DEFAULT_ASSIGNMENT_CAP:
         raise CapacityError(
-            f"size {xis[-1]} exceeds assignment cap {assignment_cap}"
+            f"size {xis[-1]} exceeds assignment cap {DEFAULT_ASSIGNMENT_CAP}"
         )
     rng = derived_generator(seed, _RATE_TAG + dim)
     rows = []
@@ -387,7 +381,7 @@ def empirical_measure_rate(
             else:
                 mu = EmpiricalMeasure(rng.standard_normal((xi, dim)))
                 nu = EmpiricalMeasure(rng.standard_normal((xi, dim)))
-                vals[r] = w2_assignment(mu, nu, assignment_cap) ** 2
+                vals[r] = w2_assignment(mu, nu) ** 2
         mean = float(vals.mean())
         stderr = (
             float(vals.std(ddof=1) / np.sqrt(mc_reps)) if mc_reps > 1 else 0.0
@@ -403,19 +397,36 @@ def empirical_measure_rate(
     return ErrorTable(rows)
 
 
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass
 class ExperimentReport:
-    """Config echo, error table, slope fit, and runtime of one experiment."""
+    """Config echo, error table, slope fit, and runtime of one experiment.
+
+    The slope and intercept are fit on the table's positive-error rows, and
+    are ``None`` when fewer than two remain.
+    """
 
     name: str
     config: dict
     table: ErrorTable
-    slope: float | None
-    intercept: float | None
     runtime_seconds: float
     reference_slope: float = 0.5
     notes: dict = field(default_factory=dict)
     peak_rss_mb: float | None = None
+    slope: float | None = field(init=False)
+    intercept: float | None = field(init=False)
+
+    def __post_init__(self):
+        try:
+            self.slope, self.intercept = fit_loglog_slope(self.table.nonzero())
+        except DegenerateFitError:
+            self.slope, self.intercept = None, None
 
     def summary_dict(self) -> dict:
         return {
@@ -458,39 +469,9 @@ class ExperimentReport:
         """Emit <name>.csv, <name>.summary.json, and <name>.gp."""
         base = f"{outdir}/{self.name}"
         self.table.write_csv(base + ".csv")
-        with open(base + ".summary.json", "w") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(base + ".summary.json", self.summary_dict())
         with open(base + ".gp", "w") as fh:
             fh.write(self.gnuplot_text())
-
-
-def build_report(
-    name: str,
-    config: dict,
-    table: ErrorTable,
-    runtime_seconds: float,
-    reference_slope: float = 0.5,
-    notes: dict | None = None,
-    peak_rss_mb: float | None = None,
-) -> ExperimentReport:
-    """Assemble a report; the slope is fit on the positive-error rows."""
-    usable = table.nonzero()
-    try:
-        slope, intercept = fit_loglog_slope(usable)
-    except DegenerateFitError:
-        slope, intercept = None, None
-    return ExperimentReport(
-        name=name,
-        config=config,
-        table=table,
-        slope=slope,
-        intercept=intercept,
-        runtime_seconds=runtime_seconds,
-        reference_slope=reference_slope,
-        notes=notes or {},
-        peak_rss_mb=peak_rss_mb,
-    )
 
 
 class Stopwatch:

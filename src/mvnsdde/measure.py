@@ -29,6 +29,7 @@ from .errors import CapacityError, ShapeError
 DEFAULT_ASSIGNMENT_CAP = 512
 
 _QUANTILE_CLIP = 1e-12  # keeps the inverse normal CDF finite at cell edges
+_NORMAL_NODES = 64  # Gauss-Legendre nodes per quantile cell
 
 
 class EmpiricalMeasure:
@@ -36,8 +37,8 @@ class EmpiricalMeasure:
 
     Weights are implicitly 1/size.  Every coordinate must be finite.  The
     point array is exposed read-only and the mean is computed once on first
-    use, so one measure instance can be shared by every particle update
-    within a step.
+    use.  The W2 distances take these; the integrator's step builds a
+    :class:`BatchMeasure` instead, which skips the checks.
     """
 
     __slots__ = ("points", "_mean")
@@ -161,14 +162,14 @@ def w2_assignment(
 
 
 @lru_cache(maxsize=64)
-def _normal_cell_moments(size: int, nodes: int):
+def _normal_cell_moments(size: int):
     """Per-cell integrals of the standard normal quantile function.
 
     Returns (a, b) with a_i = integral of ndtri(u) and b_i = integral of
     ndtri(u)^2 over the i-th cell ((i-1)/size, i/size), by Gauss-Legendre
-    quadrature with ``nodes`` points per cell.
+    quadrature with ``_NORMAL_NODES`` points per cell.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(_NORMAL_NODES)
     edges = np.linspace(0.0, 1.0, size + 1)
     lo = edges[:-1, None]
     hi = edges[1:, None]
@@ -182,20 +183,16 @@ def _normal_cell_moments(size: int, nodes: int):
     return a, b
 
 
-def w2sq_to_standard_normal_1d(
-    mu: EmpiricalMeasure, nodes_per_cell: int = 64
-) -> float:
+def w2sq_to_standard_normal_1d(mu: EmpiricalMeasure) -> float:
     """Squared W2 distance from a 1-D empirical measure to N(0, 1).
 
     Integrates (x_(i) - ndtri(u))^2 over each quantile cell of width
     1/size, with u clipped away from {0, 1} to keep the quantile function
-    finite.  At least 32 quadrature nodes per cell are required.
+    finite.
     """
     if mu.dim != 1:
         raise ShapeError(f"normal distance needs dim 1, got {mu.dim}")
-    if nodes_per_cell < 32:
-        raise ValueError(f"nodes_per_cell must be >= 32, got {nodes_per_cell}")
     xs = np.sort(mu.points[:, 0], kind="stable")
-    a, b = _normal_cell_moments(mu.size, nodes_per_cell)
+    a, b = _normal_cell_moments(mu.size)
     value = float(np.dot(xs, xs) / mu.size - 2.0 * np.dot(xs, a) + b.sum())
     return max(value, 0.0)

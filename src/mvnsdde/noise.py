@@ -8,8 +8,8 @@ consumed in flat ``step * bm_dim + component`` order, mapped to uniforms in
 fine-step runs therefore share one Brownian path: summing blocks of fine
 increments reproduces the coarse increments of the same path exactly.
 
-Every run reads the path as a :func:`stream` of time-major blocks (the
-paths of several seeds side by side: :func:`stream_seeds`), so no full grid
+Every run reads the path as a stream of time-major blocks, the paths of
+one or more seeds side by side (:func:`stream_seeds`), so no full grid
 exists in memory.  :func:`generate` concatenates the stream into one array,
 the oracle the tests check streamed runs against, and :func:`coarsen` is
 the one coarsening rule.
@@ -36,7 +36,7 @@ _CHUNK_ELEMENTS = 2**17
 def derived_generator(seed: int, tag: int) -> Generator:
     """Auxiliary RNG stream, disjoint from every particle stream."""
     # Known defect: numpy rounds this list key's high word through float64,
-    # so nearby tags collide; exact uint64 words, as in :func:`stream`,
+    # so nearby tags collide; exact uint64 words, as in :func:`stream_seeds`,
     # would change the empirical-rate outputs.
     return Generator(Philox(key=[seed, _AUX_NAMESPACE + tag]))
 
@@ -86,21 +86,14 @@ def seeds_per_block(particles: int, bm_dim: int, multiple: int = 1) -> int:
         seeds += 1
 
 
-def stream(seed, particles, bm_dim, delta_base, horizon, chunk):
-    """The increments of ``particles`` streams as blocks of ``chunk`` time rows.
-
-    Blocks are (chunk, particles, bm_dim), the last one shorter if need be.
-    Each particle keeps one Philox generator, and successive draws continue
-    its stream, so the blocks are the same path whatever their length.
-    """
-    return stream_seeds({seed: particles}, bm_dim, delta_base, horizon, chunk)
-
-
 def stream_seeds(columns: dict, bm_dim, delta_base, horizon, chunk):
-    """The :func:`stream` of several seeds side by side in one block.
+    """The increments of several seeds' streams as blocks of ``chunk`` time rows.
 
     ``columns`` maps each seed to its particle count; a block holds the
-    first seed's particles, then the next seed's, and so on.
+    first seed's particles, then the next seed's, and so on.  Blocks are
+    (chunk, particles, bm_dim), the last one shorter if need be.  Each
+    particle keeps one Philox generator, and successive draws continue its
+    stream, so the blocks are the same path whatever their length.
     """
     keys = []
     for seed, particles in columns.items():
@@ -134,7 +127,7 @@ def _draw(streams, steps, bm_dim, scale) -> np.ndarray:
 def generate(
     seed: int, particles: int, bm_dim: int, delta_base: float, horizon: float
 ) -> np.ndarray:
-    """The whole :func:`stream` as one (steps, particles, bm_dim) array.
+    """The whole stream of one seed as one (steps, particles, bm_dim) array.
 
     Each entry is N(0, delta_base) i.i.d.; entry (n, a, k) depends only on
     (seed, a, n, k), so regeneration with any particle count reproduces the
@@ -143,7 +136,8 @@ def generate(
     # chunk_steps divides by particles * bm_dim, so check them first
     _check_grid(seed, particles, bm_dim, delta_base, horizon)
     chunk = chunk_steps(particles, bm_dim)
-    return np.concatenate(list(stream(seed, particles, bm_dim, delta_base, horizon, chunk)))
+    blocks = stream_seeds({seed: particles}, bm_dim, delta_base, horizon, chunk)
+    return np.concatenate(list(blocks))
 
 
 def coarsen(increments: np.ndarray, factor: int) -> np.ndarray:

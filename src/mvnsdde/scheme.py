@@ -28,6 +28,9 @@ from .measure import BatchMeasure, EmpiricalMeasure
 from .model import ModelSpec, SchemeParams, validate
 from .noise import chunk_steps, coarsen, stream_seeds
 
+# A tracked run counts a particle as diverged once its state norm exceeds this.
+DIVERGENCE_THRESHOLD = 1e10
+
 
 def tame_drift(b_value: np.ndarray, delta: float, alpha: float) -> np.ndarray:
     """Divide a drift vector by 1 + delta^alpha * |drift|.
@@ -77,7 +80,6 @@ class ParticleGrid:
 
     states: np.ndarray
     params: SchemeParams
-    model_name: str
 
     @property
     def particles(self) -> int:
@@ -182,23 +184,10 @@ def sample_moments(states: np.ndarray, p: int) -> np.ndarray:
     return np.mean(np.linalg.norm(states, axis=-1) ** p, axis=-1)
 
 
-@dataclass(frozen=True)
-class TerminalRun:
-    """Terminal states of a ring-buffer run, plus divergence bookkeeping."""
-
-    terminal: np.ndarray
-    diverged: np.ndarray | None = None
-    first_divergence_step: int | None = None
-
-    @property
-    def divergence_fraction(self) -> float:
-        if self.diverged is None:
-            return 0.0
-        return float(self.diverged.mean())
-
-
 class Stepper:
-    """The one stepping loop: a resumable run fed blocks of increments.
+    """The one stepping loop: a resumable run fed blocks of increments, and
+    the record of its results (``terminal`` once it has finished, the
+    divergence record and the moment maximum).
 
     ``params`` is one run, or several that differ only in ``seed`` and
     ``particles``: each is a segment of rows (``bounds``) of one state
@@ -213,7 +202,8 @@ class Stepper:
     :class:`OverflowAbort`, naming its segment's seed and that segment's
     offending particles (with the finite prefix under full storage), or
     with ``track_divergence`` the run goes on and records which particles
-    ever exceeded the threshold or went non-finite.  Under mean-field
+    ever exceeded :data:`DIVERGENCE_THRESHOLD` or went non-finite
+    (``diverged``, ``first_divergence_step``).  Under mean-field
     coupling one non-finite particle makes the mean, and so every particle
     of its system, non-finite one step later; the tracked fraction then
     counts the whole system.  With ``moment_p`` it keeps the largest
@@ -225,8 +215,7 @@ class Stepper:
     def __init__(
         self, model: ModelSpec, params: SchemeParams | Sequence[SchemeParams],
         check: bool = True, full_storage: bool = False,
-        track_divergence: bool = False, divergence_threshold: float = 1e10,
-        moment_p: int | None = None,
+        track_divergence: bool = False, moment_p: int | None = None,
     ):
         segments = (params,) if isinstance(params, SchemeParams) else tuple(params)
         first = segments[0]
@@ -254,10 +243,9 @@ class Stepper:
         n0 = first.delay_steps
         cap = n0 + first.total_steps + 1 if full_storage else n0 + 2
         self._buf = np.empty((cap, self.particles, model.state_dim))
-        self._full, self._track = full_storage, track_divergence
-        self._threshold, self._moment_p = divergence_threshold, moment_p
-        self._diverged = np.zeros(self.particles, dtype=bool)
-        self._first_bad: int | None = None
+        self._full, self._moment_p = full_storage, moment_p
+        self.diverged = np.zeros(self.particles, bool) if track_divergence else None
+        self.first_divergence_step: int | None = None
         self._neutral = None  # neutral map of the next step's delayed row
         self.steps_done, self.moment_max, self.moment_argmax = 0, -np.inf, None
         for i in range(n0 + 1):
@@ -305,13 +293,13 @@ class Stepper:
                 )
                 self._neutral = neutral[1]
                 self.steps_done = n + 1
-                if self._track:
+                if self.diverged is not None:
                     bad = ~np.isfinite(new).all(axis=1) | (
-                        np.linalg.norm(new, axis=1) > self._threshold
+                        np.linalg.norm(new, axis=1) > DIVERGENCE_THRESHOLD
                     )
-                    if bad.any() and self._first_bad is None:
-                        self._first_bad = n + 1
-                    self._diverged |= bad
+                    if bad.any() and self.first_divergence_step is None:
+                        self.first_divergence_step = n + 1
+                    self.diverged |= bad
                 elif not np.isfinite(new).all():
                     self._abort(new, n + 1)
                 if self._moment_p is not None:
@@ -325,39 +313,56 @@ class Stepper:
         prefix = None
         if self._full:
             prefix = ParticleGrid(
-                self._buf[: self.params.delay_steps + step].copy(), self.params,
-                self.model.name,
+                self._buf[: self.params.delay_steps + step].copy(), self.params
             )
         raise OverflowAbort(
             step=step, particles=bad[bad < stop] - start, prefix=prefix,
             seed=self.segments[k].seed,
         )
 
-    def result(self) -> TerminalRun:
-        """Terminal states and divergence record of the finished run."""
+    @property
+    def terminal(self) -> np.ndarray:
+        """States at the horizon, (particles, state_dim), once the run is done."""
         n0, total = self.params.delay_steps, self.params.total_steps
         if self.steps_done != total:
             raise GridError(f"run stopped at step {self.steps_done} of {total}")
-        return TerminalRun(
-            terminal=self._buf[(total + n0) % len(self._buf)].copy(),
-            diverged=self._diverged if self._track else None,
-            first_divergence_step=self._first_bad,
-        )
+        return self._buf[(total + n0) % len(self._buf)]
+
+    @property
+    def divergence_fraction(self) -> float:
+        """Share of particles that diverged so far; 0 for an untracked run."""
+        return 0.0 if self.diverged is None else float(self.diverged.mean())
 
 
-def coupled_pass(
-    delta: float, horizon: float, levels: list[tuple[Stepper, int]]
-) -> list[TerminalRun]:
+def coupled_pass(levels: list[tuple[Stepper, int]]) -> None:
     """Advance every run of a study on its seeds' streamed Brownian paths.
 
-    ``levels`` pairs each run with its step as a multiple of ``delta``;
-    every run has the same segments.  A segment takes the leading columns
-    of its seed's stream, gathered once per block, so a smaller system
-    reuses a larger one's streams.  The seeds share one block budget, and
-    blocks are a multiple of every factor long, so each coarse run sees
+    ``levels`` pairs each run with its step as a multiple of the first
+    run's, whose factor is 1: the path is streamed at that run's step and
+    horizon.  Every run has the first run's segments (seeds and particle
+    counts) and horizon.  A segment takes the leading columns of its seed's
+    stream, gathered once per block, so a smaller system reuses a larger
+    one's streams.  The seeds share one block budget, and blocks are a
+    multiple of every factor long, so each coarse run sees
     :func:`~mvnsdde.noise.coarsen`'s sums of the whole path.
     """
-    layout = [(seg.seed, seg.particles) for seg in levels[0][0].segments]
+    fine, factor = levels[0]
+    if factor != 1:
+        raise GridError(f"the first run of a pass must have factor 1, got {factor}")
+    layout = [(seg.seed, seg.particles) for seg in fine.segments]
+    horizon, steps = fine.params.horizon, fine.params.total_steps
+    for run, factor in levels:
+        if [(seg.seed, seg.particles) for seg in run.segments] != layout:
+            raise GridError(
+                "every run of a pass needs the first run's seeds and particles"
+            )
+        if run.params.horizon != horizon:
+            raise GridError("every run of a pass needs the first run's horizon")
+        if run.params.total_steps * factor != steps:
+            raise GridError(
+                f"a run of {run.params.total_steps} steps at factor {factor} "
+                f"does not fit a path of {steps} steps"
+            )
     columns: dict[int, int] = {}
     for seed, particles in layout:
         columns[seed] = max(columns.get(seed, 0), particles)
@@ -366,15 +371,14 @@ def coupled_pass(
     width = sum(columns.values())
     if np.array_equal(gather, np.arange(width)):
         gather = None  # every drawn column, in order
-    bm_dim = levels[0][0].model.bm_dim
+    bm_dim = fine.model.bm_dim
     chunk = chunk_steps(width, bm_dim, max(f for _, f in levels))
-    for block in stream_seeds(columns, bm_dim, delta, horizon, chunk):
+    for block in stream_seeds(columns, bm_dim, fine.params.delta, horizon, chunk):
         if gather is not None:
             block = block.take(gather, axis=1)
         for run, factor in levels:
             run.advance(coarsen(block, factor))
         del block  # free it before the next block is drawn
-    return [run.result() for run, _ in levels]
 
 
 def simulate(
@@ -387,8 +391,8 @@ def simulate(
     finite prefix) when a state goes non-finite.
     """
     run = Stepper(model, params, check=check, full_storage=True)
-    coupled_pass(params.delta, params.horizon, [(run, 1)])
-    return ParticleGrid(states=run.states, params=params, model_name=model.name)
+    coupled_pass([(run, 1)])
+    return ParticleGrid(states=run.states, params=params)
 
 
 def simulate_terminal(
@@ -396,18 +400,14 @@ def simulate_terminal(
     params: SchemeParams,
     check: bool = True,
     track_divergence: bool = False,
-    divergence_threshold: float = 1e10,
-) -> TerminalRun:
-    """Run the scheme keeping only a delay ring buffer; return U(T).
+) -> Stepper:
+    """Run the scheme keeping only a delay ring buffer; return the finished run.
 
-    Produces bit-identical terminal states to :func:`simulate`.  With
+    Its ``terminal`` is bit-identical to that of :func:`simulate`.  With
     ``track_divergence`` the run continues through non-finite states
-    (expected for untamed demonstrations) and reports which particles ever
+    (expected for untamed demonstrations) and records which particles ever
     exceeded the threshold or went non-finite, instead of raising.
     """
-    run = Stepper(
-        model, params, check=check, track_divergence=track_divergence,
-        divergence_threshold=divergence_threshold,
-    )
-    (result,) = coupled_pass(params.delta, params.horizon, [(run, 1)])
-    return result
+    run = Stepper(model, params, check=check, track_divergence=track_divergence)
+    coupled_pass([(run, 1)])
+    return run

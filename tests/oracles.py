@@ -16,7 +16,7 @@ def run_on(model, params, increments, check=True) -> ParticleGrid:
     """
     run = Stepper(model, params, check=check, full_storage=True)
     run.advance(increments)
-    return ParticleGrid(states=run.states, params=params, model_name=model.name)
+    return ParticleGrid(states=run.states, params=params)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ from mvnsdde import (
     DegenerateFitError,
     ErrorRow,
     ErrorTable,
+    ExperimentReport,
     ParticleGrid,
     SchemeParams,
-    build_report,
     chaos_error_vs_particles,
     cubic_no_mf,
     empirical_measure_rate,
@@ -185,7 +185,7 @@ def _constant_grid(value, particles=3, rows=5, dim=1):
         delta=0.25, tau=0.25, alpha=0.5, particles=particles,
         horizon=(rows - 2) * 0.25, seed=0,
     )
-    return ParticleGrid(states=states, params=params, model_name="test")
+    return ParticleGrid(states=states, params=params)
 
 
 class TestMomentMonitor:
@@ -289,7 +289,6 @@ class TestEmpiricalMeasureRate:
         with pytest.raises(CapacityError, match="1024"):
             empirical_measure_rate(
                 dim=5, xis=[16, 64, 1024], mc_reps=2, seed=1,
-                assignment_cap=512,
             )
 
     def test_five_dim_decays(self):
@@ -315,7 +314,7 @@ class TestReports:
         assert float(lines[1].split(",")[1]) == 1.0e-3
 
     def test_write_files(self, tmp_path):
-        report = build_report(
+        report = ExperimentReport(
             "demo", {"seed": 1}, self._table(), runtime_seconds=0.5
         )
         report.write(tmp_path)
@@ -332,7 +331,7 @@ class TestReports:
 
     def test_degenerate_report_has_null_slope(self, tmp_path):
         table = ErrorTable([ErrorRow(1.0, 0.0, 0.0, 4)])
-        report = build_report("flat", {}, table, runtime_seconds=0.1)
+        report = ExperimentReport("flat", {}, table, runtime_seconds=0.1)
         assert report.slope is None
         report.write(tmp_path)
         summary = json.loads((tmp_path / "flat.summary.json").read_text())

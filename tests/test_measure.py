@@ -308,10 +308,6 @@ class TestNormalDistance:
         with pytest.raises(ShapeError):
             w2sq_to_standard_normal_1d(EmpiricalMeasure([[0.0, 0.0]]))
 
-    def test_node_floor(self):
-        with pytest.raises(ValueError):
-            w2sq_to_standard_normal_1d(EmpiricalMeasure([0.0]), nodes_per_cell=16)
-
 
 def _tiny_grid(states):
     states = np.asarray(states, dtype=float)
@@ -319,7 +315,7 @@ def _tiny_grid(states):
         delta=0.25, tau=0.25, alpha=0.5, particles=states.shape[1],
         horizon=(states.shape[0] - 2) * 0.25, seed=0,
     )
-    return ParticleGrid(states=states, params=params, model_name="test")
+    return ParticleGrid(states=states, params=params)
 
 
 class TestMeasureFromColumn:

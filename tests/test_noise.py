@@ -9,7 +9,7 @@ from scipy.special import ndtri
 
 from mvnsdde import GridError, coarsen, generate
 from mvnsdde import noise
-from mvnsdde.noise import seeds_per_block, stream, stream_seeds
+from mvnsdde.noise import seeds_per_block, stream_seeds
 
 
 def particle_block(seed, particle, steps, bm_dim, delta):
@@ -60,7 +60,7 @@ class TestGenerate:
         big = generate(42, particles=8, bm_dim=2, delta_base=0.5, horizon=4.0)
         small = generate(42, particles=3, bm_dim=2, delta_base=0.5, horizon=4.0)
         assert np.array_equal(big[:, :3, :], small)
-        streamed = np.concatenate(list(stream(42, 8, 2, 0.5, 4.0, 3)))
+        streamed = np.concatenate(list(stream_seeds({42: 8}, 2, 0.5, 4.0, 3)))
         assert np.array_equal(streamed[:, :3, :], small)
 
     def test_entry_matches_per_particle_block(self):
@@ -145,7 +145,9 @@ class TestStream:
         chunk = data.draw(st.integers(1, steps), label="chunk")
         delta = 2.0**-6
         grid = generate(seed, particles, bm_dim, delta, steps * delta)
-        blocks = list(stream(seed, particles, bm_dim, delta, steps * delta, chunk))
+        blocks = list(
+            stream_seeds({seed: particles}, bm_dim, delta, steps * delta, chunk)
+        )
         assert [len(b) for b in blocks[:-1]] == [chunk] * (len(blocks) - 1)
         full = np.concatenate(blocks)
         assert full.tobytes() == grid.tobytes()
@@ -158,7 +160,7 @@ class TestStream:
             assert sums.tobytes() == coarse.tobytes()
 
     def test_block_shape_and_last_chunk(self):
-        blocks = list(stream(4, 3, 2, 0.25, 2.5, 4))
+        blocks = list(stream_seeds({4: 3}, 2, 0.25, 2.5, 4))
         assert [b.shape for b in blocks] == [(4, 3, 2), (4, 3, 2), (2, 3, 2)]
 
     def test_seeds_side_by_side(self):
@@ -166,18 +168,18 @@ class TestStream:
         blocks = list(stream_seeds({9: 3, 2**64 - 1: 5}, 2, 0.25, 2.5, 4))
         assert [b.shape for b in blocks] == [(4, 8, 2), (4, 8, 2), (2, 8, 2)]
         full = np.concatenate(blocks)
-        nine = np.concatenate(list(stream(9, 3, 2, 0.25, 2.5, 4)))
-        last = np.concatenate(list(stream(2**64 - 1, 5, 2, 0.25, 2.5, 4)))
+        nine = np.concatenate(list(stream_seeds({9: 3}, 2, 0.25, 2.5, 4)))
+        last = np.concatenate(list(stream_seeds({2**64 - 1: 5}, 2, 0.25, 2.5, 4)))
         assert full[:, :3].tobytes() == nine.tobytes()
         assert full[:, 3:].tobytes() == last.tobytes()
 
     def test_bad_arguments(self):
         with pytest.raises(GridError):
-            stream(1, 2, 1, 0.5, 1.0, 0)
+            stream_seeds({1: 2}, 1, 0.5, 1.0, 0)
         with pytest.raises(GridError):
-            stream(1, 0, 1, 0.5, 1.0, 4)
+            stream_seeds({1: 0}, 1, 0.5, 1.0, 4)
         with pytest.raises(GridError):
-            stream(1, 2, 1, 0.3, 1.0, 4)
+            stream_seeds({1: 2}, 1, 0.3, 1.0, 4)
 
 
 class TestSeedsPerBlock:

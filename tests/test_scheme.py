@@ -19,6 +19,7 @@ from mvnsdde import (
     SchemeParams,
     Stepper,
     ValidationFailure,
+    coarsen,
     cubic_no_mf,
     em_step,
     example51,
@@ -30,6 +31,7 @@ from mvnsdde import (
 )
 from mvnsdde.model import ModelSpec
 from mvnsdde.noise import chunk_steps
+from mvnsdde.scheme import coupled_pass
 from oracles import moment_monitor, run_on
 
 
@@ -399,7 +401,7 @@ class TestStepper:
         for a, b in zip(edges, edges[1:]):
             run.advance(noise[a:b])
         assert run.states.tobytes() == whole.states.tobytes()
-        assert run.result().terminal.tobytes() == whole.terminal.tobytes()
+        assert run.terminal.tobytes() == whole.terminal.tobytes()
 
     def test_ring_never_wraps_under_full_storage(self):
         model, params, noise = self._setup()
@@ -438,9 +440,15 @@ class TestStepper:
             run.advance(np.zeros((2, params.particles + 1, 1)))
         with pytest.raises(GridError):
             run.advance(np.zeros((params.total_steps + 1, params.particles, 1)))
-        run.advance(noise[:5])
-        with pytest.raises(GridError):
-            run.result()
+
+    def test_terminal_before_the_last_step_errors(self):
+        model, params, noise = self._setup()
+        run = Stepper(model, params)
+        run.advance(noise[:-1])
+        with pytest.raises(GridError, match="stopped at step"):
+            run.terminal
+        run.advance(noise[-1:])
+        assert run.terminal.shape == (params.particles, 1)
 
     def test_validates_unless_told_not_to(self):
         model, params, _ = self._setup()
@@ -474,7 +482,7 @@ class TestSegments:
             increments = np.concatenate(grids, axis=1)
             batch.advance(increments[:20])
             batch.advance(increments[20:])
-            terminal = batch.result().terminal
+            terminal = batch.terminal
             for (start, stop), p in zip(batch.bounds, segments):
                 alone = simulate(model, p).terminal
                 assert terminal[start:stop].tobytes() == alone.tobytes()
@@ -507,6 +515,54 @@ class TestSegments:
         abort = info.value
         assert (abort.step, abort.seed) == (3, 2**64 - 1)
         assert abort.particles.tolist() == [1, 3]
+
+
+class TestCoupledPass:
+    """A pass streams its first run's path, so every run must fit that path."""
+
+    def _params(self, **changes):
+        params = SchemeParams(
+            delta=2.0**-7, tau=2.0**-5, alpha=0.5, particles=6, horizon=0.5,
+            seed=5,
+        )
+        return dataclasses.replace(params, **changes)
+
+    def _refused(self, levels, match):
+        with pytest.raises(GridError, match=match):
+            coupled_pass(levels)
+        assert all(run.steps_done == 0 for run, _ in levels)
+
+    def test_every_run_needs_the_first_runs_seeds_and_particles(self):
+        model, fine = example51(), self._params()
+        for other in (self._params(seed=6), self._params(particles=5)):
+            levels = [(Stepper(model, fine), 1), (Stepper(model, other), 1)]
+            self._refused(levels, "seeds and particles")
+        segments = [fine, self._params(seed=6)]
+        levels = [(Stepper(model, segments), 1), (Stepper(model, segments[::-1]), 1)]
+        self._refused(levels, "seeds and particles")
+
+    def test_every_run_needs_the_first_runs_horizon(self):
+        model = example51()
+        coarse = self._params(delta=2.0**-6, horizon=0.25)
+        levels = [(Stepper(model, self._params()), 1), (Stepper(model, coarse), 2)]
+        self._refused(levels, "horizon")
+
+    def test_factor_must_match_the_step(self):
+        model = example51()
+        first = [(Stepper(model, self._params()), 2)]
+        self._refused(first, "factor 1")
+        coarse = Stepper(model, self._params(delta=2.0**-6))
+        self._refused([(Stepper(model, self._params()), 1), (coarse, 4)], "steps")
+
+    def test_each_run_ends_where_its_own_run_does(self):
+        model, fine = example51(), self._params()
+        coarse = self._params(delta=2.0**-6)
+        levels = [(Stepper(model, fine), 1), (Stepper(model, coarse), 2)]
+        coupled_pass(levels)
+        path = generate(5, 6, 1, fine.delta, fine.horizon)
+        for (run, factor), params in zip(levels, (fine, coarse)):
+            alone = run_on(model, params, coarsen(path, factor))
+            assert run.terminal.tobytes() == alone.terminal.tobytes()
 
 
 class TestOverflow:
@@ -633,9 +689,7 @@ class TestStreamingExport:
             delta=delta, tau=delay_steps * delta, alpha=0.5,
             particles=particles, horizon=total_steps * delta, seed=0,
         )
-        grid = ParticleGrid(
-            states=bits.view(np.float64), params=params, model_name="test"
-        )
+        grid = ParticleGrid(states=bits.view(np.float64), params=params)
         assert grid.delay_steps == delay_steps
         buf = io.StringIO()
         grid.write_csv(buf)
@@ -646,7 +700,7 @@ class TestStreamingExport:
             delta=0.5, tau=0.5, alpha=0.5, particles=3, horizon=1.0, seed=0
         )
         states = np.arange(4 * 3 * 2, dtype=np.float64).reshape(4, 3, 2)
-        grid = ParticleGrid(states=states, params=params, model_name="test")
+        grid = ParticleGrid(states=states, params=params)
         writes = []
 
         class Recorder:
