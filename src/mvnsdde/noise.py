@@ -91,7 +91,8 @@ def stream_seeds(columns: dict, bm_dim, delta_base, horizon, chunk):
 
     ``columns`` maps each seed to its particle count; a block holds the
     first seed's particles, then the next seed's, and so on.  Blocks are
-    (chunk, particles, bm_dim), the last one shorter if need be.  Each
+    (chunk, particles, bm_dim), the last one shorter if need be; each is a
+    time-major view of stream-major memory, so not C-ordered.  Each
     particle keeps one Philox generator, and successive draws continue its
     stream, so the blocks are the same path whatever their length.
     """
@@ -113,15 +114,19 @@ def stream_seeds(columns: dict, bm_dim, delta_base, horizon, chunk):
 
 
 def _draw(streams, steps, bm_dim, scale) -> np.ndarray:
-    """Next ``steps`` rows of every stream: raw -> uniform (0, 1) -> ndtri -> scale."""
+    """Next ``steps`` rows of every stream: raw -> uniform (0, 1) -> ndtri -> scale.
+
+    One array holds the block: each stream fills its own row and every
+    transform runs in place, so the (steps, streams, bm_dim) result is a
+    time-major view of stream-major memory, not a C-ordered array.
+    """
     u = np.empty((len(streams), steps * bm_dim))
     for row, rng in zip(u, streams):
         rng.random(out=row)  # (raw >> 11) * 2**-53, one raw per number
     u += 2.0**-54
-    block = np.empty((steps, len(streams), bm_dim))
-    ndtri(u.reshape(len(streams), steps, bm_dim).transpose(1, 0, 2), out=block)
-    block *= scale
-    return block
+    ndtri(u, out=u)
+    u *= scale
+    return u.reshape(len(streams), steps, bm_dim).transpose(1, 0, 2)
 
 
 def generate(

@@ -395,19 +395,11 @@ def simulate(
     return ParticleGrid(states=run.states, params=params)
 
 
-def simulate_terminal(
-    model: ModelSpec,
-    params: SchemeParams,
-    check: bool = True,
-    track_divergence: bool = False,
-) -> Stepper:
+def simulate_terminal(model: ModelSpec, params: SchemeParams) -> Stepper:
     """Run the scheme keeping only a delay ring buffer; return the finished run.
 
-    Its ``terminal`` is bit-identical to that of :func:`simulate`.  With
-    ``track_divergence`` the run continues through non-finite states
-    (expected for untamed demonstrations) and records which particles ever
-    exceeded the threshold or went non-finite, instead of raising.
+    Its ``terminal`` is bit-identical to that of :func:`simulate`.
     """
-    run = Stepper(model, params, check=check, track_divergence=track_divergence)
+    run = Stepper(model, params)
     coupled_pass([(run, 1)])
     return run

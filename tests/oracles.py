@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvnsdde import ParticleGrid, Stepper
+from mvnsdde.model import ModelSpec
 from mvnsdde.scheme import sample_moments
 
 
@@ -17,6 +18,43 @@ def run_on(model, params, increments, check=True) -> ParticleGrid:
     run = Stepper(model, params, check=check, full_storage=True)
     run.advance(increments)
     return ParticleGrid(states=run.states, params=params)
+
+
+def planar_meanfield(beta: float = 0.5) -> ModelSpec:
+    """A two-dimensional model driven by two Brownian components.
+
+    The built-in models are all scalar; this one makes a run take the
+    stepping core's d > 1 paths: the Euclidean-norm taming of a cubic drift
+    and the matrix noise term of a full 2x2 diffusion, whose columns are
+    the current state and half the delayed state's distance to the mean.
+    """
+    beta3 = beta**3
+
+    def neutral(y):
+        return -beta * y
+
+    def drift(x, y, mu):
+        r2 = np.sum(x * x, axis=-1, keepdims=True)
+        turn = np.stack([-x[..., 1], x[..., 0]], axis=-1)
+        return x - r2 * x + turn + beta * y - beta3 * (y * y * y) + mu.mean
+
+    def diffusion(x, y, mu):
+        return np.stack([x, 0.5 * (y - mu.mean)], axis=-1)
+
+    def segment(t):
+        return np.array([1.0 + t, -2.0 * t])
+
+    return ModelSpec(
+        name="planar_meanfield",
+        state_dim=2,
+        bm_dim=2,
+        neutral=neutral,
+        drift=drift,
+        diffusion=diffusion,
+        initial_segment=segment,
+        contraction=beta,
+        growth_power=2.0,
+    )
 
 
 @dataclass(frozen=True)

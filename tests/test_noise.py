@@ -1,5 +1,7 @@
 """Brownian stream generation and coarsening."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,19 @@ class TestStream:
         last = np.concatenate(list(stream_seeds({2**64 - 1: 5}, 2, 0.25, 2.5, 4)))
         assert full[:, :3].tobytes() == nine.tobytes()
         assert full[:, 3:].tobytes() == last.tobytes()
+
+    @pytest.mark.parametrize("bm_dim", [1, 2])
+    def test_a_block_is_its_only_array(self, bm_dim):
+        # the generators are built before the first block, so trace after
+        blocks = stream_seeds({6: 256}, bm_dim, 2.0**-6, 1.0, 64)
+        tracemalloc.start()
+        try:
+            block = next(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (64, 256, bm_dim)
+        assert peak <= 1.1 * block.nbytes
 
     def test_bad_arguments(self):
         with pytest.raises(GridError):

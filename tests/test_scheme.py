@@ -32,7 +32,7 @@ from mvnsdde import (
 from mvnsdde.model import ModelSpec
 from mvnsdde.noise import chunk_steps
 from mvnsdde.scheme import coupled_pass
-from oracles import moment_monitor, run_on
+from oracles import moment_monitor, planar_meanfield, run_on
 
 
 def _csv_text(grid):
@@ -565,6 +565,37 @@ class TestCoupledPass:
             assert run.terminal.tobytes() == alone.terminal.tobytes()
 
 
+class TestTwoDimensional:
+    """A 2-D state under 2-D noise: norm taming, the matrix noise term and
+    blocks that are strided views in every component."""
+
+    def _params(self, **changes):
+        # 1000 particles x 2 components take 65-step blocks: the 128 steps
+        # arrive in 2
+        params = SchemeParams(
+            delta=2.0**-7, tau=2.0**-5, alpha=0.5, particles=1000, horizon=1.0,
+            seed=2**63 + 7,
+        )
+        return dataclasses.replace(params, **changes)
+
+    def test_streamed_run_equals_the_whole_grid(self):
+        model, params = planar_meanfield(), self._params()
+        assert -(-params.total_steps // chunk_steps(params.particles, 2)) == 2
+        noise = generate(params.seed, params.particles, 2, params.delta, 1.0)
+        whole = run_on(model, params, noise)
+        assert np.all(np.isfinite(whole.states))
+        assert simulate(model, params).states.tobytes() == whole.states.tobytes()
+
+    def test_coarse_run_sees_the_coarsened_path(self):
+        model, fine = planar_meanfield(), self._params()
+        coarse = self._params(delta=2.0**-6)
+        run = Stepper(model, coarse, full_storage=True)
+        coupled_pass([(Stepper(model, fine), 1), (run, 2)])
+        noise = generate(fine.seed, fine.particles, 2, fine.delta, 1.0)
+        alone = run_on(model, coarse, coarsen(noise, 2))
+        assert run.states.tobytes() == alone.states.tobytes()
+
+
 class TestOverflow:
     def _setup(self, taming, horizon=1.0):
         model = cubic_no_mf(x0=5.0)
@@ -596,7 +627,8 @@ class TestOverflow:
 
     def test_tracked_run_reports_divergence(self):
         model, params = self._setup(taming=False)
-        run = simulate_terminal(model, params, track_divergence=True)
+        run = Stepper(model, params, track_divergence=True)
+        coupled_pass([(run, 1)])
         assert run.divergence_fraction == 1.0
         assert run.first_divergence_step is not None
 
