@@ -2,6 +2,8 @@
 
 :class:`RunConfig` lists every config key with its type and default; the
 file parser, the ``--flags`` and the echo are derived from its fields.
+``READS`` lists the keys each subcommand reads; any other key must keep its
+default.
 Config files are flat ``key = value`` text (``#`` comments, lists as
 comma-separated values), flags override file values, and the resolved
 config is echoed to ``<outdir>/config.echo``, which reruns the same job.
@@ -21,6 +23,7 @@ from pathlib import Path
 from .errors import ConfigError, MvnsddeError, OverflowAbort, ValidationFailure
 from .experiments import (
     D5_PROXY_NOTE,
+    W2SQ_RATE,
     ExperimentReport,
     Stopwatch,
     chaos_error_vs_particles,
@@ -29,17 +32,8 @@ from .experiments import (
     taming_comparison,
     write_json,
 )
-from .model import MODEL_NAMES, SchemeParams, build_model, validate
+from .model import MODELS, SchemeParams, build_model, validate
 from .scheme import simulate
-
-SUBCOMMANDS = (
-    "simulate",
-    "convergence-dt",
-    "convergence-particles",
-    "taming-compare",
-    "empirical-rate",
-    "validate",
-)
 
 OUTDIR_ENV = "MVNSDDE_OUTDIR"
 
@@ -76,6 +70,34 @@ class RunConfig:
     replicates: int = 1
     dim: int = 1
     outdir: str | None = None
+
+
+# The fields of SchemeParams.
+GRID_KEYS = ("delta", "tau", "alpha", "particles", "horizon", "seed", "taming")
+
+# The keys each subcommand passes by name to the function it runs: besides
+# ``subcommand`` and ``outdir``, the only keys its run reads.  ``model``
+# passes the model built from the keys it takes (``model.MODELS``), and
+# simulate and validate pass their grid keys as one SchemeParams.  A key
+# outside the run's keys must keep its default; validate checks configs
+# written for every subcommand, so it accepts every key.
+READS = {
+    "simulate": ("model", *GRID_KEYS),
+    "convergence-dt": (
+        "model", "particles", "delta_ref", "deltas", "tau", "alpha",
+        "horizon", "seed", "taming", "replicates",
+    ),
+    "convergence-particles": (
+        "model", "xis", "delta", "tau", "alpha", "horizon", "seed", "taming",
+        "replicates",
+    ),
+    "taming-compare": (
+        "model", "delta", "particles", "tau", "horizon", "seed", "alpha",
+    ),
+    "empirical-rate": ("dim", "xis", "mc_reps", "seed"),
+    "validate": ("model", *GRID_KEYS),
+}
+SUBCOMMANDS = tuple(READS)
 
 
 def _int(raw) -> int:
@@ -182,7 +204,7 @@ def parse(
             "no subcommand given (positional argument or 'subcommand' key); "
             "one of: " + ", ".join(SUBCOMMANDS)
         )
-    for key, valid in (("subcommand", SUBCOMMANDS), ("model", MODEL_NAMES)):
+    for key, valid in (("subcommand", SUBCOMMANDS), ("model", MODELS)):
         if values[key] not in valid:
             raise ConfigError(
                 f"unknown {key} {values[key]!r}; valid: " + ", ".join(valid)
@@ -193,163 +215,124 @@ def parse(
         raise ConfigError(
             f"seed must be a 64-bit unsigned integer, got {values['seed']}"
         )
-    if values["replicates"] < 1:
-        raise ConfigError(
-            f"replicates must be >= 1, got {values['replicates']}"
-        )
     if values["outdir"] is None:
         values["outdir"] = os.environ.get(OUTDIR_ENV, "out")
     return RunConfig(**values)
 
 
-def _scheme_params(cfg: RunConfig) -> SchemeParams:
-    return SchemeParams(
-        delta=cfg.delta,
-        tau=cfg.tau,
-        alpha=cfg.alpha,
-        particles=cfg.particles,
-        horizon=cfg.horizon,
-        seed=cfg.seed,
-        taming_enabled=cfg.taming,
-    )
+def _arguments(cfg: RunConfig) -> dict:
+    """The keys the run of ``cfg`` reads (``READS``), with their values.
 
-
-def _write_report(
-    name, config_echo, table, sw, outdir, reference_slope, notes, degenerate
-) -> int:
-    """Write a study's report files; a degenerate slope fit exits 1."""
-    report = ExperimentReport(
-        name, config_echo, table, sw.seconds, reference_slope=reference_slope,
-        notes=notes, peak_rss_mb=sw.peak_rss_mb,
-    )
-    report.write(outdir)
-    if report.slope is None:
-        print(f"degenerate fit: {degenerate}", file=sys.stderr)
-        return 1
-    print(f"slope = {report.slope:.4f} ({outdir / (name + '.csv')})")
-    return 0
+    Any other key set off its default is a :class:`ConfigError`, except
+    under validate.
+    """
+    reads = READS[cfg.subcommand]
+    if "model" in reads:
+        reads += MODELS[cfg.model][1]
+    if cfg.subcommand != "validate":
+        for f in dataclasses.fields(RunConfig):
+            value = getattr(cfg, f.name)
+            if f.name in reads + ("subcommand", "outdir") or value == f.default:
+                continue
+            raise ConfigError(
+                f"{cfg.subcommand} does not read key {f.name!r} (set to "
+                f"{value!r}); it reads: {', '.join(reads)}"
+            )
+    return {key: getattr(cfg, key) for key in reads}
 
 
 def dispatch(cfg: RunConfig) -> int:
-    """Run one subcommand; outputs land in the config's output directory."""
+    """Run one subcommand; outputs land in the config's output directory.
+
+    A key set off its default that the run does not read is refused
+    before anything is written.
+    """
+    if cfg.subcommand == "taming-compare" and cfg.model != "cubic_no_mf":
+        raise ConfigError(
+            f"taming-compare runs only model cubic_no_mf, got {cfg.model!r}"
+        )
+    args = _arguments(cfg)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.echo").write_text(echo_text(cfg))
-    config_echo = dataclasses.asdict(cfg)
 
-    model = build_model(
-        cfg.model, a_coef=cfg.a_coef, b_coef=cfg.b_coef, sigma0=cfg.sigma0,
-        x0=cfg.x0,
-    )
+    if "model" in args:
+        keys = {key: args.pop(key) for key in MODELS[cfg.model][1]}
+        args["model"] = build_model(cfg.model, **keys)
+    if cfg.subcommand in ("simulate", "validate"):
+        args = {"model": args.pop("model"), "params": SchemeParams(**args)}
+    run = {
+        "simulate": simulate,
+        "convergence-dt": strong_error_vs_dt,
+        "convergence-particles": chaos_error_vs_particles,
+        "taming-compare": taming_comparison,
+        "empirical-rate": empirical_measure_rate,
+        "validate": validate,
+    }[cfg.subcommand]
+    try:
+        with Stopwatch() as sw:
+            result = run(**args)
+    except OverflowAbort as abort:
+        if abort.prefix is not None:
+            abort.prefix.to_csv(outdir / "grid.partial.csv")
+            print(
+                f"wrote finite prefix to {outdir / 'grid.partial.csv'}",
+                file=sys.stderr,
+            )
+        raise
 
     if cfg.subcommand == "validate":
-        report = validate(model, _scheme_params(cfg))
-        print(report)
-        return 0 if report.ok else 2
-
+        print(result)
+        return 0 if result.ok else 2
     if cfg.subcommand == "simulate":
-        try:
-            grid = simulate(model, _scheme_params(cfg))
-        except OverflowAbort as abort:
-            if abort.prefix is not None:
-                abort.prefix.to_csv(outdir / "grid.partial.csv")
-                print(
-                    f"wrote finite prefix to {outdir / 'grid.partial.csv'}",
-                    file=sys.stderr,
-                )
-            raise
-        grid.to_csv(outdir / "grid.csv")
+        result.to_csv(outdir / "grid.csv")
         print(f"wrote {outdir / 'grid.csv'}")
         return 0
-
-    if cfg.subcommand == "convergence-dt":
-        with Stopwatch() as sw:
-            table = strong_error_vs_dt(
-                model,
-                particles=cfg.particles,
-                delta_ref=cfg.delta_ref,
-                deltas=list(cfg.deltas),
-                tau=cfg.tau,
-                alpha=cfg.alpha,
-                horizon=cfg.horizon,
-                seed=cfg.seed,
-                taming=cfg.taming,
-                replicates=cfg.replicates,
-            )
-        return _write_report(
-            "convergence_dt", config_echo, table, sw, outdir, 0.5,
-            {"stderr": _STDERR_NOTE},
-            "fewer than 2 positive-error rows (drop self-comparison step sizes)",
-        )
-
-    if cfg.subcommand == "convergence-particles":
-        with Stopwatch() as sw:
-            table = chaos_error_vs_particles(
-                model,
-                xis=list(cfg.xis),
-                delta=cfg.delta,
-                tau=cfg.tau,
-                alpha=cfg.alpha,
-                horizon=cfg.horizon,
-                seed=cfg.seed,
-                taming=cfg.taming,
-                replicates=cfg.replicates,
-            )
-        return _write_report(
-            "convergence_particles", config_echo, table, sw, outdir, -0.5,
-            {"stderr": _STDERR_NOTE},
-            "fewer than 2 positive-error rows "
-            "(measure-independent models give exact zeros)",
-        )
-
+    name = cfg.subcommand.replace("-", "_")
     if cfg.subcommand == "taming-compare":
-        if cfg.model != "cubic_no_mf":
-            raise ConfigError(
-                "taming-compare runs only model cubic_no_mf, "
-                f"got {cfg.model!r}"
-            )
-        with Stopwatch() as sw:
-            rep = taming_comparison(
-                x0=cfg.x0,
-                delta_coarse=cfg.delta,
-                particles=cfg.particles,
-                tau=cfg.tau,
-                horizon=cfg.horizon,
-                seed=cfg.seed,
-                alpha=cfg.alpha,
-            )
         write_json(
-            outdir / "taming_compare.summary.json",
+            outdir / f"{name}.summary.json",
             {
-                "experiment": "taming_compare",
-                "config": config_echo,
-                "report": dataclasses.asdict(rep),
+                "experiment": name,
+                "config": dataclasses.asdict(cfg),
+                "report": dataclasses.asdict(result),
                 "runtime_seconds": sw.seconds,
                 "peak_rss_mb": sw.peak_rss_mb,
             },
         )
         print(
             f"untamed divergence fraction = "
-            f"{rep.untamed_divergence_fraction:.4f}, tamed max p2 moment = "
-            f"{rep.tamed_max_moment:.6g}"
+            f"{result.untamed_divergence_fraction:.4f}, tamed max p2 moment = "
+            f"{result.tamed_max_moment:.6g}"
         )
         return 0
 
-    if cfg.subcommand == "empirical-rate":
-        with Stopwatch() as sw:
-            table = empirical_measure_rate(
-                dim=cfg.dim,
-                xis=list(cfg.xis),
-                mc_reps=cfg.mc_reps,
-                seed=cfg.seed,
-            )
-        notes = {"proxy": D5_PROXY_NOTE} if cfg.dim == 5 else {}
-        return _write_report(
-            "empirical_rate", config_echo, table, sw, outdir, -0.5, notes,
-            "need at least 2 rows",
+    # the error-table studies: reference slope, notes, why a fit can fail
+    stderr = {"stderr": _STDERR_NOTE}
+    reference_slope, notes, why = {
+        "convergence-dt": (0.5, stderr, "drop self-comparison step sizes"),
+        "convergence-particles": (
+            -0.5, stderr, "measure-independent models give exact zeros",
+        ),
+        "empirical-rate": (
+            W2SQ_RATE[cfg.dim], {"proxy": D5_PROXY_NOTE} if cfg.dim == 5 else {},
+            "give at least 2 sample sizes",
+        ),
+    }[cfg.subcommand]
+    report = ExperimentReport(
+        name, dataclasses.asdict(cfg), result, sw.seconds,
+        reference_slope=reference_slope, notes=notes,
+        peak_rss_mb=sw.peak_rss_mb,
+    )
+    report.write(outdir)
+    if report.slope is None:
+        print(
+            f"degenerate fit: fewer than 2 positive-error rows ({why})",
+            file=sys.stderr,
         )
-
-    raise ConfigError(f"unhandled subcommand {cfg.subcommand!r}")
+        return 1
+    print(f"slope = {report.slope:.4f} ({outdir / (name + '.csv')})")
+    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -398,3 +381,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

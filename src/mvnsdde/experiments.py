@@ -38,7 +38,7 @@ from .measure import (
     w2_assignment,
     w2sq_to_standard_normal_1d,
 )
-from .model import ModelSpec, SchemeParams, cubic_no_mf
+from .model import ModelSpec, SchemeParams
 from .noise import derived_generator, seeds_per_block
 from .scheme import DIVERGENCE_THRESHOLD, Stepper, coupled_pass
 
@@ -50,6 +50,12 @@ D5_PROXY_NOTE = (
     "proxy dominates the one-sample distance to the sampled law up to a "
     "factor of 2"
 )
+
+
+# Log-log slope in the sample size of the mean squared W2 distance between
+# N(0, I_dim) and its empirical measure: -1 in dim 1, up to a log log factor
+# (Bobkov and Ledoux), and -2/dim for dim > 4 (Fournier and Guillin).
+W2SQ_RATE = {1: -1.0, 5: -0.4}
 
 
 @dataclass(frozen=True)
@@ -191,7 +197,7 @@ def strong_error_vs_dt(
         base = [
             SchemeParams(
                 delta=delta_ref, tau=tau, alpha=alpha, particles=particles,
-                horizon=horizon, seed=run_seed, taming_enabled=taming,
+                horizon=horizon, seed=run_seed, taming=taming,
             )
             for run_seed in group
         ]
@@ -240,7 +246,7 @@ def chaos_error_vs_particles(
         segments = [
             SchemeParams(
                 delta=delta, tau=tau, alpha=alpha, particles=xi,
-                horizon=horizon, seed=run_seed, taming_enabled=taming,
+                horizon=horizon, seed=run_seed, taming=taming,
             )
             for run_seed in group
             for xi in xis
@@ -287,7 +293,7 @@ def moment_bound_vs_dt(
     factors = [_power_of_two_factor(d, finest, "step") for d in deltas]
     params = SchemeParams(
         delta=finest, tau=tau, alpha=alpha, particles=particles,
-        horizon=horizon, seed=seed, taming_enabled=taming,
+        horizon=horizon, seed=seed, taming=taming,
     )
     runs = [Stepper(model, replace(params, delta=d), moment_p=p) for d in deltas]
     coupled_pass(list(zip(runs, factors)))
@@ -296,7 +302,12 @@ def moment_bound_vs_dt(
 
 @dataclass(frozen=True)
 class TamingReport:
-    """Paired tamed/untamed run summary on identical noise."""
+    """Paired tamed/untamed run summary on identical noise.
+
+    ``tamed_max_moment`` is the tamed run's p = 2 moment monitor: the
+    largest sample second moment over its grid, reached at grid index
+    ``tamed_argmax_index``.
+    """
 
     tamed_max_moment: float
     tamed_argmax_index: int
@@ -308,31 +319,28 @@ class TamingReport:
 
 
 def taming_comparison(
-    x0: float,
-    delta_coarse: float,
+    model: ModelSpec,
+    delta: float,
     particles: int,
     tau: float,
     horizon: float,
     seed: int,
     alpha: float = 0.5,
 ) -> TamingReport:
-    """Tamed vs untamed runs of the cubic model from a constant segment.
+    """Tamed vs untamed runs of ``model`` on identical increments.
 
-    Both runs consume identical increments.  The tamed run reports its p=2
-    moment monitor; the untamed run reports the fraction of particles whose
-    state ever exceeds the threshold or goes non-finite before the horizon
-    (the measured event, not an error).  Meant for coarse steps 1/4 or 1/8
+    The tamed run reports its p=2 moment monitor; the untamed run reports
+    the fraction of particles whose state ever exceeds the threshold or
+    goes non-finite before the horizon (the measured event, not an error).
+    Meant for :func:`~mvnsdde.model.cubic_no_mf` at coarse steps 1/4 or 1/8
     and |x0| >= 3; smaller starting points stay subcritical.
     """
-    model = cubic_no_mf(x0=x0)
     params = SchemeParams(
-        delta=delta_coarse, tau=tau, alpha=alpha, particles=particles,
-        horizon=horizon, seed=seed, taming_enabled=True,
+        delta=delta, tau=tau, alpha=alpha, particles=particles,
+        horizon=horizon, seed=seed, taming=True,
     )
     tamed = Stepper(model, params, moment_p=2)
-    untamed = Stepper(
-        model, replace(params, taming_enabled=False), track_divergence=True
-    )
+    untamed = Stepper(model, replace(params, taming=False), track_divergence=True)
     coupled_pass([(tamed, 1), (untamed, 1)])
     return TamingReport(
         tamed_max_moment=tamed.moment_max,
@@ -359,7 +367,7 @@ def empirical_measure_rate(
     rms_error column holds the mean squared distance; stderr is its Monte
     Carlo standard error over the repetitions.
     """
-    if dim not in (1, 5):
+    if dim not in W2SQ_RATE:
         raise ConfigError(f"supported dims are 1 and 5, got {dim}")
     xis = sorted(int(x) for x in xis)
     if any(b <= a for a, b in zip(xis, xis[1:])):
@@ -442,7 +450,7 @@ class ExperimentReport:
     def gnuplot_text(self) -> str:
         s = self.reference_slope
         lines = [
-            f"# log-log plot for {self.name} with a slope-1/2 reference line",
+            f"# log-log plot for {self.name} with a slope {s} reference line",
             "set datafile separator ','",
             "set logscale xy 2",
             "set key left top",

@@ -64,7 +64,7 @@ class SchemeParams:
     particles: int
     horizon: float
     seed: int
-    taming_enabled: bool = True
+    taming: bool = True
 
     @property
     def delay_steps(self) -> int:
@@ -304,23 +304,19 @@ def cubic_no_mf(x0: float = 0.0, beta: float = 0.5) -> ModelSpec:
     )
 
 
-MODEL_NAMES = ("example51", "linear_meanfield", "cubic_no_mf")
+# Each built-in model by CLI name: its factory and the config keys it takes.
+MODELS = {
+    "example51": (example51, ()),
+    "linear_meanfield": (linear_meanfield, ("a_coef", "b_coef", "sigma0", "x0")),
+    "cubic_no_mf": (cubic_no_mf, ("x0",)),
+}
 
 
-def build_model(
-    name: str,
-    a_coef: float = -1.0,
-    b_coef: float = 0.5,
-    sigma0: float = 0.2,
-    x0: float = 0.0,
-) -> ModelSpec:
-    """Construct a built-in model by CLI name."""
-    if name == "example51":
-        return example51()
-    if name == "linear_meanfield":
-        return linear_meanfield(a_coef=a_coef, b_coef=b_coef, sigma0=sigma0, x0=x0)
-    if name == "cubic_no_mf":
-        return cubic_no_mf(x0=x0)
-    raise ConfigError(
-        f"unknown model {name!r}; valid models: {', '.join(MODEL_NAMES)}"
-    )
+def build_model(name: str, **keys) -> ModelSpec:
+    """Construct a built-in model by CLI name from the keys it takes
+    (``MODELS``); a key left out takes the factory's default."""
+    if name not in MODELS:
+        raise ConfigError(
+            f"unknown model {name!r}; valid models: {', '.join(MODELS)}"
+        )
+    return MODELS[name][0](**keys)

@@ -161,7 +161,7 @@ def em_step(
     if neutral is None:
         neutral = model.neutral(delayed), model.neutral(delayed_next)
     b = model.drift(current, delayed, measure)
-    if params.taming_enabled:
+    if params.taming:
         drift_step = tame_drift(b, params.delta, params.alpha)
         drift_step *= params.delta
     else:

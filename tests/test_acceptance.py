@@ -194,8 +194,8 @@ def test_criterion_5_taming_necessity():
     """Untamed cubic from x0=5 diverges; tamed stays bounded."""
     t0 = time.perf_counter()
     report = taming_comparison(
-        x0=5.0, delta_coarse=2.0**-2, particles=200, tau=0.5, horizon=1.0,
-        seed=SEED_TAMING,
+        cubic_no_mf(x0=5.0), delta=2.0**-2, particles=200, tau=0.5,
+        horizon=1.0, seed=SEED_TAMING,
     )
     runtime = time.perf_counter() - t0
     ok = (

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from mvnsdde import example51, moment_bound_vs_dt, noise, taming_comparison
+from mvnsdde import (
+    cubic_no_mf, example51, moment_bound_vs_dt, noise, taming_comparison,
+)
 from mvnsdde.cli import RunConfig, echo_text, main, parse
 from mvnsdde.errors import ConfigError
 
@@ -257,6 +259,88 @@ class TestExitCodes:
         assert rc == 1
 
 
+class TestUnreadKeys:
+    # small grids, so that a key the check misses runs quickly
+    BASE = {
+        "simulate": ["--delta", "0.0078125", "--particles", "4",
+                     "--horizon", "0.25"],
+        "convergence-dt": ["--particles", "4", "--delta-ref", "0.0078125",
+                           "--deltas", "0.015625", "--horizon", "0.25"],
+        "convergence-particles": ["--xis", "4,8", "--delta", "0.0078125",
+                                  "--horizon", "0.25"],
+        "taming-compare": ["--config", str(CONFIGS / "taming.cfg")],
+        "empirical-rate": ["--xis", "8,16", "--mc-reps", "2"],
+    }
+
+    @pytest.mark.parametrize(
+        "subcommand, flags, key",
+        [
+            ("simulate", ["--x0", "7"], "x0"),
+            ("simulate", ["--a-coef", "3"], "a_coef"),
+            ("simulate", ["--sigma0", "9"], "sigma0"),
+            ("simulate", ["--replicates", "9"], "replicates"),
+            ("simulate", ["--replicates", "0"], "replicates"),
+            ("simulate", ["--xis", "5,6"], "xis"),
+            ("simulate", ["--dim", "5"], "dim"),
+            ("simulate", ["--model", "cubic_no_mf", "--a-coef", "3"], "a_coef"),
+            ("taming-compare", ["--no-taming"], "taming"),
+            ("convergence-dt", ["--delta", "0.125"], "delta"),
+            ("convergence-dt", ["--xis", "5,6"], "xis"),
+            ("convergence-particles", ["--particles", "9"], "particles"),
+            ("convergence-particles", ["--delta-ref", "0.25"], "delta_ref"),
+            ("convergence-particles", ["--deltas", "0.25"], "deltas"),
+            ("empirical-rate", ["--model", "linear_meanfield"], "model"),
+            ("empirical-rate", ["--delta", "0.125"], "delta"),
+            ("empirical-rate", ["--tau", "0.25"], "tau"),
+            ("empirical-rate", ["--alpha", "0.25"], "alpha"),
+            ("empirical-rate", ["--particles", "9"], "particles"),
+            ("empirical-rate", ["--horizon", "2.0"], "horizon"),
+            ("empirical-rate", ["--no-taming"], "taming"),
+        ],
+    )
+    def test_unread_key_is_1_before_echo(
+        self, tmp_path, capsys, subcommand, flags, key
+    ):
+        out = tmp_path / "o"
+        argv = [subcommand, "--seed", "1", *self.BASE[subcommand], *flags]
+        assert main(argv + ["--outdir", str(out)]) == 1
+        assert f"does not read key {key!r}" in capsys.readouterr().err
+        assert not (out / "config.echo").exists()
+
+    def test_shipped_config_echo_replays(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        path = CONFIGS / "taming.cfg"
+        assert main(["--config", str(path), "--outdir", str(out1)]) == 0
+        echo = out1 / "config.echo"
+        assert main(["--config", str(echo), "--outdir", str(out2)]) == 0
+        reports = [
+            json.loads((out / "taming_compare.summary.json").read_text())
+            for out in (out1, out2)
+        ]
+        assert reports[0]["report"] == reports[1]["report"]
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["mvnsdde", "mvnsdde.cli"])
+    def test_python_m_runs_the_cli(self, tmp_path, module):
+        root = Path(__file__).resolve().parent.parent
+        paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        argv = [sys.executable, "-m", module, "validate", "--seed", "3"]
+        done = subprocess.run(
+            argv + ["--outdir", str(tmp_path / "o")], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+        done = subprocess.run(
+            argv + ["--frobnicate", "1"], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "frobnicate" in done.stderr
+
+
 class TestOutputs:
     def test_simulate_writes_grid(self, tmp_path):
         out = tmp_path / "o"
@@ -340,6 +424,10 @@ class TestOutputs:
         assert rc == 0
         table = (out / "empirical_rate.csv").read_text().strip().split("\n")
         assert len(table) == 3
+        # the column holds E W2^2, which falls like 1/n in dim 1
+        gp = (out / "empirical_rate.gp").read_text()
+        assert "with a slope -1.0 reference line" in gp
+        assert " * x**(-1.0)" in gp
 
     def test_empirical_rate_d5_records_proxy(self, tmp_path):
         out = tmp_path / "o"
@@ -352,6 +440,8 @@ class TestOutputs:
         assert rc == 0
         summary = json.loads((out / "empirical_rate.summary.json").read_text())
         assert "proxy" in summary["notes"]
+        # and like n^(-2/5) in dim 5
+        assert " * x**(-0.4)" in (out / "empirical_rate.gp").read_text()
 
     def test_outdir_env_fallback_run(self, tmp_path, monkeypatch):
         envdir = tmp_path / "from-env"
@@ -541,8 +631,8 @@ class TestStudyGoldenBytes:
 
     def test_taming_report(self):
         rep = taming_comparison(
-            x0=5.0, delta_coarse=0.25, particles=200, tau=0.5, horizon=1.0,
-            seed=2,
+            cubic_no_mf(x0=5.0), delta=0.25, particles=200, tau=0.5,
+            horizon=1.0, seed=2,
         )
         assert repr(rep) == (
             "TamingReport(tamed_max_moment=62.630200909875875, "

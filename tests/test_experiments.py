@@ -236,15 +236,15 @@ class TestMomentBoundVsDt:
 class TestTamingComparison:
     def test_quiet_start_rarely_diverges(self):
         rep = taming_comparison(
-            x0=0.0, delta_coarse=0.125, particles=200, tau=0.5, horizon=1.0,
-            seed=6,
+            cubic_no_mf(x0=0.0), delta=0.125, particles=200, tau=0.5,
+            horizon=1.0, seed=6,
         )
         assert rep.untamed_divergence_fraction < 0.05
 
     def test_large_start_diverges_untamed_only(self):
         rep = taming_comparison(
-            x0=5.0, delta_coarse=0.25, particles=200, tau=0.5, horizon=1.0,
-            seed=2,
+            cubic_no_mf(x0=5.0), delta=0.25, particles=200, tau=0.5,
+            horizon=1.0, seed=2,
         )
         assert rep.untamed_divergence_fraction >= 0.99
         assert rep.tamed_max_moment < 1e2
@@ -252,8 +252,8 @@ class TestTamingComparison:
 
     def test_report_dict_round_trips_json(self):
         rep = taming_comparison(
-            x0=5.0, delta_coarse=0.25, particles=20, tau=0.5, horizon=1.0,
-            seed=2,
+            cubic_no_mf(x0=5.0), delta=0.25, particles=20, tau=0.5,
+            horizon=1.0, seed=2,
         )
         blob = json.dumps(dataclasses.asdict(rep))
         assert json.loads(blob)["particles"] == 20

@@ -275,7 +275,7 @@ class TestSimulate:
         delta = 2.0**-10
         params = SchemeParams(
             delta=delta, tau=2.0**-5, alpha=0.5, particles=1, horizon=1.0,
-            seed=1, taming_enabled=False,
+            seed=1, taming=False,
         )
         grid = run_on(model, params, np.zeros((params.total_steps, 1, 1)))
         assert grid.terminal[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
@@ -464,7 +464,7 @@ class TestSegments:
     def _segments(self, model=None, taming=True):
         base = SchemeParams(
             delta=2.0**-7, tau=2.0**-5, alpha=0.5, particles=1, horizon=0.5,
-            seed=0, taming_enabled=taming,
+            seed=0, taming=taming,
         )
         return [
             dataclasses.replace(base, seed=seed, particles=n)
@@ -601,7 +601,7 @@ class TestOverflow:
         model = cubic_no_mf(x0=5.0)
         params = SchemeParams(
             delta=0.25, tau=0.5, alpha=0.5, particles=20, horizon=horizon,
-            seed=11, taming_enabled=taming,
+            seed=11, taming=taming,
         )
         return model, params
 
