@@ -27,12 +27,15 @@ from .experiments import (
     ExperimentReport,
     Stopwatch,
     chaos_error_vs_particles,
+    check_dim,
+    check_replicates,
     empirical_measure_rate,
     strong_error_vs_dt,
     taming_comparison,
     write_json,
 )
 from .model import MODELS, SchemeParams, build_model, validate
+from .noise import check_seed
 from .scheme import simulate
 
 OUTDIR_ENV = "MVNSDDE_OUTDIR"
@@ -72,8 +75,7 @@ class RunConfig:
     outdir: str | None = None
 
 
-# The fields of SchemeParams.
-GRID_KEYS = ("delta", "tau", "alpha", "particles", "horizon", "seed", "taming")
+GRID_KEYS = tuple(f.name for f in dataclasses.fields(SchemeParams))
 
 # The keys each subcommand passes by name to the function it runs: besides
 # ``subcommand`` and ``outdir``, the only keys its run reads.  ``model``
@@ -211,10 +213,7 @@ def parse(
             )
     if values["seed"] is None:
         raise ConfigError("missing seed: every run must set one explicitly")
-    if not 0 <= values["seed"] < 2**64:
-        raise ConfigError(
-            f"seed must be a 64-bit unsigned integer, got {values['seed']}"
-        )
+    check_seed(values["seed"])
     if values["outdir"] is None:
         values["outdir"] = os.environ.get(OUTDIR_ENV, "out")
     return RunConfig(**values)
@@ -223,13 +222,16 @@ def parse(
 def _arguments(cfg: RunConfig) -> dict:
     """The keys the run of ``cfg`` reads (``READS``), with their values.
 
-    Any other key set off its default is a :class:`ConfigError`, except
-    under validate.
+    Any other key set off its default is a :class:`ConfigError`; validate
+    accepts every key, and checks replicates and dim as their studies do.
     """
     reads = READS[cfg.subcommand]
     if "model" in reads:
         reads += MODELS[cfg.model][1]
-    if cfg.subcommand != "validate":
+    if cfg.subcommand == "validate":
+        check_replicates(cfg.replicates)
+        check_dim(cfg.dim)
+    else:
         for f in dataclasses.fields(RunConfig):
             value = getattr(cfg, f.name)
             if f.name in reads + ("subcommand", "outdir") or value == f.default:

@@ -14,7 +14,7 @@ state).
 
 The studies stream their noise: one :func:`~mvnsdde.scheme.coupled_pass`
 draws the fine path block by block and advances every run through each
-block.  The runs of one step size share one
+block's sums at the run's own step.  The runs of one step size share one
 :class:`~mvnsdde.scheme.Stepper` as row segments: the replicate seeds of
 the pass, and in the particle study every particle count.  A pass takes as
 many replicate seeds as :func:`~mvnsdde.noise.seeds_per_block` lets share
@@ -137,24 +137,14 @@ def _row_from_sq_errors(resolution, e2: np.ndarray) -> ErrorRow:
     )
 
 
-def _replicate_seeds(seed: int, replicates: int) -> list[int]:
+def check_replicates(replicates: int) -> None:
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
+
+
+def _replicate_seeds(seed: int, replicates: int) -> list[int]:
+    check_replicates(replicates)
     return [(int(seed) + r) % 2**64 for r in range(replicates)]
-
-
-def _power_of_two_factor(coarse: float, fine: float, what: str) -> int:
-    ratio = coarse / fine
-    factor = int(round(ratio))
-    if (
-        factor < 1
-        or abs(ratio - factor) > 1e-9 * factor
-        or factor & (factor - 1)
-    ):
-        raise ConfigError(
-            f"{what} = {coarse!r} is not a power-of-two multiple of {fine!r}"
-        )
-    return factor
 
 
 def _passes(seeds: list[int], particles: int, bm_dim: int, multiple: int):
@@ -188,12 +178,11 @@ def strong_error_vs_dt(
     share a pass are segments of each step size's one run.
     """
     deltas = sorted(float(d) for d in deltas)
-    factors = [
-        _power_of_two_factor(d, delta_ref, "test step") for d in deltas
-    ]
     sq_errors: list[list[np.ndarray]] = [[] for _ in deltas]
     seeds = _replicate_seeds(seed, replicates)
-    for group in _passes(seeds, particles, model.bm_dim, max(factors, default=1)):
+    # sizes the passes' blocks only; the runs check every step
+    ratio = max(deltas, default=delta_ref) / delta_ref if delta_ref > 0 else 1
+    for group in _passes(seeds, particles, model.bm_dim, max(1, round(ratio))):
         base = [
             SchemeParams(
                 delta=delta_ref, tau=tau, alpha=alpha, particles=particles,
@@ -201,12 +190,12 @@ def strong_error_vs_dt(
             )
             for run_seed in group
         ]
-        levels = [(Stepper(model, base), 1)] + [
-            (Stepper(model, [replace(p, delta=delta) for p in base]), factor)
-            for delta, factor in zip(deltas, factors)
+        runs = [Stepper(model, base)] + [
+            Stepper(model, [replace(p, delta=delta) for p in base])
+            for delta in deltas
         ]
-        coupled_pass(levels)
-        ref, *tests = [run for run, _ in levels]
+        coupled_pass(runs)
+        ref, *tests = runs
         for e2s, test in zip(sq_errors, tests):
             e2s.append(np.sum((ref.terminal - test.terminal) ** 2, axis=1))
     return ErrorTable(
@@ -252,7 +241,7 @@ def chaos_error_vs_particles(
             for xi in xis
         ]
         run = Stepper(model, segments)
-        coupled_pass([(run, 1)])
+        coupled_pass([run])
         systems = [run.terminal[start:stop] for start, stop in run.bounds]
         for k in range(len(group)):
             *tests, ref = systems[k * len(xis) : (k + 1) * len(xis)]
@@ -289,14 +278,12 @@ def moment_bound_vs_dt(
     index) per step size.
     """
     deltas = sorted(float(d) for d in deltas)
-    finest = deltas[0]
-    factors = [_power_of_two_factor(d, finest, "step") for d in deltas]
     params = SchemeParams(
-        delta=finest, tau=tau, alpha=alpha, particles=particles,
+        delta=deltas[0], tau=tau, alpha=alpha, particles=particles,
         horizon=horizon, seed=seed, taming=taming,
     )
     runs = [Stepper(model, replace(params, delta=d), moment_p=p) for d in deltas]
-    coupled_pass(list(zip(runs, factors)))
+    coupled_pass(runs)
     return [(d, run.moment_max, run.moment_argmax) for d, run in zip(deltas, runs)]
 
 
@@ -341,7 +328,7 @@ def taming_comparison(
     )
     tamed = Stepper(model, params, moment_p=2)
     untamed = Stepper(model, replace(params, taming=False), track_divergence=True)
-    coupled_pass([(tamed, 1), (untamed, 1)])
+    coupled_pass([tamed, untamed])
     return TamingReport(
         tamed_max_moment=tamed.moment_max,
         tamed_argmax_index=tamed.moment_argmax,
@@ -351,6 +338,11 @@ def taming_comparison(
         particles=particles,
         divergence_threshold=DIVERGENCE_THRESHOLD,
     )
+
+
+def check_dim(dim: int) -> None:
+    if dim not in W2SQ_RATE:
+        raise ConfigError(f"supported dims are 1 and 5, got {dim}")
 
 
 def empirical_measure_rate(
@@ -367,8 +359,7 @@ def empirical_measure_rate(
     rms_error column holds the mean squared distance; stderr is its Monte
     Carlo standard error over the repetitions.
     """
-    if dim not in W2SQ_RATE:
-        raise ConfigError(f"supported dims are 1 and 5, got {dim}")
+    check_dim(dim)
     xis = sorted(int(x) for x in xis)
     if any(b <= a for a, b in zip(xis, xis[1:])):
         raise ConfigError(f"sample sizes must be distinct: {xis}")

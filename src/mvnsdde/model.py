@@ -25,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 from .measure import BatchMeasure
-from .noise import derived_generator
+from .noise import derived_generator, is_integer_ratio
 
 _PROBE_TAG = 0xA55E55  # validation probe stream, disjoint from particle keys
 _PROBE_PAIRS = 1000
@@ -89,11 +89,6 @@ class ValidationReport:
         return "\n".join(f"violation: {v}" for v in self.violations)
 
 
-def _is_integer_ratio(num: float, den: float) -> bool:
-    ratio = num / den
-    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
-
-
 def validate(
     model: ModelSpec, params: SchemeParams, q: float = 2.0, p: float = 12
 ) -> ValidationReport:
@@ -123,8 +118,11 @@ def validate(
     except Exception as exc:  # report, do not crash the validator
         v.append(f"neutral map failed at zero: {exc!r}")
 
-    if 0 <= params.seed < 2**64:
+    try:
         rng = derived_generator(params.seed, _PROBE_TAG)
+    except GridError as exc:
+        v.append(str(exc))
+    else:
         y1 = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (_PROBE_PAIRS, model.state_dim))
         y2 = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (_PROBE_PAIRS, model.state_dim))
         try:
@@ -138,8 +136,6 @@ def validate(
                 )
         except Exception as exc:
             v.append(f"neutral map probe failed: {exc!r}")
-    else:
-        v.append(f"seed must be a 64-bit unsigned integer, got {params.seed}")
 
     if params.tau <= 0:
         v.append(f"tau must be positive, got {params.tau}")
@@ -148,7 +144,7 @@ def validate(
             f"delta must lie in (0, min(1, tau)) = "
             f"(0, {min(1.0, params.tau)}), got {params.delta}"
         )
-    if params.delta > 0 and params.tau > 0 and not _is_integer_ratio(
+    if params.delta > 0 and params.tau > 0 and not is_integer_ratio(
         params.tau, params.delta
     ):
         v.append(f"tau/delta = {params.tau / params.delta!r} is not an integer")
@@ -158,7 +154,7 @@ def validate(
         v.append(f"particles must be >= 1, got {params.particles}")
     if params.horizon <= 0:
         v.append(f"horizon must be positive, got {params.horizon}")
-    elif params.delta > 0 and not _is_integer_ratio(params.horizon, params.delta):
+    elif params.delta > 0 and not is_integer_ratio(params.horizon, params.delta):
         v.append(
             f"horizon/delta = {params.horizon / params.delta!r} is not an integer"
         )

@@ -33,34 +33,43 @@ _AUX_NAMESPACE = 1 << 63
 _CHUNK_ELEMENTS = 2**17
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; a :class:`GridError` unless it fits 64 unsigned bits."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise GridError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
+def is_integer_ratio(num: float, den: float) -> bool:
+    """Whether ``num / den`` is an integer, to 1e-9 relative."""
+    ratio = num / den
+    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
+
+
 def derived_generator(seed: int, tag: int) -> Generator:
     """Auxiliary RNG stream, disjoint from every particle stream."""
+    check_seed(seed)
     # Known defect: numpy rounds this list key's high word through float64,
     # so nearby tags collide; exact uint64 words, as in :func:`stream_seeds`,
     # would change the empirical-rate outputs.
     return Generator(Philox(key=[seed, _AUX_NAMESPACE + tag]))
 
 
-def _step_count(delta: float, horizon: float, what: str = "horizon") -> int:
-    ratio = horizon / delta
-    steps = int(round(ratio))
-    if steps < 1 or abs(ratio - steps) > 1e-9 * max(1.0, abs(ratio)):
-        raise GridError(
-            f"{what}/delta = {ratio!r} is not a positive integer step count"
-        )
-    return steps
-
-
 def _check_grid(seed, particles, bm_dim, delta_base, horizon):
     """Validate grid arguments; return the seed as an int and the step count."""
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise GridError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    seed = check_seed(seed)
     if particles < 1 or bm_dim < 1:
         raise GridError("particles and bm_dim must be >= 1")
     if delta_base <= 0:
         raise GridError(f"delta_base must be positive, got {delta_base}")
-    return seed, _step_count(delta_base, horizon)
+    steps = int(round(horizon / delta_base))
+    if steps < 1 or not is_integer_ratio(horizon, delta_base):
+        raise GridError(
+            f"horizon/delta = {horizon / delta_base!r} is not a positive "
+            "integer step count"
+        )
+    return seed, steps
 
 
 def chunk_steps(particles: int, bm_dim: int, multiple: int = 1) -> int:

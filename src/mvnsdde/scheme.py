@@ -10,8 +10,8 @@ segment) to total_steps.
 
 Every run gets its noise the same way: :func:`coupled_pass` streams its
 seeds' Brownian paths block by block into one or more :class:`Stepper`
-runs.  :func:`simulate` and :func:`simulate_terminal` are such a pass over
-one run, so the path follows from the run's seed, step and horizon.
+runs, each at its own step.  :func:`simulate` and :func:`simulate_terminal`
+are a pass over one run, so the path follows from its seed, step and horizon.
 """
 
 from __future__ import annotations
@@ -334,35 +334,36 @@ class Stepper:
         return 0.0 if self.diverged is None else float(self.diverged.mean())
 
 
-def coupled_pass(levels: list[tuple[Stepper, int]]) -> None:
+def coupled_pass(runs: list[Stepper]) -> None:
     """Advance every run of a study on its seeds' streamed Brownian paths.
 
-    ``levels`` pairs each run with its step as a multiple of the first
-    run's, whose factor is 1: the path is streamed at that run's step and
-    horizon.  Every run has the first run's segments (seeds and particle
-    counts) and horizon.  A segment takes the leading columns of its seed's
-    stream, gathered once per block, so a smaller system reuses a larger
-    one's streams.  The seeds share one block budget, and blocks are a
-    multiple of every factor long, so each coarse run sees
-    :func:`~mvnsdde.noise.coarsen`'s sums of the whole path.
+    The path is streamed at the first run's step and horizon.  Every run
+    needs the first run's segments (seeds and particle counts) and horizon,
+    and a step count that divides the path's by a power of two, its factor;
+    any other run is a :class:`GridError` before any run steps.  A segment
+    takes the leading columns of its seed's stream, gathered once per
+    block, so a smaller system reuses a larger one's streams.  The seeds
+    share one block budget and blocks are a multiple of every factor long,
+    so each run sees :func:`~mvnsdde.noise.coarsen`'s sums of the path.
     """
-    fine, factor = levels[0]
-    if factor != 1:
-        raise GridError(f"the first run of a pass must have factor 1, got {factor}")
+    fine = runs[0]
     layout = [(seg.seed, seg.particles) for seg in fine.segments]
     horizon, steps = fine.params.horizon, fine.params.total_steps
-    for run, factor in levels:
+    factors = []
+    for run in runs:
         if [(seg.seed, seg.particles) for seg in run.segments] != layout:
             raise GridError(
                 "every run of a pass needs the first run's seeds and particles"
             )
         if run.params.horizon != horizon:
             raise GridError("every run of a pass needs the first run's horizon")
-        if run.params.total_steps * factor != steps:
+        run_steps = run.params.total_steps
+        factor, rest = divmod(steps, run_steps) if run_steps > 0 else (0, 0)
+        if rest or factor < 1 or factor & (factor - 1):
             raise GridError(
-                f"a run of {run.params.total_steps} steps at factor {factor} "
-                f"does not fit a path of {steps} steps"
+                f"{steps} path steps are not {run_steps} run steps times a power of two"
             )
+        factors.append(factor)
     columns: dict[int, int] = {}
     for seed, particles in layout:
         columns[seed] = max(columns.get(seed, 0), particles)
@@ -372,11 +373,11 @@ def coupled_pass(levels: list[tuple[Stepper, int]]) -> None:
     if np.array_equal(gather, np.arange(width)):
         gather = None  # every drawn column, in order
     bm_dim = fine.model.bm_dim
-    chunk = chunk_steps(width, bm_dim, max(f for _, f in levels))
+    chunk = chunk_steps(width, bm_dim, max(factors))
     for block in stream_seeds(columns, bm_dim, fine.params.delta, horizon, chunk):
         if gather is not None:
             block = block.take(gather, axis=1)
-        for run, factor in levels:
+        for run, factor in zip(runs, factors):
             run.advance(coarsen(block, factor))
         del block  # free it before the next block is drawn
 
@@ -391,7 +392,7 @@ def simulate(
     finite prefix) when a state goes non-finite.
     """
     run = Stepper(model, params, check=check, full_storage=True)
-    coupled_pass([(run, 1)])
+    coupled_pass([run])
     return ParticleGrid(states=run.states, params=params)
 
 
@@ -401,5 +402,5 @@ def simulate_terminal(model: ModelSpec, params: SchemeParams) -> Stepper:
     Its ``terminal`` is bit-identical to that of :func:`simulate`.
     """
     run = Stepper(model, params)
-    coupled_pass([(run, 1)])
+    coupled_pass([run])
     return run

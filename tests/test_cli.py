@@ -159,6 +159,20 @@ class TestExitCodes:
         rc = main(["simulate", "--outdir", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--seed", "-1"], "seed must be a 64-bit unsigned"),
+            (["validate", "--seed", "1", "--replicates", "0"], "replicates must"),
+            (["validate", "--seed", "1", "--dim", "3"], "supported dims are"),
+        ],
+    )
+    def test_refused_before_echo(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main([*argv, "--outdir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_is_1(self):
         assert main(["simulate", "--frobnicate", "1"]) == 1
 

@@ -15,6 +15,7 @@ from mvnsdde import (
     ErrorRow,
     ErrorTable,
     ExperimentReport,
+    GridError,
     ParticleGrid,
     SchemeParams,
     chaos_error_vs_particles,
@@ -82,7 +83,8 @@ class TestStrongErrorVsDt:
                 deltas=[3.0 * 2.0**-8], tau=2.0**-5, alpha=0.5, horizon=0.25,
                 seed=5,
             )
-        with pytest.raises(ConfigError):
+        # a valid grid finer than the path: the pass refuses it
+        with pytest.raises(GridError, match="power of two"):
             strong_error_vs_dt(
                 example51(), particles=4, delta_ref=2.0**-8,
                 deltas=[2.0**-9], tau=2.0**-5, alpha=0.5, horizon=0.25, seed=5,
@@ -290,6 +292,11 @@ class TestEmpiricalMeasureRate:
             empirical_measure_rate(
                 dim=5, xis=[16, 64, 1024], mc_reps=2, seed=1,
             )
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        with pytest.raises(GridError, match=f"seed .* got {seed}"):
+            empirical_measure_rate(dim=1, xis=[16, 32], mc_reps=3, seed=seed)
 
     def test_five_dim_decays(self):
         table = empirical_measure_rate(dim=5, xis=[16, 64], mc_reps=10, seed=6)

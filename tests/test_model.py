@@ -213,6 +213,11 @@ class TestValidate:
         report = validate(linear_meanfield(), _params(), q=6.0)
         assert report.ok
 
+    def test_seed_outside_64_bits_is_a_violation(self):
+        report = validate(example51(), _params(seed=2**64))
+        expect = f"seed must be a 64-bit unsigned integer, got {2**64}"
+        assert report.violations == [expect]
+
     def test_particles_positive(self):
         report = validate(example51(), _params(particles=0))
         assert any("particles" in v for v in report.violations)

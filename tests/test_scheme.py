@@ -527,40 +527,48 @@ class TestCoupledPass:
         )
         return dataclasses.replace(params, **changes)
 
-    def _refused(self, levels, match):
+    def _refused(self, runs, match):
         with pytest.raises(GridError, match=match):
-            coupled_pass(levels)
-        assert all(run.steps_done == 0 for run, _ in levels)
+            coupled_pass(runs)
+        assert all(run.steps_done == 0 for run in runs)
 
     def test_every_run_needs_the_first_runs_seeds_and_particles(self):
         model, fine = example51(), self._params()
         for other in (self._params(seed=6), self._params(particles=5)):
-            levels = [(Stepper(model, fine), 1), (Stepper(model, other), 1)]
-            self._refused(levels, "seeds and particles")
+            runs = [Stepper(model, fine), Stepper(model, other)]
+            self._refused(runs, "seeds and particles")
         segments = [fine, self._params(seed=6)]
-        levels = [(Stepper(model, segments), 1), (Stepper(model, segments[::-1]), 1)]
-        self._refused(levels, "seeds and particles")
+        runs = [Stepper(model, segments), Stepper(model, segments[::-1])]
+        self._refused(runs, "seeds and particles")
 
     def test_every_run_needs_the_first_runs_horizon(self):
         model = example51()
         coarse = self._params(delta=2.0**-6, horizon=0.25)
-        levels = [(Stepper(model, self._params()), 1), (Stepper(model, coarse), 2)]
-        self._refused(levels, "horizon")
+        runs = [Stepper(model, self._params()), Stepper(model, coarse)]
+        self._refused(runs, "horizon")
 
-    def test_factor_must_match_the_step(self):
+    def test_a_run_finer_than_the_path_is_refused(self):
         model = example51()
-        first = [(Stepper(model, self._params()), 2)]
-        self._refused(first, "factor 1")
-        coarse = Stepper(model, self._params(delta=2.0**-6))
-        self._refused([(Stepper(model, self._params()), 1), (coarse, 4)], "steps")
+        finer = Stepper(model, self._params(delta=2.0**-8))
+        # nor is a run of no steps, which only an unchecked run can be
+        empty = Stepper(model, self._params(delta=2.0), check=False)
+        for run in (finer, empty):
+            self._refused([Stepper(model, self._params()), run], "power of two")
+
+    def test_a_step_ratio_of_three_is_refused(self):
+        # both grids are valid: 0.75 is 96 steps of 2**-7 and 32 of 3 * 2**-7
+        model = example51()
+        fine = self._params(tau=3 * 2.0**-5, horizon=0.75)
+        coarse = self._params(delta=3 * 2.0**-7, tau=3 * 2.0**-5, horizon=0.75)
+        self._refused([Stepper(model, fine), Stepper(model, coarse)], "power of two")
 
     def test_each_run_ends_where_its_own_run_does(self):
         model, fine = example51(), self._params()
         coarse = self._params(delta=2.0**-6)
-        levels = [(Stepper(model, fine), 1), (Stepper(model, coarse), 2)]
-        coupled_pass(levels)
+        runs = [Stepper(model, fine), Stepper(model, coarse)]
+        coupled_pass(runs)
         path = generate(5, 6, 1, fine.delta, fine.horizon)
-        for (run, factor), params in zip(levels, (fine, coarse)):
+        for run, params, factor in zip(runs, (fine, coarse), (1, 2)):
             alone = run_on(model, params, coarsen(path, factor))
             assert run.terminal.tobytes() == alone.terminal.tobytes()
 
@@ -590,7 +598,7 @@ class TestTwoDimensional:
         model, fine = planar_meanfield(), self._params()
         coarse = self._params(delta=2.0**-6)
         run = Stepper(model, coarse, full_storage=True)
-        coupled_pass([(Stepper(model, fine), 1), (run, 2)])
+        coupled_pass([Stepper(model, fine), run])
         noise = generate(fine.seed, fine.particles, 2, fine.delta, 1.0)
         alone = run_on(model, coarse, coarsen(noise, 2))
         assert run.states.tobytes() == alone.states.tobytes()
@@ -628,7 +636,7 @@ class TestOverflow:
     def test_tracked_run_reports_divergence(self):
         model, params = self._setup(taming=False)
         run = Stepper(model, params, track_divergence=True)
-        coupled_pass([(run, 1)])
+        coupled_pass([run])
         assert run.divergence_fraction == 1.0
         assert run.first_divergence_step is not None
 
