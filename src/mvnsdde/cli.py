@@ -29,6 +29,7 @@ from .experiments import (
     chaos_error_vs_particles,
     check_dim,
     check_replicates,
+    check_steps,
     empirical_measure_rate,
     strong_error_vs_dt,
     taming_comparison,
@@ -214,6 +215,7 @@ def parse(
     if values["seed"] is None:
         raise ConfigError("missing seed: every run must set one explicitly")
     check_seed(values["seed"])
+    check_steps(values["delta_ref"], values["deltas"])
     if values["outdir"] is None:
         values["outdir"] = os.environ.get(OUTDIR_ENV, "out")
     return RunConfig(**values)

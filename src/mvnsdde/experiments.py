@@ -25,6 +25,7 @@ window.  Results equal those of one run per seed and size bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import resource
 import time
 from dataclasses import dataclass, field, replace
@@ -142,6 +143,14 @@ def check_replicates(replicates: int) -> None:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
 
 
+def check_steps(delta_ref: float, deltas) -> None:
+    """Refuse a reference or test step that is not positive and finite."""
+    for key, steps in (("delta_ref", [delta_ref]), ("deltas", deltas)):
+        for step in steps:
+            if not 0.0 < step < math.inf:  # also false for nan
+                raise ConfigError(f"{key} must be positive and finite, got {step}")
+
+
 def _replicate_seeds(seed: int, replicates: int) -> list[int]:
     check_replicates(replicates)
     return [(int(seed) + r) % 2**64 for r in range(replicates)]
@@ -177,12 +186,14 @@ def strong_error_vs_dt(
     for sensitivity checks of the single-run estimate.  Replicates that
     share a pass are segments of each step size's one run.
     """
+    check_steps(delta_ref, deltas)
     deltas = sorted(float(d) for d in deltas)
     sq_errors: list[list[np.ndarray]] = [[] for _ in deltas]
     seeds = _replicate_seeds(seed, replicates)
     # sizes the passes' blocks only; the runs check every step
-    ratio = max(deltas, default=delta_ref) / delta_ref if delta_ref > 0 else 1
-    for group in _passes(seeds, particles, model.bm_dim, max(1, round(ratio))):
+    ratio = max(deltas, default=delta_ref) / delta_ref
+    multiple = round(ratio) if ratio < math.inf else 1
+    for group in _passes(seeds, particles, model.bm_dim, max(1, multiple)):
         base = [
             SchemeParams(
                 delta=delta_ref, tau=tau, alpha=alpha, particles=particles,

@@ -20,6 +20,7 @@ themselves.  Callbacks must be pure: the integrator computes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -147,7 +148,9 @@ def validate(
     if params.delta > 0 and params.tau > 0 and not is_integer_ratio(
         params.tau, params.delta
     ):
-        v.append(f"tau/delta = {params.tau / params.delta!r} is not an integer")
+        v.append(
+            f"tau/delta = {params.tau / params.delta!r} is not a positive integer"
+        )
     if not 0.0 < params.alpha <= 0.5:
         v.append(f"alpha must lie in (0, 1/2], got {params.alpha}")
     if params.particles < 1:
@@ -156,7 +159,8 @@ def validate(
         v.append(f"horizon must be positive, got {params.horizon}")
     elif params.delta > 0 and not is_integer_ratio(params.horizon, params.delta):
         v.append(
-            f"horizon/delta = {params.horizon / params.delta!r} is not an integer"
+            f"horizon/delta = {params.horizon / params.delta!r} is not a positive "
+            "integer"
         )
 
     q_max = p / (2.0 * (model.growth_power + 1.0))
@@ -168,7 +172,8 @@ def validate(
             f"(p = {p}, c = {model.growth_power})"
         )
 
-    if params.delta > 0 and params.tau > 0:
+    # probe the segment's grid points, if it has a finite number of them
+    if params.delta > 0 and 0 < params.tau / params.delta < math.inf:
         n0 = params.delay_steps
         try:
             for n in range(-n0, 1):

@@ -17,6 +17,8 @@ the one coarsening rule.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
@@ -42,9 +44,11 @@ def check_seed(seed) -> int:
 
 
 def is_integer_ratio(num: float, den: float) -> bool:
-    """Whether ``num / den`` is an integer, to 1e-9 relative."""
+    """Whether ``num / den`` is a positive integer, to 1e-9 relative."""
     ratio = num / den
-    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
+    if not 0.5 <= ratio < math.inf:  # also false for nan
+        return False
+    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)
 
 
 def derived_generator(seed: int, tag: int) -> Generator:
@@ -63,13 +67,12 @@ def _check_grid(seed, particles, bm_dim, delta_base, horizon):
         raise GridError("particles and bm_dim must be >= 1")
     if delta_base <= 0:
         raise GridError(f"delta_base must be positive, got {delta_base}")
-    steps = int(round(horizon / delta_base))
-    if steps < 1 or not is_integer_ratio(horizon, delta_base):
+    if not is_integer_ratio(horizon, delta_base):
         raise GridError(
             f"horizon/delta = {horizon / delta_base!r} is not a positive "
             "integer step count"
         )
-    return seed, steps
+    return seed, round(horizon / delta_base)
 
 
 def chunk_steps(particles: int, bm_dim: int, multiple: int = 1) -> int:

@@ -23,6 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from ._g17 import BLOCK_VALUES, g17_texts
 from .errors import ConfigError, GridError, OverflowAbort, ValidationFailure
 from .measure import BatchMeasure, EmpiricalMeasure
 from .model import ModelSpec, SchemeParams, validate
@@ -115,22 +116,35 @@ class ParticleGrid:
         return self.states[-1]
 
     def write_csv(self, fh) -> None:
-        """Stream the CSV export to a text file handle, one time row at a time.
+        """Stream the CSV export to a text file handle, a block of time rows
+        at a time.
 
         Header t,particle,comp*; particle ids are 1-based; every float is
-        formatted with %.17g.  The per-particle line tails are built once,
-        so each time row is one %-format of all its states.
+        written as its %.17g text.  One write holds the whole time rows that
+        fit in ``BLOCK_VALUES`` states, or one row when a row alone holds
+        more.  The per-particle line tails are built once, so a block is one
+        %-format of its states' texts.
         """
         dim = self.state_dim
         header = "t,particle," + ",".join(f"comp{i}" for i in range(dim))
         fh.write(header + "\n")
-        values = ",".join(["%.17g"] * dim)
-        # the leading "" makes t.join(pieces) put t before every tail
-        pieces = [""] + [f",{a + 1},{values}\n" for a in range(self.particles)]
-        n0 = self.delay_steps
-        for row_i, row in enumerate(self.states):
-            t = f"{(row_i - n0) * self.params.delta:.17g}"
-            fh.write(t.join(pieces) % tuple(row.ravel().tolist()))
+        values = ",".join(["%s"] * dim)
+        # the leading b"" makes t.join(pieces) put t before every tail
+        pieces = [b""] + [
+            f",{a + 1},{values}\n".encode() for a in range(self.particles)
+        ]
+        n0, delta = self.delay_steps, self.params.delta
+        rows = max(1, BLOCK_VALUES // max(1, self.particles * dim))
+        for start in range(0, len(self.states), rows):
+            block = self.states[start : start + rows]
+            texts = tuple(g17_texts(block))
+            template = b"".join(
+                (b"%.17g" % ((start + i - n0) * delta)).join(pieces)
+                for i in range(len(block))
+            )
+            text = template % texts
+            del texts, template  # freed before decoding copies the text
+            fh.write(text.decode())
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:

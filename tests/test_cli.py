@@ -155,6 +155,29 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("subcommand", ["validate", "simulate"])
+    @pytest.mark.parametrize(
+        "keys, ratio",
+        [
+            # a horizon shorter than one step: horizon/delta rounds to 0
+            (
+                ["--delta", "0.00048828125", "--tau", "0.0009765625",
+                 "--horizon", "1e-13"],
+                "horizon/delta",
+            ),
+            (["--horizon", "inf"], "horizon/delta"),
+            (["--tau", "inf"], "tau/delta"),
+        ],
+    )
+    def test_ratio_not_a_positive_integer_is_2(
+        self, tmp_path, capsys, subcommand, keys, ratio
+    ):
+        argv = [subcommand, "--seed", "1", *keys, "--outdir", str(tmp_path / "o")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"violation: {ratio} = " in captured.out + captured.err
+        assert "is not a positive integer" in captured.out + captured.err
+
     def test_missing_seed_is_1(self, tmp_path):
         rc = main(["simulate", "--outdir", str(tmp_path / "o")])
         assert rc == 1
@@ -165,6 +188,10 @@ class TestExitCodes:
             (["simulate", "--seed", "-1"], "seed must be a 64-bit unsigned"),
             (["validate", "--seed", "1", "--replicates", "0"], "replicates must"),
             (["validate", "--seed", "1", "--dim", "3"], "supported dims are"),
+            (["convergence-dt", "--seed", "1", "--deltas", "inf"], "deltas must"),
+            (["convergence-dt", "--seed", "1", "--deltas", "nan"], "deltas must"),
+            (["convergence-dt", "--seed", "1", "--deltas", "0"], "deltas must"),
+            (["convergence-dt", "--seed", "1", "--delta-ref", "-1"], "delta_ref must"),
         ],
     )
     def test_refused_before_echo(self, tmp_path, capsys, argv, message):

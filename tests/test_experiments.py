@@ -18,6 +18,7 @@ from mvnsdde import (
     GridError,
     ParticleGrid,
     SchemeParams,
+    ValidationFailure,
     chaos_error_vs_particles,
     cubic_no_mf,
     empirical_measure_rate,
@@ -88,6 +89,28 @@ class TestStrongErrorVsDt:
             strong_error_vs_dt(
                 example51(), particles=4, delta_ref=2.0**-8,
                 deltas=[2.0**-9], tau=2.0**-5, alpha=0.5, horizon=0.25, seed=5,
+            )
+
+    @pytest.mark.parametrize(
+        "delta_ref, deltas",
+        [
+            (2.0**-8, [math.inf]), (2.0**-8, [math.nan]), (2.0**-8, [0.0]),
+            (-1.0, [2.0**-7]), (math.inf, [2.0**-7]), (math.nan, [2.0**-7]),
+        ],
+    )
+    def test_steps_must_be_positive_and_finite(self, delta_ref, deltas):
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            strong_error_vs_dt(
+                example51(), particles=4, delta_ref=delta_ref, deltas=deltas,
+                tau=2.0**-5, alpha=0.5, horizon=0.25, seed=5,
+            )
+
+    def test_step_ratio_beyond_float_range_is_a_validation_failure(self):
+        # 2**-7 / 5e-324 overflows to inf; the reference run refuses its grid
+        with pytest.raises(ValidationFailure, match="horizon/delta = inf"):
+            strong_error_vs_dt(
+                example51(), particles=4, delta_ref=5e-324, deltas=[2.0**-7],
+                tau=2.0**-5, alpha=0.5, horizon=0.25, seed=5,
             )
 
     def test_errors_grow_with_step(self):

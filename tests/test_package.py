@@ -1,8 +1,15 @@
-"""The package's export list."""
+"""The package's export list, and what importing the CLI loads."""
 
+import ast
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import mvnsdde
+from mvnsdde import _g17
 
 
 def test_all_lists_exactly_the_public_names():
@@ -12,3 +19,33 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert mvnsdde.__all__ == sorted(public)
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    # scipy.optimize (which loads scipy.spatial) costs about 0.27 s and
+    # 23 MiB, so w2_assignment imports it when first called; the export's
+    # formatter imports nothing beyond numpy
+    tree = ast.parse(Path(_g17.__file__).read_text())
+    kernel_imports = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    }
+    absent = ["scipy.optimize", "scipy.spatial"]
+    absent += sorted(kernel_imports - {"numpy", "__future__"})
+    code = (
+        "import json, sys\nimport mvnsdde.cli\n"
+        f"print(json.dumps([name in sys.modules for name in {absent!r}]))"
+    )
+    root = Path(__file__).resolve().parent.parent
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert not any(loaded), [n for n, hit in zip(absent, loaded) if hit]

@@ -29,6 +29,7 @@ from mvnsdde import (
     simulate_terminal,
     tame_drift,
 )
+from mvnsdde._g17 import BLOCK_VALUES
 from mvnsdde.model import ModelSpec
 from mvnsdde.noise import chunk_steps
 from mvnsdde.scheme import coupled_pass
@@ -735,20 +736,43 @@ class TestStreamingExport:
         grid.write_csv(buf)
         assert buf.getvalue() == reference_csv_text(grid)
 
-    def test_writes_one_time_row_at_a_time(self):
-        params = SchemeParams(
-            delta=0.5, tau=0.5, alpha=0.5, particles=3, horizon=1.0, seed=0
+    def test_writes_whole_time_rows_within_the_block_budget(self):
+        # many rows per write, one row of 2100 values per write, and a row
+        # of 5000 values, more than the budget alone
+        for particles, dim, rows in ((3, 2, 1500), (700, 3, 5), (5000, 1, 3)):
+            params = SchemeParams(
+                delta=0.5, tau=0.5, alpha=0.5, particles=particles,
+                horizon=(rows - 2) * 0.5, seed=0,
+            )
+            states = np.arange(rows * particles * dim, dtype=np.float64)
+            grid = ParticleGrid(states.reshape(rows, particles, dim), params)
+            writes = []
+
+            class Recorder:
+                def write(self, text):
+                    writes.append(text)
+
+            grid.write_csv(Recorder())
+            assert "".join(writes) == reference_csv_text(grid)
+            assert writes[0].count("\n") == 1  # the header
+            budget = max(BLOCK_VALUES, particles * dim)
+            for text in writes[1:]:
+                lines = text.count("\n")
+                assert text.endswith("\n") and lines % particles == 0
+                assert 0 < lines * dim <= budget
+            assert len(writes) > 2
+
+    def test_matches_reference_on_a_dim_3_grid(self):
+        # values in the range the array code formats, and a few it leaves to
+        # Python, over more than one block
+        rng = np.random.default_rng(3)
+        states = rng.standard_normal((9, 400, 3)) * 10.0 ** rng.integers(
+            -4, 17, (9, 400, 3)
         )
-        states = np.arange(4 * 3 * 2, dtype=np.float64).reshape(4, 3, 2)
+        states[0, :2] = [[0.0, -0.0, 1e-5], [1e17, -np.inf, np.nan]]
+        params = SchemeParams(
+            delta=2.0**-7, tau=3 * 2.0**-7, alpha=0.5, particles=400,
+            horizon=5 * 2.0**-7, seed=0,
+        )
         grid = ParticleGrid(states=states, params=params)
-        writes = []
-
-        class Recorder:
-            def write(self, text):
-                writes.append(text)
-
-        grid.write_csv(Recorder())
-        assert writes[0] == "t,particle,comp0,comp1\n"
-        assert len(writes) == 1 + states.shape[0]
-        assert writes[1] == "-0.5,1,0,1\n-0.5,2,2,3\n-0.5,3,4,5\n"
-        assert "".join(writes) == reference_csv_text(grid)
+        assert _csv_text(grid) == reference_csv_text(grid)
