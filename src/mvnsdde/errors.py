@@ -10,8 +10,8 @@ class MvnsddeError(Exception):
 
 
 class ShapeError(MvnsddeError, ValueError):
-    """Dimension or size mismatch between measures or arrays, or a measure
-    with a non-finite point."""
+    """A sample of the wrong rank, dimension or size, or one that is empty
+    or has a non-finite point."""
 
 
 class CapacityError(MvnsddeError):

@@ -33,12 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DegenerateFitError
-from .measure import (
-    DEFAULT_ASSIGNMENT_CAP,
-    EmpiricalMeasure,
-    w2_assignment,
-    w2sq_to_standard_normal_1d,
-)
+from .measure import DEFAULT_ASSIGNMENT_CAP, w2_assignment, w2sq_to_standard_normal_1d
 from .model import ModelSpec, SchemeParams
 from .noise import derived_generator, seeds_per_block
 from .scheme import DIVERGENCE_THRESHOLD, Stepper, coupled_pass
@@ -158,7 +153,9 @@ def _replicate_seeds(seed: int, replicates: int) -> list[int]:
 
 def _passes(seeds: list[int], particles: int, bm_dim: int, multiple: int):
     """The replicate seeds in groups, one per pass (:func:`seeds_per_block`)."""
-    size = seeds_per_block(particles, bm_dim, multiple)
+    # a count below 1 groups as 1 does; the first pass's runs refuse it
+    # in validation, before any noise is drawn
+    size = seeds_per_block(max(1, particles), bm_dim, multiple)
     return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
 
@@ -374,6 +371,8 @@ def empirical_measure_rate(
     xis = sorted(int(x) for x in xis)
     if any(b <= a for a, b in zip(xis, xis[1:])):
         raise ConfigError(f"sample sizes must be distinct: {xis}")
+    if xis and xis[0] < 1:
+        raise ConfigError(f"sample sizes must be >= 1, got {xis[0]}")
     if dim == 5 and xis and xis[-1] > DEFAULT_ASSIGNMENT_CAP:
         raise CapacityError(
             f"size {xis[-1]} exceeds assignment cap {DEFAULT_ASSIGNMENT_CAP}"
@@ -386,12 +385,10 @@ def empirical_measure_rate(
         vals = np.empty(mc_reps)
         for r in range(mc_reps):
             if dim == 1:
-                mu = EmpiricalMeasure(rng.standard_normal(xi))
-                vals[r] = w2sq_to_standard_normal_1d(mu)
+                vals[r] = w2sq_to_standard_normal_1d(rng.standard_normal(xi))
             else:
-                mu = EmpiricalMeasure(rng.standard_normal((xi, dim)))
-                nu = EmpiricalMeasure(rng.standard_normal((xi, dim)))
-                vals[r] = w2_assignment(mu, nu) ** 2
+                x = rng.standard_normal((xi, dim))
+                vals[r] = w2_assignment(x, rng.standard_normal((xi, dim))) ** 2
         mean = float(vals.mean())
         stderr = (
             float(vals.std(ddof=1) / np.sqrt(mc_reps)) if mc_reps > 1 else 0.0

@@ -1,7 +1,9 @@
 """Empirical measures, their means, and exact Wasserstein-2 distances.
 
 Uniformly weighted point clouds stand in for the laws that the coefficient
-functions and the error metrics consume.  Distances are computed exactly:
+functions and the error metrics consume: the coefficients read a step's
+:class:`EmpiricalMeasure`, and the distances take the point arrays
+themselves (samples).  Distances are computed exactly:
 order statistics in one dimension, minimum-cost assignment in general
 dimension, and per-quantile-cell quadrature against the standard normal.
 Approximate transport solvers are deliberately avoided so convergence
@@ -33,59 +35,13 @@ _NORMAL_NODES = 64  # Gauss-Legendre nodes per quantile cell
 
 
 class EmpiricalMeasure:
-    """Uniform probability measure on a finite point set in R^d.
-
-    Weights are implicitly 1/size.  Every coordinate must be finite.  The
-    point array is exposed read-only and the mean is computed once on first
-    use.  The W2 distances take these; the integrator's step builds a
-    :class:`BatchMeasure` instead, which skips the checks.
-    """
-
-    __slots__ = ("points", "_mean")
-
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2:
-            raise ShapeError(f"points must be (size, dim), got shape {pts.shape}")
-        if pts.shape[0] < 1:
-            raise ShapeError("an empirical measure needs at least one point")
-        if not np.isfinite(pts).all():
-            raise ShapeError("an empirical measure needs finite points")
-        pts = pts.view()
-        pts.flags.writeable = False
-        self.points = pts
-        self._mean = None
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def mean(self) -> np.ndarray:
-        """Mean vector, cached after the first evaluation."""
-        if self._mean is None:
-            self._mean = self.points.mean(axis=0)
-        return self._mean
-
-    def __repr__(self) -> str:
-        return f"EmpiricalMeasure(size={self.size}, dim={self.dim})"
-
-
-class BatchMeasure:
     """The empirical measures of a batch of particle systems at one step.
 
     ``points`` is the whole batch, (rows, dim), and system k owns the rows
-    ``bounds[k]`` = (start, stop).  ``mean`` broadcasts by row: row i holds
-    the mean of its own system's points, summed exactly as
-    ``EmpiricalMeasure(points[start:stop]).mean`` sums them, and computed once
-    on first use.  The integrator builds one per step, so there are no checks
-    and no read-only view.
+    ``bounds[k]`` = (start, stop), each a uniform measure on its points.
+    ``mean`` broadcasts by row: row i holds the mean of its own system's
+    points, computed once on first use.  The integrator builds one per
+    step, so there are no checks; the W2 distances take sample arrays.
     """
 
     __slots__ = ("points", "bounds", "_mean")
@@ -106,32 +62,45 @@ class BatchMeasure:
         return self._mean
 
 
-def _require_same_size(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
-    if mu.size != nu.size:
-        raise ShapeError(f"size mismatch: {mu.size} vs {nu.size}")
+def _samples(*samples) -> list[np.ndarray]:
+    """The samples as (size, dim) float64 arrays, a (size,) one as dim 1; a
+    :class:`ShapeError` for another rank, an empty sample, a non-finite
+    coordinate or samples of different shapes."""
+    out = []
+    for sample in samples:
+        pts = np.asarray(sample, dtype=np.float64)
+        if pts.ndim == 1:
+            pts = pts.reshape(-1, 1)
+        if pts.ndim != 2:
+            raise ShapeError(f"a sample must be (size, dim), got shape {pts.shape}")
+        if pts.shape[0] < 1:
+            raise ShapeError("a sample needs at least one point")
+        if not np.isfinite(pts).all():
+            raise ShapeError("a sample needs finite points")
+        if out and pts.shape != out[0].shape:
+            raise ShapeError(f"shape mismatch: {out[0].shape} vs {pts.shape}")
+        out.append(pts)
+    return out
 
 
-def w2_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Exact Wasserstein-2 distance of equal-size 1-D empirical measures.
+def w2_1d(x, y) -> float:
+    """Exact Wasserstein-2 distance of two equal-size 1-D samples.
 
     The optimal coupling of two equal-size uniform atomic measures on the
     line pairs order statistics, so the distance reduces to the rms gap of
     the sorted samples.
     """
-    if mu.dim != 1 or nu.dim != 1:
-        raise ShapeError(f"w2_1d needs dim 1, got {mu.dim} and {nu.dim}")
-    _require_same_size(mu, nu)
-    xs = np.sort(mu.points[:, 0], kind="stable")
-    ys = np.sort(nu.points[:, 0], kind="stable")
+    x, y = _samples(x, y)
+    if x.shape[1] != 1:
+        raise ShapeError(f"w2_1d needs dim 1, got {x.shape[1]}")
+    xs = np.sort(x[:, 0], kind="stable")
+    ys = np.sort(y[:, 0], kind="stable")
     return float(np.sqrt(np.mean((xs - ys) ** 2)))
 
 
-def w2_assignment(
-    mu: EmpiricalMeasure,
-    nu: EmpiricalMeasure,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-) -> float:
-    """Exact Wasserstein-2 distance via minimum-cost bipartite assignment.
+def w2_assignment(x, y, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> float:
+    """Exact Wasserstein-2 distance of two equal-size samples via
+    minimum-cost bipartite assignment.
 
     Works in any dimension; cubic cost in the point count, hence the cap.
     Raising :class:`CapacityError` signals the caller to subsample rather
@@ -142,19 +111,15 @@ def w2_assignment(
     distance averages the matched entries of the unreduced ``cdist`` matrix,
     because the reduced entries carry other rounding.
     """
-    if mu.dim != nu.dim:
-        raise ShapeError(f"dim mismatch: {mu.dim} vs {nu.dim}")
-    _require_same_size(mu, nu)
-    if mu.size > assignment_cap:
-        raise CapacityError(
-            f"size {mu.size} exceeds assignment cap {assignment_cap}"
-        )
+    x, y = _samples(x, y)
+    if len(x) > assignment_cap:
+        raise CapacityError(f"size {len(x)} exceeds assignment cap {assignment_cap}")
     # imported here, not at the top: they roughly double the time and the
     # memory of importing the package, and only this function needs them
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
-    cost = cdist(mu.points, nu.points, "sqeuclidean")
+    cost = cdist(x, y, "sqeuclidean")
     reduced = cost - cost.min(axis=0)
     reduced -= reduced.min(axis=1, keepdims=True)
     rows, cols = linear_sum_assignment(reduced)
@@ -183,16 +148,17 @@ def _normal_cell_moments(size: int):
     return a, b
 
 
-def w2sq_to_standard_normal_1d(mu: EmpiricalMeasure) -> float:
-    """Squared W2 distance from a 1-D empirical measure to N(0, 1).
+def w2sq_to_standard_normal_1d(x) -> float:
+    """Squared W2 distance from the empirical measure of a 1-D sample to N(0, 1).
 
     Integrates (x_(i) - ndtri(u))^2 over each quantile cell of width
     1/size, with u clipped away from {0, 1} to keep the quantile function
     finite.
     """
-    if mu.dim != 1:
-        raise ShapeError(f"normal distance needs dim 1, got {mu.dim}")
-    xs = np.sort(mu.points[:, 0], kind="stable")
-    a, b = _normal_cell_moments(mu.size)
-    value = float(np.dot(xs, xs) / mu.size - 2.0 * np.dot(xs, a) + b.sum())
+    (x,) = _samples(x)
+    if x.shape[1] != 1:
+        raise ShapeError(f"normal distance needs dim 1, got {x.shape[1]}")
+    xs = np.sort(x[:, 0], kind="stable")
+    a, b = _normal_cell_moments(len(xs))
+    value = float(np.dot(xs, xs) / len(xs) - 2.0 * np.dot(xs, a) + b.sum())
     return max(value, 0.0)

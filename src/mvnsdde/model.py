@@ -10,30 +10,34 @@ step and caches its functionals (currently the mean).
 
 A batch may hold several particle systems, each a segment of rows (the
 replicate seeds and particle counts of one study).  The integrator passes a
-:class:`~mvnsdde.measure.BatchMeasure`: ``mu.points`` is the whole batch,
+:class:`~mvnsdde.measure.EmpiricalMeasure`: ``mu.points`` is the whole batch,
 and ``mu.mean`` broadcasts by row, with shape (batch, state_dim), row i
 holding the mean of particle i's own system.  Callbacks must therefore use
 the measure's functionals row by row and never reduce over the batch
-themselves.  Callbacks must be pure: the integrator computes
+themselves, so a call on several systems equals the calls on each system
+alone, bit for bit.  Callbacks must be pure: the integrator computes
 ``neutral(y)`` for a lookback row once and reuses it at the next step.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, GridError
-from .measure import BatchMeasure
+from .measure import EmpiricalMeasure
 from .noise import derived_generator, is_integer_ratio
 
 _PROBE_TAG = 0xA55E55  # validation probe stream, disjoint from particle keys
 _PROBE_PAIRS = 1000
 _PROBE_BOX = 10.0
 _PROBE_SLACK = 1e-9
+
+# The most delay steps (tau/delta) a grid may have: validate probes the
+# initial segment at each of them, and a run keeps them all in its ring.
+MAX_DELAY_STEPS = 2**20
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,8 @@ class ModelSpec:
     state_dim: int
     bm_dim: int
     neutral: Callable[[np.ndarray], np.ndarray]
-    drift: Callable[[np.ndarray, np.ndarray, BatchMeasure], np.ndarray]
-    diffusion: Callable[[np.ndarray, np.ndarray, BatchMeasure], np.ndarray]
+    drift: Callable[[np.ndarray, np.ndarray, EmpiricalMeasure], np.ndarray]
+    diffusion: Callable[[np.ndarray, np.ndarray, EmpiricalMeasure], np.ndarray]
     initial_segment: Callable[[float], np.ndarray]
     contraction: float
     growth_power: float
@@ -145,12 +149,13 @@ def validate(
             f"delta must lie in (0, min(1, tau)) = "
             f"(0, {min(1.0, params.tau)}), got {params.delta}"
         )
+    delay = params.tau / params.delta if params.delta > 0 else 0.0
     if params.delta > 0 and params.tau > 0 and not is_integer_ratio(
         params.tau, params.delta
     ):
-        v.append(
-            f"tau/delta = {params.tau / params.delta!r} is not a positive integer"
-        )
+        v.append(f"tau/delta = {delay!r} is not a positive integer")
+    elif delay > MAX_DELAY_STEPS:
+        v.append(f"tau/delta = {delay!r} exceeds the cap of {MAX_DELAY_STEPS} steps")
     if not 0.0 < params.alpha <= 0.5:
         v.append(f"alpha must lie in (0, 1/2], got {params.alpha}")
     if params.particles < 1:
@@ -172,8 +177,8 @@ def validate(
             f"(p = {p}, c = {model.growth_power})"
         )
 
-    # probe the segment's grid points, if it has a finite number of them
-    if params.delta > 0 and 0 < params.tau / params.delta < math.inf:
+    # probe the segment's grid points, if there are at most the cap of them
+    if 0 < delay <= MAX_DELAY_STEPS:
         n0 = params.delay_steps
         try:
             for n in range(-n0, 1):

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._g17 import BLOCK_VALUES, g17_texts
 from .errors import ConfigError, GridError, OverflowAbort, ValidationFailure
-from .measure import BatchMeasure, EmpiricalMeasure
+from .measure import EmpiricalMeasure
 from .model import ModelSpec, SchemeParams, validate
 from .noise import chunk_steps, coarsen, stream_seeds
 
@@ -157,7 +157,7 @@ def em_step(
     delayed_next: np.ndarray,
     model: ModelSpec,
     params: SchemeParams,
-    measure: EmpiricalMeasure | BatchMeasure,
+    measure: EmpiricalMeasure,
     increments: np.ndarray,
     neutral: tuple[np.ndarray, np.ndarray] | None = None,
     out: np.ndarray | None = None,
@@ -206,9 +206,10 @@ class Stepper:
     ``params`` is one run, or several that differ only in ``seed`` and
     ``particles``: each is a segment of rows (``bounds``) of one state
     array, and one Python step advances them all.  The step's
-    :class:`~mvnsdde.measure.BatchMeasure` gives every row its own
+    :class:`~mvnsdde.measure.EmpiricalMeasure` gives every row its own
     segment's mean, so each segment ends bit for bit where a run of its own
-    would.
+    would.  Every segment must pass :func:`~mvnsdde.model.validate`, or the
+    constructor raises :class:`ValidationFailure`.
 
     States live in a ring of delay_steps + 2 rows (the current state and
     both lookbacks); with ``full_storage`` the ring holds every grid row and
@@ -228,8 +229,8 @@ class Stepper:
 
     def __init__(
         self, model: ModelSpec, params: SchemeParams | Sequence[SchemeParams],
-        check: bool = True, full_storage: bool = False,
-        track_divergence: bool = False, moment_p: int | None = None,
+        full_storage: bool = False, track_divergence: bool = False,
+        moment_p: int | None = None,
     ):
         segments = (params,) if isinstance(params, SchemeParams) else tuple(params)
         first = segments[0]
@@ -245,11 +246,10 @@ class Stepper:
                 "full storage, divergence tracking and moments need a run of "
                 f"one segment, got {len(segments)}"
             )
-        if check:
-            for seg in segments:
-                report = validate(model, seg)
-                if not report.ok:
-                    raise ValidationFailure(report.violations)
+        for seg in segments:
+            report = validate(model, seg)
+            if not report.ok:
+                raise ValidationFailure(report.violations)
         self.model, self.params, self.segments = model, first, segments
         stops = list(accumulate(seg.particles for seg in segments))
         self.bounds = tuple(zip([0] + stops[:-1], stops))
@@ -303,7 +303,7 @@ class Stepper:
                 neutral = self._neutral, model.neutral(delayed_next)
                 new = em_step(
                     x, delayed, delayed_next, model, params,
-                    BatchMeasure(x, bounds), inc, neutral, buf[(n + 1 + n0) % cap],
+                    EmpiricalMeasure(x, bounds), inc, neutral, buf[(n + 1 + n0) % cap],
                 )
                 self._neutral = neutral[1]
                 self.steps_done = n + 1
@@ -372,7 +372,7 @@ def coupled_pass(runs: list[Stepper]) -> None:
         if run.params.horizon != horizon:
             raise GridError("every run of a pass needs the first run's horizon")
         run_steps = run.params.total_steps
-        factor, rest = divmod(steps, run_steps) if run_steps > 0 else (0, 0)
+        factor, rest = divmod(steps, run_steps)
         if rest or factor < 1 or factor & (factor - 1):
             raise GridError(
                 f"{steps} path steps are not {run_steps} run steps times a power of two"
@@ -396,16 +396,14 @@ def coupled_pass(runs: list[Stepper]) -> None:
         del block  # free it before the next block is drawn
 
 
-def simulate(
-    model: ModelSpec, params: SchemeParams, check: bool = True
-) -> ParticleGrid:
+def simulate(model: ModelSpec, params: SchemeParams) -> ParticleGrid:
     """Run the scheme with full state storage on the path of ``params.seed``.
 
     Raises :class:`ValidationFailure` when the configuration violates the
     structural conditions, and :class:`OverflowAbort` (carrying the last
     finite prefix) when a state goes non-finite.
     """
-    run = Stepper(model, params, check=check, full_storage=True)
+    run = Stepper(model, params, full_storage=True)
     coupled_pass([run])
     return ParticleGrid(states=run.states, params=params)
 

@@ -4,20 +4,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvnsdde import ParticleGrid, Stepper
+from mvnsdde import EmpiricalMeasure, ParticleGrid, Stepper
 from mvnsdde.model import ModelSpec
 from mvnsdde.scheme import sample_moments
 
 
-def run_on(model, params, increments, check=True) -> ParticleGrid:
+def run_on(model, params, increments) -> ParticleGrid:
     """A full-storage run advanced once on hand-made increments.
 
     ``increments`` is the whole (steps, particles, bm_dim) path, such as
     zeros, permuted columns or :func:`mvnsdde.generate`'s array.
     """
-    run = Stepper(model, params, check=check, full_storage=True)
+    run = Stepper(model, params, full_storage=True)
     run.advance(increments)
     return ParticleGrid(states=run.states, params=params)
+
+
+def one_system(points) -> EmpiricalMeasure:
+    """The empirical measure of one particle system, (particles, dim)."""
+    return EmpiricalMeasure(points, ((0, len(points)),))
 
 
 def planar_meanfield(beta: float = 0.5) -> ModelSpec:

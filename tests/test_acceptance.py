@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from mvnsdde import (
-    EmpiricalMeasure,
     SchemeParams,
     chaos_error_vs_particles,
     cubic_no_mf,
@@ -268,8 +267,8 @@ def test_criterion_8_oracle_equivalence_and_metric_axioms():
     for _ in range(1000):
         size = int(rng.integers(1, 65))
         scale = 10.0 ** rng.uniform(-2, 2)
-        mu = EmpiricalMeasure(rng.normal(size=size) * scale)
-        nu = EmpiricalMeasure(rng.normal(size=size) * scale)
+        mu = rng.normal(size=size) * scale
+        nu = rng.normal(size=size) * scale
         a = w2_assignment(mu, nu)
         b = w2_1d(mu, nu)
         if max(a, b) > 0:
@@ -279,9 +278,7 @@ def test_criterion_8_oracle_equivalence_and_metric_axioms():
     axiom_ok = True
     for _ in range(1000):
         size = int(rng.integers(1, 40))
-        mu, nu, rho = (
-            EmpiricalMeasure(rng.normal(size=size) * 3.0) for _ in range(3)
-        )
+        mu, nu, rho = (rng.normal(size=size) * 3.0 for _ in range(3))
         dmn = w2_1d(mu, nu)
         axiom_ok &= dmn == w2_1d(nu, mu)
         axiom_ok &= w2_1d(mu, mu) == 0.0

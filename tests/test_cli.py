@@ -361,6 +361,55 @@ class TestUnreadKeys:
         assert reports[0]["report"] == reports[1]["report"]
 
 
+class TestRefusedInAFreshProcess:
+    """Inputs that once crashed or hung a run: each exits with its code and
+    violation well before the timeout, and writes no CSV."""
+
+    @pytest.mark.parametrize(
+        "argv, rc, message",
+        [
+            (
+                ["convergence-dt", "--particles", "0", "--delta-ref", "0.125",
+                 "--deltas", "0.25", "--tau", "0.5"],
+                2, "violation: particles must be >= 1, got 0",
+            ),
+            (
+                ["convergence-dt", "--particles=-5", "--delta-ref", "0.125",
+                 "--deltas", "0.25", "--tau", "0.5"],
+                2, "violation: particles must be >= 1, got -5",
+            ),
+            (
+                ["convergence-particles", "--xis=0"],
+                2, "violation: particles must be >= 1, got 0",
+            ),
+            (
+                ["convergence-particles", "--xis=-5"],
+                2, "violation: particles must be >= 1, got -5",
+            ),
+            (["empirical-rate", "--xis=-3,4"], 1, "sample sizes must be >= 1, got -3"),
+            (["empirical-rate", "--xis", "0,4"], 1, "sample sizes must be >= 1, got 0"),
+            (["validate", "--tau", "1e6"], 2, "exceeds the cap of 1048576 steps"),
+            (
+                ["convergence-dt", "--delta-ref", "1e-300"],
+                2, "exceeds the cap of 1048576 steps",
+            ),
+        ],
+    )
+    def test_exits_before_the_timeout(self, tmp_path, argv, rc, message):
+        root = Path(__file__).resolve().parent.parent
+        paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        out = tmp_path / "o"
+        done = subprocess.run(
+            [sys.executable, "-m", "mvnsdde", *argv, "--seed", "1",
+             "--outdir", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == rc, done.stderr
+        assert message in done.stdout + done.stderr
+        assert not list(out.glob("*.csv"))
+
+
 class TestModuleEntry:
     @pytest.mark.parametrize("module", ["mvnsdde", "mvnsdde.cli"])
     def test_python_m_runs_the_cli(self, tmp_path, module):

@@ -27,11 +27,16 @@ from mvnsdde import (
     fit_loglog_slope,
     linear_meanfield,
     moment_bound_vs_dt,
+    scheme,
     simulate,
     strong_error_vs_dt,
     taming_comparison,
 )
 from oracles import moment_monitor
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("drew noise before checking the input")
 
 
 class TestFitLoglogSlope:
@@ -111,6 +116,20 @@ class TestStrongErrorVsDt:
             strong_error_vs_dt(
                 example51(), particles=4, delta_ref=5e-324, deltas=[2.0**-7],
                 tau=2.0**-5, alpha=0.5, horizon=0.25, seed=5,
+            )
+
+    def test_no_particles_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(scheme, "stream_seeds", forbidden)
+        match = "particles must be >= 1, got 0"
+        with pytest.raises(ValidationFailure, match=match):
+            strong_error_vs_dt(
+                example51(), particles=0, delta_ref=0.125, deltas=[0.25],
+                tau=0.5, alpha=0.5, horizon=1.0, seed=1,
+            )
+        with pytest.raises(ValidationFailure, match=match):
+            chaos_error_vs_particles(
+                example51(), xis=[0], delta=0.125, tau=0.5, alpha=0.5,
+                horizon=1.0, seed=1,
             )
 
     def test_errors_grow_with_step(self):
@@ -315,6 +334,12 @@ class TestEmpiricalMeasureRate:
             empirical_measure_rate(
                 dim=5, xis=[16, 64, 1024], mc_reps=2, seed=1,
             )
+
+    @pytest.mark.parametrize("xis, size", [([-3, 4], -3), ([0, 4], 0)])
+    def test_sizes_below_one_refused_before_any_draw(self, monkeypatch, xis, size):
+        monkeypatch.setattr(experiments, "derived_generator", forbidden)
+        with pytest.raises(ConfigError, match=f"sizes must be >= 1, got {size}"):
+            empirical_measure_rate(dim=1, xis=xis, mc_reps=2, seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_refused(self, seed):

@@ -25,17 +25,17 @@ from mvnsdde import (
     w2sq_to_standard_normal_1d,
 )
 import mvnsdde
-from mvnsdde.measure import BatchMeasure
 from mvnsdde.noise import derived_generator
+from oracles import one_system
 
 
 def rng(tag=0):
     return derived_generator(8603, 9000 + tag)
 
 
-def moment_wq(mu, q):
-    """q-th moment ((1/size) * sum |x_j|^q)^(1/q) of the point norms."""
-    norms = np.linalg.norm(mu.points, axis=1)
+def moment_wq(x, q):
+    """q-th moment ((1/size) * sum |x_j|^q)^(1/q) of a sample's point norms."""
+    norms = np.linalg.norm(np.reshape(x, (len(x), -1)), axis=1)
     return float(np.mean(norms**q) ** (1.0 / q))
 
 
@@ -53,124 +53,138 @@ def brute_force_w2(xs, ys):
     return math.sqrt(best / n)
 
 
+# Every W2 entry point as a call on one sample (the two-sample distances
+# take it as both), for the checks each makes on its samples.
+ENTRY_POINTS = (
+    lambda x: w2_1d(x, x),
+    lambda x: w2_assignment(x, x),
+    w2sq_to_standard_normal_1d,
+)
+
+
 class TestEmpiricalMeasure:
+    """The one measure class, and the rules on the samples of an empirical
+    measure that every W2 entry point checks."""
+
     def test_one_dim_input_is_normalized(self):
-        mu = EmpiricalMeasure([1.0, 2.0, 3.0])
-        assert mu.points.shape == (3, 1)
-        assert mu.size == 3 and mu.dim == 1
+        x, y = [1.0, 2.0, 3.0], np.array([0.5, -1.0, 4.0])
+        col_x, col_y = np.reshape(x, (3, 1)), y[:, None]
+        assert w2_1d(x, y) == w2_1d(col_x, col_y)
+        assert w2_assignment(x, y) == w2_assignment(col_x, col_y)
+        assert w2sq_to_standard_normal_1d(x) == w2sq_to_standard_normal_1d(col_x)
 
     def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            EmpiricalMeasure(np.empty((0, 2)))
+        for entry in ENTRY_POINTS:
+            with pytest.raises(ShapeError, match="at least one point"):
+                entry(np.empty((0, 2)))
 
     def test_bad_rank_rejected(self):
-        with pytest.raises(ShapeError):
-            EmpiricalMeasure(np.zeros((2, 2, 2)))
-
-    def test_points_read_only(self):
-        mu = EmpiricalMeasure([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            mu.points[0, 0] = 5.0
-
-    def test_source_array_stays_writable(self):
-        arr = np.zeros((4, 2))
-        EmpiricalMeasure(arr)
-        arr[0, 0] = 1.0  # must not raise
+        for entry in ENTRY_POINTS:
+            with pytest.raises(ShapeError, match="must be"):
+                entry(np.zeros((2, 2, 2)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected_1d(self, bad):
+        for entry in ENTRY_POINTS:
+            with pytest.raises(ShapeError, match="finite"):
+                entry([0.5, bad, -1.0])
         with pytest.raises(ShapeError, match="finite"):
-            EmpiricalMeasure([0.5, bad, -1.0])
+            w2_1d([0.5, 0.0, -1.0], [0.5, bad, -1.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected_nd(self, bad):
         pts = np.zeros((4, 3))
         pts[2, 1] = bad
+        for entry in ENTRY_POINTS:
+            with pytest.raises(ShapeError, match="finite"):
+                entry(pts)
         with pytest.raises(ShapeError, match="finite"):
-            EmpiricalMeasure(pts)
+            w2_assignment(np.zeros((4, 3)), pts)
+
+    def test_source_array_stays_writable(self):
+        arr = np.arange(4.0).reshape(4, 1)
+        for entry in ENTRY_POINTS:
+            entry(arr)
+        assert arr.ravel().tolist() == [0.0, 1.0, 2.0, 3.0]
+        arr[0, 0] = 5.0  # must not raise
 
     def test_mean_cached(self):
-        mu = EmpiricalMeasure([[0.0], [2.0]])
+        mu = one_system(np.array([[0.0], [2.0]]))
         m1 = mu.mean
         assert m1 is mu.mean
-        np.testing.assert_array_equal(m1, [1.0])
+        np.testing.assert_array_equal(m1, [[1.0], [1.0]])
 
-
-class TestBatchMeasure:
     def test_mean_is_each_segments_own_mean(self):
         g = np.random.default_rng(3)
         for dim in (1, 3):
             points = g.normal(size=(1360, dim)) * 10.0
             bounds = ((0, 16), (16, 80), (80, 336), (336, 1360))
-            mean = BatchMeasure(points, bounds).mean
+            mean = EmpiricalMeasure(points, bounds).mean
             assert mean.shape == points.shape
             for start, stop in bounds:
-                own = EmpiricalMeasure(points[start:stop]).mean
+                own = points[start:stop].mean(axis=0)
                 expect = np.broadcast_to(own, (stop - start, dim))
                 assert mean[start:stop].tobytes() == expect.tobytes()
 
     def test_points_are_the_whole_batch(self):
         points = np.arange(6.0).reshape(6, 1)
-        mu = BatchMeasure(points, ((0, 2), (2, 6)))
+        mu = EmpiricalMeasure(points, ((0, 2), (2, 6)))
         assert mu.points is points
         assert mu.mean.ravel().tolist() == [0.5, 0.5, 3.5, 3.5, 3.5, 3.5]
-        assert mu.mean is mu.mean  # computed once
 
 
 class TestMomentWq:
     """Hand values for the test-side moment oracle."""
 
     def test_all_zero_points(self):
-        assert moment_wq(EmpiricalMeasure([0.0, 0.0, 0.0]), 2.0) == 0.0
+        assert moment_wq([0.0, 0.0, 0.0], 2.0) == 0.0
 
     def test_unit_points(self):
-        assert moment_wq(EmpiricalMeasure([1.0, 1.0, 1.0]), 2.0) == 1.0
+        assert moment_wq([1.0, 1.0, 1.0], 2.0) == 1.0
 
     def test_two_point_value(self):
         # ((0 + 4)/2)^(1/2)
-        assert moment_wq(EmpiricalMeasure([0.0, 2.0]), 2.0) == math.sqrt(2.0)
+        assert moment_wq([0.0, 2.0], 2.0) == math.sqrt(2.0)
 
 
 class TestW21d:
     def test_identity(self):
-        mu = EmpiricalMeasure([3.0, -1.0, 0.5])
+        mu = [3.0, -1.0, 0.5]
         assert w2_1d(mu, mu) == 0.0
 
     def test_zero_measure_gives_moment(self):
         g = rng(1)
-        pts = g.normal(size=17) * 2.0
-        mu = EmpiricalMeasure(pts)
-        zeros = EmpiricalMeasure(np.zeros(17))
-        assert w2_1d(mu, zeros) == pytest.approx(moment_wq(mu, 2.0), rel=1e-14)
+        x = g.normal(size=17) * 2.0
+        assert w2_1d(x, np.zeros(17)) == pytest.approx(moment_wq(x, 2.0), rel=1e-14)
 
     def test_two_point_example(self):
         # pairings: sorted (1+1)/2 = 1 beats crossed (9+1)/2 = 5
-        mu = EmpiricalMeasure([0.0, 2.0])
-        nu = EmpiricalMeasure([1.0, 3.0])
+        mu = [0.0, 2.0]
+        nu = [1.0, 3.0]
         assert w2_1d(mu, nu) == 1.0
         assert brute_force_w2([0.0, 2.0], [1.0, 3.0]) == 1.0
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            w2_1d(EmpiricalMeasure([[1.0, 2.0]]), EmpiricalMeasure([[1.0, 2.0]]))
+            w2_1d([[1.0, 2.0]], [[1.0, 2.0]])
         with pytest.raises(ShapeError):
-            w2_1d(EmpiricalMeasure([1.0, 2.0]), EmpiricalMeasure([1.0]))
+            w2_1d([1.0, 2.0], [1.0])
 
     def test_metric_axioms_random_triples(self):
         g = rng(2)
         for _ in range(300):
             size = int(g.integers(1, 40))
-            a, b, c = (EmpiricalMeasure(g.normal(size=size) * 4) for _ in range(3))
+            a, b, c = (g.normal(size=size) * 4 for _ in range(3))
             dab, dba = w2_1d(a, b), w2_1d(b, a)
             assert dab == dba
             assert dab >= 0.0
             assert w2_1d(a, c) <= dab + w2_1d(b, c) + 1e-12
 
     def test_zero_iff_sorted_points_coincide(self):
-        mu = EmpiricalMeasure([1.0, 0.0])
-        nu = EmpiricalMeasure([0.0, 1.0])  # same multiset, different order
+        mu = [1.0, 0.0]
+        nu = [0.0, 1.0]  # same multiset, different order
         assert w2_1d(mu, nu) == 0.0
-        rho = EmpiricalMeasure([0.0, 1.0 + 1e-9])
+        rho = [0.0, 1.0 + 1e-9]
         assert w2_1d(mu, rho) > 0.0
 
 
@@ -189,38 +203,34 @@ class TestW2Assignment:
         assert out.stdout.split() == ["False", "False"]
 
     def test_identity(self):
-        mu = EmpiricalMeasure([[0.0, 1.0], [2.0, -1.0]])
+        mu = [[0.0, 1.0], [2.0, -1.0]]
         assert w2_assignment(mu, mu) == 0.0
 
     def test_singletons(self):
-        mu = EmpiricalMeasure([[0.0, 0.0]])
-        nu = EmpiricalMeasure([[3.0, 4.0]])
+        mu = [[0.0, 0.0]]
+        nu = [[3.0, 4.0]]
         assert w2_assignment(mu, nu) == pytest.approx(5.0, rel=1e-15)
 
     def test_swapped_pair_is_zero(self):
-        mu = EmpiricalMeasure([[0.0, 0.0], [1.0, 0.0]])
-        nu = EmpiricalMeasure([[1.0, 0.0], [0.0, 0.0]])
+        mu = [[0.0, 0.0], [1.0, 0.0]]
+        nu = [[1.0, 0.0], [0.0, 0.0]]
         assert w2_assignment(mu, nu) == 0.0
 
     def test_capacity_error(self):
         pts = np.zeros((5, 1))
         with pytest.raises(CapacityError):
-            w2_assignment(
-                EmpiricalMeasure(pts), EmpiricalMeasure(pts), assignment_cap=4
-            )
+            w2_assignment(pts, pts, assignment_cap=4)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            w2_assignment(
-                EmpiricalMeasure([[1.0]]), EmpiricalMeasure([[1.0, 2.0]])
-            )
+            w2_assignment([[1.0]], [[1.0, 2.0]])
 
     def test_matches_sorted_oracle_in_1d(self):
         g = rng(3)
         for _ in range(100):
             size = int(g.integers(1, 50))
-            mu = EmpiricalMeasure(g.normal(size=size) * 3)
-            nu = EmpiricalMeasure(g.normal(size=size) * 3)
+            mu = g.normal(size=size) * 3
+            nu = g.normal(size=size) * 3
             a, b = w2_assignment(mu, nu), w2_1d(mu, nu)
             assert abs(a - b) <= 1e-12 * max(a, b, 1e-30)
 
@@ -230,7 +240,7 @@ class TestW2Assignment:
             size = int(g.integers(1, 6))
             x = g.normal(size=(size, 2))
             y = g.normal(size=(size, 2))
-            got = w2_assignment(EmpiricalMeasure(x), EmpiricalMeasure(y))
+            got = w2_assignment(x, y)
             want = brute_force_w2(x, y)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -249,7 +259,7 @@ class TestW2Assignment:
         g = np.random.default_rng(seed)
         x = g.standard_normal((size, dim))
         y = g.standard_normal((size, dim))
-        got = w2_assignment(EmpiricalMeasure(x), EmpiricalMeasure(y))
+        got = w2_assignment(x, y)
         assert got == self._plain(x, y)  # bit for bit
 
     def test_reduced_costs_with_duplicated_target_rows(self):
@@ -259,16 +269,14 @@ class TestW2Assignment:
             x = g.standard_normal((size, dim))
             y = g.standard_normal((max(1, size // 4), dim))
             y = y[g.integers(0, y.shape[0], size=size)]
-            got = w2_assignment(EmpiricalMeasure(x), EmpiricalMeasure(y))
+            got = w2_assignment(x, y)
             assert got == self._plain(x, y)
 
     def test_zero_measure_gives_moment(self):
         g = rng(5)
-        pts = g.normal(size=(23, 3))
-        mu = EmpiricalMeasure(pts)
-        zeros = EmpiricalMeasure(np.zeros((23, 3)))
-        assert w2_assignment(mu, zeros) == pytest.approx(
-            moment_wq(mu, 2.0), rel=1e-13
+        x = g.normal(size=(23, 3))
+        assert w2_assignment(x, np.zeros((23, 3))) == pytest.approx(
+            moment_wq(x, 2.0), rel=1e-13
         )
 
 
@@ -276,20 +284,19 @@ class TestNormalDistance:
     def test_dirac_at_zero_is_second_moment(self):
         # integral of the squared standard normal quantile over (0,1) is 1;
         # the 64-node-per-cell quadrature carries a ~6e-4 singular-tail bias
-        val = w2sq_to_standard_normal_1d(EmpiricalMeasure([0.0]))
+        val = w2sq_to_standard_normal_1d([0.0])
         assert val == pytest.approx(1.0, abs=2e-3)
 
     def test_large_sample_is_small(self):
         g = rng(6)
-        mu = EmpiricalMeasure(g.standard_normal(100_000))
-        assert w2sq_to_standard_normal_1d(mu) < 1e-3
+        assert w2sq_to_standard_normal_1d(g.standard_normal(100_000)) < 1e-3
 
     def test_decreasing_in_sample_size(self):
         g = rng(7)
         vals = []
         for size in (16, 256, 4096):
             reps = [
-                w2sq_to_standard_normal_1d(EmpiricalMeasure(g.standard_normal(size)))
+                w2sq_to_standard_normal_1d(g.standard_normal(size))
                 for _ in range(20)
             ]
             vals.append(np.mean(reps))
@@ -298,15 +305,12 @@ class TestNormalDistance:
     def test_shift_monotone(self):
         g = rng(8)
         base = g.standard_normal(64)
-        vals = [
-            w2sq_to_standard_normal_1d(EmpiricalMeasure(base + s))
-            for s in (3.0, 5.0, 8.0)
-        ]
+        vals = [w2sq_to_standard_normal_1d(base + s) for s in (3.0, 5.0, 8.0)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_dim_error(self):
         with pytest.raises(ShapeError):
-            w2sq_to_standard_normal_1d(EmpiricalMeasure([[0.0, 0.0]]))
+            w2sq_to_standard_normal_1d([[0.0, 0.0]])
 
 
 def _tiny_grid(states):
@@ -321,26 +325,27 @@ def _tiny_grid(states):
 class TestMeasureFromColumn:
     def test_singleton(self):
         grid = _tiny_grid(np.arange(6.0).reshape(6, 1, 1))
-        mu = EmpiricalMeasure(grid.column(0))
-        assert mu.size == 1
-        assert mu.points[0, 0] == 1.0  # row index delay_steps = 1
+        mu = one_system(grid.column(0))
+        assert mu.points.shape == (1, 1)
+        assert mu.points[0, 0] == mu.mean[0, 0] == 1.0  # row delay_steps = 1
 
     def test_identical_particles(self):
         states = np.full((4, 5, 1), 2.0)
         grid = _tiny_grid(states)
-        mu = EmpiricalMeasure(grid.column(1))
-        assert mu.size == 5
-        assert moment_wq(mu, 2.0) == 2.0
+        mu = one_system(grid.column(1))
+        assert mu.points.shape == (5, 1)
+        assert moment_wq(mu.points, 2.0) == 2.0
 
     def test_two_particles(self):
         states = np.zeros((3, 2, 1))
         states[2, 0, 0], states[2, 1, 0] = 3.0, -1.0
         grid = _tiny_grid(states)
-        mu = EmpiricalMeasure(grid.column(1))
+        mu = one_system(grid.column(1))
         assert sorted(mu.points[:, 0]) == [-1.0, 3.0]
-        assert w2_1d(mu, mu) == 0.0
+        assert mu.mean.ravel().tolist() == [1.0, 1.0]
+        assert w2_1d(mu.points, mu.points) == 0.0
 
     def test_out_of_range(self):
         grid = _tiny_grid(np.zeros((3, 2, 1)))
         with pytest.raises(IndexError):
-            EmpiricalMeasure(grid.column(5))
+            grid.column(5)

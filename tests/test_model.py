@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import mvnsdde.model
+
 from mvnsdde import (
     ConfigError,
     EmpiricalMeasure,
@@ -17,11 +19,14 @@ from mvnsdde import (
     linear_meanfield_mean,
     validate,
 )
+from mvnsdde.model import MODELS
 from mvnsdde.noise import derived_generator
+from oracles import one_system, planar_meanfield
 
 
-def _zeros_measure(size=8):
-    return EmpiricalMeasure(np.zeros((size, 1)))
+def _zeros_measure(x):
+    """The measure of a system the size of ``x`` with every point at 0."""
+    return one_system(np.zeros_like(x))
 
 
 def _params(**kw):
@@ -42,27 +47,27 @@ class TestExample51:
 
     def test_origin_is_equilibrium(self):
         x = np.zeros((1, 1))
-        mu = EmpiricalMeasure(x)
+        mu = one_system(x)
         assert self.model.drift(x, x, mu)[0, 0] == 0.0
         assert self.model.diffusion(x, x, mu)[0, 0, 0] == 0.0
 
     def test_cubic_cancellation(self):
         x = np.array([[1.0]])
         y = np.zeros((1, 1))
-        assert self.model.drift(x, y, _zeros_measure())[0, 0] == 0.0
+        assert self.model.drift(x, y, _zeros_measure(x))[0, 0] == 0.0
 
     def test_delayed_drift_value(self):
         # 0.5*(-1/32) - 0.125*(-1/32)^3 = -2^-6 + 2^-18, exact in binary
         x = np.zeros((1, 1))
         y = np.array([[-1.0 / 32.0]])
-        got = self.model.drift(x, y, _zeros_measure())[0, 0]
+        got = self.model.drift(x, y, _zeros_measure(x))[0, 0]
         assert got == -(2.0**-6) + 2.0**-18
         assert got == pytest.approx(-0.0156212, abs=5e-8)
 
     def test_diffusion_value(self):
         x = np.array([[1.0]])
         y = np.array([[2.0]])
-        assert self.model.diffusion(x, y, _zeros_measure())[0, 0, 0] == 2.0
+        assert self.model.diffusion(x, y, _zeros_measure(x))[0, 0, 0] == 2.0
 
     def test_segment_is_identity_path(self):
         for t in (-1.0 / 32.0, -0.01, 0.0):
@@ -81,7 +86,7 @@ class TestExample51:
         #   <= 4 (|x1-x2|^2 + |y1-y2|^2) on 1e4 uniform tuples in [-5, 5]
         g = derived_generator(424242, 17)
         x1, y1, x2, y2 = g.uniform(-5.0, 5.0, size=(4, 10_000, 1))
-        mu = _zeros_measure()
+        mu = _zeros_measure(x1)
         lead = (x1 - self.model.neutral(y1)) - (x2 - self.model.neutral(y2))
         db = self.model.drift(x1, y1, mu) - self.model.drift(x2, y2, mu)
         lhs = np.sum(lead * db, axis=1)
@@ -92,7 +97,7 @@ class TestExample51:
 
     def test_mean_field_term_uses_measure_mean(self):
         x = np.zeros((2, 1))
-        mu = EmpiricalMeasure(np.array([[1.0], [3.0]]))
+        mu = one_system(np.array([[1.0], [3.0]]))
         got = self.model.drift(x, x, mu)
         np.testing.assert_allclose(got, [[2.0], [2.0]])
 
@@ -113,13 +118,14 @@ class TestLinearMeanfield:
     def test_drift_ignores_delay(self):
         model = linear_meanfield(a_coef=-1.0, b_coef=0.5)
         x = np.array([[2.0]])
-        mu = EmpiricalMeasure(np.array([[4.0]]))
+        mu = one_system(np.array([[4.0]]))
         for y in (np.array([[0.0]]), np.array([[100.0]])):
             assert model.drift(x, y, mu)[0, 0] == -2.0 + 0.5 * 4.0
 
     def test_constant_diffusion(self):
         model = linear_meanfield(sigma0=0.3)
-        out = model.diffusion(np.zeros((4, 1)), np.zeros((4, 1)), _zeros_measure())
+        x = np.zeros((4, 1))
+        out = model.diffusion(x, x, _zeros_measure(x))
         assert out.shape == (4, 1, 1)
         assert np.all(out == 0.3)
 
@@ -129,14 +135,36 @@ class TestCubicNoMf:
         model = cubic_no_mf(x0=1.0)
         x = np.array([[0.7]])
         y = np.array([[-0.2]])
-        mu1 = EmpiricalMeasure(np.array([[0.0]]))
-        mu2 = EmpiricalMeasure(np.array([[100.0]]))
+        mu1 = one_system(np.array([[0.0]]))
+        mu2 = one_system(np.array([[100.0]]))
         assert np.array_equal(model.drift(x, y, mu1), model.drift(x, y, mu2))
 
     def test_constant_segment(self):
         model = cubic_no_mf(x0=5.0)
         for t in (-0.5, -0.1, 0.0):
             assert model.initial_segment(t)[0] == 5.0
+
+
+class TestCallbackContract:
+    """The stepping core passes several particle systems in one batch, so a
+    callback must give each system what it gives that system alone."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [factory() for factory, _ in MODELS.values()] + [planar_meanfield()],
+        ids=lambda model: model.name,
+    )
+    def test_two_systems_equal_each_system_alone(self, model):
+        g = np.random.default_rng(17)
+        x, y = g.normal(size=(2, 12, model.state_dim)) * 3.0
+        bounds = ((0, 5), (5, 12))
+        both = EmpiricalMeasure(x, bounds)
+        for callback in (model.drift, model.diffusion):
+            batch = callback(x, y, both)
+            for start, stop in bounds:
+                own = one_system(x[start:stop])
+                alone = callback(x[start:stop], y[start:stop], own)
+                assert batch[start:stop].tobytes() == alone.tobytes()
 
 
 class TestBuildModel:
@@ -217,6 +245,19 @@ class TestValidate:
         report = validate(example51(), _params(seed=2**64))
         expect = f"seed must be a 64-bit unsigned integer, got {2**64}"
         assert report.violations == [expect]
+
+    def test_delay_window_above_the_cap_is_not_probed(self, monkeypatch):
+        probed = []
+        model = dataclasses.replace(
+            example51(), initial_segment=lambda t: probed.append(t) or np.array([t])
+        )
+        monkeypatch.setattr(mvnsdde.model, "MAX_DELAY_STEPS", 64)
+        assert validate(model, _params(tau=64 * 2.0**-11)).ok
+        assert len(probed) == 65
+        probed.clear()
+        report = validate(model, _params(tau=128 * 2.0**-11))
+        assert report.violations == ["tau/delta = 128.0 exceeds the cap of 64 steps"]
+        assert probed == []
 
     def test_particles_positive(self):
         report = validate(example51(), _params(particles=0))

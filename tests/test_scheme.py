@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 
 from mvnsdde import (
     ConfigError,
-    EmpiricalMeasure,
     GridError,
     OverflowAbort,
     ParticleGrid,
@@ -33,7 +33,7 @@ from mvnsdde._g17 import BLOCK_VALUES
 from mvnsdde.model import ModelSpec
 from mvnsdde.noise import chunk_steps
 from mvnsdde.scheme import coupled_pass
-from oracles import moment_monitor, planar_meanfield, run_on
+from oracles import moment_monitor, one_system, planar_meanfield, run_on
 
 
 def _csv_text(grid):
@@ -137,20 +137,20 @@ class TestTameDrift:
 class TestDelayedState:
     """The current state and its lookback delay_steps back, read by indexing."""
 
-    def _grid(self, delta=0.25, tau=0.25, horizon=1.0, particles=2):
+    def _grid(self, delta=0.25, tau=0.5, horizon=2.0, particles=2):
         model = example51()
         params = SchemeParams(
             delta=delta, tau=tau, alpha=0.5, particles=particles,
             horizon=horizon, seed=3,
         )
         noise = np.zeros((params.total_steps, particles, 1))
-        return run_on(model, params, noise, check=False), params
+        return run_on(model, params, noise), params
 
     def test_at_start(self):
         grid, params = self._grid()
         cur, dly = grid.column(0)[0], grid.column(-grid.delay_steps)[0]
         assert cur[0] == 0.0  # segment value at t = 0
-        assert dly[0] == -params.delta  # segment value one step back
+        assert dly[0] == -params.tau  # segment value one delay back
 
     def test_at_segment_boundary(self):
         grid, _ = self._grid()
@@ -180,7 +180,7 @@ class TestEmStep:
             delta=0.25, tau=0.5, alpha=0.5, particles=4, horizon=1.0, seed=0
         )
         cur = np.arange(4.0).reshape(4, 1)
-        mu = EmpiricalMeasure(cur)
+        mu = one_system(cur)
         out = em_step(cur, cur, cur, model, params, mu, np.ones((4, 1)))
         assert np.array_equal(out, cur)
 
@@ -195,7 +195,7 @@ class TestEmStep:
         cur = np.array([[0.0]])
         dly = np.array([[-delta]])
         dly_next = np.array([[0.0]])
-        mu = EmpiricalMeasure(cur)
+        mu = one_system(cur)
         out = em_step(cur, dly, dly_next, model, params, mu, np.zeros((1, 1)))
 
         b = 0.5 * (-delta) - 0.125 * (-delta) ** 3
@@ -212,7 +212,7 @@ class TestEmStep:
             delta=0.25, tau=0.5, alpha=0.5, particles=3, horizon=1.0, seed=0
         )
         cur = np.zeros((3, 1))
-        mu = EmpiricalMeasure(cur)
+        mu = one_system(cur)
         db = np.array([[0.1], [-0.2], [0.4]])
         d1 = em_step(cur, cur, cur, model, params, mu, db) - cur
         d2 = em_step(cur, cur, cur, model, params, mu, 2.0 * db) - cur
@@ -229,14 +229,16 @@ class TestEmStep:
         dly = g.normal(size=(16, 1))
         dly_next = g.normal(size=(16, 1))
         db = g.normal(size=(16, 1)) * 0.1
-        mu = EmpiricalMeasure(cur)
+        mu = one_system(cur)
         batch = em_step(cur, dly, dly_next, model, params, mu, db)
         for order in (range(16), reversed(range(16))):
             single = np.empty_like(batch)
             for a in order:
+                # particle a's row of the frozen measure
+                row = SimpleNamespace(points=cur, mean=mu.mean[a : a + 1])
                 single[a] = em_step(
                     cur[a : a + 1], dly[a : a + 1], dly_next[a : a + 1],
-                    model, params, mu, db[a : a + 1],
+                    model, params, row, db[a : a + 1],
                 )[0]
             assert np.array_equal(single, batch)
 
@@ -316,7 +318,7 @@ class TestSimulate:
         grid = simulate(model, params)
         n0 = params.delay_steps
         for n in (0, 1, n0, params.total_steps - 1):
-            mu = EmpiricalMeasure(grid.column(n))
+            mu = one_system(grid.column(n))
             replay = em_step(
                 grid.column(n), grid.column(n - n0), grid.column(n + 1 - n0),
                 model, params, mu, noise[n],
@@ -451,12 +453,13 @@ class TestStepper:
         run.advance(noise[-1:])
         assert run.terminal.shape == (params.particles, 1)
 
-    def test_validates_unless_told_not_to(self):
+    def test_validates_every_segment(self):
         model, params, _ = self._setup()
-        bad = dataclasses.replace(params, alpha=0.9)
-        with pytest.raises(ValidationFailure):
-            Stepper(model, bad)
-        Stepper(model, bad, check=False)
+        with pytest.raises(ValidationFailure, match="alpha"):
+            Stepper(model, dataclasses.replace(params, alpha=0.9))
+        empty = dataclasses.replace(params, seed=6, particles=0)
+        with pytest.raises(ValidationFailure, match="particles must be >= 1"):
+            Stepper(model, [params, empty])
 
 
 class TestSegments:
@@ -551,10 +554,7 @@ class TestCoupledPass:
     def test_a_run_finer_than_the_path_is_refused(self):
         model = example51()
         finer = Stepper(model, self._params(delta=2.0**-8))
-        # nor is a run of no steps, which only an unchecked run can be
-        empty = Stepper(model, self._params(delta=2.0), check=False)
-        for run in (finer, empty):
-            self._refused([Stepper(model, self._params()), run], "power of two")
+        self._refused([Stepper(model, self._params()), finer], "power of two")
 
     def test_a_step_ratio_of_three_is_refused(self):
         # both grids are valid: 0.75 is 96 steps of 2**-7 and 32 of 3 * 2**-7
@@ -646,9 +646,9 @@ class TestCsvExport:
     def _small_grid(self):
         model = example51()
         params = SchemeParams(
-            delta=0.25, tau=0.25, alpha=0.5, particles=2, horizon=0.5, seed=4
+            delta=0.25, tau=0.5, alpha=0.5, particles=2, horizon=0.5, seed=4
         )
-        return simulate(model, params, check=False)
+        return simulate(model, params)
 
     def test_header_and_shape(self):
         grid = self._small_grid()
@@ -659,8 +659,8 @@ class TestCsvExport:
     def test_first_rows_are_segment(self):
         grid = self._small_grid()
         lines = _csv_text(grid).strip().split("\n")
-        assert lines[1] == "-0.25,1,-0.25"
-        assert lines[2] == "-0.25,2,-0.25"
+        assert lines[1] == "-0.5,1,-0.5"
+        assert lines[2] == "-0.5,2,-0.5"
 
     def test_values_round_trip(self, tmp_path):
         grid = self._small_grid()
