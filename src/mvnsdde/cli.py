@@ -27,9 +27,10 @@ from .experiments import (
     ExperimentReport,
     Stopwatch,
     chaos_error_vs_particles,
+    check_at_least,
     check_dim,
-    check_replicates,
     check_steps,
+    check_xis,
     empirical_measure_rate,
     strong_error_vs_dt,
     taming_comparison,
@@ -225,14 +226,16 @@ def _arguments(cfg: RunConfig) -> dict:
     """The keys the run of ``cfg`` reads (``READS``), with their values.
 
     Any other key set off its default is a :class:`ConfigError`; validate
-    accepts every key, and checks replicates and dim as their studies do.
+    accepts every key, and checks the studies' keys as the studies do.
     """
     reads = READS[cfg.subcommand]
     if "model" in reads:
         reads += MODELS[cfg.model][1]
     if cfg.subcommand == "validate":
-        check_replicates(cfg.replicates)
+        check_at_least("replicates", cfg.replicates, 1)
         check_dim(cfg.dim)
+        check_xis(cfg.xis)
+        check_at_least("mc_reps", cfg.mc_reps, 0)
     else:
         for f in dataclasses.fields(RunConfig):
             value = getattr(cfg, f.name)

@@ -43,16 +43,14 @@ class OverflowAbort(MvnsddeError, RuntimeError):
 
     Carries the step index at which the first non-finite coordinate appeared,
     the seed of the particle system it appeared in and that system's
-    offending particle indices (0-based), and the last fully finite grid
-    prefix when the caller kept full storage.
+    offending particle indices (0-based).  ``prefix`` is ``None``, or the
+    grid of every row before that step when :func:`~mvnsdde.simulate` ran.
     """
 
-    def __init__(
-        self, step: int, particles: np.ndarray, prefix=None, seed: int | None = None
-    ):
+    def __init__(self, step: int, particles: np.ndarray, seed: int | None = None):
         self.step = int(step)
         self.particles = np.asarray(particles, dtype=np.int64)
-        self.prefix = prefix
+        self.prefix = None
         self.seed = seed
         ids = ", ".join(str(p) for p in self.particles[:8])
         more = "..." if self.particles.size > 8 else ""

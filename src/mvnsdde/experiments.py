@@ -36,7 +36,7 @@ from .errors import CapacityError, ConfigError, DegenerateFitError
 from .measure import DEFAULT_ASSIGNMENT_CAP, w2_assignment, w2sq_to_standard_normal_1d
 from .model import ModelSpec, SchemeParams
 from .noise import derived_generator, seeds_per_block
-from .scheme import DIVERGENCE_THRESHOLD, Stepper, coupled_pass
+from .scheme import DIVERGENCE_THRESHOLD, Divergence, MomentMax, Stepper, coupled_pass
 
 _RATE_TAG = 0x3A7E  # auxiliary stream namespace for sampling experiments
 
@@ -133,9 +133,18 @@ def _row_from_sq_errors(resolution, e2: np.ndarray) -> ErrorRow:
     )
 
 
-def check_replicates(replicates: int) -> None:
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
+def check_at_least(key: str, value: int, least: int) -> None:
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+
+
+def check_xis(xis) -> list[int]:
+    """The sizes in ``xis``, sorted; one below 1 or a repeated one is refused."""
+    sizes = sorted(int(x) for x in xis)
+    check_at_least("sample sizes", min(sizes, default=1), 1)
+    if any(b == a for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError(f"sample sizes must be distinct: {sizes}")
+    return sizes
 
 
 def check_steps(delta_ref: float, deltas) -> None:
@@ -147,7 +156,7 @@ def check_steps(delta_ref: float, deltas) -> None:
 
 
 def _replicate_seeds(seed: int, replicates: int) -> list[int]:
-    check_replicates(replicates)
+    check_at_least("replicates", replicates, 1)
     return [(int(seed) + r) % 2**64 for r in range(replicates)]
 
 
@@ -281,18 +290,24 @@ def moment_bound_vs_dt(
     Couples the runs exactly like the strong-error study (finest step is the
     streamed path); the sample p-th moment is heavy-tailed, so independent
     paths per step would swamp the step-size dependence the bound is about.
-    Each run keeps a running maximum of the sample moment over its grid,
-    initial segment included.  Returns (delta, monitor value, argmax grid
-    index) per step size.
+    Each run's :class:`~mvnsdde.scheme.MomentMax` record keeps the maximum
+    of the sample moment over its grid, initial segment included.  Returns
+    (delta, monitor value, argmax grid index) per step size.
     """
+    if not deltas:
+        raise ConfigError("moment_bound_vs_dt needs at least one step size")
     deltas = sorted(float(d) for d in deltas)
     params = SchemeParams(
         delta=deltas[0], tau=tau, alpha=alpha, particles=particles,
         horizon=horizon, seed=seed, taming=taming,
     )
-    runs = [Stepper(model, replace(params, delta=d), moment_p=p) for d in deltas]
+    moments = [MomentMax(p) for _ in deltas]
+    runs = [
+        Stepper(model, replace(params, delta=d), record=moment)
+        for d, moment in zip(deltas, moments)
+    ]
     coupled_pass(runs)
-    return [(d, run.moment_max, run.moment_argmax) for d, run in zip(deltas, runs)]
+    return [(d, m.value, m.index) for d, m in zip(deltas, moments)]
 
 
 @dataclass(frozen=True)
@@ -334,15 +349,16 @@ def taming_comparison(
         delta=delta, tau=tau, alpha=alpha, particles=particles,
         horizon=horizon, seed=seed, taming=True,
     )
-    tamed = Stepper(model, params, moment_p=2)
-    untamed = Stepper(model, replace(params, taming=False), track_divergence=True)
-    coupled_pass([tamed, untamed])
+    moment, divergence = MomentMax(2), Divergence(particles)
+    tamed = Stepper(model, params, record=moment)
+    untamed = replace(params, taming=False)
+    coupled_pass([tamed, Stepper(model, untamed, record=divergence, abort=False)])
     return TamingReport(
-        tamed_max_moment=tamed.moment_max,
-        tamed_argmax_index=tamed.moment_argmax,
-        untamed_divergence_fraction=untamed.divergence_fraction,
-        untamed_diverged_count=int(untamed.diverged.sum()),
-        first_divergence_step=untamed.first_divergence_step,
+        tamed_max_moment=moment.value,
+        tamed_argmax_index=moment.index,
+        untamed_divergence_fraction=float(divergence.diverged.mean()),
+        untamed_diverged_count=int(divergence.diverged.sum()),
+        first_divergence_step=divergence.first_step,
         particles=particles,
         divergence_threshold=DIVERGENCE_THRESHOLD,
     )
@@ -368,18 +384,15 @@ def empirical_measure_rate(
     Carlo standard error over the repetitions.
     """
     check_dim(dim)
-    xis = sorted(int(x) for x in xis)
-    if any(b <= a for a, b in zip(xis, xis[1:])):
-        raise ConfigError(f"sample sizes must be distinct: {xis}")
-    if xis and xis[0] < 1:
-        raise ConfigError(f"sample sizes must be >= 1, got {xis[0]}")
+    xis = check_xis(xis)
+    check_at_least("mc_reps", mc_reps, 0)
     if dim == 5 and xis and xis[-1] > DEFAULT_ASSIGNMENT_CAP:
         raise CapacityError(
             f"size {xis[-1]} exceeds assignment cap {DEFAULT_ASSIGNMENT_CAP}"
         )
     rng = derived_generator(seed, _RATE_TAG + dim)
     rows = []
-    if mc_reps <= 0:
+    if mc_reps == 0:
         return ErrorTable([])
     for xi in xis:
         vals = np.empty(mc_reps)

@@ -29,7 +29,7 @@ from .measure import EmpiricalMeasure
 from .model import ModelSpec, SchemeParams, validate
 from .noise import chunk_steps, coarsen, stream_seeds
 
-# A tracked run counts a particle as diverged once its state norm exceeds this.
+# A Divergence record counts a particle as diverged once its norm exceeds this.
 DIVERGENCE_THRESHOLD = 1e10
 
 
@@ -93,23 +93,6 @@ class ParticleGrid:
     @property
     def delay_steps(self) -> int:
         return self.params.delay_steps
-
-    @property
-    def total_steps(self) -> int:
-        return self.states.shape[0] - self.params.delay_steps - 1
-
-    def _row(self, index: int) -> int:
-        row = index + self.delay_steps
-        if not 0 <= row < self.states.shape[0]:
-            raise IndexError(
-                f"grid index {index} outside [{-self.delay_steps}, "
-                f"{self.total_steps}]"
-            )
-        return row
-
-    def column(self, index: int) -> np.ndarray:
-        """All particle states at grid index ``index`` (particles, dim)."""
-        return self.states[self._row(index)]
 
     @property
     def terminal(self) -> np.ndarray:
@@ -198,10 +181,53 @@ def sample_moments(states: np.ndarray, p: int) -> np.ndarray:
     return np.mean(np.linalg.norm(states, axis=-1) ** p, axis=-1)
 
 
+class MomentMax:
+    """Record of the largest :func:`sample_moments` value over a run's rows
+    (``value``) and the first grid index where it occurs (``index``)."""
+
+    def __init__(self, p: int):
+        self.p, self.value, self.index = p, -np.inf, None
+
+    def __call__(self, row: np.ndarray, index: int) -> None:
+        value = float(sample_moments(row, self.p))
+        if value > self.value:
+            self.value, self.index = value, index
+
+
+class Divergence:
+    """Record of the particles whose stepped state ever went non-finite or
+    exceeded :data:`DIVERGENCE_THRESHOLD` (``diverged``), and the first step
+    where one did (``first_step``); its run is built with ``abort=False``."""
+
+    def __init__(self, particles: int):
+        self.diverged, self.first_step = np.zeros(particles, bool), None
+
+    def __call__(self, row: np.ndarray, index: int) -> None:
+        if index > 0:  # the initial segment is given, not stepped
+            # a nan or inf coordinate makes the norm nan or inf
+            bad = ~(np.linalg.norm(row, axis=1) <= DIVERGENCE_THRESHOLD)
+            if bad.any() and self.first_step is None:
+                self.first_step = index
+            self.diverged |= bad
+
+
+class GridRows:
+    """Record that copies every row of a run into its full grid (``states``),
+    allocated at the first row, once the run has validated."""
+
+    def __init__(self, params: SchemeParams):
+        self.params, self.states = params, None
+
+    def __call__(self, row: np.ndarray, index: int) -> None:
+        n0 = self.params.delay_steps
+        if self.states is None:
+            self.states = np.empty((n0 + self.params.total_steps + 1, *row.shape))
+        self.states[index + n0] = row
+
+
 class Stepper:
     """The one stepping loop: a resumable run fed blocks of increments, and
-    the record of its results (``terminal`` once it has finished, the
-    divergence record and the moment maximum).
+    its ``terminal`` once it has finished.
 
     ``params`` is one run, or several that differ only in ``seed`` and
     ``particles``: each is a segment of rows (``bounds``) of one state
@@ -212,25 +238,20 @@ class Stepper:
     constructor raises :class:`ValidationFailure`.
 
     States live in a ring of delay_steps + 2 rows (the current state and
-    both lookbacks); with ``full_storage`` the ring holds every grid row and
-    never wraps.  Divergence policy: the first non-finite state raises
+    both lookbacks).  ``record(row, index)`` is called once for each row as
+    it is finished, in grid index order: the initial segment's rows in the
+    constructor, after validation, then each stepped row right after its
+    finiteness check.  The row is a view of the ring, so a record copies
+    what it keeps (:class:`GridRows`, :class:`MomentMax`,
+    :class:`Divergence`).  The first non-finite row raises
     :class:`OverflowAbort`, naming its segment's seed and that segment's
-    offending particles (with the finite prefix under full storage), or
-    with ``track_divergence`` the run goes on and records which particles
-    ever exceeded :data:`DIVERGENCE_THRESHOLD` or went non-finite
-    (``diverged``, ``first_divergence_step``).  Under mean-field
-    coupling one non-finite particle makes the mean, and so every particle
-    of its system, non-finite one step later; the tracked fraction then
-    counts the whole system.  With ``moment_p`` it keeps the largest
-    :func:`sample_moments` value over all rows, initial segment included,
-    and the first grid index where it occurs.  Full storage, tracking and
-    moments describe one particle system, so several segments refuse them.
+    offending particles, before it is recorded; with ``abort=False`` the
+    run steps on past it.
     """
 
     def __init__(
         self, model: ModelSpec, params: SchemeParams | Sequence[SchemeParams],
-        full_storage: bool = False, track_divergence: bool = False,
-        moment_p: int | None = None,
+        record=None, abort: bool = True,
     ):
         segments = (params,) if isinstance(params, SchemeParams) else tuple(params)
         first = segments[0]
@@ -239,13 +260,6 @@ class Stepper:
                 raise ConfigError(
                     "the segments of one run may differ only in seed and particles"
                 )
-        if len(segments) > 1 and (
-            full_storage or track_divergence or moment_p is not None
-        ):
-            raise ConfigError(
-                "full storage, divergence tracking and moments need a run of "
-                f"one segment, got {len(segments)}"
-            )
         for seg in segments:
             report = validate(model, seg)
             if not report.ok:
@@ -255,29 +269,14 @@ class Stepper:
         self.bounds = tuple(zip([0] + stops[:-1], stops))
         self.particles = stops[-1]
         n0 = first.delay_steps
-        cap = n0 + first.total_steps + 1 if full_storage else n0 + 2
-        self._buf = np.empty((cap, self.particles, model.state_dim))
-        self._full, self._moment_p = full_storage, moment_p
-        self.diverged = np.zeros(self.particles, bool) if track_divergence else None
-        self.first_divergence_step: int | None = None
+        self._buf = np.empty((n0 + 2, self.particles, model.state_dim))
+        self._record, self._aborts = record, abort
         self._neutral = None  # neutral map of the next step's delayed row
-        self.steps_done, self.moment_max, self.moment_argmax = 0, -np.inf, None
+        self.steps_done = 0
         for i in range(n0 + 1):
             self._buf[i] = np.asarray(model.initial_segment((i - n0) * first.delta))
-            self._note_moment(self._buf[i], i - n0)
-
-    def _note_moment(self, row: np.ndarray, index: int) -> None:
-        if self._moment_p is not None:
-            value = float(sample_moments(row, self._moment_p))
-            if value > self.moment_max:
-                self.moment_max, self.moment_argmax = value, index
-
-    @property
-    def states(self) -> np.ndarray:
-        """Rows so far of a full-storage run; row i is grid index i - delay_steps."""
-        if not self._full:
-            raise GridError("only a full-storage run keeps every state")
-        return self._buf[: self.params.delay_steps + self.steps_done + 1]
+            if record is not None:
+                record(self._buf[i], i - n0)
 
     def advance(self, increments: np.ndarray) -> None:
         """Take one step per row of ``increments`` (steps, particles, bm_dim)."""
@@ -288,7 +287,7 @@ class Stepper:
         if self.steps_done + len(increments) > total:
             raise GridError(f"more than {total} steps of noise for this run")
         model, params, bounds = self.model, self.params, self.bounds
-        buf, cap = self._buf, len(self._buf)
+        buf, cap, record = self._buf, len(self._buf), self._record
         # the per-step isfinite check is the overflow detector; the float flags
         # the overflowing arithmetic raises on the way there are redundant noise
         with np.errstate(over="ignore", invalid="ignore"):
@@ -307,31 +306,18 @@ class Stepper:
                 )
                 self._neutral = neutral[1]
                 self.steps_done = n + 1
-                if self.diverged is not None:
-                    bad = ~np.isfinite(new).all(axis=1) | (
-                        np.linalg.norm(new, axis=1) > DIVERGENCE_THRESHOLD
-                    )
-                    if bad.any() and self.first_divergence_step is None:
-                        self.first_divergence_step = n + 1
-                    self.diverged |= bad
-                elif not np.isfinite(new).all():
+                if self._aborts and not np.isfinite(new).all():
                     self._abort(new, n + 1)
-                if self._moment_p is not None:
-                    self._note_moment(new, n + 1)
+                if record is not None:
+                    record(new, n + 1)
 
     def _abort(self, new: np.ndarray, step: int):
         """Raise :class:`OverflowAbort` for the first segment with a bad row."""
         bad = np.flatnonzero(~np.isfinite(new).all(axis=1))
         k = bisect_right([stop for _, stop in self.bounds], bad[0])
         start, stop = self.bounds[k]
-        prefix = None
-        if self._full:
-            prefix = ParticleGrid(
-                self._buf[: self.params.delay_steps + step].copy(), self.params
-            )
         raise OverflowAbort(
-            step=step, particles=bad[bad < stop] - start, prefix=prefix,
-            seed=self.segments[k].seed,
+            step=step, particles=bad[bad < stop] - start, seed=self.segments[k].seed
         )
 
     @property
@@ -341,11 +327,6 @@ class Stepper:
         if self.steps_done != total:
             raise GridError(f"run stopped at step {self.steps_done} of {total}")
         return self._buf[(total + n0) % len(self._buf)]
-
-    @property
-    def divergence_fraction(self) -> float:
-        """Share of particles that diverged so far; 0 for an untracked run."""
-        return 0.0 if self.diverged is None else float(self.diverged.mean())
 
 
 def coupled_pass(runs: list[Stepper]) -> None:
@@ -397,15 +378,20 @@ def coupled_pass(runs: list[Stepper]) -> None:
 
 
 def simulate(model: ModelSpec, params: SchemeParams) -> ParticleGrid:
-    """Run the scheme with full state storage on the path of ``params.seed``.
+    """Run the scheme on the path of ``params.seed`` and keep every row.
 
     Raises :class:`ValidationFailure` when the configuration violates the
-    structural conditions, and :class:`OverflowAbort` (carrying the last
-    finite prefix) when a state goes non-finite.
+    structural conditions, and :class:`OverflowAbort` when a state goes
+    non-finite; its ``prefix`` is then the grid of the rows before that step.
     """
-    run = Stepper(model, params, full_storage=True)
-    coupled_pass([run])
-    return ParticleGrid(states=run.states, params=params)
+    rows = GridRows(params)
+    try:
+        coupled_pass([Stepper(model, params, record=rows)])
+    except OverflowAbort as abort:
+        finite = rows.states[: params.delay_steps + abort.step]
+        abort.prefix = ParticleGrid(finite, params)
+        raise
+    return ParticleGrid(rows.states, params)
 
 
 def simulate_terminal(model: ModelSpec, params: SchemeParams) -> Stepper:

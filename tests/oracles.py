@@ -6,18 +6,34 @@ import numpy as np
 
 from mvnsdde import EmpiricalMeasure, ParticleGrid, Stepper
 from mvnsdde.model import ModelSpec
-from mvnsdde.scheme import sample_moments
+from mvnsdde.scheme import GridRows, sample_moments
 
 
 def run_on(model, params, increments) -> ParticleGrid:
-    """A full-storage run advanced once on hand-made increments.
+    """The grid of a run advanced once on hand-made increments, its rows
+    kept by the record :func:`mvnsdde.simulate` keeps them by.
 
     ``increments`` is the whole (steps, particles, bm_dim) path, such as
     zeros, permuted columns or :func:`mvnsdde.generate`'s array.
     """
-    run = Stepper(model, params, full_storage=True)
-    run.advance(increments)
-    return ParticleGrid(states=run.states, params=params)
+    rows = GridRows(params)
+    Stepper(model, params, record=rows).advance(increments)
+    return ParticleGrid(states=rows.states, params=params)
+
+
+def total_steps(grid: ParticleGrid) -> int:
+    """The last grid index of ``grid``."""
+    return grid.states.shape[0] - grid.delay_steps - 1
+
+
+def column(grid: ParticleGrid, index: int) -> np.ndarray:
+    """All particle states at grid index ``index`` (particles, dim)."""
+    row = index + grid.delay_steps
+    if not 0 <= row < grid.states.shape[0]:
+        raise IndexError(
+            f"grid index {index} outside [{-grid.delay_steps}, {total_steps(grid)}]"
+        )
+    return grid.states[row]
 
 
 def one_system(points) -> EmpiricalMeasure:
@@ -73,7 +89,7 @@ def moment_monitor(grid: ParticleGrid, p: int) -> MomentMonitor:
 
     Returns the maximum of (1/particles) * sum_a |U_n^a|^p over grid indices
     n (initial-segment rows included) and where it occurs: the full-grid
-    oracle of ``Stepper(moment_p=p)``.
+    oracle of the :class:`~mvnsdde.scheme.MomentMax` record.
     """
     moments = sample_moments(grid.states, p)
     row = int(np.argmax(moments))

@@ -192,6 +192,10 @@ class TestExitCodes:
             (["convergence-dt", "--seed", "1", "--deltas", "nan"], "deltas must"),
             (["convergence-dt", "--seed", "1", "--deltas", "0"], "deltas must"),
             (["convergence-dt", "--seed", "1", "--delta-ref", "-1"], "delta_ref must"),
+            (["validate", "--seed", "1", "--xis", "0,4"], "sizes must be >= 1, got 0"),
+            (["validate", "--seed", "1", "--xis=-3"], "sizes must be >= 1, got -3"),
+            (["validate", "--seed", "1", "--xis", "4,4"], "sizes must be distinct"),
+            (["validate", "--seed", "1", "--mc-reps=-5"], "mc_reps must be >= 0"),
         ],
     )
     def test_refused_before_echo(self, tmp_path, capsys, argv, message):
@@ -199,6 +203,19 @@ class TestExitCodes:
         assert main([*argv, "--outdir", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_mc_reps_writes_no_table(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["empirical-rate", "--seed", "1", "--mc-reps=-5", "--outdir", str(out)]
+        assert main(argv) == 1
+        assert "mc_reps must be >= 0, got -5" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("keys", [["--xis", "64,16"], ["--mc-reps", "0"]])
+    def test_validate_takes_what_a_study_takes(self, tmp_path, capsys, keys):
+        argv = ["validate", "--seed", "1", *keys, "--outdir", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == "ok"
 
     def test_unknown_flag_is_1(self):
         assert main(["simulate", "--frobnicate", "1"]) == 1

@@ -276,6 +276,13 @@ class TestMomentBoundVsDt:
         )
         assert [d for d, _, _ in rows] == [2.0**-7, 2.0**-6]
 
+    def test_no_step_size_refused(self):
+        with pytest.raises(ConfigError, match="at least one step size"):
+            moment_bound_vs_dt(
+                example51(), particles=10, deltas=[], tau=2.0**-5, alpha=0.5,
+                horizon=0.5, seed=3,
+            )
+
 
 class TestTamingComparison:
     def test_quiet_start_rarely_diverges(self):
@@ -340,6 +347,11 @@ class TestEmpiricalMeasureRate:
         monkeypatch.setattr(experiments, "derived_generator", forbidden)
         with pytest.raises(ConfigError, match=f"sizes must be >= 1, got {size}"):
             empirical_measure_rate(dim=1, xis=xis, mc_reps=2, seed=1)
+
+    def test_negative_reps_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(experiments, "derived_generator", forbidden)
+        with pytest.raises(ConfigError, match="mc_reps must be >= 0, got -5"):
+            empirical_measure_rate(dim=1, xis=[8, 16], mc_reps=-5, seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_refused(self, seed):

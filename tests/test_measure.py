@@ -26,7 +26,7 @@ from mvnsdde import (
 )
 import mvnsdde
 from mvnsdde.noise import derived_generator
-from oracles import one_system
+from oracles import column, one_system
 
 
 def rng(tag=0):
@@ -325,14 +325,14 @@ def _tiny_grid(states):
 class TestMeasureFromColumn:
     def test_singleton(self):
         grid = _tiny_grid(np.arange(6.0).reshape(6, 1, 1))
-        mu = one_system(grid.column(0))
+        mu = one_system(column(grid, 0))
         assert mu.points.shape == (1, 1)
         assert mu.points[0, 0] == mu.mean[0, 0] == 1.0  # row delay_steps = 1
 
     def test_identical_particles(self):
         states = np.full((4, 5, 1), 2.0)
         grid = _tiny_grid(states)
-        mu = one_system(grid.column(1))
+        mu = one_system(column(grid, 1))
         assert mu.points.shape == (5, 1)
         assert moment_wq(mu.points, 2.0) == 2.0
 
@@ -340,7 +340,7 @@ class TestMeasureFromColumn:
         states = np.zeros((3, 2, 1))
         states[2, 0, 0], states[2, 1, 0] = 3.0, -1.0
         grid = _tiny_grid(states)
-        mu = one_system(grid.column(1))
+        mu = one_system(column(grid, 1))
         assert sorted(mu.points[:, 0]) == [-1.0, 3.0]
         assert mu.mean.ravel().tolist() == [1.0, 1.0]
         assert w2_1d(mu.points, mu.points) == 0.0
@@ -348,4 +348,4 @@ class TestMeasureFromColumn:
     def test_out_of_range(self):
         grid = _tiny_grid(np.zeros((3, 2, 1)))
         with pytest.raises(IndexError):
-            grid.column(5)
+            column(grid, 5)

@@ -32,8 +32,10 @@ from mvnsdde import (
 from mvnsdde._g17 import BLOCK_VALUES
 from mvnsdde.model import ModelSpec
 from mvnsdde.noise import chunk_steps
-from mvnsdde.scheme import coupled_pass
-from oracles import moment_monitor, one_system, planar_meanfield, run_on
+from mvnsdde.scheme import Divergence, GridRows, MomentMax, coupled_pass
+from oracles import (
+    column, moment_monitor, one_system, planar_meanfield, run_on, total_steps,
+)
 
 
 def _csv_text(grid):
@@ -148,21 +150,21 @@ class TestDelayedState:
 
     def test_at_start(self):
         grid, params = self._grid()
-        cur, dly = grid.column(0)[0], grid.column(-grid.delay_steps)[0]
+        cur, dly = column(grid, 0)[0], column(grid, -grid.delay_steps)[0]
         assert cur[0] == 0.0  # segment value at t = 0
         assert dly[0] == -params.tau  # segment value one delay back
 
     def test_at_segment_boundary(self):
         grid, _ = self._grid()
         n0 = grid.delay_steps
-        cur, dly = grid.column(n0)[1], grid.column(0)[1]
+        cur, dly = column(grid, n0)[1], column(grid, 0)[1]
         assert np.array_equal(cur, grid.states[n0 + n0, 1])
         assert dly[0] == 0.0  # segment value at t = 0
 
     def test_interior_indexing(self):
         grid, _ = self._grid()
         n0 = grid.delay_steps
-        cur, dly = grid.column(n0 + 3)[0], grid.column(3)[0]
+        cur, dly = column(grid, n0 + 3)[0], column(grid, 3)[0]
         assert np.array_equal(cur, grid.states[n0 + n0 + 3, 0])
         assert np.array_equal(dly, grid.states[n0 + 3, 0])
 
@@ -170,7 +172,7 @@ class TestDelayedState:
         # a negative index has its lookback before the initial segment
         grid, _ = self._grid()
         with pytest.raises(IndexError):
-            grid.column(-1 - grid.delay_steps)
+            column(grid, -1 - grid.delay_steps)
 
 
 class TestEmStep:
@@ -304,7 +306,7 @@ class TestSimulate:
         n0 = params.delay_steps
         for n in range(-n0, 1):
             expect = model.initial_segment(n * params.delta)
-            np.testing.assert_array_equal(grid.column(n), np.tile(expect, (3, 1)))
+            np.testing.assert_array_equal(column(grid, n), np.tile(expect, (3, 1)))
 
     def test_grid_point_identity_replay(self):
         # the stored row n is exactly what later steps consume: replaying
@@ -318,14 +320,14 @@ class TestSimulate:
         grid = simulate(model, params)
         n0 = params.delay_steps
         for n in (0, 1, n0, params.total_steps - 1):
-            mu = one_system(grid.column(n))
+            mu = one_system(column(grid, n))
             replay = em_step(
-                grid.column(n), grid.column(n - n0), grid.column(n + 1 - n0),
+                column(grid, n), column(grid, n - n0), column(grid, n + 1 - n0),
                 model, params, mu, noise[n],
             )
-            assert np.array_equal(replay, grid.column(n + 1))
+            assert np.array_equal(replay, column(grid, n + 1))
 
-    def test_terminal_run_matches_full_storage(self):
+    def test_terminal_run_matches_the_whole_grid(self):
         model = example51()
         params = SchemeParams(
             delta=2.0**-8, tau=2.0**-5, alpha=0.5, particles=40, horizon=1.0,
@@ -399,33 +401,22 @@ class TestStepper:
     def test_resumes_across_any_block_split(self, cuts):
         model, params, noise = self._setup()
         whole = simulate(model, params)
-        run = Stepper(model, params, full_storage=True)
+        rows = GridRows(params)
+        run = Stepper(model, params, record=rows)
         edges = [0] + sorted(cuts) + [params.total_steps]
         for a, b in zip(edges, edges[1:]):
             run.advance(noise[a:b])
-        assert run.states.tobytes() == whole.states.tobytes()
+        assert rows.states.tobytes() == whole.states.tobytes()
         assert run.terminal.tobytes() == whole.terminal.tobytes()
-
-    def test_ring_never_wraps_under_full_storage(self):
-        model, params, noise = self._setup()
-        run = Stepper(model, params, full_storage=True)
-        run.advance(noise)
-        assert run.states.shape[0] == params.delay_steps + params.total_steps + 1
-
-    def test_ring_keeps_no_full_grid(self):
-        model, params, _ = self._setup()
-        run = Stepper(model, params)
-        with pytest.raises(GridError):
-            run.states
 
     def test_moment_matches_monitor_on_full_grid(self):
         for p in (2, 4, 12):
             model, params, noise = self._setup(particles=17, seed=p)
-            run = Stepper(model, params, moment_p=p)
-            run.advance(noise)
+            moment = MomentMax(p)
+            Stepper(model, params, record=moment).advance(noise)
             mon = moment_monitor(simulate(model, params), p)
-            assert run.moment_max == mon.value
-            assert run.moment_argmax == mon.argmax_index
+            assert moment.value == mon.value
+            assert moment.index == mon.argmax_index
 
     def test_moment_argmax_in_initial_segment(self):
         # a constant path ties on every row; the first one, -delay_steps, wins
@@ -433,8 +424,9 @@ class TestStepper:
         params = SchemeParams(
             delta=0.25, tau=0.5, alpha=0.5, particles=3, horizon=1.0, seed=0
         )
-        run = Stepper(model, params, moment_p=2)
-        assert (run.moment_max, run.moment_argmax) == (2.25, -2)
+        moment = MomentMax(2)
+        Stepper(model, params, record=moment)
+        assert (moment.value, moment.index) == (2.25, -2)
 
     def test_block_errors(self):
         model, params, noise = self._setup()
@@ -460,6 +452,59 @@ class TestStepper:
         empty = dataclasses.replace(params, seed=6, particles=0)
         with pytest.raises(ValidationFailure, match="particles must be >= 1"):
             Stepper(model, [params, empty])
+
+
+class TestRecord:
+    """A run hands its record every row once, in grid index order."""
+
+    def _params(self, **changes):
+        params = SchemeParams(
+            delta=2.0**-6, tau=2.0**-5, alpha=0.5, particles=4, horizon=0.25,
+            seed=8,
+        )
+        return dataclasses.replace(params, **changes)
+
+    def test_every_row_once_in_index_order(self):
+        model, params = example51(), self._params()
+        seen = []
+        run = Stepper(model, params, record=lambda row, n: seen.append((n, row.copy())))
+        n0, total = params.delay_steps, params.total_steps
+        # the initial segment is recorded as the run is built
+        assert [n for n, _ in seen] == list(range(-n0, 1))
+        noise = generate(params.seed, params.particles, 1, params.delta, params.horizon)
+        for a, b in ((0, 3), (3, 3), (3, total)):
+            run.advance(noise[a:b])
+        assert [n for n, _ in seen] == list(range(-n0, total + 1))
+        rows = np.stack([row for _, row in seen])
+        assert rows.tobytes() == simulate(model, params).states.tobytes()
+
+    def test_nothing_is_recorded_before_validation(self):
+        seen = []
+        with pytest.raises(ValidationFailure):
+            Stepper(
+                example51(), self._params(alpha=0.9),
+                record=lambda row, n: seen.append(n),
+            )
+        assert seen == []
+
+    def test_a_non_finite_row_aborts_unrecorded_unless_told_to_go_on(self):
+        model = dataclasses.replace(
+            _trivial_model(), diffusion=lambda x, y, mu: np.ones(x.shape + (1,))
+        )
+        params = self._params(tau=0.5, delta=0.25, horizon=1.0)
+        increments = np.zeros((4, params.particles, 1))
+        increments[1, 2, 0] = np.inf
+        seen = []
+        run = Stepper(model, params, record=lambda row, n: seen.append(n))
+        with pytest.raises(OverflowAbort) as info:
+            run.advance(increments)
+        assert info.value.step == 2
+        assert seen == [-2, -1, 0, 1]
+        seen.clear()
+        run = Stepper(model, params, record=lambda row, n: seen.append(n), abort=False)
+        run.advance(increments)
+        assert seen == [-2, -1, 0, 1, 2, 3, 4]
+        assert not np.isfinite(run.terminal).all()
 
 
 class TestSegments:
@@ -491,14 +536,15 @@ class TestSegments:
                 alone = simulate(model, p).terminal
                 assert terminal[start:stop].tobytes() == alone.tobytes()
 
-    def test_statistics_of_one_system_refuse_several(self):
+    def test_a_run_of_several_segments_takes_a_record(self):
         model, segments = example51(), self._segments()
-        for kwargs in (
-            {"moment_p": 2}, {"track_divergence": True}, {"full_storage": True}
-        ):
-            with pytest.raises(ConfigError, match="one segment"):
-                Stepper(model, segments, **kwargs)
-        Stepper(model, segments[:1], moment_p=2, track_divergence=True)
+        rows = GridRows(segments[0])
+        run = Stepper(model, segments, record=rows)
+        paths = [generate(p.seed, p.particles, 1, p.delta, p.horizon) for p in segments]
+        run.advance(np.concatenate(paths, axis=1))
+        for (start, stop), p in zip(run.bounds, segments):
+            alone = simulate(model, p).states
+            assert rows.states[:, start:stop].tobytes() == alone.tobytes()
 
     def test_segments_share_the_grid(self):
         segments = self._segments()
@@ -598,11 +644,11 @@ class TestTwoDimensional:
     def test_coarse_run_sees_the_coarsened_path(self):
         model, fine = planar_meanfield(), self._params()
         coarse = self._params(delta=2.0**-6)
-        run = Stepper(model, coarse, full_storage=True)
-        coupled_pass([Stepper(model, fine), run])
+        rows = GridRows(coarse)
+        coupled_pass([Stepper(model, fine), Stepper(model, coarse, record=rows)])
         noise = generate(fine.seed, fine.particles, 2, fine.delta, 1.0)
         alone = run_on(model, coarse, coarsen(noise, 2))
-        assert run.states.tobytes() == alone.states.tobytes()
+        assert rows.states.tobytes() == alone.states.tobytes()
 
 
 class TestOverflow:
@@ -636,10 +682,11 @@ class TestOverflow:
 
     def test_tracked_run_reports_divergence(self):
         model, params = self._setup(taming=False)
-        run = Stepper(model, params, track_divergence=True)
+        divergence = Divergence(params.particles)
+        run = Stepper(model, params, record=divergence, abort=False)
         coupled_pass([run])
-        assert run.divergence_fraction == 1.0
-        assert run.first_divergence_step is not None
+        assert divergence.diverged.mean() == 1.0
+        assert divergence.first_step is not None
 
 
 class TestCsvExport:
@@ -654,7 +701,7 @@ class TestCsvExport:
         grid = self._small_grid()
         lines = _csv_text(grid).strip().split("\n")
         assert lines[0] == "t,particle,comp0"
-        assert len(lines) == 1 + (grid.delay_steps + grid.total_steps + 1) * 2
+        assert len(lines) == 1 + (grid.delay_steps + total_steps(grid) + 1) * 2
 
     def test_first_rows_are_segment(self):
         grid = self._small_grid()
@@ -673,7 +720,7 @@ class TestCsvExport:
             a = i % 2
             assert float(row[0]) == n * grid.params.delta
             assert int(row[1]) == a + 1
-            assert float(row[2]) == grid.column(n)[a][0]
+            assert float(row[2]) == column(grid, n)[a][0]
 
     def test_rerun_is_byte_identical(self):
         a = _csv_text(self._small_grid())
