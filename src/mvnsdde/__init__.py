@@ -24,12 +24,7 @@ from .experiments import (
     strong_error_vs_dt,
     taming_comparison,
 )
-from .measure import (
-    EmpiricalMeasure,
-    w2_1d,
-    w2_assignment,
-    w2sq_to_standard_normal_1d,
-)
+from .measure import EmpiricalMeasure, w2_assignment, w2sq_to_standard_normal_1d
 from .model import (
     ModelSpec,
     SchemeParams,
@@ -38,7 +33,6 @@ from .model import (
     cubic_no_mf,
     example51,
     linear_meanfield,
-    linear_meanfield_mean,
     validate,
 )
 from .noise import coarsen, generate
@@ -82,7 +76,6 @@ __all__ = [
     "fit_loglog_slope",
     "generate",
     "linear_meanfield",
-    "linear_meanfield_mean",
     "moment_bound_vs_dt",
     "simulate",
     "simulate_terminal",
@@ -90,7 +83,6 @@ __all__ = [
     "tame_drift",
     "taming_comparison",
     "validate",
-    "w2_1d",
     "w2_assignment",
     "w2sq_to_standard_normal_1d",
 ]

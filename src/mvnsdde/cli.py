@@ -323,7 +323,8 @@ def dispatch(cfg: RunConfig) -> int:
         ),
         "empirical-rate": (
             W2SQ_RATE[cfg.dim], {"proxy": D5_PROXY_NOTE} if cfg.dim == 5 else {},
-            "give at least 2 sample sizes",
+            "mc_reps = 0 draws no samples" if cfg.mc_reps == 0
+            else "give at least 2 sample sizes",
         ),
     }[cfg.subcommand]
     report = ExperimentReport(

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DegenerateFitError
-from .measure import DEFAULT_ASSIGNMENT_CAP, w2_assignment, w2sq_to_standard_normal_1d
+from .measure import ASSIGNMENT_CAP, w2_assignment, w2sq_to_standard_normal_1d
 from .model import ModelSpec, SchemeParams
 from .noise import derived_generator, seeds_per_block
 from .scheme import DIVERGENCE_THRESHOLD, Divergence, MomentMax, Stepper, coupled_pass
@@ -76,9 +76,6 @@ class ErrorTable:
 
     def errors(self) -> np.ndarray:
         return np.array([r.rms_error for r in self.rows])
-
-    def stderrs(self) -> np.ndarray:
-        return np.array([r.stderr for r in self.rows])
 
     def nonzero(self) -> "ErrorTable":
         """Table with exact-zero rows (self-comparisons) dropped."""
@@ -379,16 +376,16 @@ def empirical_measure_rate(
 
     dim = 1 integrates each sorted sample against the exact N(0,1) quantile
     function; dim = 5 uses the two-independent-samples assignment proxy (see
-    ``D5_PROXY_NOTE``), with sizes up to ``DEFAULT_ASSIGNMENT_CAP``.  The
+    ``D5_PROXY_NOTE``), with sizes up to ``ASSIGNMENT_CAP``.  The
     rms_error column holds the mean squared distance; stderr is its Monte
     Carlo standard error over the repetitions.
     """
     check_dim(dim)
     xis = check_xis(xis)
     check_at_least("mc_reps", mc_reps, 0)
-    if dim == 5 and xis and xis[-1] > DEFAULT_ASSIGNMENT_CAP:
+    if dim == 5 and xis and xis[-1] > ASSIGNMENT_CAP:
         raise CapacityError(
-            f"size {xis[-1]} exceeds assignment cap {DEFAULT_ASSIGNMENT_CAP}"
+            f"size {xis[-1]} exceeds assignment cap {ASSIGNMENT_CAP}"
         )
     rng = derived_generator(seed, _RATE_TAG + dim)
     rows = []
@@ -494,6 +491,21 @@ class ExperimentReport:
             fh.write(self.gnuplot_text())
 
 
+def _peak_rss_kib() -> int:
+    """The process's peak resident set size in KiB: ``VmHWM`` where
+    /proc/self/status exists, else ``ru_maxrss``.  On Linux a process started
+    by vfork+exec (``subprocess``) inherits its parent's ``ru_maxrss``, while
+    ``VmHWM`` is the peak of its own address space."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 class Stopwatch:
     """Wall-clock timer for experiment reports; also reads the process's
     peak resident set size (MiB, everything up to the exit) as peak_rss_mb."""
@@ -504,5 +516,5 @@ class Stopwatch:
 
     def __exit__(self, *exc):
         self.seconds = time.perf_counter() - self._t0
-        self.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        self.peak_rss_mb = _peak_rss_kib() / 1024
         return False

@@ -3,9 +3,9 @@
 Uniformly weighted point clouds stand in for the laws that the coefficient
 functions and the error metrics consume: the coefficients read a step's
 :class:`EmpiricalMeasure`, and the distances take the point arrays
-themselves (samples).  Distances are computed exactly:
-order statistics in one dimension, minimum-cost assignment in general
-dimension, and per-quantile-cell quadrature against the standard normal.
+themselves (samples).  Distances are computed exactly: minimum-cost
+assignment between two samples in any dimension, and per-quantile-cell
+quadrature against the standard normal.
 Approximate transport solvers are deliberately avoided so convergence
 measurements are not contaminated by solver error.
 
@@ -28,7 +28,8 @@ from scipy.special import ndtri
 
 from .errors import CapacityError, ShapeError
 
-DEFAULT_ASSIGNMENT_CAP = 512
+# The largest sample the assignment solver takes (its cost is cubic in size).
+ASSIGNMENT_CAP = 512
 
 _QUANTILE_CLIP = 1e-12  # keeps the inverse normal CDF finite at cell edges
 _NORMAL_NODES = 64  # Gauss-Legendre nodes per quantile cell
@@ -83,28 +84,13 @@ def _samples(*samples) -> list[np.ndarray]:
     return out
 
 
-def w2_1d(x, y) -> float:
-    """Exact Wasserstein-2 distance of two equal-size 1-D samples.
-
-    The optimal coupling of two equal-size uniform atomic measures on the
-    line pairs order statistics, so the distance reduces to the rms gap of
-    the sorted samples.
-    """
-    x, y = _samples(x, y)
-    if x.shape[1] != 1:
-        raise ShapeError(f"w2_1d needs dim 1, got {x.shape[1]}")
-    xs = np.sort(x[:, 0], kind="stable")
-    ys = np.sort(y[:, 0], kind="stable")
-    return float(np.sqrt(np.mean((xs - ys) ** 2)))
-
-
-def w2_assignment(x, y, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> float:
+def w2_assignment(x, y) -> float:
     """Exact Wasserstein-2 distance of two equal-size samples via
     minimum-cost bipartite assignment.
 
-    Works in any dimension; cubic cost in the point count, hence the cap.
-    Raising :class:`CapacityError` signals the caller to subsample rather
-    than silently approximating.
+    Works in any dimension; cubic cost in the point count, hence
+    ``ASSIGNMENT_CAP``.  Raising :class:`CapacityError` signals the caller to
+    subsample rather than silently approximating.
 
     The solver gets the column-then-row reduced costs, which give the same
     matching with shorter augmenting paths (see the module docstring).  The
@@ -112,8 +98,8 @@ def w2_assignment(x, y, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> float:
     because the reduced entries carry other rounding.
     """
     x, y = _samples(x, y)
-    if len(x) > assignment_cap:
-        raise CapacityError(f"size {len(x)} exceeds assignment cap {assignment_cap}")
+    if len(x) > ASSIGNMENT_CAP:
+        raise CapacityError(f"size {len(x)} exceeds assignment cap {ASSIGNMENT_CAP}")
     # imported here, not at the top: they roughly double the time and the
     # memory of importing the package, and only this function needs them
     from scipy.optimize import linear_sum_assignment

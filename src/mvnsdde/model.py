@@ -39,6 +39,11 @@ _PROBE_SLACK = 1e-9
 # initial segment at each of them, and a run keeps them all in its ring.
 MAX_DELAY_STEPS = 2**20
 
+# The error-exponent window q <= p / (2 (c + 1)) at the strong error's q = 2
+# and the initial segment's moment order p = 12 (every built-in segment is
+# deterministic, so it has every moment): the drift's growth power c <= 2.
+MAX_GROWTH_POWER = 2.0
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -94,17 +99,13 @@ class ValidationReport:
         return "\n".join(f"violation: {v}" for v in self.violations)
 
 
-def validate(
-    model: ModelSpec, params: SchemeParams, q: float = 2.0, p: float = 12
-) -> ValidationReport:
+def validate(model: ModelSpec, params: SchemeParams) -> ValidationReport:
     """Report every violated structural condition; never raises.
 
-    Covers the contraction modulus, the neutral map probes (zero at zero,
-    contractivity on random pairs), grid integrality (tau/delta and
-    horizon/delta), the step/exponent ranges, and the error-exponent window
-    q <= p / (2 (c + 1)) for the requested q and initial-segment moment
-    order p.  Every built-in initial segment is deterministic, so it has
-    every moment.
+    Covers the contraction modulus, the growth power (at most
+    ``MAX_GROWTH_POWER``, the error-exponent window), the neutral map probes
+    (zero at zero, contractivity on random pairs), grid integrality
+    (tau/delta and horizon/delta) and the step/exponent ranges.
     """
     report = ValidationReport()
     v = report.violations
@@ -112,8 +113,11 @@ def validate(
     lam = model.contraction
     if not 0.0 < lam < 1.0:
         v.append(f"contraction modulus must lie in (0, 1), got {lam}")
-    if model.growth_power < 0:
-        v.append(f"growth power must be >= 0, got {model.growth_power}")
+    if not 0 <= model.growth_power <= MAX_GROWTH_POWER:
+        v.append(
+            f"growth power must lie in [0, {MAX_GROWTH_POWER:g}] (the window "
+            f"q <= p/(2(c+1)) at q = 2, p = 12), got {model.growth_power}"
+        )
 
     zero = np.zeros((1, model.state_dim))
     try:
@@ -168,15 +172,6 @@ def validate(
             "integer"
         )
 
-    q_max = p / (2.0 * (model.growth_power + 1.0))
-    if q < 2.0:
-        v.append(f"error exponent q must be >= 2, got {q}")
-    elif q > q_max:
-        v.append(
-            f"error exponent q = {q} exceeds p/(2(c+1)) = {q_max:.6g} "
-            f"(p = {p}, c = {model.growth_power})"
-        )
-
     # probe the segment's grid points, if there are at most the cap of them
     if 0 < delay <= MAX_DELAY_STEPS:
         n0 = params.delay_steps
@@ -195,40 +190,51 @@ def validate(
     return report
 
 
-def example51(beta: float = 0.5) -> ModelSpec:
+# The neutral coefficient of the cubic models: D(y) = -BETA * y.
+BETA = 0.5
+_BETA3 = BETA**3
+
+
+def _cubic_neutral(y):
+    return -BETA * y
+
+
+def _cubic_drift(x, y):
+    return x - x * x * x + BETA * y - _BETA3 * (y * y * y)
+
+
+def _cubic_diffusion(x, y, mu):
+    return (x + BETA * y)[..., None]
+
+
+def _cubic_model(name, drift, segment) -> ModelSpec:
+    return ModelSpec(
+        name=name,
+        state_dim=1,
+        bm_dim=1,
+        neutral=_cubic_neutral,
+        drift=drift,
+        diffusion=_cubic_diffusion,
+        initial_segment=segment,
+        contraction=BETA,
+        growth_power=2.0,
+    )
+
+
+def example51() -> ModelSpec:
     """Scalar cubic mean-field model with neutral delay coupling.
 
-    Differences the combination state + beta * delayed state; the drift adds
+    Differences the combination state + BETA * delayed state; the drift adds
     the mean of the current law to a dissipative cubic, and the diffusion is
     linear in the current and delayed state.  The initial segment is the
     identity path t -> t.  Spells out the standing assumptions with
-    contraction beta and cubic growth (power 2).
+    contraction BETA and cubic growth (power 2).
     """
-    beta3 = beta**3
-
-    def neutral(y):
-        return -beta * y
 
     def drift(x, y, mu):
-        return x - x * x * x + beta * y - beta3 * (y * y * y) + mu.mean
+        return _cubic_drift(x, y) + mu.mean
 
-    def diffusion(x, y, mu):
-        return (x + beta * y)[..., None]
-
-    def segment(t):
-        return np.array([t])
-
-    return ModelSpec(
-        name="example51",
-        state_dim=1,
-        bm_dim=1,
-        neutral=neutral,
-        drift=drift,
-        diffusion=diffusion,
-        initial_segment=segment,
-        contraction=beta,
-        growth_power=2.0,
-    )
+    return _cubic_model("example51", drift, lambda t: np.array([t]))
 
 
 def linear_meanfield(
@@ -240,8 +246,8 @@ def linear_meanfield(
     """Linear model with additive noise and a closed-form mean.
 
     No neutral term, the delay argument is ignored, and the mean satisfies
-    m'(t) = (a_coef + b_coef) m(t) with m(0) = x0, giving the analytic
-    oracle ``linear_meanfield_mean``.
+    m'(t) = (a_coef + b_coef) m(t) with m(0) = x0, so it is
+    x0 * exp((a_coef + b_coef) t).
     """
 
     def neutral(y):
@@ -269,45 +275,18 @@ def linear_meanfield(
     )
 
 
-def linear_meanfield_mean(
-    t: float, a_coef: float = -1.0, b_coef: float = 0.5, x0: float = 1.0
-) -> float:
-    """Exact mean m(t) = x0 * exp((a_coef + b_coef) t) of the linear model."""
-    return x0 * float(np.exp((a_coef + b_coef) * t))
-
-
-def cubic_no_mf(x0: float = 0.0, beta: float = 0.5) -> ModelSpec:
+def cubic_no_mf(x0: float = 0.0) -> ModelSpec:
     """Cubic model without the mean term, from a constant initial segment.
 
     Particles never interact, which makes it the control case for chaos
     studies and the drift for taming demonstrations: from |x0| >= 3 the
     untamed update overshoots super-exponentially at coarse steps.
     """
-    beta3 = beta**3
-
-    def neutral(y):
-        return -beta * y
 
     def drift(x, y, mu):
-        return x - x * x * x + beta * y - beta3 * (y * y * y)
+        return _cubic_drift(x, y)
 
-    def diffusion(x, y, mu):
-        return (x + beta * y)[..., None]
-
-    def segment(t):
-        return np.array([x0])
-
-    return ModelSpec(
-        name="cubic_no_mf",
-        state_dim=1,
-        bm_dim=1,
-        neutral=neutral,
-        drift=drift,
-        diffusion=diffusion,
-        initial_segment=segment,
-        contraction=beta,
-        growth_power=2.0,
-    )
+    return _cubic_model("cubic_no_mf", drift, lambda t: np.array([x0]))
 
 
 # Each built-in model by CLI name: its factory and the config keys it takes.

@@ -137,26 +137,22 @@ class ParticleGrid:
 def em_step(
     current: np.ndarray,
     delayed: np.ndarray,
-    delayed_next: np.ndarray,
     model: ModelSpec,
     params: SchemeParams,
     measure: EmpiricalMeasure,
     increments: np.ndarray,
-    neutral: tuple[np.ndarray, np.ndarray] | None = None,
+    neutral: tuple[np.ndarray, np.ndarray],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Advance all particles one step from a frozen snapshot.
 
-    ``current``, ``delayed``, ``delayed_next`` are the states at grid
-    indices n, n - delay_steps, n + 1 - delay_steps; ``measure`` must be the
-    empirical measure of ``current`` (frozen before any update); and
-    ``increments`` are the Brownian increments of the step, shape
-    (particles, bm_dim).  ``neutral`` may pass the neutral map of
-    ``delayed`` and of ``delayed_next`` when the caller already has them,
-    and ``out`` receives the new states (it must not be an input).
+    ``current`` and ``delayed`` are the states at grid indices n and
+    n - delay_steps; ``measure`` must be the empirical measure of
+    ``current`` (frozen before any update); ``increments`` are the Brownian
+    increments of the step, shape (particles, bm_dim); ``neutral`` is the
+    neutral map of ``delayed`` and of the state at n + 1 - delay_steps; and
+    ``out`` receives the new states (it must not be an input).
     """
-    if neutral is None:
-        neutral = model.neutral(delayed), model.neutral(delayed_next)
     b = model.drift(current, delayed, measure)
     if params.taming:
         drift_step = tame_drift(b, params.delta, params.alpha)
@@ -168,8 +164,8 @@ def em_step(
         noise_term = sigma[..., 0] * increments
     else:
         noise_term = np.einsum("pdm,pm->pd", sigma, increments)
-    # neutral(delayed_next) + (current - neutral(delayed) + b_eff * delta
-    # + noise_term), summed in that order
+    # neutral[1] + (current - neutral[0] + b_eff * delta + noise_term),
+    # summed in that order
     new = np.subtract(current, neutral[0], out=out)
     new += drift_step
     new += noise_term
@@ -294,15 +290,14 @@ class Stepper:
             for inc in increments:
                 n = self.steps_done
                 x, delayed = buf[(n + n0) % cap], buf[n % cap]
-                delayed_next = buf[(n + 1) % cap]
                 # callbacks are pure: this step's neutral(delayed) is the last
-                # step's neutral(delayed_next)
+                # step's neutral of the next delayed row
                 if self._neutral is None:
                     self._neutral = model.neutral(delayed)
-                neutral = self._neutral, model.neutral(delayed_next)
+                neutral = self._neutral, model.neutral(buf[(n + 1) % cap])
                 new = em_step(
-                    x, delayed, delayed_next, model, params,
-                    EmpiricalMeasure(x, bounds), inc, neutral, buf[(n + 1 + n0) % cap],
+                    x, delayed, model, params, EmpiricalMeasure(x, bounds), inc,
+                    neutral, buf[(n + 1 + n0) % cap],
                 )
                 self._neutral = neutral[1]
                 self.steps_done = n + 1

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvnsdde import EmpiricalMeasure, ParticleGrid, Stepper
+from mvnsdde import EmpiricalMeasure, ParticleGrid, ShapeError, Stepper
 from mvnsdde.model import ModelSpec
 from mvnsdde.scheme import GridRows, sample_moments
 
@@ -34,6 +34,30 @@ def column(grid: ParticleGrid, index: int) -> np.ndarray:
             f"grid index {index} outside [{-grid.delay_steps}, {total_steps(grid)}]"
         )
     return grid.states[row]
+
+
+def w2_1d(x, y) -> float:
+    """Exact Wasserstein-2 distance of two equal-size 1-D samples, (size,)
+    or (size, 1).
+
+    The optimal coupling of two equal-size uniform atomic measures on the
+    line pairs order statistics, so the distance reduces to the rms gap of
+    the sorted samples.
+    """
+    x, y = (np.asarray(s, dtype=np.float64) for s in (x, y))
+    if x.shape != y.shape or x.ndim > 2 or x.size != len(x):
+        raise ShapeError(f"w2_1d needs two equal 1-D samples, got {x.shape}, {y.shape}")
+    xs = np.sort(x.ravel(), kind="stable")
+    ys = np.sort(y.ravel(), kind="stable")
+    return float(np.sqrt(np.mean((xs - ys) ** 2)))
+
+
+def linear_meanfield_mean(
+    t: float, a_coef: float = -1.0, b_coef: float = 0.5, x0: float = 1.0
+) -> float:
+    """Exact mean m(t) = x0 * exp((a_coef + b_coef) t) of
+    :func:`mvnsdde.linear_meanfield`."""
+    return x0 * float(np.exp((a_coef + b_coef) * t))
 
 
 def one_system(points) -> EmpiricalMeasure:

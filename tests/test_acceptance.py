@@ -19,18 +19,17 @@ from mvnsdde import (
     example51,
     fit_loglog_slope,
     linear_meanfield,
-    linear_meanfield_mean,
     moment_bound_vs_dt,
     simulate_terminal,
     strong_error_vs_dt,
     tame_drift,
     taming_comparison,
-    w2_1d,
     w2_assignment,
 )
 from mvnsdde import noise
 from mvnsdde.cli import main as cli_main
 from mvnsdde.noise import derived_generator
+from oracles import linear_meanfield_mean, w2_1d
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -79,7 +78,7 @@ def test_criterion_1_strong_convergence_rate():
     runtime = time.perf_counter() - t0
     slope, _ = fit_loglog_slope(table)
     monotone, inversions = _monotone_with_one_tolerated_inversion(
-        table.errors(), table.stderrs()
+        table.errors(), np.array([r.stderr for r in table.rows])
     )
     ok = 0.35 <= slope <= 0.75 and monotone and runtime < 300.0
     _verdict(
@@ -219,7 +218,7 @@ def test_criterion_6_propagation_of_chaos_direction():
         alpha=0.5, horizon=1.0, seed=SEED_CHAOS,
     )
     errs = table.errors()[:-1]  # last row is the reference (exact zero)
-    ses = table.stderrs()[:-1]
+    ses = np.array([r.stderr for r in table.rows])[:-1]
     positive = bool(np.all(errs > 0.0))
     decreasing = all(
         errs[i + 1] < errs[i] + 2.0 * math.hypot(ses[i], ses[i + 1])

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from mvnsdde import (
-    cubic_no_mf, example51, moment_bound_vs_dt, noise, taming_comparison,
+    cubic_no_mf, example51, experiments, moment_bound_vs_dt, noise,
+    taming_comparison,
 )
 from mvnsdde.cli import RunConfig, echo_text, main, parse
 from mvnsdde.errors import ConfigError
@@ -305,6 +307,16 @@ class TestExitCodes:
         summary = json.loads((out / "convergence_dt.summary.json").read_text())
         assert summary["slope"] is None
 
+    def test_zero_mc_reps_is_1_and_named(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["empirical-rate", "--seed", "1", "--mc-reps", "0", "--outdir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "(mc_reps = 0 draws no samples)" in err
+        assert "sample sizes" not in err
+        header = "resolution,rms_error,stderr,samples\n"
+        assert (out / "empirical_rate.csv").read_text() == header
+
     def test_measure_independent_chaos_is_degenerate(self, tmp_path):
         out = tmp_path / "o"
         rc = main(
@@ -549,6 +561,38 @@ class TestOutputs:
         assert "proxy" in summary["notes"]
         # and like n^(-2/5) in dim 5
         assert " * x**(-0.4)" in (out / "empirical_rate.gp").read_text()
+
+    def test_peak_rss_is_the_runs_own(self, tmp_path):
+        # on Linux a process started by vfork+exec inherits its parent's
+        # ru_maxrss, so run the CLI from a parent that holds about 200 MiB
+        root = Path(__file__).resolve().parent.parent
+        paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        parent = (
+            "import subprocess, sys\n"
+            "held = b'x' * (200 * 2**20)\n"
+            "argv = [sys.executable, '-m', 'mvnsdde', *sys.argv[1:]]\n"
+            "sys.exit(subprocess.run(argv).returncode)\n"
+        )
+        out = tmp_path / "o"
+        done = subprocess.run(
+            [sys.executable, "-c", parent, "empirical-rate", "--seed", "1",
+             "--xis", "4,8", "--mc-reps", "2", "--outdir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        summary = json.loads((out / "empirical_rate.summary.json").read_text())
+        assert 0.0 < summary["peak_rss_mb"] < 150.0
+
+    def test_peak_rss_without_proc_reads_rusage(self, monkeypatch):
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError("no /proc")
+
+        monkeypatch.setattr(experiments, "open", no_proc, raising=False)
+        with experiments.Stopwatch() as sw:
+            pass
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert sw.peak_rss_mb == peak
 
     def test_outdir_env_fallback_run(self, tmp_path, monkeypatch):
         envdir = tmp_path / "from-env"

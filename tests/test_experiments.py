@@ -139,7 +139,7 @@ class TestStrongErrorVsDt:
             horizon=0.5, seed=1234,
         )
         errs = table.errors()
-        ses = table.stderrs()
+        ses = [r.stderr for r in table.rows]
         for i in range(len(errs) - 1):
             combined = math.hypot(ses[i], ses[i + 1])
             assert errs[i] <= errs[i + 1] + 2.0 * combined
@@ -216,7 +216,7 @@ class TestChaosErrorVsParticles:
             alpha=0.5, horizon=0.5, seed=30,
         )
         errs = table.errors()[:-1]  # drop reference row
-        ses = table.stderrs()[:-1]
+        ses = [r.stderr for r in table.rows][:-1]
         assert np.all(errs > 0.0)
         for i in range(len(errs) - 1):
             combined = math.hypot(ses[i], ses[i + 1])

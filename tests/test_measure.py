@@ -20,13 +20,12 @@ from mvnsdde import (
     ParticleGrid,
     SchemeParams,
     ShapeError,
-    w2_1d,
     w2_assignment,
     w2sq_to_standard_normal_1d,
 )
 import mvnsdde
 from mvnsdde.noise import derived_generator
-from oracles import column, one_system
+from oracles import column, one_system, w2_1d
 
 
 def rng(tag=0):
@@ -56,7 +55,6 @@ def brute_force_w2(xs, ys):
 # Every W2 entry point as a call on one sample (the two-sample distances
 # take it as both), for the checks each makes on its samples.
 ENTRY_POINTS = (
-    lambda x: w2_1d(x, x),
     lambda x: w2_assignment(x, x),
     w2sq_to_standard_normal_1d,
 )
@@ -69,7 +67,6 @@ class TestEmpiricalMeasure:
     def test_one_dim_input_is_normalized(self):
         x, y = [1.0, 2.0, 3.0], np.array([0.5, -1.0, 4.0])
         col_x, col_y = np.reshape(x, (3, 1)), y[:, None]
-        assert w2_1d(x, y) == w2_1d(col_x, col_y)
         assert w2_assignment(x, y) == w2_assignment(col_x, col_y)
         assert w2sq_to_standard_normal_1d(x) == w2sq_to_standard_normal_1d(col_x)
 
@@ -89,7 +86,7 @@ class TestEmpiricalMeasure:
             with pytest.raises(ShapeError, match="finite"):
                 entry([0.5, bad, -1.0])
         with pytest.raises(ShapeError, match="finite"):
-            w2_1d([0.5, 0.0, -1.0], [0.5, bad, -1.0])
+            w2_assignment([0.5, 0.0, -1.0], [0.5, bad, -1.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected_nd(self, bad):
@@ -148,6 +145,8 @@ class TestMomentWq:
 
 
 class TestW21d:
+    """The test-side order-statistics oracle of the assignment distance."""
+
     def test_identity(self):
         mu = [3.0, -1.0, 0.5]
         assert w2_1d(mu, mu) == 0.0
@@ -217,9 +216,9 @@ class TestW2Assignment:
         assert w2_assignment(mu, nu) == 0.0
 
     def test_capacity_error(self):
-        pts = np.zeros((5, 1))
-        with pytest.raises(CapacityError):
-            w2_assignment(pts, pts, assignment_cap=4)
+        pts = np.zeros((513, 1))
+        with pytest.raises(CapacityError, match="size 513 exceeds assignment cap 512"):
+            w2_assignment(pts, pts)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
@@ -343,7 +342,7 @@ class TestMeasureFromColumn:
         mu = one_system(column(grid, 1))
         assert sorted(mu.points[:, 0]) == [-1.0, 3.0]
         assert mu.mean.ravel().tolist() == [1.0, 1.0]
-        assert w2_1d(mu.points, mu.points) == 0.0
+        assert w2_assignment(mu.points, mu.points) == 0.0
 
     def test_out_of_range(self):
         grid = _tiny_grid(np.zeros((3, 2, 1)))

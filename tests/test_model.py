@@ -16,12 +16,11 @@ from mvnsdde import (
     cubic_no_mf,
     example51,
     linear_meanfield,
-    linear_meanfield_mean,
     validate,
 )
 from mvnsdde.model import MODELS
 from mvnsdde.noise import derived_generator
-from oracles import one_system, planar_meanfield
+from oracles import linear_meanfield_mean, one_system, planar_meanfield
 
 
 def _zeros_measure(x):
@@ -229,16 +228,17 @@ class TestValidate:
         assert any("horizon/delta" in v for v in report.violations)
 
     def test_exponent_window(self):
-        ok = validate(example51(), _params(), q=2.0)
+        # q = 2, p = 12: q <= p/(2(c+1)) holds up to growth power c = 2
+        assert example51().growth_power == 2.0
+        ok = validate(example51(), _params())
         assert ok.ok
-        bad_q = validate(example51(), _params(), q=2.0, p=8)
-        assert any("p/(2(c+1))" in v for v in bad_q.violations)
-        small_q = validate(example51(), _params(), q=1.0)
-        assert any("q must be >= 2" in v for v in small_q.violations)
+        quartic = dataclasses.replace(example51(), growth_power=3.0)
+        bad_c = validate(quartic, _params())
+        assert any("p/(2(c+1))" in v for v in bad_c.violations)
 
     def test_linear_model_wide_window(self):
-        # growth power 0: q up to p/2 = 6 is fine
-        report = validate(linear_meanfield(), _params(), q=6.0)
+        # growth power 0 sits well inside the window
+        report = validate(linear_meanfield(), _params())
         assert report.ok
 
     def test_seed_outside_64_bits_is_a_violation(self):

@@ -183,7 +183,8 @@ class TestEmStep:
         )
         cur = np.arange(4.0).reshape(4, 1)
         mu = one_system(cur)
-        out = em_step(cur, cur, cur, model, params, mu, np.ones((4, 1)))
+        neutral = model.neutral(cur), model.neutral(cur)
+        out = em_step(cur, cur, model, params, mu, np.ones((4, 1)), neutral)
         assert np.array_equal(out, cur)
 
     def test_hand_computed_first_step(self):
@@ -198,7 +199,8 @@ class TestEmStep:
         dly = np.array([[-delta]])
         dly_next = np.array([[0.0]])
         mu = one_system(cur)
-        out = em_step(cur, dly, dly_next, model, params, mu, np.zeros((1, 1)))
+        neutral = model.neutral(dly), model.neutral(dly_next)
+        out = em_step(cur, dly, model, params, mu, np.zeros((1, 1)), neutral)
 
         b = 0.5 * (-delta) - 0.125 * (-delta) ** 3
         b_tamed = b / (1.0 + delta**0.5 * abs(b))
@@ -215,9 +217,10 @@ class TestEmStep:
         )
         cur = np.zeros((3, 1))
         mu = one_system(cur)
+        neutral = model.neutral(cur), model.neutral(cur)
         db = np.array([[0.1], [-0.2], [0.4]])
-        d1 = em_step(cur, cur, cur, model, params, mu, db) - cur
-        d2 = em_step(cur, cur, cur, model, params, mu, 2.0 * db) - cur
+        d1 = em_step(cur, cur, model, params, mu, db, neutral) - cur
+        d2 = em_step(cur, cur, model, params, mu, 2.0 * db, neutral) - cur
         assert np.array_equal(d2, 2.0 * d1)
 
     def test_frozen_measure_order_independence(self):
@@ -232,15 +235,17 @@ class TestEmStep:
         dly_next = g.normal(size=(16, 1))
         db = g.normal(size=(16, 1)) * 0.1
         mu = one_system(cur)
-        batch = em_step(cur, dly, dly_next, model, params, mu, db)
+        neutral = model.neutral(dly), model.neutral(dly_next)
+        batch = em_step(cur, dly, model, params, mu, db, neutral)
         for order in (range(16), reversed(range(16))):
             single = np.empty_like(batch)
             for a in order:
                 # particle a's row of the frozen measure
                 row = SimpleNamespace(points=cur, mean=mu.mean[a : a + 1])
+                one = slice(a, a + 1)
                 single[a] = em_step(
-                    cur[a : a + 1], dly[a : a + 1], dly_next[a : a + 1],
-                    model, params, row, db[a : a + 1],
+                    cur[one], dly[one], model, params, row, db[one],
+                    (model.neutral(dly[one]), model.neutral(dly_next[one])),
                 )[0]
             assert np.array_equal(single, batch)
 
@@ -321,9 +326,10 @@ class TestSimulate:
         n0 = params.delay_steps
         for n in (0, 1, n0, params.total_steps - 1):
             mu = one_system(column(grid, n))
+            dly, dly_next = column(grid, n - n0), column(grid, n + 1 - n0)
             replay = em_step(
-                column(grid, n), column(grid, n - n0), column(grid, n + 1 - n0),
-                model, params, mu, noise[n],
+                column(grid, n), dly, model, params, mu, noise[n],
+                (model.neutral(dly), model.neutral(dly_next)),
             )
             assert np.array_equal(replay, column(grid, n + 1))
 
