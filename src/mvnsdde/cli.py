@@ -29,12 +29,11 @@ from .experiments import (
     chaos_error_vs_particles,
     check_at_least,
     check_dim,
-    check_steps,
-    check_xis,
+    check_sizes,
     empirical_measure_rate,
     strong_error_vs_dt,
     taming_comparison,
-    write_json,
+    write_summary,
 )
 from .model import MODELS, SchemeParams, build_model, validate
 from .noise import check_seed
@@ -216,7 +215,9 @@ def parse(
     if values["seed"] is None:
         raise ConfigError("missing seed: every run must set one explicitly")
     check_seed(values["seed"])
-    check_steps(values["delta_ref"], values["deltas"])
+    check_sizes("delta_ref", [values["delta_ref"]])
+    for key in ("deltas", "xis"):
+        check_sizes(key, values[key])
     if values["outdir"] is None:
         values["outdir"] = os.environ.get(OUTDIR_ENV, "out")
     return RunConfig(**values)
@@ -234,7 +235,6 @@ def _arguments(cfg: RunConfig) -> dict:
     if cfg.subcommand == "validate":
         check_at_least("replicates", cfg.replicates, 1)
         check_dim(cfg.dim)
-        check_xis(cfg.xis)
         check_at_least("mc_reps", cfg.mc_reps, 0)
     else:
         for f in dataclasses.fields(RunConfig):
@@ -297,15 +297,9 @@ def dispatch(cfg: RunConfig) -> int:
         return 0
     name = cfg.subcommand.replace("-", "_")
     if cfg.subcommand == "taming-compare":
-        write_json(
-            outdir / f"{name}.summary.json",
-            {
-                "experiment": name,
-                "config": dataclasses.asdict(cfg),
-                "report": dataclasses.asdict(result),
-                "runtime_seconds": sw.seconds,
-                "peak_rss_mb": sw.peak_rss_mb,
-            },
+        write_summary(
+            outdir / f"{name}.summary.json", name, dataclasses.asdict(cfg),
+            sw.seconds, sw.peak_rss_mb, report=dataclasses.asdict(result),
         )
         print(
             f"untamed divergence fraction = "
@@ -314,17 +308,17 @@ def dispatch(cfg: RunConfig) -> int:
         )
         return 0
 
-    # the error-table studies: reference slope, notes, why a fit can fail
+    # the error-table studies: reference slope, notes, and the sizes whose
+    # rows the fit can use; the reference's own row is an exact zero
     stderr = {"stderr": _STDERR_NOTE}
-    reference_slope, notes, why = {
-        "convergence-dt": (0.5, stderr, "drop self-comparison step sizes"),
+    reference_slope, notes, reference, sizes = {
+        "convergence-dt": (0.5, stderr, cfg.delta_ref, "step sizes besides delta_ref"),
         "convergence-particles": (
-            -0.5, stderr, "measure-independent models give exact zeros",
+            -0.5, stderr, max(cfg.xis), "particle counts below the largest",
         ),
         "empirical-rate": (
             W2SQ_RATE[cfg.dim], {"proxy": D5_PROXY_NOTE} if cfg.dim == 5 else {},
-            "mc_reps = 0 draws no samples" if cfg.mc_reps == 0
-            else "give at least 2 sample sizes",
+            None, "sample sizes",
         ),
     }[cfg.subcommand]
     report = ExperimentReport(
@@ -334,6 +328,13 @@ def dispatch(cfg: RunConfig) -> int:
     )
     report.write(outdir)
     if report.slope is None:
+        errors = [r.rms_error for r in result.rows if r.resolution != reference]
+        if cfg.mc_reps == 0:  # read by empirical-rate only
+            why = "mc_reps = 0 draws no samples"
+        elif len(errors) < 2:
+            why = f"give at least 2 {sizes}, got {len(errors)}"
+        else:
+            why = f"{errors.count(0.0)} of the {len(errors)} {sizes} have zero error"
         print(
             f"degenerate fit: fewer than 2 positive-error rows ({why})",
             file=sys.stderr,

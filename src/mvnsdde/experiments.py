@@ -101,9 +101,10 @@ def fit_loglog_slope(table: ErrorTable) -> tuple[float, float]:
     Zero-error rows make the fit meaningless; callers drop self-comparison
     rows first (:meth:`ErrorTable.nonzero`).
     """
-    if len(table) < 2:
+    distinct = len(set(table.resolutions()))
+    if distinct < 2:
         raise DegenerateFitError(
-            f"slope fit needs at least 2 rows, got {len(table)}"
+            f"slope fit needs at least 2 distinct resolutions, got {distinct}"
         )
     if any(r.rms_error <= 0.0 for r in table.rows):
         raise DegenerateFitError(
@@ -135,21 +136,24 @@ def check_at_least(key: str, value: int, least: int) -> None:
         raise ConfigError(f"{key} must be >= {least}, got {value}")
 
 
-def check_xis(xis) -> list[int]:
-    """The sizes in ``xis``, sorted; one below 1 or a repeated one is refused."""
-    sizes = sorted(int(x) for x in xis)
-    check_at_least("sample sizes", min(sizes, default=1), 1)
+def check_sizes(key: str, sizes) -> list:
+    """The one rule for a study's list of sizes, ``xis`` or ``deltas``: the
+    list, sorted, with at least one entry, none repeated, each positive and
+    finite and each of ``xis`` an integer.  ``delta_ref`` is a one-entry list."""
+    whole = key == "xis"
+    noun, bound = ("sample sizes", ">= 1") if whole else (key, "positive and finite")
+    if len(sizes) == 0:
+        unit = "sample size" if whole else "step size"
+        raise ConfigError(f"{key} is empty: give at least one {unit}")
+    for size in sizes:
+        if not 0 < size < math.inf:  # also false for nan
+            raise ConfigError(f"{noun} must be {bound}, got {size}")
+        if whole and size != int(size):
+            raise ConfigError(f"sample sizes must be integers, got {size}")
+    sizes = sorted(int(s) if whole else float(s) for s in sizes)
     if any(b == a for a, b in zip(sizes, sizes[1:])):
-        raise ConfigError(f"sample sizes must be distinct: {sizes}")
+        raise ConfigError(f"{noun} must be distinct: {sizes}")
     return sizes
-
-
-def check_steps(delta_ref: float, deltas) -> None:
-    """Refuse a reference or test step that is not positive and finite."""
-    for key, steps in (("delta_ref", [delta_ref]), ("deltas", deltas)):
-        for step in steps:
-            if not 0.0 < step < math.inf:  # also false for nan
-                raise ConfigError(f"{key} must be positive and finite, got {step}")
 
 
 def _replicate_seeds(seed: int, replicates: int) -> list[int]:
@@ -189,12 +193,12 @@ def strong_error_vs_dt(
     for sensitivity checks of the single-run estimate.  Replicates that
     share a pass are segments of each step size's one run.
     """
-    check_steps(delta_ref, deltas)
-    deltas = sorted(float(d) for d in deltas)
+    check_sizes("delta_ref", [delta_ref])
+    deltas = check_sizes("deltas", deltas)
     sq_errors: list[list[np.ndarray]] = [[] for _ in deltas]
     seeds = _replicate_seeds(seed, replicates)
     # sizes the passes' blocks only; the runs check every step
-    ratio = max(deltas, default=delta_ref) / delta_ref
+    ratio = deltas[-1] / delta_ref
     multiple = round(ratio) if ratio < math.inf else 1
     for group in _passes(seeds, particles, model.bm_dim, max(1, multiple)):
         base = [
@@ -240,9 +244,7 @@ def chaos_error_vs_particles(
     ``replicates`` pools independent master seeds as in the step-size study.
     Every system of the seeds that share a pass is a segment of one run.
     """
-    xis = [int(x) for x in xis]
-    if any(b <= a for a, b in zip(xis, xis[1:])) or len(xis) < 1:
-        raise ConfigError(f"particle counts must be strictly increasing: {xis}")
+    xis = check_sizes("xis", xis)
     sq_errors: list[list[np.ndarray]] = [[] for _ in xis]
     seeds = _replicate_seeds(seed, replicates)
     for group in _passes(seeds, xis[-1], model.bm_dim, 1):
@@ -291,9 +293,7 @@ def moment_bound_vs_dt(
     of the sample moment over its grid, initial segment included.  Returns
     (delta, monitor value, argmax grid index) per step size.
     """
-    if not deltas:
-        raise ConfigError("moment_bound_vs_dt needs at least one step size")
-    deltas = sorted(float(d) for d in deltas)
+    deltas = check_sizes("deltas", deltas)
     params = SchemeParams(
         delta=deltas[0], tau=tau, alpha=alpha, particles=particles,
         horizon=horizon, seed=seed, taming=taming,
@@ -381,9 +381,9 @@ def empirical_measure_rate(
     Carlo standard error over the repetitions.
     """
     check_dim(dim)
-    xis = check_xis(xis)
+    xis = check_sizes("xis", xis)
     check_at_least("mc_reps", mc_reps, 0)
-    if dim == 5 and xis and xis[-1] > ASSIGNMENT_CAP:
+    if dim == 5 and xis[-1] > ASSIGNMENT_CAP:
         raise CapacityError(
             f"size {xis[-1]} exceeds assignment cap {ASSIGNMENT_CAP}"
         )
@@ -414,10 +414,14 @@ def empirical_measure_rate(
     return ErrorTable(rows)
 
 
-def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+def write_summary(path, name, config, runtime_seconds, peak_rss_mb, **fields):
+    """Write an experiment's ``summary.json``: the keys every experiment
+    shares, then its own ``fields``, as indented JSON with sorted keys and a
+    final newline."""
+    fields.update(experiment=name, config=config)
+    fields.update(runtime_seconds=runtime_seconds, peak_rss_mb=peak_rss_mb)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(fields, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -444,17 +448,6 @@ class ExperimentReport:
             self.slope, self.intercept = fit_loglog_slope(self.table.nonzero())
         except DegenerateFitError:
             self.slope, self.intercept = None, None
-
-    def summary_dict(self) -> dict:
-        return {
-            "experiment": self.name,
-            "config": self.config,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "runtime_seconds": self.runtime_seconds,
-            "peak_rss_mb": self.peak_rss_mb,
-            "notes": self.notes,
-        }
 
     def gnuplot_text(self) -> str:
         s = self.reference_slope
@@ -486,7 +479,11 @@ class ExperimentReport:
         """Emit <name>.csv, <name>.summary.json, and <name>.gp."""
         base = f"{outdir}/{self.name}"
         self.table.write_csv(base + ".csv")
-        write_json(base + ".summary.json", self.summary_dict())
+        write_summary(
+            base + ".summary.json", self.name, self.config, self.runtime_seconds,
+            self.peak_rss_mb, slope=self.slope, intercept=self.intercept,
+            notes=self.notes,
+        )
         with open(base + ".gp", "w") as fh:
             fh.write(self.gnuplot_text())
 

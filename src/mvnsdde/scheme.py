@@ -142,7 +142,7 @@ def em_step(
     measure: EmpiricalMeasure,
     increments: np.ndarray,
     neutral: tuple[np.ndarray, np.ndarray],
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Advance all particles one step from a frozen snapshot.
 

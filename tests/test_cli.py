@@ -328,6 +328,92 @@ class TestExitCodes:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "flags, why",
+        [
+            (["--xis", "16,64"], "give at least 2 particle counts below the largest, got 1"),
+            (["--xis", "64"], "give at least 2 particle counts below the largest, got 0"),
+            (
+                ["--model", "cubic_no_mf", "--x0", "1.0", "--xis", "4,8,16"],
+                "2 of the 2 particle counts below the largest have zero error",
+            ),
+        ],
+    )
+    def test_degenerate_fit_names_its_cause(self, tmp_path, capsys, flags, why):
+        # --xis 16,64: an error of 3.2e-5 at 16 particles, then the reference
+        argv = ["convergence-particles", "--seed", "1", "--horizon", "0.0625"]
+        assert main([*argv, *flags, "--outdir", str(tmp_path / "o")]) == 1
+        assert f"degenerate fit: fewer than 2 positive-error rows ({why})\n" == (
+            capsys.readouterr().err
+        )
+
+
+class TestOneListRule:
+    """Every subcommand that reads ``xis`` or ``deltas``, and validate, takes
+    and refuses the same lists with the same exit code and message."""
+
+    RUNS = {
+        "convergence-dt": ["--particles", "4", "--delta-ref", "0.00390625",
+                           "--horizon", "0.25"],
+        "convergence-particles": ["--delta", "0.0078125", "--horizon", "0.25"],
+        "empirical-rate": ["--mc-reps", "2"],
+        "validate": [],
+    }
+    # per key and case: the list, then the refusal's message (None: it runs)
+    LISTS = {
+        "deltas": {
+            "empty": ("", "deltas is empty: give at least one step size"),
+            "repeated": (
+                "0.015625,0.015625", "deltas must be distinct: [0.015625, 0.015625]",
+            ),
+            "zero": ("0,0.015625", "deltas must be positive and finite, got 0.0"),
+            "unsorted": ("0.015625,0.0078125", None),
+        },
+        "xis": {
+            "empty": ("", "xis is empty: give at least one sample size"),
+            "repeated": ("8,8", "sample sizes must be distinct: [8, 8]"),
+            "zero": ("0,8", "sample sizes must be >= 1, got 0"),
+            "unsorted": ("16,4,8", None),
+        },
+    }
+
+    def run(self, tmp_path, capsys, subcommand, key, value, name):
+        out = tmp_path / name
+        argv = [subcommand, "--seed", "1", *self.RUNS[subcommand],
+                f"--{key}={value}", "--outdir", str(out)]
+        rc = main(argv)
+        return rc, capsys.readouterr().err, out
+
+    @pytest.mark.parametrize("case", ["empty", "repeated", "zero", "unsorted"])
+    @pytest.mark.parametrize(
+        "subcommand, key",
+        [
+            ("convergence-dt", "deltas"),
+            ("convergence-particles", "xis"),
+            ("empirical-rate", "xis"),
+            ("validate", "deltas"),
+            ("validate", "xis"),
+        ],
+    )
+    def test_one_rule(self, tmp_path, capsys, subcommand, key, case):
+        value, message = self.LISTS[key][case]
+        rc, err, out = self.run(tmp_path, capsys, subcommand, key, value, "o")
+        if message is not None:
+            assert (rc, err) == (1, f"error: {message}\n")
+            assert not out.exists()
+            return
+        assert (rc, err) == (0, "")
+        if subcommand == "validate":
+            return
+        # the study sorts the list: the same table as the ascending one
+        ascending = ",".join(sorted(value.split(","), key=float))
+        rc, err, sorted_out = self.run(
+            tmp_path, capsys, subcommand, key, ascending, "sorted"
+        )
+        assert (rc, err) == (0, "")
+        name = subcommand.replace("-", "_") + ".csv"
+        assert (out / name).read_bytes() == (sorted_out / name).read_bytes()
+
 
 class TestUnreadKeys:
     # small grids, so that a key the check misses runs quickly
@@ -407,14 +493,8 @@ class TestRefusedInAFreshProcess:
                  "--deltas", "0.25", "--tau", "0.5"],
                 2, "violation: particles must be >= 1, got -5",
             ),
-            (
-                ["convergence-particles", "--xis=0"],
-                2, "violation: particles must be >= 1, got 0",
-            ),
-            (
-                ["convergence-particles", "--xis=-5"],
-                2, "violation: particles must be >= 1, got -5",
-            ),
+            (["convergence-particles", "--xis=0"], 1, "sample sizes must be >= 1, got 0"),
+            (["convergence-particles", "--xis=-5"], 1, "sample sizes must be >= 1, got -5"),
             (["empirical-rate", "--xis=-3,4"], 1, "sample sizes must be >= 1, got -3"),
             (["empirical-rate", "--xis", "0,4"], 1, "sample sizes must be >= 1, got 0"),
             (["validate", "--tau", "1e6"], 2, "exceeds the cap of 1048576 steps"),

@@ -66,6 +66,12 @@ class TestFitLoglogSlope:
                 ErrorTable([ErrorRow(1.0, 0.0, 0.0, 1), ErrorRow(2.0, 1.0, 0.0, 1)])
             )
 
+    def test_rows_sharing_a_resolution_are_degenerate(self):
+        # polyfit would return a slope from a rank-deficient system
+        rows = [ErrorRow(2.0**-6, 0.5, 0.0, 1), ErrorRow(2.0**-6, 0.25, 0.0, 1)]
+        with pytest.raises(DegenerateFitError, match="2 distinct resolutions, got 1"):
+            fit_loglog_slope(ErrorTable(rows))
+
     def test_nonzero_filter(self):
         table = ErrorTable([ErrorRow(1.0, 0.0, 0.0, 1), ErrorRow(2.0, 1.0, 0.0, 1)])
         assert len(table.nonzero()) == 1
@@ -126,7 +132,7 @@ class TestStrongErrorVsDt:
                 example51(), particles=0, delta_ref=0.125, deltas=[0.25],
                 tau=0.5, alpha=0.5, horizon=1.0, seed=1,
             )
-        with pytest.raises(ValidationFailure, match=match):
+        with pytest.raises(ConfigError, match="sample sizes must be >= 1, got 0"):
             chaos_error_vs_particles(
                 example51(), xis=[0], delta=0.125, tau=0.5, alpha=0.5,
                 horizon=1.0, seed=1,
@@ -193,12 +199,11 @@ class TestChaosErrorVsParticles:
         assert table.rows[-1].rms_error == 0.0
         assert table.rows[0].rms_error > 0.0
 
-    def test_requires_ascending(self):
-        with pytest.raises(ConfigError):
-            chaos_error_vs_particles(
-                example51(), xis=[16, 8], delta=2.0**-7, tau=2.0**-5,
-                alpha=0.5, horizon=0.25, seed=8,
-            )
+    def test_sorts_its_sizes(self):
+        kw = dict(delta=2.0**-7, tau=2.0**-5, alpha=0.5, horizon=0.25, seed=8)
+        table = chaos_error_vs_particles(example51(), xis=[16, 4, 8], **kw)
+        ascending = chaos_error_vs_particles(example51(), xis=[4, 8, 16], **kw)
+        assert table.csv_text() == ascending.csv_text()
 
     def test_measure_independent_model_exact_zero(self):
         table = chaos_error_vs_particles(
@@ -311,6 +316,10 @@ class TestTamingComparison:
 
 
 class TestEmpiricalMeasureRate:
+    def test_fractional_size_refused(self):
+        with pytest.raises(ConfigError, match="sample sizes must be integers, got 8.5"):
+            empirical_measure_rate(dim=1, xis=[8.5, 16], mc_reps=2, seed=1)
+
     def test_zero_reps_empty(self):
         table = empirical_measure_rate(dim=1, xis=[8, 16], mc_reps=0, seed=1)
         assert len(table) == 0

@@ -184,7 +184,9 @@ class TestEmStep:
         cur = np.arange(4.0).reshape(4, 1)
         mu = one_system(cur)
         neutral = model.neutral(cur), model.neutral(cur)
-        out = em_step(cur, cur, model, params, mu, np.ones((4, 1)), neutral)
+        out = em_step(
+            cur, cur, model, params, mu, np.ones((4, 1)), neutral, np.empty_like(cur)
+        )
         assert np.array_equal(out, cur)
 
     def test_hand_computed_first_step(self):
@@ -200,7 +202,9 @@ class TestEmStep:
         dly_next = np.array([[0.0]])
         mu = one_system(cur)
         neutral = model.neutral(dly), model.neutral(dly_next)
-        out = em_step(cur, dly, model, params, mu, np.zeros((1, 1)), neutral)
+        out = em_step(
+            cur, dly, model, params, mu, np.zeros((1, 1)), neutral, np.empty_like(cur)
+        )
 
         b = 0.5 * (-delta) - 0.125 * (-delta) ** 3
         b_tamed = b / (1.0 + delta**0.5 * abs(b))
@@ -219,8 +223,10 @@ class TestEmStep:
         mu = one_system(cur)
         neutral = model.neutral(cur), model.neutral(cur)
         db = np.array([[0.1], [-0.2], [0.4]])
-        d1 = em_step(cur, cur, model, params, mu, db, neutral) - cur
-        d2 = em_step(cur, cur, model, params, mu, 2.0 * db, neutral) - cur
+        d1 = em_step(cur, cur, model, params, mu, db, neutral, np.empty_like(cur)) - cur
+        d2 = em_step(
+            cur, cur, model, params, mu, 2.0 * db, neutral, np.empty_like(cur)
+        ) - cur
         assert np.array_equal(d2, 2.0 * d1)
 
     def test_frozen_measure_order_independence(self):
@@ -236,7 +242,7 @@ class TestEmStep:
         db = g.normal(size=(16, 1)) * 0.1
         mu = one_system(cur)
         neutral = model.neutral(dly), model.neutral(dly_next)
-        batch = em_step(cur, dly, model, params, mu, db, neutral)
+        batch = em_step(cur, dly, model, params, mu, db, neutral, np.empty_like(cur))
         for order in (range(16), reversed(range(16))):
             single = np.empty_like(batch)
             for a in order:
@@ -246,6 +252,7 @@ class TestEmStep:
                 single[a] = em_step(
                     cur[one], dly[one], model, params, row, db[one],
                     (model.neutral(dly[one]), model.neutral(dly_next[one])),
+                    np.empty((1, 1)),
                 )[0]
             assert np.array_equal(single, batch)
 
@@ -329,7 +336,7 @@ class TestSimulate:
             dly, dly_next = column(grid, n - n0), column(grid, n + 1 - n0)
             replay = em_step(
                 column(grid, n), dly, model, params, mu, noise[n],
-                (model.neutral(dly), model.neutral(dly_next)),
+                (model.neutral(dly), model.neutral(dly_next)), np.empty_like(dly),
             )
             assert np.array_equal(replay, column(grid, n + 1))
 
