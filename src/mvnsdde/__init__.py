@@ -28,7 +28,6 @@ from .measure import EmpiricalMeasure, w2_assignment, w2sq_to_standard_normal_1d
 from .model import (
     ModelSpec,
     SchemeParams,
-    ValidationReport,
     build_model,
     cubic_no_mf,
     example51,
@@ -65,7 +64,6 @@ __all__ = [
     "Stepper",
     "TamingReport",
     "ValidationFailure",
-    "ValidationReport",
     "build_model",
     "chaos_error_vs_particles",
     "coarsen",

@@ -215,6 +215,7 @@ def parse(
     if values["seed"] is None:
         raise ConfigError("missing seed: every run must set one explicitly")
     check_seed(values["seed"])
+    check_at_least("particles", values["particles"], 1)
     check_sizes("delta_ref", [values["delta_ref"]])
     for key in ("deltas", "xis"):
         check_sizes(key, values[key])
@@ -289,8 +290,8 @@ def dispatch(cfg: RunConfig) -> int:
         raise
 
     if cfg.subcommand == "validate":
-        print(result)
-        return 0 if result.ok else 2
+        print("\n".join(f"violation: {v}" for v in result) or "ok")
+        return 2 if result else 0
     if cfg.subcommand == "simulate":
         result.to_csv(outdir / "grid.csv")
         print(f"wrote {outdir / 'grid.csv'}")

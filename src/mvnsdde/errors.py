@@ -27,7 +27,7 @@ class ConfigError(MvnsddeError, ValueError):
 
 
 class ValidationFailure(ConfigError):
-    """A model/parameter validation report came back with violations."""
+    """Validation found violations in a run's model and parameters."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)

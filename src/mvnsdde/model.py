@@ -21,14 +21,15 @@ alone, bit for bit.  Callbacks must be pure: the integrator computes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, GridError
 from .measure import EmpiricalMeasure
-from .noise import derived_generator, is_integer_ratio
+from .noise import check_seed, derived_generator, is_integer_ratio
 
 _PROBE_TAG = 0xA55E55  # validation probe stream, disjoint from particle keys
 _PROBE_PAIRS = 1000
@@ -85,30 +86,26 @@ class SchemeParams:
         return int(round(self.horizon / self.delta))
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
+def validate(
+    model: ModelSpec, params: SchemeParams | Sequence[SchemeParams]
+) -> list[str]:
+    """Every violated structural condition of one run, an empty list when
+    the run may start; never raises.
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(f"violation: {v}" for v in self.violations)
-
-
-def validate(model: ModelSpec, params: SchemeParams) -> ValidationReport:
-    """Report every violated structural condition; never raises.
-
-    Covers the contraction modulus, the growth power (at most
+    ``params`` is the run's one :class:`SchemeParams` or its segments, which
+    may differ only in ``seed`` and ``particles``.  The model and the grid
+    are checked once: the contraction modulus, the growth power (at most
     ``MAX_GROWTH_POWER``, the error-exponent window), the neutral map probes
-    (zero at zero, contractivity on random pairs), grid integrality
-    (tau/delta and horizon/delta) and the step/exponent ranges.
+    (zero at zero, contractivity on pairs drawn from one fixed stream, so
+    every seed gets the same verdict), grid integrality (tau/delta and
+    horizon/delta) and the step/exponent ranges.  Then each segment's seed
+    and particle count; a violation several segments share is listed once.
     """
-    report = ValidationReport()
-    v = report.violations
+    segments = (params,) if isinstance(params, SchemeParams) else tuple(params)
+    if not segments:
+        return ["a run needs at least one segment"]
+    params = segments[0]  # the grid every segment must share
+    v = []
 
     lam = model.contraction
     if not 0.0 < lam < 1.0:
@@ -127,24 +124,20 @@ def validate(model: ModelSpec, params: SchemeParams) -> ValidationReport:
     except Exception as exc:  # report, do not crash the validator
         v.append(f"neutral map failed at zero: {exc!r}")
 
+    rng = derived_generator(0, _PROBE_TAG)
+    y1 = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (_PROBE_PAIRS, model.state_dim))
+    y2 = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (_PROBE_PAIRS, model.state_dim))
     try:
-        rng = derived_generator(params.seed, _PROBE_TAG)
-    except GridError as exc:
-        v.append(str(exc))
-    else:
-        y1 = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (_PROBE_PAIRS, model.state_dim))
-        y2 = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (_PROBE_PAIRS, model.state_dim))
-        try:
-            gap = np.linalg.norm(model.neutral(y1) - model.neutral(y2), axis=1)
-            bound = lam * np.linalg.norm(y1 - y2, axis=1) + _PROBE_SLACK
-            bad = int(np.sum(gap > bound))
-            if bad:
-                v.append(
-                    f"neutral map violates the stated contraction modulus "
-                    f"{lam} on {bad}/{_PROBE_PAIRS} probe pairs"
-                )
-        except Exception as exc:
-            v.append(f"neutral map probe failed: {exc!r}")
+        gap = np.linalg.norm(model.neutral(y1) - model.neutral(y2), axis=1)
+        bound = lam * np.linalg.norm(y1 - y2, axis=1) + _PROBE_SLACK
+        bad = int(np.sum(gap > bound))
+        if bad:
+            v.append(
+                f"neutral map violates the stated contraction modulus "
+                f"{lam} on {bad}/{_PROBE_PAIRS} probe pairs"
+            )
+    except Exception as exc:
+        v.append(f"neutral map probe failed: {exc!r}")
 
     if params.tau <= 0:
         v.append(f"tau must be positive, got {params.tau}")
@@ -162,8 +155,6 @@ def validate(model: ModelSpec, params: SchemeParams) -> ValidationReport:
         v.append(f"tau/delta = {delay!r} exceeds the cap of {MAX_DELAY_STEPS} steps")
     if not 0.0 < params.alpha <= 0.5:
         v.append(f"alpha must lie in (0, 1/2], got {params.alpha}")
-    if params.particles < 1:
-        v.append(f"particles must be >= 1, got {params.particles}")
     if params.horizon <= 0:
         v.append(f"horizon must be positive, got {params.horizon}")
     elif params.delta > 0 and not is_integer_ratio(params.horizon, params.delta):
@@ -172,7 +163,7 @@ def validate(model: ModelSpec, params: SchemeParams) -> ValidationReport:
             "integer"
         )
 
-    # probe the segment's grid points, if there are at most the cap of them
+    # probe the initial segment at its grid points, if at most the cap of them
     if 0 < delay <= MAX_DELAY_STEPS:
         n0 = params.delay_steps
         try:
@@ -187,7 +178,16 @@ def validate(model: ModelSpec, params: SchemeParams) -> ValidationReport:
         except Exception as exc:
             v.append(f"initial segment not evaluable on [-tau, 0]: {exc!r}")
 
-    return report
+    for seg in segments:
+        if replace(seg, seed=params.seed, particles=params.particles) != params:
+            v.append("the segments of one run may differ only in seed and particles")
+        try:
+            check_seed(seg.seed)
+        except GridError as exc:
+            v.append(str(exc))
+        if seg.particles < 1:
+            v.append(f"particles must be >= 1, got {seg.particles}")
+    return list(dict.fromkeys(v))
 
 
 # The neutral coefficient of the cubic models: D(y) = -BETA * y.

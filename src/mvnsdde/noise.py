@@ -56,7 +56,8 @@ def derived_generator(seed: int, tag: int) -> Generator:
     check_seed(seed)
     # Known defect: numpy rounds this list key's high word through float64,
     # so nearby tags collide; exact uint64 words, as in :func:`stream_seeds`,
-    # would change the empirical-rate outputs.
+    # would change the empirical-rate samples, the only outputs drawn here
+    # (validation's probe stream decides a verdict, never an output byte).
     return Generator(Philox(key=[seed, _AUX_NAMESPACE + tag]))
 
 

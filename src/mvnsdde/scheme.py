@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from ._g17 import BLOCK_VALUES, g17_texts
-from .errors import ConfigError, GridError, OverflowAbort, ValidationFailure
+from .errors import GridError, OverflowAbort, ValidationFailure
 from .measure import EmpiricalMeasure
 from .model import ModelSpec, SchemeParams, validate
 from .noise import chunk_steps, coarsen, stream_seeds
@@ -230,8 +230,9 @@ class Stepper:
     array, and one Python step advances them all.  The step's
     :class:`~mvnsdde.measure.EmpiricalMeasure` gives every row its own
     segment's mean, so each segment ends bit for bit where a run of its own
-    would.  Every segment must pass :func:`~mvnsdde.model.validate`, or the
-    constructor raises :class:`ValidationFailure`.
+    would.  The constructor calls :func:`~mvnsdde.model.validate` once on
+    the whole run and raises :class:`ValidationFailure` on any violation,
+    a segment that differs in more than seed and particles included.
 
     States live in a ring of delay_steps + 2 rows (the current state and
     both lookbacks).  ``record(row, index)`` is called once for each row as
@@ -250,16 +251,10 @@ class Stepper:
         record=None, abort: bool = True,
     ):
         segments = (params,) if isinstance(params, SchemeParams) else tuple(params)
+        violations = validate(model, segments)
+        if violations:
+            raise ValidationFailure(violations)
         first = segments[0]
-        for seg in segments:
-            if replace(seg, seed=first.seed, particles=first.particles) != first:
-                raise ConfigError(
-                    "the segments of one run may differ only in seed and particles"
-                )
-        for seg in segments:
-            report = validate(model, seg)
-            if not report.ok:
-                raise ValidationFailure(report.violations)
         self.model, self.params, self.segments = model, first, segments
         stops = list(accumulate(seg.particles for seg in segments))
         self.bounds = tuple(zip([0] + stops[:-1], stops))

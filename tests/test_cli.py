@@ -478,7 +478,8 @@ class TestUnreadKeys:
 
 class TestRefusedInAFreshProcess:
     """Inputs that once crashed or hung a run: each exits with its code and
-    violation well before the timeout, and writes no CSV."""
+    message well before the timeout, and writes no CSV; one refused with
+    exit 1 writes no config echo either."""
 
     @pytest.mark.parametrize(
         "argv, rc, message",
@@ -486,12 +487,12 @@ class TestRefusedInAFreshProcess:
             (
                 ["convergence-dt", "--particles", "0", "--delta-ref", "0.125",
                  "--deltas", "0.25", "--tau", "0.5"],
-                2, "violation: particles must be >= 1, got 0",
+                1, "particles must be >= 1, got 0",
             ),
             (
                 ["convergence-dt", "--particles=-5", "--delta-ref", "0.125",
                  "--deltas", "0.25", "--tau", "0.5"],
-                2, "violation: particles must be >= 1, got -5",
+                1, "particles must be >= 1, got -5",
             ),
             (["convergence-particles", "--xis=0"], 1, "sample sizes must be >= 1, got 0"),
             (["convergence-particles", "--xis=-5"], 1, "sample sizes must be >= 1, got -5"),
@@ -502,6 +503,12 @@ class TestRefusedInAFreshProcess:
                 ["convergence-dt", "--delta-ref", "1e-300"],
                 2, "exceeds the cap of 1048576 steps",
             ),
+            (["simulate", "--particles", "0"], 1, "particles must be >= 1, got 0"),
+            (
+                ["taming-compare", "--model", "cubic_no_mf", "--particles", "0"],
+                1, "particles must be >= 1, got 0",
+            ),
+            (["validate", "--particles", "0"], 1, "particles must be >= 1, got 0"),
         ],
     )
     def test_exits_before_the_timeout(self, tmp_path, argv, rc, message):
@@ -517,6 +524,8 @@ class TestRefusedInAFreshProcess:
         assert done.returncode == rc, done.stderr
         assert message in done.stdout + done.stderr
         assert not list(out.glob("*.csv"))
+        if rc == 1:  # refused while parsing, before the echo
+            assert not (out / "config.echo").exists()
 
 
 class TestModuleEntry:

@@ -205,6 +205,27 @@ class TestChaosErrorVsParticles:
         ascending = chaos_error_vs_particles(example51(), xis=[4, 8, 16], **kw)
         assert table.csv_text() == ascending.csv_text()
 
+    def test_one_validation_per_pass(self, monkeypatch):
+        calls = {"validate": 0, "pass": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(scheme, "validate", counted("validate", scheme.validate))
+        monkeypatch.setattr(
+            experiments, "coupled_pass", counted("pass", experiments.coupled_pass)
+        )
+        chaos_error_vs_particles(
+            example51(), xis=[4, 8], delta=2.0**-7, tau=2.0**-5, alpha=0.5,
+            horizon=0.25, seed=8, replicates=4,
+        )
+        # two seeds share a pass: two passes of one run of four segments
+        assert calls == {"validate": 2, "pass": 2}
+
     def test_measure_independent_model_exact_zero(self):
         table = chaos_error_vs_particles(
             cubic_no_mf(x0=1.0), xis=[4, 8, 32], delta=2.0**-7, tau=2.0**-5,

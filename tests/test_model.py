@@ -186,65 +186,61 @@ class TestSchemeParams:
 
 class TestValidate:
     def test_example51_acceptance_setup_ok(self):
-        report = validate(example51(), _params())
-        assert report.ok
-        assert str(report) == "ok"
+        assert validate(example51(), _params()) == []
 
     def test_non_integer_delay_ratio(self):
         report = validate(example51(), _params(tau=1.0, delta=0.3))
-        assert not report.ok
-        assert any("tau/delta" in v for v in report.violations)
+        assert report
+        assert any("tau/delta" in v for v in report)
 
     def test_contraction_at_one_rejected(self):
         model = dataclasses.replace(example51(), contraction=1.0)
         report = validate(model, _params())
-        assert any("contraction" in v for v in report.violations)
+        assert any("contraction" in v for v in report)
 
     def test_contractivity_probe_catches_lies(self):
         # claim a modulus below the map's true one: probe must object
         model = dataclasses.replace(example51(), contraction=0.25)
         report = validate(model, _params())
-        assert any("probe" in v or "modulus" in v for v in report.violations)
+        assert any("probe" in v or "modulus" in v for v in report)
 
     def test_neutral_nonzero_at_zero(self):
         model = dataclasses.replace(
             example51(), neutral=lambda y: -0.5 * y + 0.125
         )
         report = validate(model, _params())
-        assert any("zero" in v for v in report.violations)
+        assert any("zero" in v for v in report)
 
     def test_delta_range(self):
         report = validate(example51(), _params(delta=0.5, tau=2.0**-5))
-        assert any("min(1, tau)" in v for v in report.violations)
+        assert any("min(1, tau)" in v for v in report)
 
     def test_alpha_range(self):
         report = validate(example51(), _params(alpha=0.75))
-        assert any("alpha" in v for v in report.violations)
+        assert any("alpha" in v for v in report)
         report = validate(example51(), _params(alpha=0.0))
-        assert any("alpha" in v for v in report.violations)
+        assert any("alpha" in v for v in report)
 
     def test_horizon_ratio(self):
         report = validate(example51(), _params(horizon=1.0 + 2.0**-12))
-        assert any("horizon/delta" in v for v in report.violations)
+        assert any("horizon/delta" in v for v in report)
 
     def test_exponent_window(self):
         # q = 2, p = 12: q <= p/(2(c+1)) holds up to growth power c = 2
         assert example51().growth_power == 2.0
-        ok = validate(example51(), _params())
-        assert ok.ok
+        assert validate(example51(), _params()) == []
         quartic = dataclasses.replace(example51(), growth_power=3.0)
         bad_c = validate(quartic, _params())
-        assert any("p/(2(c+1))" in v for v in bad_c.violations)
+        assert any("p/(2(c+1))" in v for v in bad_c)
 
     def test_linear_model_wide_window(self):
         # growth power 0 sits well inside the window
-        report = validate(linear_meanfield(), _params())
-        assert report.ok
+        assert validate(linear_meanfield(), _params()) == []
 
     def test_seed_outside_64_bits_is_a_violation(self):
         report = validate(example51(), _params(seed=2**64))
         expect = f"seed must be a 64-bit unsigned integer, got {2**64}"
-        assert report.violations == [expect]
+        assert report == [expect]
 
     def test_delay_window_above_the_cap_is_not_probed(self, monkeypatch):
         probed = []
@@ -252,20 +248,46 @@ class TestValidate:
             example51(), initial_segment=lambda t: probed.append(t) or np.array([t])
         )
         monkeypatch.setattr(mvnsdde.model, "MAX_DELAY_STEPS", 64)
-        assert validate(model, _params(tau=64 * 2.0**-11)).ok
+        assert validate(model, _params(tau=64 * 2.0**-11)) == []
         assert len(probed) == 65
         probed.clear()
         report = validate(model, _params(tau=128 * 2.0**-11))
-        assert report.violations == ["tau/delta = 128.0 exceeds the cap of 64 steps"]
+        assert report == ["tau/delta = 128.0 exceeds the cap of 64 steps"]
         assert probed == []
 
     def test_particles_positive(self):
         report = validate(example51(), _params(particles=0))
-        assert any("particles" in v for v in report.violations)
+        assert any("particles" in v for v in report)
 
     def test_segment_shape_violation(self):
         model = dataclasses.replace(
             example51(), initial_segment=lambda t: np.array([t, t])
         )
         report = validate(model, _params())
-        assert any("segment" in v for v in report.violations)
+        assert any("segment" in v for v in report)
+
+    def test_one_verdict_for_every_seed(self):
+        # D(0) = 0, but the jump at 5 breaks the contraction: the probes find
+        # it on one fixed stream, whatever the run's seed
+        model = dataclasses.replace(
+            example51(), neutral=lambda y: -0.5 * y + 0.5 * (y >= 5.0)
+        )
+        verdicts = [validate(model, _params(seed=seed)) for seed in range(16)]
+        assert all(v == verdicts[0] for v in verdicts)
+        assert any("contraction modulus" in v for v in verdicts[0])
+
+    def test_a_run_of_segments_lists_a_shared_violation_once(self):
+        segments = [_params(seed=s, particles=0) for s in (1, 2, 2**64, 2**64 + 1)]
+        assert validate(example51(), segments) == [
+            "particles must be >= 1, got 0",
+            f"seed must be a 64-bit unsigned integer, got {2**64}",
+            f"seed must be a 64-bit unsigned integer, got {2**64 + 1}",
+        ]
+
+    def test_segments_differ_only_in_seed_and_particles(self):
+        segments = [_params(), _params(seed=7, particles=3), _params(alpha=0.25)]
+        assert validate(example51(), segments[:2]) == []
+        assert validate(example51(), []) == ["a run needs at least one segment"]
+        assert validate(example51(), segments) == [
+            "the segments of one run may differ only in seed and particles"
+        ]

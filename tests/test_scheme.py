@@ -25,9 +25,11 @@ from mvnsdde import (
     example51,
     generate,
     linear_meanfield,
+    scheme,
     simulate,
     simulate_terminal,
     tame_drift,
+    validate,
 )
 from mvnsdde._g17 import BLOCK_VALUES
 from mvnsdde.model import ModelSpec
@@ -465,6 +467,23 @@ class TestStepper:
         empty = dataclasses.replace(params, seed=6, particles=0)
         with pytest.raises(ValidationFailure, match="particles must be >= 1"):
             Stepper(model, [params, empty])
+
+    def test_validates_a_run_once(self, monkeypatch):
+        model, params, _ = self._setup(particles=3)
+        seen = []
+
+        def counted(model, params):
+            seen.append(params)
+            return validate(model, params)
+
+        monkeypatch.setattr(scheme, "validate", counted)
+        segments = [dataclasses.replace(params, seed=seed) for seed in range(8)]
+        Stepper(model, segments)
+        assert seen == [tuple(segments)]
+
+    def test_a_run_without_segments_is_refused(self):
+        with pytest.raises(ValidationFailure, match="at least one segment"):
+            Stepper(example51(), [])
 
 
 class TestRecord:
