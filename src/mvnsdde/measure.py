@@ -9,27 +9,43 @@ quadrature against the standard normal.
 Approximate transport solvers are deliberately avoided so convergence
 measurements are not contaminated by solver error.
 
-The assignment solver starts from column-then-row reduced costs (Jonker and
+The assignment solver is scipy's shortest-augmenting-path
+``linear_sum_assignment`` (Crouse, IEEE TAES 52(4), 2016), loaded alone
+from its extension module: importing ``scipy.optimize`` would run that
+package's whole ``__init__``, ``scipy.spatial`` included, for one C
+function.  The squared distances are summed in numpy one coordinate at a
+time, in the order ``cdist(x, y, "sqeuclidean")`` sums them, so they are
+its bits.
+
+The solver starts from column-then-row reduced costs (Jonker and
 Volgenant, Computing 38, 1987): subtracting each column's and then each
-row's minimum leaves a zero in every row and column, so scipy's
-shortest-augmenting-path solver, which starts from zero duals, finds
-shorter paths.  Adding a constant to a whole row or column changes no
-permutation's rank, so the optimal matching is the same (the tests pin the
-plain solver's distance bit for bit).  The distance is still read from the
-unreduced ``cdist`` costs, whose rounding the reduction would alter.
+row's minimum leaves a zero in every row and column, so the solver, which
+starts from zero duals, finds shorter paths.  Adding a constant to a whole
+row or column changes no permutation's rank, so the optimal matching is
+the same (the tests pin the plain solver's distance bit for bit).  The
+distance is still read from the unreduced costs, whose rounding the
+reduction would alter.
 """
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
+import scipy
 from scipy.special import ndtri
 
 from .errors import CapacityError, ShapeError
 
 # The largest sample the assignment solver takes (its cost is cubic in size).
 ASSIGNMENT_CAP = 512
+
+# The assignment solver's extension module and the directory it is loaded from.
+_SOLVER = "scipy.optimize._lsap"
+_SOLVER_DIR = os.path.join(scipy.__path__[0], "optimize")
 
 _QUANTILE_CLIP = 1e-12  # keeps the inverse normal CDF finite at cell edges
 _NORMAL_NODES = 64  # Gauss-Legendre nodes per quantile cell
@@ -84,6 +100,34 @@ def _samples(*samples) -> list[np.ndarray]:
     return out
 
 
+@lru_cache(maxsize=1)
+def _assignment_solver():
+    """scipy's ``linear_sum_assignment``, loaded once from ``_SOLVER`` alone,
+    without running ``scipy.optimize``'s ``__init__``; an ImportError that
+    names the module and ``_SOLVER_DIR`` when it is not there."""
+    finder = FileFinder(_SOLVER_DIR, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_SOLVER)
+    if spec is None:
+        raise ImportError(
+            f"no extension module {_SOLVER} in {_SOLVER_DIR}", name=_SOLVER
+        )
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
+def _sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (len(x), len(y)) squared Euclidean distances of two (size, dim)
+    samples, summed coordinate by coordinate from the first, as
+    ``cdist(x, y, "sqeuclidean")`` sums them, so they are its bits; a square
+    that overflows is inf, as there."""
+    with np.errstate(over="ignore"):
+        cost = (x[:, 0, None] - y[None, :, 0]) ** 2
+        for k in range(1, x.shape[1]):
+            cost += (x[:, k, None] - y[None, :, k]) ** 2
+    return cost
+
+
 def w2_assignment(x, y) -> float:
     """Exact Wasserstein-2 distance of two equal-size samples via
     minimum-cost bipartite assignment.
@@ -94,21 +138,16 @@ def w2_assignment(x, y) -> float:
 
     The solver gets the column-then-row reduced costs, which give the same
     matching with shorter augmenting paths (see the module docstring).  The
-    distance averages the matched entries of the unreduced ``cdist`` matrix,
-    because the reduced entries carry other rounding.
+    distance averages the matched entries of the unreduced squared
+    distances, because the reduced entries carry other rounding.
     """
     x, y = _samples(x, y)
     if len(x) > ASSIGNMENT_CAP:
         raise CapacityError(f"size {len(x)} exceeds assignment cap {ASSIGNMENT_CAP}")
-    # imported here, not at the top: they roughly double the time and the
-    # memory of importing the package, and only this function needs them
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
-
-    cost = cdist(x, y, "sqeuclidean")
+    cost = _sq_distances(x, y)
     reduced = cost - cost.min(axis=0)
     reduced -= reduced.min(axis=1, keepdims=True)
-    rows, cols = linear_sum_assignment(reduced)
+    rows, cols = _assignment_solver()(reduced)
     return float(np.sqrt(cost[rows, cols].mean()))
 
 

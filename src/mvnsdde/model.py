@@ -97,9 +97,12 @@ def validate(
     are checked once: the contraction modulus, the growth power (at most
     ``MAX_GROWTH_POWER``, the error-exponent window), the neutral map probes
     (zero at zero, contractivity on pairs drawn from one fixed stream, so
-    every seed gets the same verdict), grid integrality (tau/delta and
-    horizon/delta) and the step/exponent ranges.  Then each segment's seed
-    and particle count; a violation several segments share is listed once.
+    every seed gets the same verdict), the shapes of ``neutral``, ``drift``
+    and ``diffusion`` on a two-row probe batch from that stream (float
+    arrays of (2, state_dim), (2, state_dim) and (2, state_dim, bm_dim)),
+    grid integrality (tau/delta and horizon/delta) and the step/exponent
+    ranges.  Then each segment's seed and particle count; a violation
+    several segments share is listed once.
     """
     segments = (params,) if isinstance(params, SchemeParams) else tuple(params)
     if not segments:
@@ -138,6 +141,31 @@ def validate(
             )
     except Exception as exc:
         v.append(f"neutral map probe failed: {exc!r}")
+
+    # each callback once on a probe batch of two one-row systems
+    x, y = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (2, 2, model.state_dim))
+    mu = EmpiricalMeasure(x, ((0, 1), (1, 2)))
+    state = (2, model.state_dim)
+    for name, call, shape in (
+        ("neutral", lambda: model.neutral(y), state),
+        ("drift", lambda: model.drift(x, y, mu), state),
+        ("diffusion", lambda: model.diffusion(x, y, mu), state + (model.bm_dim,)),
+    ):
+        try:
+            out = call()
+        except Exception as exc:
+            v.append(f"{name} failed on the probe batch: {exc!r}")
+            continue
+        if not isinstance(out, np.ndarray):
+            got = f"a {type(out).__name__}"
+        elif out.dtype.kind != "f" or out.shape != shape:
+            got = f"a {out.dtype} array of shape {out.shape}"
+        else:
+            continue
+        v.append(
+            f"{name} returned {got} on the probe batch, expected a float "
+            f"array of shape {shape}"
+        )
 
     if params.tau <= 0:
         v.append(f"tau must be positive, got {params.tau}")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
@@ -24,6 +25,7 @@ from mvnsdde import (
     w2sq_to_standard_normal_1d,
 )
 import mvnsdde
+from mvnsdde import measure
 from mvnsdde.noise import derived_generator
 from oracles import column, one_system, w2_1d
 
@@ -201,6 +203,38 @@ class TestW2Assignment:
         )
         assert out.stdout.split() == ["False", "False"]
 
+    def test_first_call_loads_only_the_solver(self):
+        code = (
+            "import sys\nimport numpy as np\nfrom mvnsdde import w2_assignment\n"
+            "g = np.random.default_rng(0)\n"
+            "print(w2_assignment(g.normal(size=(3, 5)), g.normal(size=(3, 5))) > 0)\n"
+            "print('scipy.optimize' in sys.modules, 'scipy.spatial' in sys.modules)"
+        )
+        src = Path(mvnsdde.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=env,
+        )
+        assert out.stdout.split() == ["True", "False", "False"]
+
+    def test_solver_is_scipys_own(self):
+        # fails loudly if scipy moves the solver out of its extension module
+        assert measure._assignment_solver() is linear_sum_assignment
+
+    def test_missing_solver_names_its_cause(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(measure, "_SOLVER_DIR", str(tmp_path))
+        measure._assignment_solver.cache_clear()
+        try:
+            with pytest.raises(ImportError) as info:
+                w2_assignment([1.0, 2.0], [2.0, 1.0])
+        finally:
+            measure._assignment_solver.cache_clear()
+        assert str(info.value) == (
+            f"no extension module scipy.optimize._lsap in {tmp_path}"
+        )
+        assert info.value.name == "scipy.optimize._lsap"
+
     def test_identity(self):
         mu = [[0.0, 1.0], [2.0, -1.0]]
         assert w2_assignment(mu, mu) == 0.0
@@ -277,6 +311,42 @@ class TestW2Assignment:
         assert w2_assignment(x, np.zeros((23, 3))) == pytest.approx(
             moment_wq(x, 2.0), rel=1e-13
         )
+
+
+# Coordinates at the edges of float64: signed zeros, subnormals, and values
+# whose squared differences overflow to inf.
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e200, -1e200, 1.7e308)
+
+
+def _coordinates():
+    return st.one_of(
+        st.sampled_from(EDGE_VALUES),
+        st.floats(-10.0, 10.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+
+class TestSquaredDistances:
+    """The cost matrix is cdist's squared Euclidean distances, bit for bit."""
+
+    @given(st.integers(1, 12), st.integers(1, 64), st.integers(1, 64), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_cdist_bit_for_bit(self, dim, rows, cols, data):
+        x = data.draw(arrays(np.float64, (rows, dim), elements=_coordinates()))
+        y = data.draw(arrays(np.float64, (cols, dim), elements=_coordinates()))
+        got = measure._sq_distances(x, y)
+        assert got.tobytes() == cdist(x, y, "sqeuclidean").tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 5])
+    def test_equals_cdist_bit_for_bit_at_the_cap(self, dim):
+        g = rng(10 + dim)
+        x, y = g.normal(size=(2, 512, dim)) * 10.0 ** g.integers(-320, 200, (2, 512, dim))
+        x[g.random(x.shape) < 0.05] = -0.0
+        y[g.random(y.shape) < 0.05] = 0.0
+        got = measure._sq_distances(x, y)
+        want = cdist(x, y, "sqeuclidean")
+        assert np.isinf(want).any() and (want == 0.0).any()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestNormalDistance:

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 
 import mvnsdde.model
+import mvnsdde.scheme
 
 from mvnsdde import (
     ConfigError,
     EmpiricalMeasure,
     SchemeParams,
+    ValidationFailure,
     build_model,
     cubic_no_mf,
     example51,
     linear_meanfield,
+    simulate,
     validate,
 )
 from mvnsdde.model import MODELS
@@ -291,3 +294,106 @@ class TestValidate:
         assert validate(example51(), segments) == [
             "the segments of one run may differ only in seed and particles"
         ]
+
+
+# example51 with one callback of the wrong shape, each as one violation:
+# (model, the callback it names, the shape it gets, the shape it needs)
+_E51 = example51()
+MISSHAPEN = {
+    "drift_of_shape_P": (
+        dataclasses.replace(_E51, drift=lambda x, y, mu: _E51.drift(x, y, mu)[:, 0]),
+        "drift", "(2,)", "(2, 1)",
+    ),
+    "diffusion_of_shape_P_1": (
+        dataclasses.replace(
+            _E51, diffusion=lambda x, y, mu: _E51.diffusion(x, y, mu)[..., 0]
+        ),
+        "diffusion", "(2, 1)", "(2, 1, 1)",
+    ),
+    "diffusion_of_shape_P_1_1_at_bm_dim_2": (
+        dataclasses.replace(_E51, bm_dim=2),  # its diffusion stays (P, 1, 1)
+        "diffusion", "(2, 1, 1)", "(2, 1, 2)",
+    ),
+}
+
+
+class TestCallbackShapes:
+    """validate calls each callback once on a two-row probe batch and lists
+    a result that is not a float array of the run's shape."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [factory() for factory, _ in MODELS.values()] + [planar_meanfield()],
+        ids=lambda model: model.name,
+    )
+    def test_well_shaped_models_pass(self, model):
+        assert validate(model, _params()) == []
+
+    @pytest.mark.parametrize("case", MISSHAPEN, ids=str)
+    def test_misshapen_callback_is_one_violation_naming_it(self, case):
+        model, name, got, want = MISSHAPEN[case]
+        assert validate(model, _params()) == [
+            f"{name} returned a float64 array of shape {got} on the probe "
+            f"batch, expected a float array of shape {want}"
+        ]
+
+    @pytest.mark.parametrize("case", MISSHAPEN, ids=str)
+    def test_misshapen_run_refused_before_any_draw(self, case, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a refused run drew noise")
+
+        monkeypatch.setattr(mvnsdde.scheme, "stream_seeds", forbidden)
+        model, name, _, _ = MISSHAPEN[case]
+        match = f"^validation failed: {name} returned"
+        with pytest.raises(ValidationFailure, match=match):
+            simulate(model, _params(particles=8))
+
+    def test_each_callback_called_once_on_two_rows(self):
+        calls = []
+
+        def counted(name, callback):
+            def wrapped(*args):
+                calls.append((name, args[0].shape))
+                return callback(*args)
+            return wrapped
+
+        base = example51()
+        model = dataclasses.replace(
+            base,
+            neutral=counted("neutral", base.neutral),
+            drift=counted("drift", base.drift),
+            diffusion=counted("diffusion", base.diffusion),
+        )
+        validate(model, [_params(seed=1), _params(seed=2)])
+        probes = [call for call in calls if call[1] == (2, 1)]
+        assert probes == [(name, (2, 1)) for name in ("neutral", "drift", "diffusion")]
+
+    @pytest.mark.parametrize(
+        "callback, result, got",
+        [
+            ("drift", lambda x, y, mu: 1.0, "a float"),
+            ("drift", lambda x, y, mu: [[0.0], [0.0]], "a list"),
+            (
+                "diffusion", lambda x, y, mu: np.ones((2, 1, 1), np.int64),
+                "a int64 array of shape (2, 1, 1)",
+            ),
+            (
+                "neutral", lambda y: np.zeros((2, 1), np.complex128),
+                "a complex128 array of shape (2, 1)",
+            ),
+        ],
+        ids=["scalar", "list", "integer", "complex"],
+    )
+    def test_non_float_array_is_a_violation(self, callback, result, got):
+        model = dataclasses.replace(example51(), **{callback: result})
+        assert f"{callback} returned {got} on the probe batch" in "\n".join(
+            validate(model, _params())
+        )
+
+    def test_failing_callback_is_a_violation(self):
+        model = dataclasses.replace(
+            example51(), diffusion=lambda x, y, mu: np.linalg.inv(x)
+        )
+        report = validate(model, _params())
+        assert len(report) == 1
+        assert report[0].startswith("diffusion failed on the probe batch: LinAlgError")

@@ -58,8 +58,8 @@ def test_every_export_is_read_by_the_package_or_the_readme():
 
 def test_cli_import_leaves_heavy_modules_out():
     # scipy.optimize (which loads scipy.spatial) costs about 0.27 s and
-    # 23 MiB, so w2_assignment imports it when first called; the export's
-    # formatter imports nothing beyond numpy
+    # 23 MiB, so w2_assignment loads only its solver's extension module, on
+    # its first call; the export's formatter imports nothing beyond numpy
     tree = ast.parse(Path(_g17.__file__).read_text())
     kernel_imports = {
         alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
