@@ -26,8 +26,8 @@ from .experiments import (
 )
 from .measure import EmpiricalMeasure, w2_assignment, w2sq_to_standard_normal_1d
 from .model import (
+    Grid,
     ModelSpec,
-    SchemeParams,
     build_model,
     cubic_no_mf,
     example51,
@@ -54,12 +54,12 @@ __all__ = [
     "ErrorRow",
     "ErrorTable",
     "ExperimentReport",
+    "Grid",
     "GridError",
     "ModelSpec",
     "MvnsddeError",
     "OverflowAbort",
     "ParticleGrid",
-    "SchemeParams",
     "ShapeError",
     "Stepper",
     "TamingReport",

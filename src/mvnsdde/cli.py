@@ -35,7 +35,7 @@ from .experiments import (
     taming_comparison,
     write_summary,
 )
-from .model import MODELS, SchemeParams, build_model, validate
+from .model import MODELS, Grid, build_model, validate
 from .noise import check_seed
 from .scheme import simulate
 
@@ -76,16 +76,17 @@ class RunConfig:
     outdir: str | None = None
 
 
-GRID_KEYS = tuple(f.name for f in dataclasses.fields(SchemeParams))
+GRID_KEYS = tuple(f.name for f in dataclasses.fields(Grid))
 
 # The keys each subcommand passes by name to the function it runs: besides
 # ``subcommand`` and ``outdir``, the only keys its run reads.  ``model``
 # passes the model built from the keys it takes (``model.MODELS``), and
-# simulate and validate pass their grid keys as one SchemeParams.  A key
-# outside the run's keys must keep its default; validate checks configs
-# written for every subcommand, so it accepts every key.
+# simulate and validate pass their grid keys as one Grid (validate its seed
+# and particles as one segment).  A key outside the run's keys must keep its
+# default; validate checks configs written for every subcommand, so it
+# accepts every key.
 READS = {
-    "simulate": ("model", *GRID_KEYS),
+    "simulate": ("model", *GRID_KEYS, "seed", "particles"),
     "convergence-dt": (
         "model", "particles", "delta_ref", "deltas", "tau", "alpha",
         "horizon", "seed", "taming", "replicates",
@@ -98,7 +99,7 @@ READS = {
         "model", "delta", "particles", "tau", "horizon", "seed", "alpha",
     ),
     "empirical-rate": ("dim", "xis", "mc_reps", "seed"),
-    "validate": ("model", *GRID_KEYS),
+    "validate": ("model", *GRID_KEYS, "seed", "particles"),
 }
 SUBCOMMANDS = tuple(READS)
 
@@ -268,7 +269,9 @@ def dispatch(cfg: RunConfig) -> int:
         keys = {key: args.pop(key) for key in MODELS[cfg.model][1]}
         args["model"] = build_model(cfg.model, **keys)
     if cfg.subcommand in ("simulate", "validate"):
-        args = {"model": args.pop("model"), "params": SchemeParams(**args)}
+        args["grid"] = Grid(**{key: args.pop(key) for key in GRID_KEYS})
+        if cfg.subcommand == "validate":
+            args["segments"] = [(args.pop("seed"), args.pop("particles"))]
     run = {
         "simulate": simulate,
         "convergence-dt": strong_error_vs_dt,

@@ -12,14 +12,15 @@ from the particle-wise squared-error sample variance (particles are
 exchangeable but weakly correlated through the measure, which the reports
 state).
 
-The studies stream their noise: one :func:`~mvnsdde.scheme.coupled_pass`
-draws the fine path block by block and advances every run through each
-block's sums at the run's own step.  The runs of one step size share one
-:class:`~mvnsdde.scheme.Stepper` as row segments: the replicate seeds of
-the pass, and in the particle study every particle count.  A pass takes as
-many replicate seeds as :func:`~mvnsdde.noise.seeds_per_block` lets share
-one noise budget, so memory is that budget plus each segment's delay
-window.  Results equal those of one run per seed and size bit for bit.
+The studies stream their noise: a study is a list of
+:class:`~mvnsdde.model.Grid` values, and one
+:func:`~mvnsdde.scheme.coupled_pass` runs a pass's ``(seed, particles)``
+segments at every grid (the replicate seeds, and in the particle study
+every seed × particle count), each grid's run on the block sums of one
+streamed fine path.  A pass takes as many replicate seeds as
+:func:`~mvnsdde.noise.seeds_per_block` lets share one noise budget, so
+memory is that budget plus each segment's delay window.  Results equal
+those of one run per seed and size bit for bit.
 """
 
 from __future__ import annotations
@@ -28,15 +29,15 @@ import json
 import math
 import resource
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DegenerateFitError
 from .measure import ASSIGNMENT_CAP, w2_assignment, w2sq_to_standard_normal_1d
-from .model import ModelSpec, SchemeParams
-from .noise import derived_generator, seeds_per_block
-from .scheme import DIVERGENCE_THRESHOLD, Divergence, MomentMax, Stepper, coupled_pass
+from .model import Grid, ModelSpec
+from .noise import check_seed, derived_generator, seeds_per_block
+from .scheme import DIVERGENCE_THRESHOLD, Divergence, MomentMax, coupled_pass
 
 _RATE_TAG = 0x3A7E  # auxiliary stream namespace for sampling experiments
 
@@ -158,7 +159,7 @@ def check_sizes(key: str, sizes) -> list:
 
 def _replicate_seeds(seed: int, replicates: int) -> list[int]:
     check_at_least("replicates", replicates, 1)
-    return [(int(seed) + r) % 2**64 for r in range(replicates)]
+    return [(check_seed(seed) + r) % 2**64 for r in range(replicates)]
 
 
 def _passes(seeds: list[int], particles: int, bm_dim: int, multiple: int):
@@ -200,20 +201,10 @@ def strong_error_vs_dt(
     # sizes the passes' blocks only; the runs check every step
     ratio = deltas[-1] / delta_ref
     multiple = round(ratio) if ratio < math.inf else 1
+    grids = [Grid(d, tau, alpha, horizon, taming) for d in [delta_ref, *deltas]]
     for group in _passes(seeds, particles, model.bm_dim, max(1, multiple)):
-        base = [
-            SchemeParams(
-                delta=delta_ref, tau=tau, alpha=alpha, particles=particles,
-                horizon=horizon, seed=run_seed, taming=taming,
-            )
-            for run_seed in group
-        ]
-        runs = [Stepper(model, base)] + [
-            Stepper(model, [replace(p, delta=delta) for p in base])
-            for delta in deltas
-        ]
-        coupled_pass(runs)
-        ref, *tests = runs
+        segments = [(run_seed, particles) for run_seed in group]
+        ref, *tests = coupled_pass(model, segments, grids)
         for e2s, test in zip(sq_errors, tests):
             e2s.append(np.sum((ref.terminal - test.terminal) ** 2, axis=1))
     return ErrorTable(
@@ -247,17 +238,10 @@ def chaos_error_vs_particles(
     xis = check_sizes("xis", xis)
     sq_errors: list[list[np.ndarray]] = [[] for _ in xis]
     seeds = _replicate_seeds(seed, replicates)
+    grid = Grid(delta, tau, alpha, horizon, taming)
     for group in _passes(seeds, xis[-1], model.bm_dim, 1):
-        segments = [
-            SchemeParams(
-                delta=delta, tau=tau, alpha=alpha, particles=xi,
-                horizon=horizon, seed=run_seed, taming=taming,
-            )
-            for run_seed in group
-            for xi in xis
-        ]
-        run = Stepper(model, segments)
-        coupled_pass([run])
+        segments = [(run_seed, xi) for run_seed in group for xi in xis]
+        [run] = coupled_pass(model, segments, [grid])
         systems = [run.terminal[start:stop] for start, stop in run.bounds]
         for k in range(len(group)):
             *tests, ref = systems[k * len(xis) : (k + 1) * len(xis)]
@@ -294,16 +278,9 @@ def moment_bound_vs_dt(
     (delta, monitor value, argmax grid index) per step size.
     """
     deltas = check_sizes("deltas", deltas)
-    params = SchemeParams(
-        delta=deltas[0], tau=tau, alpha=alpha, particles=particles,
-        horizon=horizon, seed=seed, taming=taming,
-    )
+    grids = [Grid(d, tau, alpha, horizon, taming) for d in deltas]
     moments = [MomentMax(p) for _ in deltas]
-    runs = [
-        Stepper(model, replace(params, delta=d), record=moment)
-        for d, moment in zip(deltas, moments)
-    ]
-    coupled_pass(runs)
+    coupled_pass(model, [(seed, particles)], grids, moments)
     return [(d, m.value, m.index) for d, m in zip(deltas, moments)]
 
 
@@ -342,14 +319,9 @@ def taming_comparison(
     Meant for :func:`~mvnsdde.model.cubic_no_mf` at coarse steps 1/4 or 1/8
     and |x0| >= 3; smaller starting points stay subcritical.
     """
-    params = SchemeParams(
-        delta=delta, tau=tau, alpha=alpha, particles=particles,
-        horizon=horizon, seed=seed, taming=True,
-    )
+    grids = [Grid(delta, tau, alpha, horizon, taming) for taming in (True, False)]
     moment, divergence = MomentMax(2), Divergence(particles)
-    tamed = Stepper(model, params, record=moment)
-    untamed = replace(params, taming=False)
-    coupled_pass([tamed, Stepper(model, untamed, record=divergence, abort=False)])
+    coupled_pass(model, [(seed, particles)], grids, [moment, divergence])
     return TamingReport(
         tamed_max_moment=moment.value,
         tamed_argmax_index=moment.index,

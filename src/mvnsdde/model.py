@@ -22,14 +22,14 @@ alone, bit for bit.  Callbacks must be pure: the integrator computes
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, GridError
 from .measure import EmpiricalMeasure
-from .noise import check_seed, derived_generator, is_integer_ratio
+from .noise import check_seed, derived_generator, is_integer_ratio, is_whole
 
 _PROBE_TAG = 0xA55E55  # validation probe stream, disjoint from particle keys
 _PROBE_PAIRS = 1000
@@ -62,8 +62,8 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class SchemeParams:
-    """Time grid, particle count, and scheme switches for one run.
+class Grid:
+    """Time grid and scheme switches of one run, shared by all its segments.
 
     ``delay_steps`` and ``total_steps`` are rounded ratios; ``validate``
     reports when the ratios are not integers.
@@ -72,9 +72,7 @@ class SchemeParams:
     delta: float
     tau: float
     alpha: float
-    particles: int
     horizon: float
-    seed: int
     taming: bool = True
 
     @property
@@ -86,28 +84,33 @@ class SchemeParams:
         return int(round(self.horizon / self.delta))
 
 
+def _same_bits(a: np.ndarray, b) -> bool:
+    b = np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def validate(
-    model: ModelSpec, params: SchemeParams | Sequence[SchemeParams]
+    model: ModelSpec, grid: Grid, segments: Sequence[tuple[int, int]]
 ) -> list[str]:
     """Every violated structural condition of one run, an empty list when
     the run may start; never raises.
 
-    ``params`` is the run's one :class:`SchemeParams` or its segments, which
-    may differ only in ``seed`` and ``particles``.  The model and the grid
-    are checked once: the contraction modulus, the growth power (at most
-    ``MAX_GROWTH_POWER``, the error-exponent window), the neutral map probes
-    (zero at zero, contractivity on pairs drawn from one fixed stream, so
-    every seed gets the same verdict), the shapes of ``neutral``, ``drift``
-    and ``diffusion`` on a two-row probe batch from that stream (float
-    arrays of (2, state_dim), (2, state_dim) and (2, state_dim, bm_dim)),
-    grid integrality (tau/delta and horizon/delta) and the step/exponent
-    ranges.  Then each segment's seed and particle count; a violation
-    several segments share is listed once.
+    A run is a :class:`Grid` and its ``(seed, particles)`` segments.  The
+    model and the grid are checked once: the contraction modulus, the
+    growth power (at most ``MAX_GROWTH_POWER``, the error-exponent window),
+    the neutral map probes (zero at zero, contractivity on pairs drawn from
+    one fixed stream, so every seed gets the same verdict), the callbacks on
+    a probe batch of two one-row systems from that stream (float arrays of
+    shape (2, state_dim), and (2, state_dim, bm_dim) from ``diffusion``;
+    ``neutral`` pure; ``drift`` and ``diffusion`` giving each system the
+    bits of a call on it alone), grid integrality (tau/delta and
+    horizon/delta) and the step/exponent ranges.  Then each segment's seed
+    and particle count, both integers; a violation several segments share
+    is listed once.
     """
-    segments = (params,) if isinstance(params, SchemeParams) else tuple(params)
+    segments = tuple(segments)
     if not segments:
         return ["a run needs at least one segment"]
-    params = segments[0]  # the grid every segment must share
     v = []
 
     lam = model.contraction
@@ -142,17 +145,28 @@ def validate(
     except Exception as exc:
         v.append(f"neutral map probe failed: {exc!r}")
 
-    # each callback once on a probe batch of two one-row systems
+    # each callback on a probe batch of two one-row systems, then again, bit
+    # for bit: neutral on the same batch, drift and diffusion on each system
     x, y = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (2, 2, model.state_dim))
     mu = EmpiricalMeasure(x, ((0, 1), (1, 2)))
+    alone = [
+        (x[k : k + 1], y[k : k + 1], EmpiricalMeasure(x[k : k + 1], ((0, 1),)))
+        for k in (0, 1)
+    ]
     state = (2, model.state_dim)
-    for name, call, shape in (
-        ("neutral", lambda: model.neutral(y), state),
-        ("drift", lambda: model.drift(x, y, mu), state),
-        ("diffusion", lambda: model.diffusion(x, y, mu), state + (model.bm_dim,)),
+    pure = "is not pure: a second call on the probe batch gave other bits"
+    split = (
+        "is not batch independent: on the probe batch of two systems it gave "
+        "other bits than on each system alone"
+    )
+    for name, call, shape, again, fault in (
+        ("neutral", lambda x, y, mu: model.neutral(y), state, [(x, y, mu)], pure),
+        ("drift", model.drift, state, alone, split),
+        ("diffusion", model.diffusion, state + (model.bm_dim,), alone, split),
     ):
         try:
-            out = call()
+            out = call(x, y, mu)
+            outs = [call(*args) for args in again]
         except Exception as exc:
             v.append(f"{name} failed on the probe batch: {exc!r}")
             continue
@@ -161,60 +175,59 @@ def validate(
         elif out.dtype.kind != "f" or out.shape != shape:
             got = f"a {out.dtype} array of shape {out.shape}"
         else:
+            if not all(map(_same_bits, np.split(out, len(outs)), outs)):
+                v.append(f"{name} {fault}")
             continue
         v.append(
             f"{name} returned {got} on the probe batch, expected a float "
             f"array of shape {shape}"
         )
 
-    if params.tau <= 0:
-        v.append(f"tau must be positive, got {params.tau}")
-    if not 0.0 < params.delta < min(1.0, params.tau):
+    if grid.tau <= 0:
+        v.append(f"tau must be positive, got {grid.tau}")
+    if not 0.0 < grid.delta < min(1.0, grid.tau):
         v.append(
             f"delta must lie in (0, min(1, tau)) = "
-            f"(0, {min(1.0, params.tau)}), got {params.delta}"
+            f"(0, {min(1.0, grid.tau)}), got {grid.delta}"
         )
-    delay = params.tau / params.delta if params.delta > 0 else 0.0
-    if params.delta > 0 and params.tau > 0 and not is_integer_ratio(
-        params.tau, params.delta
-    ):
+    delay = grid.tau / grid.delta if grid.delta > 0 else 0.0
+    if grid.delta > 0 and grid.tau > 0 and not is_integer_ratio(grid.tau, grid.delta):
         v.append(f"tau/delta = {delay!r} is not a positive integer")
     elif delay > MAX_DELAY_STEPS:
         v.append(f"tau/delta = {delay!r} exceeds the cap of {MAX_DELAY_STEPS} steps")
-    if not 0.0 < params.alpha <= 0.5:
-        v.append(f"alpha must lie in (0, 1/2], got {params.alpha}")
-    if params.horizon <= 0:
-        v.append(f"horizon must be positive, got {params.horizon}")
-    elif params.delta > 0 and not is_integer_ratio(params.horizon, params.delta):
+    if not 0.0 < grid.alpha <= 0.5:
+        v.append(f"alpha must lie in (0, 1/2], got {grid.alpha}")
+    if grid.horizon <= 0:
+        v.append(f"horizon must be positive, got {grid.horizon}")
+    elif grid.delta > 0 and not is_integer_ratio(grid.horizon, grid.delta):
         v.append(
-            f"horizon/delta = {params.horizon / params.delta!r} is not a positive "
-            "integer"
+            f"horizon/delta = {grid.horizon / grid.delta!r} is not a positive integer"
         )
 
     # probe the initial segment at its grid points, if at most the cap of them
     if 0 < delay <= MAX_DELAY_STEPS:
-        n0 = params.delay_steps
+        n0 = grid.delay_steps
         try:
             for n in range(-n0, 1):
-                val = np.asarray(model.initial_segment(n * params.delta))
+                val = np.asarray(model.initial_segment(n * grid.delta))
                 if val.shape != (model.state_dim,):
                     v.append(
-                        f"initial segment at t = {n * params.delta} has shape "
+                        f"initial segment at t = {n * grid.delta} has shape "
                         f"{val.shape}, expected ({model.state_dim},)"
                     )
                     break
         except Exception as exc:
             v.append(f"initial segment not evaluable on [-tau, 0]: {exc!r}")
 
-    for seg in segments:
-        if replace(seg, seed=params.seed, particles=params.particles) != params:
-            v.append("the segments of one run may differ only in seed and particles")
+    for seed, particles in segments:
         try:
-            check_seed(seg.seed)
+            check_seed(seed)
         except GridError as exc:
             v.append(str(exc))
-        if seg.particles < 1:
-            v.append(f"particles must be >= 1, got {seg.particles}")
+        if not is_whole(particles):
+            v.append(f"particles must be an integer, got {particles}")
+        elif particles < 1:
+            v.append(f"particles must be >= 1, got {particles}")
     return list(dict.fromkeys(v))
 
 

@@ -35,12 +35,21 @@ _AUX_NAMESPACE = 1 << 63
 _CHUNK_ELEMENTS = 2**17
 
 
+def is_whole(value) -> bool:
+    """Whether ``value`` is an int or a whole float."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def check_seed(seed) -> int:
-    """``seed`` as an int; a :class:`GridError` unless it fits 64 unsigned bits."""
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
+    """``seed`` as an int; a :class:`GridError` unless it is a whole number
+    that fits 64 unsigned bits (3.5 is refused, not truncated)."""
+    whole = int(seed) if is_whole(seed) else -1
+    if not 0 <= whole < 2**64:
         raise GridError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+    return whole
 
 
 def is_integer_ratio(num: float, den: float) -> bool:

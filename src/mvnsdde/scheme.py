@@ -8,10 +8,11 @@ already-known lookback state, so no implicit solve ever occurs.  States are
 stored time-major; grid index n runs from -delay_steps (start of the initial
 segment) to total_steps.
 
-Every run gets its noise the same way: :func:`coupled_pass` streams its
-seeds' Brownian paths block by block into one or more :class:`Stepper`
-runs, each at its own step.  :func:`simulate` and :func:`simulate_terminal`
-are a pass over one run, so the path follows from its seed, step and horizon.
+A run is a :class:`~mvnsdde.model.Grid` and its ``(seed, particles)``
+segments.  :func:`coupled_pass` runs segments at one or more grids, one
+:class:`Stepper` each, streaming their seeds' Brownian paths block by block.
+:func:`simulate` and :func:`simulate_terminal` are a pass over one grid
+and one segment, so the path follows from its seed, step and horizon.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from ._g17 import BLOCK_VALUES, g17_texts
 from .errors import GridError, OverflowAbort, ValidationFailure
 from .measure import EmpiricalMeasure
-from .model import ModelSpec, SchemeParams, validate
+from .model import Grid, ModelSpec, validate
 from .noise import chunk_steps, coarsen, stream_seeds
 
 # A Divergence record counts a particle as diverged once its norm exceeds this.
@@ -80,7 +81,7 @@ class ParticleGrid:
     """
 
     states: np.ndarray
-    params: SchemeParams
+    grid: Grid
 
     @property
     def particles(self) -> int:
@@ -92,7 +93,7 @@ class ParticleGrid:
 
     @property
     def delay_steps(self) -> int:
-        return self.params.delay_steps
+        return self.grid.delay_steps
 
     @property
     def terminal(self) -> np.ndarray:
@@ -116,7 +117,7 @@ class ParticleGrid:
         pieces = [b""] + [
             f",{a + 1},{values}\n".encode() for a in range(self.particles)
         ]
-        n0, delta = self.delay_steps, self.params.delta
+        n0, delta = self.delay_steps, self.grid.delta
         rows = max(1, BLOCK_VALUES // max(1, self.particles * dim))
         for start in range(0, len(self.states), rows):
             block = self.states[start : start + rows]
@@ -138,7 +139,7 @@ def em_step(
     current: np.ndarray,
     delayed: np.ndarray,
     model: ModelSpec,
-    params: SchemeParams,
+    grid: Grid,
     measure: EmpiricalMeasure,
     increments: np.ndarray,
     neutral: tuple[np.ndarray, np.ndarray],
@@ -154,11 +155,11 @@ def em_step(
     ``out`` receives the new states (it must not be an input).
     """
     b = model.drift(current, delayed, measure)
-    if params.taming:
-        drift_step = tame_drift(b, params.delta, params.alpha)
-        drift_step *= params.delta
+    if grid.taming:
+        drift_step = tame_drift(b, grid.delta, grid.alpha)
+        drift_step *= grid.delta
     else:
-        drift_step = b * params.delta
+        drift_step = b * grid.delta
     sigma = model.diffusion(current, delayed, measure)
     if model.state_dim == 1 and model.bm_dim == 1:
         noise_term = sigma[..., 0] * increments
@@ -193,7 +194,7 @@ class MomentMax:
 class Divergence:
     """Record of the particles whose stepped state ever went non-finite or
     exceeded :data:`DIVERGENCE_THRESHOLD` (``diverged``), and the first step
-    where one did (``first_step``); its run is built with ``abort=False``."""
+    where one did (``first_step``); its run steps on past non-finite rows."""
 
     def __init__(self, particles: int):
         self.diverged, self.first_step = np.zeros(particles, bool), None
@@ -211,13 +212,13 @@ class GridRows:
     """Record that copies every row of a run into its full grid (``states``),
     allocated at the first row, once the run has validated."""
 
-    def __init__(self, params: SchemeParams):
-        self.params, self.states = params, None
+    def __init__(self, grid: Grid):
+        self.grid, self.states = grid, None
 
     def __call__(self, row: np.ndarray, index: int) -> None:
-        n0 = self.params.delay_steps
+        n0 = self.grid.delay_steps
         if self.states is None:
-            self.states = np.empty((n0 + self.params.total_steps + 1, *row.shape))
+            self.states = np.empty((n0 + self.grid.total_steps + 1, *row.shape))
         self.states[index + n0] = row
 
 
@@ -225,14 +226,13 @@ class Stepper:
     """The one stepping loop: a resumable run fed blocks of increments, and
     its ``terminal`` once it has finished.
 
-    ``params`` is one run, or several that differ only in ``seed`` and
-    ``particles``: each is a segment of rows (``bounds``) of one state
-    array, and one Python step advances them all.  The step's
+    A run is one ``grid`` and its ``segments``, ``(seed, particles)`` pairs:
+    each is a segment of rows (``bounds``) of one state array, and one
+    Python step advances them all.  The step's
     :class:`~mvnsdde.measure.EmpiricalMeasure` gives every row its own
     segment's mean, so each segment ends bit for bit where a run of its own
     would.  The constructor calls :func:`~mvnsdde.model.validate` once on
-    the whole run and raises :class:`ValidationFailure` on any violation,
-    a segment that differs in more than seed and particles included.
+    the whole run and raises :class:`ValidationFailure` on any violation.
 
     States live in a ring of delay_steps + 2 rows (the current state and
     both lookbacks).  ``record(row, index)`` is called once for each row as
@@ -242,42 +242,41 @@ class Stepper:
     what it keeps (:class:`GridRows`, :class:`MomentMax`,
     :class:`Divergence`).  The first non-finite row raises
     :class:`OverflowAbort`, naming its segment's seed and that segment's
-    offending particles, before it is recorded; with ``abort=False`` the
-    run steps on past it.
+    offending particles, before it is recorded; a run whose record is a
+    :class:`Divergence` steps on past it.
     """
 
     def __init__(
-        self, model: ModelSpec, params: SchemeParams | Sequence[SchemeParams],
-        record=None, abort: bool = True,
+        self, model: ModelSpec, grid: Grid, segments: Sequence[tuple[int, int]],
+        record=None,
     ):
-        segments = (params,) if isinstance(params, SchemeParams) else tuple(params)
-        violations = validate(model, segments)
+        violations = validate(model, grid, segments)
         if violations:
             raise ValidationFailure(violations)
-        first = segments[0]
-        self.model, self.params, self.segments = model, first, segments
-        stops = list(accumulate(seg.particles for seg in segments))
+        self.model, self.grid = model, grid
+        self.segments = tuple((int(seed), int(n)) for seed, n in segments)
+        stops = list(accumulate(n for _, n in self.segments))
         self.bounds = tuple(zip([0] + stops[:-1], stops))
         self.particles = stops[-1]
-        n0 = first.delay_steps
+        n0 = grid.delay_steps
         self._buf = np.empty((n0 + 2, self.particles, model.state_dim))
-        self._record, self._aborts = record, abort
+        self._record, self._aborts = record, not isinstance(record, Divergence)
         self._neutral = None  # neutral map of the next step's delayed row
         self.steps_done = 0
         for i in range(n0 + 1):
-            self._buf[i] = np.asarray(model.initial_segment((i - n0) * first.delta))
+            self._buf[i] = np.asarray(model.initial_segment((i - n0) * grid.delta))
             if record is not None:
                 record(self._buf[i], i - n0)
 
     def advance(self, increments: np.ndarray) -> None:
         """Take one step per row of ``increments`` (steps, particles, bm_dim)."""
-        n0, total = self.params.delay_steps, self.params.total_steps
+        n0, total = self.grid.delay_steps, self.grid.total_steps
         want = (self.particles, self.model.bm_dim)
         if increments.shape[1:] != want:
             raise GridError(f"increment rows {increments.shape[1:]}, run needs {want}")
         if self.steps_done + len(increments) > total:
             raise GridError(f"more than {total} steps of noise for this run")
-        model, params, bounds = self.model, self.params, self.bounds
+        model, grid, bounds = self.model, self.grid, self.bounds
         buf, cap, record = self._buf, len(self._buf), self._record
         # the per-step isfinite check is the overflow detector; the float flags
         # the overflowing arithmetic raises on the way there are redundant noise
@@ -291,7 +290,7 @@ class Stepper:
                     self._neutral = model.neutral(delayed)
                 neutral = self._neutral, model.neutral(buf[(n + 1) % cap])
                 new = em_step(
-                    x, delayed, model, params, EmpiricalMeasure(x, bounds), inc,
+                    x, delayed, model, grid, EmpiricalMeasure(x, bounds), inc,
                     neutral, buf[(n + 1 + n0) % cap],
                 )
                 self._neutral = neutral[1]
@@ -307,48 +306,52 @@ class Stepper:
         k = bisect_right([stop for _, stop in self.bounds], bad[0])
         start, stop = self.bounds[k]
         raise OverflowAbort(
-            step=step, particles=bad[bad < stop] - start, seed=self.segments[k].seed
+            step=step, particles=bad[bad < stop] - start, seed=self.segments[k][0]
         )
 
     @property
     def terminal(self) -> np.ndarray:
         """States at the horizon, (particles, state_dim), once the run is done."""
-        n0, total = self.params.delay_steps, self.params.total_steps
+        n0, total = self.grid.delay_steps, self.grid.total_steps
         if self.steps_done != total:
             raise GridError(f"run stopped at step {self.steps_done} of {total}")
         return self._buf[(total + n0) % len(self._buf)]
 
 
-def coupled_pass(runs: list[Stepper]) -> None:
-    """Advance every run of a study on its seeds' streamed Brownian paths.
+def coupled_pass(
+    model: ModelSpec, segments: Sequence[tuple[int, int]], grids: Sequence[Grid],
+    records=None,
+) -> list[Stepper]:
+    """Run ``segments`` at every grid of a study on their seeds' streamed
+    Brownian paths, one :class:`Stepper` per grid with its record from
+    ``records``; return the finished runs.
 
-    The path is streamed at the first run's step and horizon.  Every run
-    needs the first run's segments (seeds and particle counts) and horizon,
-    and a step count that divides the path's by a power of two, its factor;
-    any other run is a :class:`GridError` before any run steps.  A segment
-    takes the leading columns of its seed's stream, gathered once per
-    block, so a smaller system reuses a larger one's streams.  The seeds
-    share one block budget and blocks are a multiple of every factor long,
-    so each run sees :func:`~mvnsdde.noise.coarsen`'s sums of the path.
+    Every run validates as it is built.  The path is streamed at the first
+    grid's step and horizon.  Every grid needs that horizon and a step
+    count that divides the path's by a power of two, its factor; any other
+    grid is a :class:`GridError` before any run steps.  A segment takes the
+    leading columns of its seed's stream, gathered once per block, so a
+    smaller system reuses a larger one's streams.  The seeds share one
+    block budget and blocks are a multiple of every factor long, so each
+    run sees :func:`~mvnsdde.noise.coarsen`'s sums of the path.
     """
-    fine = runs[0]
-    layout = [(seg.seed, seg.particles) for seg in fine.segments]
-    horizon, steps = fine.params.horizon, fine.params.total_steps
+    records = [None] * len(grids) if records is None else records
+    pairs = list(zip(grids, records, strict=True))  # before any run is built
+    runs = [Stepper(model, grid, segments, record) for grid, record in pairs]
+    fine = runs[0].grid
+    horizon, steps = fine.horizon, fine.total_steps
     factors = []
     for run in runs:
-        if [(seg.seed, seg.particles) for seg in run.segments] != layout:
-            raise GridError(
-                "every run of a pass needs the first run's seeds and particles"
-            )
-        if run.params.horizon != horizon:
+        if run.grid.horizon != horizon:
             raise GridError("every run of a pass needs the first run's horizon")
-        run_steps = run.params.total_steps
+        run_steps = run.grid.total_steps
         factor, rest = divmod(steps, run_steps)
         if rest or factor < 1 or factor & (factor - 1):
             raise GridError(
                 f"{steps} path steps are not {run_steps} run steps times a power of two"
             )
         factors.append(factor)
+    layout = runs[0].segments
     columns: dict[int, int] = {}
     for seed, particles in layout:
         columns[seed] = max(columns.get(seed, 0), particles)
@@ -357,38 +360,36 @@ def coupled_pass(runs: list[Stepper]) -> None:
     width = sum(columns.values())
     if np.array_equal(gather, np.arange(width)):
         gather = None  # every drawn column, in order
-    bm_dim = fine.model.bm_dim
-    chunk = chunk_steps(width, bm_dim, max(factors))
-    for block in stream_seeds(columns, bm_dim, fine.params.delta, horizon, chunk):
+    chunk = chunk_steps(width, model.bm_dim, max(factors))
+    for block in stream_seeds(columns, model.bm_dim, fine.delta, horizon, chunk):
         if gather is not None:
             block = block.take(gather, axis=1)
         for run, factor in zip(runs, factors):
             run.advance(coarsen(block, factor))
         del block  # free it before the next block is drawn
+    return runs
 
 
-def simulate(model: ModelSpec, params: SchemeParams) -> ParticleGrid:
-    """Run the scheme on the path of ``params.seed`` and keep every row.
+def simulate(model: ModelSpec, grid: Grid, seed: int, particles: int) -> ParticleGrid:
+    """Run one system on the path of ``seed`` at ``grid``; keep every row.
 
     Raises :class:`ValidationFailure` when the configuration violates the
     structural conditions, and :class:`OverflowAbort` when a state goes
     non-finite; its ``prefix`` is then the grid of the rows before that step.
     """
-    rows = GridRows(params)
+    rows = GridRows(grid)
     try:
-        coupled_pass([Stepper(model, params, record=rows)])
+        coupled_pass(model, [(seed, particles)], [grid], [rows])
     except OverflowAbort as abort:
-        finite = rows.states[: params.delay_steps + abort.step]
-        abort.prefix = ParticleGrid(finite, params)
+        finite = rows.states[: grid.delay_steps + abort.step]
+        abort.prefix = ParticleGrid(finite, grid)
         raise
-    return ParticleGrid(rows.states, params)
+    return ParticleGrid(rows.states, grid)
 
 
-def simulate_terminal(model: ModelSpec, params: SchemeParams) -> Stepper:
+def simulate_terminal(model: ModelSpec, grid: Grid, seed: int, particles: int):
     """Run the scheme keeping only a delay ring buffer; return the finished run.
 
     Its ``terminal`` is bit-identical to that of :func:`simulate`.
     """
-    run = Stepper(model, params)
-    coupled_pass([run])
-    return run
+    return coupled_pass(model, [(seed, particles)], [grid])[0]

@@ -9,16 +9,17 @@ from mvnsdde.model import ModelSpec
 from mvnsdde.scheme import GridRows, sample_moments
 
 
-def run_on(model, params, increments) -> ParticleGrid:
-    """The grid of a run advanced once on hand-made increments, its rows
-    kept by the record :func:`mvnsdde.simulate` keeps them by.
+def run_on(model, grid, increments) -> ParticleGrid:
+    """The grid of a run of one system advanced once on hand-made
+    increments, its rows kept by the record :func:`mvnsdde.simulate` keeps
+    them by.
 
     ``increments`` is the whole (steps, particles, bm_dim) path, such as
     zeros, permuted columns or :func:`mvnsdde.generate`'s array.
     """
-    rows = GridRows(params)
-    Stepper(model, params, record=rows).advance(increments)
-    return ParticleGrid(states=rows.states, params=params)
+    rows = GridRows(grid)
+    Stepper(model, grid, [(0, increments.shape[1])], record=rows).advance(increments)
+    return ParticleGrid(states=rows.states, grid=grid)
 
 
 def total_steps(grid: ParticleGrid) -> int:

@@ -15,9 +15,9 @@ from mvnsdde import (
     ErrorRow,
     ErrorTable,
     ExperimentReport,
+    Grid,
     GridError,
     ParticleGrid,
-    SchemeParams,
     ValidationFailure,
     chaos_error_vs_particles,
     cubic_no_mf,
@@ -251,11 +251,8 @@ class TestChaosErrorVsParticles:
 
 def _constant_grid(value, particles=3, rows=5, dim=1):
     states = np.full((rows, particles, dim), float(value))
-    params = SchemeParams(
-        delta=0.25, tau=0.25, alpha=0.5, particles=particles,
-        horizon=(rows - 2) * 0.25, seed=0,
-    )
-    return ParticleGrid(states=states, params=params)
+    params = Grid(delta=0.25, tau=0.25, alpha=0.5, horizon=(rows - 2) * 0.25)
+    return ParticleGrid(states=states, grid=params)
 
 
 class TestMomentMonitor:
@@ -275,11 +272,8 @@ class TestMomentMonitor:
         assert mon.argmax_index == 3
 
     def test_example51_bounded(self):
-        params = SchemeParams(
-            delta=2.0**-8, tau=2.0**-5, alpha=0.5, particles=500, horizon=1.0,
-            seed=12,
-        )
-        grid = simulate(example51(), params)
+        params = Grid(delta=2.0**-8, tau=2.0**-5, alpha=0.5, horizon=1.0)
+        grid = simulate(example51(), params, 12, 500)
         mon = moment_monitor(grid, p=4)
         assert np.isfinite(mon.value)
         assert mon.value < 1e2
@@ -472,6 +466,16 @@ class TestReplicates:
                 example51(), particles=4, delta_ref=2.0**-7,
                 deltas=[2.0**-6], tau=2.0**-5, alpha=0.5, horizon=0.25,
                 seed=1, replicates=0,
+            )
+
+    @pytest.mark.parametrize("seed", [3.5, 2**64])
+    def test_a_master_seed_is_neither_truncated_nor_wrapped(self, seed, monkeypatch):
+        # 3.5 would run seed 3's path and 2**64 seed 0's
+        monkeypatch.setattr(scheme, "stream_seeds", forbidden)
+        with pytest.raises(GridError, match=f"seed .* got {seed}"):
+            chaos_error_vs_particles(
+                example51(), xis=[4, 8], delta=2.0**-7, tau=2.0**-5, alpha=0.5,
+                horizon=0.25, seed=seed, replicates=2,
             )
 
 

@@ -18,8 +18,8 @@ from scipy.spatial.distance import cdist
 from mvnsdde import (
     CapacityError,
     EmpiricalMeasure,
+    Grid,
     ParticleGrid,
-    SchemeParams,
     ShapeError,
     w2_assignment,
     w2sq_to_standard_normal_1d,
@@ -384,11 +384,10 @@ class TestNormalDistance:
 
 def _tiny_grid(states):
     states = np.asarray(states, dtype=float)
-    params = SchemeParams(
-        delta=0.25, tau=0.25, alpha=0.5, particles=states.shape[1],
-        horizon=(states.shape[0] - 2) * 0.25, seed=0,
+    params = Grid(
+        delta=0.25, tau=0.25, alpha=0.5, horizon=(states.shape[0] - 2) * 0.25
     )
-    return ParticleGrid(states=states, params=params)
+    return ParticleGrid(states=states, grid=params)
 
 
 class TestMeasureFromColumn:

@@ -1,6 +1,7 @@
 """Built-in models, assumption probes, and parameter validation."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,9 +13,10 @@ import mvnsdde.scheme
 from mvnsdde import (
     ConfigError,
     EmpiricalMeasure,
-    SchemeParams,
+    Grid,
     ValidationFailure,
     build_model,
+    chaos_error_vs_particles,
     cubic_no_mf,
     example51,
     linear_meanfield,
@@ -32,12 +34,20 @@ def _zeros_measure(x):
 
 
 def _params(**kw):
-    defaults = dict(
-        delta=2.0**-11, tau=2.0**-5, alpha=0.5, particles=10, horizon=1.0,
-        seed=314,
-    )
+    defaults = dict(delta=2.0**-11, tau=2.0**-5, alpha=0.5, horizon=1.0)
     defaults.update(kw)
-    return SchemeParams(**defaults)
+    return Grid(**defaults)
+
+
+# the one segment of the runs below: (seed, particles)
+SEGMENT = [(314, 10)]
+
+
+def _forbid_draws(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refused run drew noise")
+
+    monkeypatch.setattr(mvnsdde.scheme, "stream_seeds", forbidden)
 
 
 class TestExample51:
@@ -180,7 +190,7 @@ class TestBuildModel:
             build_model("heat_equation")
 
 
-class TestSchemeParams:
+class TestGrid:
     def test_derived_counts(self):
         p = _params(delta=2.0**-11, tau=2.0**-5, horizon=1.0)
         assert p.delay_steps == 64
@@ -189,61 +199,76 @@ class TestSchemeParams:
 
 class TestValidate:
     def test_example51_acceptance_setup_ok(self):
-        assert validate(example51(), _params()) == []
+        assert validate(example51(), _params(), SEGMENT) == []
 
     def test_non_integer_delay_ratio(self):
-        report = validate(example51(), _params(tau=1.0, delta=0.3))
+        report = validate(example51(), _params(tau=1.0, delta=0.3), SEGMENT)
         assert report
         assert any("tau/delta" in v for v in report)
 
     def test_contraction_at_one_rejected(self):
         model = dataclasses.replace(example51(), contraction=1.0)
-        report = validate(model, _params())
+        report = validate(model, _params(), SEGMENT)
         assert any("contraction" in v for v in report)
 
     def test_contractivity_probe_catches_lies(self):
         # claim a modulus below the map's true one: probe must object
         model = dataclasses.replace(example51(), contraction=0.25)
-        report = validate(model, _params())
+        report = validate(model, _params(), SEGMENT)
         assert any("probe" in v or "modulus" in v for v in report)
 
     def test_neutral_nonzero_at_zero(self):
         model = dataclasses.replace(
             example51(), neutral=lambda y: -0.5 * y + 0.125
         )
-        report = validate(model, _params())
+        report = validate(model, _params(), SEGMENT)
         assert any("zero" in v for v in report)
 
     def test_delta_range(self):
-        report = validate(example51(), _params(delta=0.5, tau=2.0**-5))
+        report = validate(example51(), _params(delta=0.5, tau=2.0**-5), SEGMENT)
         assert any("min(1, tau)" in v for v in report)
 
     def test_alpha_range(self):
-        report = validate(example51(), _params(alpha=0.75))
+        report = validate(example51(), _params(alpha=0.75), SEGMENT)
         assert any("alpha" in v for v in report)
-        report = validate(example51(), _params(alpha=0.0))
+        report = validate(example51(), _params(alpha=0.0), SEGMENT)
         assert any("alpha" in v for v in report)
 
     def test_horizon_ratio(self):
-        report = validate(example51(), _params(horizon=1.0 + 2.0**-12))
+        report = validate(example51(), _params(horizon=1.0 + 2.0**-12), SEGMENT)
         assert any("horizon/delta" in v for v in report)
 
     def test_exponent_window(self):
         # q = 2, p = 12: q <= p/(2(c+1)) holds up to growth power c = 2
         assert example51().growth_power == 2.0
-        assert validate(example51(), _params()) == []
+        assert validate(example51(), _params(), SEGMENT) == []
         quartic = dataclasses.replace(example51(), growth_power=3.0)
-        bad_c = validate(quartic, _params())
+        bad_c = validate(quartic, _params(), SEGMENT)
         assert any("p/(2(c+1))" in v for v in bad_c)
 
     def test_linear_model_wide_window(self):
         # growth power 0 sits well inside the window
-        assert validate(linear_meanfield(), _params()) == []
+        assert validate(linear_meanfield(), _params(), SEGMENT) == []
 
     def test_seed_outside_64_bits_is_a_violation(self):
-        report = validate(example51(), _params(seed=2**64))
+        report = validate(example51(), _params(), [(2**64, 10)])
         expect = f"seed must be a 64-bit unsigned integer, got {2**64}"
         assert report == [expect]
+
+    def test_a_fractional_seed_is_a_violation_not_a_truncation(self, monkeypatch):
+        assert validate(example51(), _params(), [(3.0, 10)]) == []
+        report = validate(example51(), _params(), [(3.5, 10)])
+        assert report == ["seed must be a 64-bit unsigned integer, got 3.5"]
+        _forbid_draws(monkeypatch)
+        with pytest.raises(ValidationFailure, match="got 3.5"):
+            simulate(example51(), _params(), 3.5, 10)
+
+    def test_a_fractional_particle_count_is_a_violation(self, monkeypatch):
+        report = validate(example51(), _params(), [(314, 2.5)])
+        assert report == ["particles must be an integer, got 2.5"]
+        _forbid_draws(monkeypatch)
+        with pytest.raises(ValidationFailure, match="particles must be an integer"):
+            simulate(example51(), _params(), 314, 2.5)
 
     def test_delay_window_above_the_cap_is_not_probed(self, monkeypatch):
         probed = []
@@ -251,22 +276,22 @@ class TestValidate:
             example51(), initial_segment=lambda t: probed.append(t) or np.array([t])
         )
         monkeypatch.setattr(mvnsdde.model, "MAX_DELAY_STEPS", 64)
-        assert validate(model, _params(tau=64 * 2.0**-11)) == []
+        assert validate(model, _params(tau=64 * 2.0**-11), SEGMENT) == []
         assert len(probed) == 65
         probed.clear()
-        report = validate(model, _params(tau=128 * 2.0**-11))
+        report = validate(model, _params(tau=128 * 2.0**-11), SEGMENT)
         assert report == ["tau/delta = 128.0 exceeds the cap of 64 steps"]
         assert probed == []
 
     def test_particles_positive(self):
-        report = validate(example51(), _params(particles=0))
+        report = validate(example51(), _params(), [(314, 0)])
         assert any("particles" in v for v in report)
 
     def test_segment_shape_violation(self):
         model = dataclasses.replace(
             example51(), initial_segment=lambda t: np.array([t, t])
         )
-        report = validate(model, _params())
+        report = validate(model, _params(), SEGMENT)
         assert any("segment" in v for v in report)
 
     def test_one_verdict_for_every_seed(self):
@@ -275,24 +300,24 @@ class TestValidate:
         model = dataclasses.replace(
             example51(), neutral=lambda y: -0.5 * y + 0.5 * (y >= 5.0)
         )
-        verdicts = [validate(model, _params(seed=seed)) for seed in range(16)]
+        verdicts = [validate(model, _params(), [(seed, 10)]) for seed in range(16)]
         assert all(v == verdicts[0] for v in verdicts)
         assert any("contraction modulus" in v for v in verdicts[0])
 
     def test_a_run_of_segments_lists_a_shared_violation_once(self):
-        segments = [_params(seed=s, particles=0) for s in (1, 2, 2**64, 2**64 + 1)]
-        assert validate(example51(), segments) == [
+        segments = [(s, 0) for s in (1, 2, 2**64, 2**64 + 1)]
+        assert validate(example51(), _params(), segments) == [
             "particles must be >= 1, got 0",
             f"seed must be a 64-bit unsigned integer, got {2**64}",
             f"seed must be a 64-bit unsigned integer, got {2**64 + 1}",
         ]
 
     def test_segments_differ_only_in_seed_and_particles(self):
-        segments = [_params(), _params(seed=7, particles=3), _params(alpha=0.25)]
-        assert validate(example51(), segments[:2]) == []
-        assert validate(example51(), []) == ["a run needs at least one segment"]
-        assert validate(example51(), segments) == [
-            "the segments of one run may differ only in seed and particles"
+        # a segment is nothing but a seed and a particle count
+        segments = [(314, 10), (7, 3)]
+        assert validate(example51(), _params(), segments) == []
+        assert validate(example51(), _params(), []) == [
+            "a run needs at least one segment"
         ]
 
 
@@ -327,12 +352,12 @@ class TestCallbackShapes:
         ids=lambda model: model.name,
     )
     def test_well_shaped_models_pass(self, model):
-        assert validate(model, _params()) == []
+        assert validate(model, _params(), SEGMENT) == []
 
     @pytest.mark.parametrize("case", MISSHAPEN, ids=str)
     def test_misshapen_callback_is_one_violation_naming_it(self, case):
         model, name, got, want = MISSHAPEN[case]
-        assert validate(model, _params()) == [
+        assert validate(model, _params(), SEGMENT) == [
             f"{name} returned a float64 array of shape {got} on the probe "
             f"batch, expected a float array of shape {want}"
         ]
@@ -346,7 +371,7 @@ class TestCallbackShapes:
         model, name, _, _ = MISSHAPEN[case]
         match = f"^validation failed: {name} returned"
         with pytest.raises(ValidationFailure, match=match):
-            simulate(model, _params(particles=8))
+            simulate(model, _params(), 314, 8)
 
     def test_each_callback_called_once_on_two_rows(self):
         calls = []
@@ -364,9 +389,11 @@ class TestCallbackShapes:
             drift=counted("drift", base.drift),
             diffusion=counted("diffusion", base.diffusion),
         )
-        validate(model, [_params(seed=1), _params(seed=2)])
+        validate(model, _params(), [(1, 10), (2, 10)])
         probes = [call for call in calls if call[1] == (2, 1)]
-        assert probes == [(name, (2, 1)) for name in ("neutral", "drift", "diffusion")]
+        # neutral twice, for purity
+        names = ("neutral", "neutral", "drift", "diffusion")
+        assert probes == [(name, (2, 1)) for name in names]
 
     @pytest.mark.parametrize(
         "callback, result, got",
@@ -387,13 +414,62 @@ class TestCallbackShapes:
     def test_non_float_array_is_a_violation(self, callback, result, got):
         model = dataclasses.replace(example51(), **{callback: result})
         assert f"{callback} returned {got} on the probe batch" in "\n".join(
-            validate(model, _params())
+            validate(model, _params(), SEGMENT)
         )
 
     def test_failing_callback_is_a_violation(self):
         model = dataclasses.replace(
             example51(), diffusion=lambda x, y, mu: np.linalg.inv(x)
         )
-        report = validate(model, _params())
+        report = validate(model, _params(), SEGMENT)
         assert len(report) == 1
         assert report[0].startswith("diffusion failed on the probe batch: LinAlgError")
+
+
+_SPLIT = (
+    "is not batch independent: on the probe batch of two systems it gave "
+    "other bits than on each system alone"
+)
+
+
+def _alternating_neutral():
+    """example51's neutral map, one ulp off on every other call."""
+    calls = itertools.count()
+
+    def neutral(y):
+        out = -0.5 * y
+        return np.nextafter(out, np.inf) if next(calls) % 2 else out
+
+    return neutral
+
+
+class TestBatchIndependenceAndPurity:
+    """validate calls drift and diffusion again on each probe system alone,
+    and neutral again on the same batch; other bits are one violation
+    naming the callback."""
+
+    def test_a_pooled_mean_drift_is_refused_before_any_draw(self, monkeypatch):
+        # x.mean(axis=0) where mu.mean belongs: every system sees the pooled mean
+        model = dataclasses.replace(
+            _E51,
+            drift=lambda x, y, mu: mvnsdde.model._cubic_drift(x, y) + x.mean(axis=0),
+        )
+        assert validate(model, _params(), SEGMENT) == [f"drift {_SPLIT}"]
+        _forbid_draws(monkeypatch)
+        with pytest.raises(ValidationFailure, match="^validation failed: drift is not"):
+            chaos_error_vs_particles(
+                model, xis=[4, 8], delta=2.0**-7, tau=2.0**-5, alpha=0.5,
+                horizon=0.25, seed=8,
+            )
+
+    def test_a_pooled_diffusion_is_one_violation_naming_it(self):
+        model = dataclasses.replace(
+            _E51, diffusion=lambda x, y, mu: (x - x.mean(axis=0) + 0.5 * y)[..., None]
+        )
+        assert validate(model, _params(), SEGMENT) == [f"diffusion {_SPLIT}"]
+
+    def test_an_impure_neutral_is_one_violation_naming_it(self):
+        model = dataclasses.replace(_E51, neutral=_alternating_neutral())
+        assert validate(model, _params(), SEGMENT) == [
+            "neutral is not pure: a second call on the probe batch gave other bits"
+        ]

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mvnsdde import (
-    ConfigError,
+    Grid,
     GridError,
     OverflowAbort,
     ParticleGrid,
-    SchemeParams,
     Stepper,
     ValidationFailure,
     coarsen,
@@ -143,10 +142,7 @@ class TestDelayedState:
 
     def _grid(self, delta=0.25, tau=0.5, horizon=2.0, particles=2):
         model = example51()
-        params = SchemeParams(
-            delta=delta, tau=tau, alpha=0.5, particles=particles,
-            horizon=horizon, seed=3,
-        )
+        params = Grid(delta=delta, tau=tau, alpha=0.5, horizon=horizon)
         noise = np.zeros((params.total_steps, particles, 1))
         return run_on(model, params, noise), params
 
@@ -180,9 +176,7 @@ class TestDelayedState:
 class TestEmStep:
     def test_all_zero_coefficients_identity(self):
         model = _trivial_model()
-        params = SchemeParams(
-            delta=0.25, tau=0.5, alpha=0.5, particles=4, horizon=1.0, seed=0
-        )
+        params = Grid(delta=0.25, tau=0.5, alpha=0.5, horizon=1.0)
         cur = np.arange(4.0).reshape(4, 1)
         mu = one_system(cur)
         neutral = model.neutral(cur), model.neutral(cur)
@@ -196,9 +190,7 @@ class TestEmStep:
         # recompute the tamed update by direct scalar arithmetic
         model = example51()
         delta = 1.0 / 32.0
-        params = SchemeParams(
-            delta=delta, tau=delta, alpha=0.5, particles=1, horizon=1.0, seed=0
-        )
+        params = Grid(delta=delta, tau=delta, alpha=0.5, horizon=1.0)
         cur = np.array([[0.0]])
         dly = np.array([[-delta]])
         dly_next = np.array([[0.0]])
@@ -218,9 +210,7 @@ class TestEmStep:
         model = dataclasses.replace(
             _trivial_model(), diffusion=lambda x, y, mu: np.full(x.shape + (1,), 2.0)
         )
-        params = SchemeParams(
-            delta=0.25, tau=0.5, alpha=0.5, particles=3, horizon=1.0, seed=0
-        )
+        params = Grid(delta=0.25, tau=0.5, alpha=0.5, horizon=1.0)
         cur = np.zeros((3, 1))
         mu = one_system(cur)
         neutral = model.neutral(cur), model.neutral(cur)
@@ -233,10 +223,7 @@ class TestEmStep:
 
     def test_frozen_measure_order_independence(self):
         model = example51()
-        params = SchemeParams(
-            delta=2.0**-6, tau=2.0**-5, alpha=0.5, particles=16, horizon=1.0,
-            seed=5,
-        )
+        params = Grid(delta=2.0**-6, tau=2.0**-5, alpha=0.5, horizon=1.0)
         g = np.random.default_rng(1)
         cur = g.normal(size=(16, 1))
         dly = g.normal(size=(16, 1))
@@ -265,12 +252,9 @@ class TestSimulate:
         # the recursion with plain floats as an independent oracle
         model = example51()
         delta = 2.0**-6
-        params = SchemeParams(
-            delta=delta, tau=2.0**-5, alpha=0.5, particles=1, horizon=0.5,
-            seed=21,
-        )
+        params = Grid(delta=delta, tau=2.0**-5, alpha=0.5, horizon=0.5)
         noise = generate(21, 1, 1, delta, 0.5)
-        grid = simulate(model, params)
+        grid = simulate(model, params, 21, 1)
 
         n0 = params.delay_steps
         path = [(i - n0) * delta for i in range(n0 + 1)]
@@ -292,9 +276,8 @@ class TestSimulate:
         # the Euler error at this step size)
         model = linear_meanfield(a_coef=-1.0, b_coef=0.0, sigma0=0.0, x0=1.0)
         delta = 2.0**-10
-        params = SchemeParams(
-            delta=delta, tau=2.0**-5, alpha=0.5, particles=1, horizon=1.0,
-            seed=1, taming=False,
+        params = Grid(
+            delta=delta, tau=2.0**-5, alpha=0.5, horizon=1.0, taming=False
         )
         grid = run_on(model, params, np.zeros((params.total_steps, 1, 1)))
         assert grid.terminal[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
@@ -303,20 +286,14 @@ class TestSimulate:
         model = dataclasses.replace(
             example51(), initial_segment=lambda t: np.array([0.0])
         )
-        params = SchemeParams(
-            delta=2.0**-6, tau=2.0**-5, alpha=0.5, particles=5, horizon=0.5,
-            seed=2,
-        )
+        params = Grid(delta=2.0**-6, tau=2.0**-5, alpha=0.5, horizon=0.5)
         grid = run_on(model, params, np.zeros((params.total_steps, 5, 1)))
         assert np.all(grid.states == 0.0)
 
     def test_segment_rows_match_initial_path(self):
         model = example51()
-        params = SchemeParams(
-            delta=2.0**-7, tau=2.0**-5, alpha=0.5, particles=3, horizon=0.25,
-            seed=9,
-        )
-        grid = simulate(model, params)
+        params = Grid(delta=2.0**-7, tau=2.0**-5, alpha=0.5, horizon=0.25)
+        grid = simulate(model, params, 9, 3)
         n0 = params.delay_steps
         for n in range(-n0, 1):
             expect = model.initial_segment(n * params.delta)
@@ -326,12 +303,9 @@ class TestSimulate:
         # the stored row n is exactly what later steps consume: replaying
         # any step from stored rows reproduces the next stored row
         model = example51()
-        params = SchemeParams(
-            delta=2.0**-6, tau=2.0**-5, alpha=0.5, particles=8, horizon=0.5,
-            seed=33,
-        )
+        params = Grid(delta=2.0**-6, tau=2.0**-5, alpha=0.5, horizon=0.5)
         noise = generate(33, 8, 1, 2.0**-6, 0.5)
-        grid = simulate(model, params)
+        grid = simulate(model, params, 33, 8)
         n0 = params.delay_steps
         for n in (0, 1, n0, params.total_steps - 1):
             mu = one_system(column(grid, n))
@@ -344,32 +318,25 @@ class TestSimulate:
 
     def test_terminal_run_matches_the_whole_grid(self):
         model = example51()
-        params = SchemeParams(
-            delta=2.0**-8, tau=2.0**-5, alpha=0.5, particles=40, horizon=1.0,
-            seed=77,
-        )
-        full = simulate(model, params)
-        ring = simulate_terminal(model, params)
+        params = Grid(delta=2.0**-8, tau=2.0**-5, alpha=0.5, horizon=1.0)
+        full = simulate(model, params, 77, 40)
+        ring = simulate_terminal(model, params, 77, 40)
         assert np.array_equal(full.terminal, ring.terminal)
 
     @pytest.mark.parametrize("model", [example51(), linear_meanfield()])
     def test_streamed_path_equals_the_whole_grid(self, model):
         # 3000 particles take 43-step blocks, so the 128 steps arrive in 3
-        params = SchemeParams(
-            delta=2.0**-7, tau=2.0**-5, alpha=0.5, particles=3000, horizon=1.0,
-            seed=2**64 - 3,
-        )
-        assert -(-params.total_steps // chunk_steps(params.particles, 1)) == 3
-        noise = generate(params.seed, params.particles, 1, params.delta, 1.0)
+        params = Grid(delta=2.0**-7, tau=2.0**-5, alpha=0.5, horizon=1.0)
+        seed, particles = 2**64 - 3, 3000
+        assert -(-params.total_steps // chunk_steps(particles, 1)) == 3
+        noise = generate(seed, particles, 1, params.delta, 1.0)
         whole = run_on(model, params, noise)
-        assert simulate(model, params).states.tobytes() == whole.states.tobytes()
+        grid = simulate(model, params, seed, particles)
+        assert grid.states.tobytes() == whole.states.tobytes()
 
     def test_permutation_equivariance_exact_without_mean_field(self):
         model = cubic_no_mf(x0=1.0)
-        params = SchemeParams(
-            delta=2.0**-6, tau=0.5, alpha=0.5, particles=12, horizon=1.0,
-            seed=13,
-        )
+        params = Grid(delta=2.0**-6, tau=0.5, alpha=0.5, horizon=1.0)
         noise = generate(13, 12, 1, 2.0**-6, 1.0)
         base = run_on(model, params, noise)
 
@@ -381,10 +348,7 @@ class TestSimulate:
         # the measure mean is a float reduction, so permuting operands can
         # move the last ulp; everything else is elementwise
         model = example51()
-        params = SchemeParams(
-            delta=2.0**-6, tau=2.0**-5, alpha=0.5, particles=12, horizon=1.0,
-            seed=13,
-        )
+        params = Grid(delta=2.0**-6, tau=2.0**-5, alpha=0.5, horizon=1.0)
         noise = generate(13, 12, 1, 2.0**-6, 1.0)
         base = run_on(model, params, noise)
         perm = np.random.default_rng(1).permutation(12)
@@ -395,29 +359,25 @@ class TestSimulate:
 
     def test_validation_failure_raises(self):
         model = example51()
-        params = SchemeParams(
-            delta=0.3, tau=1.0, alpha=0.5, particles=2, horizon=1.0, seed=0
-        )
+        params = Grid(delta=0.3, tau=1.0, alpha=0.5, horizon=1.0)
         with pytest.raises(ValidationFailure):
-            simulate(model, params)
+            simulate(model, params, 0, 2)
 
 
 class TestStepper:
     def _setup(self, particles=30, delta=2.0**-7, seed=5):
         model = example51()
-        params = SchemeParams(
-            delta=delta, tau=2.0**-5, alpha=0.5, particles=particles,
-            horizon=1.0, seed=seed,
-        )
-        return model, params, generate(seed, particles, 1, delta, 1.0)
+        params = Grid(delta=delta, tau=2.0**-5, alpha=0.5, horizon=1.0)
+        segment = (seed, particles)
+        return model, params, segment, generate(seed, particles, 1, delta, 1.0)
 
     @given(cuts=st.lists(st.integers(0, 128), max_size=6))
     @settings(max_examples=25, deadline=None)
     def test_resumes_across_any_block_split(self, cuts):
-        model, params, noise = self._setup()
-        whole = simulate(model, params)
+        model, params, segment, noise = self._setup()
+        whole = simulate(model, params, *segment)
         rows = GridRows(params)
-        run = Stepper(model, params, record=rows)
+        run = Stepper(model, params, [segment], record=rows)
         edges = [0] + sorted(cuts) + [params.total_steps]
         for a, b in zip(edges, edges[1:]):
             run.advance(noise[a:b])
@@ -426,170 +386,161 @@ class TestStepper:
 
     def test_moment_matches_monitor_on_full_grid(self):
         for p in (2, 4, 12):
-            model, params, noise = self._setup(particles=17, seed=p)
+            model, params, segment, noise = self._setup(particles=17, seed=p)
             moment = MomentMax(p)
-            Stepper(model, params, record=moment).advance(noise)
-            mon = moment_monitor(simulate(model, params), p)
+            Stepper(model, params, [segment], record=moment).advance(noise)
+            mon = moment_monitor(simulate(model, params, *segment), p)
             assert moment.value == mon.value
             assert moment.index == mon.argmax_index
 
     def test_moment_argmax_in_initial_segment(self):
         # a constant path ties on every row; the first one, -delay_steps, wins
         model = _trivial_model()
-        params = SchemeParams(
-            delta=0.25, tau=0.5, alpha=0.5, particles=3, horizon=1.0, seed=0
-        )
+        params = Grid(delta=0.25, tau=0.5, alpha=0.5, horizon=1.0)
         moment = MomentMax(2)
-        Stepper(model, params, record=moment)
+        Stepper(model, params, [(0, 3)], record=moment)
         assert (moment.value, moment.index) == (2.25, -2)
 
     def test_block_errors(self):
-        model, params, noise = self._setup()
-        run = Stepper(model, params)
+        model, params, (seed, particles), noise = self._setup()
+        run = Stepper(model, params, [(seed, particles)])
         with pytest.raises(GridError):
-            run.advance(np.zeros((2, params.particles + 1, 1)))
+            run.advance(np.zeros((2, particles + 1, 1)))
         with pytest.raises(GridError):
-            run.advance(np.zeros((params.total_steps + 1, params.particles, 1)))
+            run.advance(np.zeros((params.total_steps + 1, particles, 1)))
 
     def test_terminal_before_the_last_step_errors(self):
-        model, params, noise = self._setup()
-        run = Stepper(model, params)
+        model, params, segment, noise = self._setup()
+        run = Stepper(model, params, [segment])
         run.advance(noise[:-1])
         with pytest.raises(GridError, match="stopped at step"):
             run.terminal
         run.advance(noise[-1:])
-        assert run.terminal.shape == (params.particles, 1)
+        assert run.terminal.shape == (segment[1], 1)
 
     def test_validates_every_segment(self):
-        model, params, _ = self._setup()
+        model, params, segment, _ = self._setup()
         with pytest.raises(ValidationFailure, match="alpha"):
-            Stepper(model, dataclasses.replace(params, alpha=0.9))
-        empty = dataclasses.replace(params, seed=6, particles=0)
+            Stepper(model, dataclasses.replace(params, alpha=0.9), [segment])
         with pytest.raises(ValidationFailure, match="particles must be >= 1"):
-            Stepper(model, [params, empty])
+            Stepper(model, params, [segment, (6, 0)])
 
     def test_validates_a_run_once(self, monkeypatch):
-        model, params, _ = self._setup(particles=3)
+        model, params, _, _ = self._setup(particles=3)
         seen = []
 
-        def counted(model, params):
-            seen.append(params)
-            return validate(model, params)
+        def counted(model, grid, segments):
+            seen.append((grid, segments))
+            return validate(model, grid, segments)
 
         monkeypatch.setattr(scheme, "validate", counted)
-        segments = [dataclasses.replace(params, seed=seed) for seed in range(8)]
-        Stepper(model, segments)
-        assert seen == [tuple(segments)]
+        segments = [(seed, 3) for seed in range(8)]
+        Stepper(model, params, segments)
+        assert seen == [(params, segments)]
 
     def test_a_run_without_segments_is_refused(self):
+        model, params, _, _ = self._setup()
         with pytest.raises(ValidationFailure, match="at least one segment"):
-            Stepper(example51(), [])
+            Stepper(model, params, [])
 
 
 class TestRecord:
     """A run hands its record every row once, in grid index order."""
 
+    SEGMENT = (8, 4)
+
     def _params(self, **changes):
-        params = SchemeParams(
-            delta=2.0**-6, tau=2.0**-5, alpha=0.5, particles=4, horizon=0.25,
-            seed=8,
-        )
+        params = Grid(delta=2.0**-6, tau=2.0**-5, alpha=0.5, horizon=0.25)
         return dataclasses.replace(params, **changes)
 
     def test_every_row_once_in_index_order(self):
         model, params = example51(), self._params()
         seen = []
-        run = Stepper(model, params, record=lambda row, n: seen.append((n, row.copy())))
+        run = Stepper(
+            model, params, [self.SEGMENT],
+            record=lambda row, n: seen.append((n, row.copy())),
+        )
         n0, total = params.delay_steps, params.total_steps
         # the initial segment is recorded as the run is built
         assert [n for n, _ in seen] == list(range(-n0, 1))
-        noise = generate(params.seed, params.particles, 1, params.delta, params.horizon)
+        noise = generate(*self.SEGMENT, 1, params.delta, params.horizon)
         for a, b in ((0, 3), (3, 3), (3, total)):
             run.advance(noise[a:b])
         assert [n for n, _ in seen] == list(range(-n0, total + 1))
         rows = np.stack([row for _, row in seen])
-        assert rows.tobytes() == simulate(model, params).states.tobytes()
+        assert rows.tobytes() == simulate(model, params, *self.SEGMENT).states.tobytes()
 
     def test_nothing_is_recorded_before_validation(self):
         seen = []
         with pytest.raises(ValidationFailure):
             Stepper(
-                example51(), self._params(alpha=0.9),
+                example51(), self._params(alpha=0.9), [self.SEGMENT],
                 record=lambda row, n: seen.append(n),
             )
         assert seen == []
 
     def test_a_non_finite_row_aborts_unrecorded_unless_told_to_go_on(self):
+        # a run goes on past a non-finite row exactly when its record is a
+        # Divergence, which records that row
         model = dataclasses.replace(
             _trivial_model(), diffusion=lambda x, y, mu: np.ones(x.shape + (1,))
         )
         params = self._params(tau=0.5, delta=0.25, horizon=1.0)
-        increments = np.zeros((4, params.particles, 1))
+        increments = np.zeros((4, 4, 1))
         increments[1, 2, 0] = np.inf
         seen = []
-        run = Stepper(model, params, record=lambda row, n: seen.append(n))
+        run = Stepper(
+            model, params, [self.SEGMENT], record=lambda row, n: seen.append(n)
+        )
         with pytest.raises(OverflowAbort) as info:
             run.advance(increments)
         assert info.value.step == 2
         assert seen == [-2, -1, 0, 1]
-        seen.clear()
-        run = Stepper(model, params, record=lambda row, n: seen.append(n), abort=False)
+        divergence = Divergence(4)
+        run = Stepper(model, params, [self.SEGMENT], record=divergence)
         run.advance(increments)
-        assert seen == [-2, -1, 0, 1, 2, 3, 4]
+        assert run.steps_done == 4
+        assert divergence.first_step == 2
+        assert divergence.diverged.tolist() == [False, False, True, False]
         assert not np.isfinite(run.terminal).all()
 
 
 class TestSegments:
     """Several particle systems as row segments of one Stepper."""
 
-    def _segments(self, model=None, taming=True):
-        base = SchemeParams(
-            delta=2.0**-7, tau=2.0**-5, alpha=0.5, particles=1, horizon=0.5,
-            seed=0, taming=taming,
-        )
-        return [
-            dataclasses.replace(base, seed=seed, particles=n)
-            for seed, n in ((3, 5), (2**64 - 1, 17), (3, 9))
-        ]
+    GRID = Grid(delta=2.0**-7, tau=2.0**-5, alpha=0.5, horizon=0.5)
+    SEGMENTS = [(3, 5), (2**64 - 1, 17), (3, 9)]
+
+    def _paths(self):
+        grid = self.GRID
+        return [generate(*seg, 1, grid.delta, grid.horizon) for seg in self.SEGMENTS]
 
     def test_each_segment_ends_where_its_own_run_does(self):
         for model in (example51(), linear_meanfield()):
-            segments = self._segments()
-            grids = [
-                generate(p.seed, p.particles, 1, p.delta, p.horizon) for p in segments
-            ]
-            batch = Stepper(model, segments)
+            batch = Stepper(model, self.GRID, self.SEGMENTS)
             assert batch.bounds == ((0, 5), (5, 22), (22, 31))
-            increments = np.concatenate(grids, axis=1)
+            increments = np.concatenate(self._paths(), axis=1)
             batch.advance(increments[:20])
             batch.advance(increments[20:])
             terminal = batch.terminal
-            for (start, stop), p in zip(batch.bounds, segments):
-                alone = simulate(model, p).terminal
+            for (start, stop), seg in zip(batch.bounds, self.SEGMENTS):
+                alone = simulate(model, self.GRID, *seg).terminal
                 assert terminal[start:stop].tobytes() == alone.tobytes()
 
     def test_a_run_of_several_segments_takes_a_record(self):
-        model, segments = example51(), self._segments()
-        rows = GridRows(segments[0])
-        run = Stepper(model, segments, record=rows)
-        paths = [generate(p.seed, p.particles, 1, p.delta, p.horizon) for p in segments]
-        run.advance(np.concatenate(paths, axis=1))
-        for (start, stop), p in zip(run.bounds, segments):
-            alone = simulate(model, p).states
+        model = example51()
+        rows = GridRows(self.GRID)
+        run = Stepper(model, self.GRID, self.SEGMENTS, record=rows)
+        run.advance(np.concatenate(self._paths(), axis=1))
+        for (start, stop), seg in zip(run.bounds, self.SEGMENTS):
+            alone = simulate(model, self.GRID, *seg).states
             assert rows.states[:, start:stop].tobytes() == alone.tobytes()
-
-    def test_segments_share_the_grid(self):
-        segments = self._segments()
-        segments[1] = dataclasses.replace(segments[1], delta=2.0**-8)
-        with pytest.raises(ConfigError, match="seed and particles"):
-            Stepper(example51(), segments)
 
     def test_overflow_names_the_segments_seed_and_particles(self):
         model = dataclasses.replace(
             _trivial_model(), diffusion=lambda x, y, mu: np.ones(x.shape + (1,))
         )
-        segments = self._segments()
-        run = Stepper(model, segments)
+        run = Stepper(model, self.GRID, self.SEGMENTS)
         increments = np.zeros((4, 31, 1))
         increments[2, [5 + 1, 5 + 3, 22 + 2], 0] = np.inf
         with pytest.raises(OverflowAbort, match="seed 18446744073709551615") as info:
@@ -600,52 +551,49 @@ class TestSegments:
 
 
 class TestCoupledPass:
-    """A pass streams its first run's path, so every run must fit that path."""
+    """A pass streams its first grid's path, so every grid must fit that path."""
 
     def _params(self, **changes):
-        params = SchemeParams(
-            delta=2.0**-7, tau=2.0**-5, alpha=0.5, particles=6, horizon=0.5,
-            seed=5,
-        )
+        params = Grid(delta=2.0**-7, tau=2.0**-5, alpha=0.5, horizon=0.5)
         return dataclasses.replace(params, **changes)
 
-    def _refused(self, runs, match):
-        with pytest.raises(GridError, match=match):
-            coupled_pass(runs)
-        assert all(run.steps_done == 0 for run in runs)
+    def _refused(self, monkeypatch, grids, match, records=None, error=GridError):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a refused pass drew noise")
 
-    def test_every_run_needs_the_first_runs_seeds_and_particles(self):
-        model, fine = example51(), self._params()
-        for other in (self._params(seed=6), self._params(particles=5)):
-            runs = [Stepper(model, fine), Stepper(model, other)]
-            self._refused(runs, "seeds and particles")
-        segments = [fine, self._params(seed=6)]
-        runs = [Stepper(model, segments), Stepper(model, segments[::-1])]
-        self._refused(runs, "seeds and particles")
+        monkeypatch.setattr(scheme, "stream_seeds", forbidden)
+        with pytest.raises(error, match=match):
+            coupled_pass(example51(), [(5, 6)], grids, records)
 
-    def test_every_run_needs_the_first_runs_horizon(self):
-        model = example51()
+    def test_every_run_needs_the_first_runs_horizon(self, monkeypatch):
         coarse = self._params(delta=2.0**-6, horizon=0.25)
-        runs = [Stepper(model, self._params()), Stepper(model, coarse)]
-        self._refused(runs, "horizon")
+        self._refused(monkeypatch, [self._params(), coarse], "horizon")
 
-    def test_a_run_finer_than_the_path_is_refused(self):
-        model = example51()
-        finer = Stepper(model, self._params(delta=2.0**-8))
-        self._refused([Stepper(model, self._params()), finer], "power of two")
+    def test_a_run_finer_than_the_path_is_refused(self, monkeypatch):
+        finer = self._params(delta=2.0**-8)
+        self._refused(monkeypatch, [self._params(), finer], "power of two")
 
-    def test_a_step_ratio_of_three_is_refused(self):
+    def test_a_step_ratio_of_three_is_refused(self, monkeypatch):
         # both grids are valid: 0.75 is 96 steps of 2**-7 and 32 of 3 * 2**-7
-        model = example51()
         fine = self._params(tau=3 * 2.0**-5, horizon=0.75)
         coarse = self._params(delta=3 * 2.0**-7, tau=3 * 2.0**-5, horizon=0.75)
-        self._refused([Stepper(model, fine), Stepper(model, coarse)], "power of two")
+        self._refused(monkeypatch, [fine, coarse], "power of two")
+
+    def test_each_grid_takes_one_record(self, monkeypatch):
+        # not truncated to the shorter list: refused before any run is built
+        seen = []
+        grids = [self._params(), self._params(delta=2.0**-6)]
+        for records in ([], [None], [None, None, lambda row, n: seen.append(n)]):
+            self._refused(
+                monkeypatch, grids, "argument 2 is (shorter|longer)", records,
+                ValueError,
+            )
+        assert seen == []
 
     def test_each_run_ends_where_its_own_run_does(self):
         model, fine = example51(), self._params()
         coarse = self._params(delta=2.0**-6)
-        runs = [Stepper(model, fine), Stepper(model, coarse)]
-        coupled_pass(runs)
+        runs = coupled_pass(model, [(5, 6)], [fine, coarse])
         path = generate(5, 6, 1, fine.delta, fine.horizon)
         for run, params, factor in zip(runs, (fine, coarse), (1, 2)):
             alone = run_on(model, params, coarsen(path, factor))
@@ -656,29 +604,29 @@ class TestTwoDimensional:
     """A 2-D state under 2-D noise: norm taming, the matrix noise term and
     blocks that are strided views in every component."""
 
+    # 1000 particles x 2 components take 65-step blocks: the 128 steps
+    # arrive in 2
+    SEGMENT = (2**63 + 7, 1000)
+
     def _params(self, **changes):
-        # 1000 particles x 2 components take 65-step blocks: the 128 steps
-        # arrive in 2
-        params = SchemeParams(
-            delta=2.0**-7, tau=2.0**-5, alpha=0.5, particles=1000, horizon=1.0,
-            seed=2**63 + 7,
-        )
+        params = Grid(delta=2.0**-7, tau=2.0**-5, alpha=0.5, horizon=1.0)
         return dataclasses.replace(params, **changes)
 
     def test_streamed_run_equals_the_whole_grid(self):
         model, params = planar_meanfield(), self._params()
-        assert -(-params.total_steps // chunk_steps(params.particles, 2)) == 2
-        noise = generate(params.seed, params.particles, 2, params.delta, 1.0)
+        assert -(-params.total_steps // chunk_steps(self.SEGMENT[1], 2)) == 2
+        noise = generate(*self.SEGMENT, 2, params.delta, 1.0)
         whole = run_on(model, params, noise)
         assert np.all(np.isfinite(whole.states))
-        assert simulate(model, params).states.tobytes() == whole.states.tobytes()
+        grid = simulate(model, params, *self.SEGMENT)
+        assert grid.states.tobytes() == whole.states.tobytes()
 
     def test_coarse_run_sees_the_coarsened_path(self):
         model, fine = planar_meanfield(), self._params()
         coarse = self._params(delta=2.0**-6)
         rows = GridRows(coarse)
-        coupled_pass([Stepper(model, fine), Stepper(model, coarse, record=rows)])
-        noise = generate(fine.seed, fine.particles, 2, fine.delta, 1.0)
+        coupled_pass(model, [self.SEGMENT], [fine, coarse], [None, rows])
+        noise = generate(*self.SEGMENT, 2, fine.delta, 1.0)
         alone = run_on(model, coarse, coarsen(noise, 2))
         assert rows.states.tobytes() == alone.states.tobytes()
 
@@ -686,9 +634,8 @@ class TestTwoDimensional:
 class TestOverflow:
     def _setup(self, taming, horizon=1.0):
         model = cubic_no_mf(x0=5.0)
-        params = SchemeParams(
-            delta=0.25, tau=0.5, alpha=0.5, particles=20, horizon=horizon,
-            seed=11, taming=taming,
+        params = Grid(
+            delta=0.25, tau=0.5, alpha=0.5, horizon=horizon, taming=taming
         )
         return model, params
 
@@ -698,10 +645,10 @@ class TestOverflow:
         model, params = self._setup(taming=False, horizon=4.0)
         with np.errstate(all="ignore"):
             with pytest.raises(OverflowAbort) as info:
-                simulate(model, params)
+                simulate(model, params, 11, 20)
         abort = info.value
         assert abort.step >= 1
-        assert abort.seed == params.seed
+        assert abort.seed == 11
         assert abort.particles.size > 0
         assert abort.prefix is not None
         assert np.all(np.isfinite(abort.prefix.states))
@@ -709,14 +656,13 @@ class TestOverflow:
 
     def test_tamed_run_completes(self):
         model, params = self._setup(taming=True)
-        grid = simulate(model, params)
+        grid = simulate(model, params, 11, 20)
         assert np.all(np.isfinite(grid.states))
 
     def test_tracked_run_reports_divergence(self):
         model, params = self._setup(taming=False)
-        divergence = Divergence(params.particles)
-        run = Stepper(model, params, record=divergence, abort=False)
-        coupled_pass([run])
+        divergence = Divergence(20)
+        coupled_pass(model, [(11, 20)], [params], [divergence])
         assert divergence.diverged.mean() == 1.0
         assert divergence.first_step is not None
 
@@ -724,10 +670,8 @@ class TestOverflow:
 class TestCsvExport:
     def _small_grid(self):
         model = example51()
-        params = SchemeParams(
-            delta=0.25, tau=0.5, alpha=0.5, particles=2, horizon=0.5, seed=4
-        )
-        return simulate(model, params)
+        params = Grid(delta=0.25, tau=0.5, alpha=0.5, horizon=0.5)
+        return simulate(model, params, 4, 2)
 
     def test_header_and_shape(self):
         grid = self._small_grid()
@@ -750,7 +694,7 @@ class TestCsvExport:
         for i, row in enumerate(rows):
             n = i // 2 - n0
             a = i % 2
-            assert float(row[0]) == n * grid.params.delta
+            assert float(row[0]) == n * grid.grid.delta
             assert int(row[1]) == a + 1
             assert float(row[2]) == column(grid, n)[a][0]
 
@@ -767,7 +711,7 @@ def reference_csv_text(grid):
     lines = [header]
     n0 = grid.delay_steps
     for row_i in range(grid.states.shape[0]):
-        t = (row_i - n0) * grid.params.delta
+        t = (row_i - n0) * grid.grid.delta
         for a in range(grid.particles):
             vals = ",".join(f"{x:.17g}" for x in grid.states[row_i, a])
             lines.append(f"{t:.17g},{a + 1},{vals}")
@@ -805,11 +749,11 @@ class TestStreamingExport:
                 ),
             )
         )
-        params = SchemeParams(
+        params = Grid(
             delta=delta, tau=delay_steps * delta, alpha=0.5,
-            particles=particles, horizon=total_steps * delta, seed=0,
+            horizon=total_steps * delta,
         )
-        grid = ParticleGrid(states=bits.view(np.float64), params=params)
+        grid = ParticleGrid(states=bits.view(np.float64), grid=params)
         assert grid.delay_steps == delay_steps
         buf = io.StringIO()
         grid.write_csv(buf)
@@ -819,10 +763,7 @@ class TestStreamingExport:
         # many rows per write, one row of 2100 values per write, and a row
         # of 5000 values, more than the budget alone
         for particles, dim, rows in ((3, 2, 1500), (700, 3, 5), (5000, 1, 3)):
-            params = SchemeParams(
-                delta=0.5, tau=0.5, alpha=0.5, particles=particles,
-                horizon=(rows - 2) * 0.5, seed=0,
-            )
+            params = Grid(delta=0.5, tau=0.5, alpha=0.5, horizon=(rows - 2) * 0.5)
             states = np.arange(rows * particles * dim, dtype=np.float64)
             grid = ParticleGrid(states.reshape(rows, particles, dim), params)
             writes = []
@@ -849,9 +790,8 @@ class TestStreamingExport:
             -4, 17, (9, 400, 3)
         )
         states[0, :2] = [[0.0, -0.0, 1e-5], [1e17, -np.inf, np.nan]]
-        params = SchemeParams(
-            delta=2.0**-7, tau=3 * 2.0**-7, alpha=0.5, particles=400,
-            horizon=5 * 2.0**-7, seed=0,
+        params = Grid(
+            delta=2.0**-7, tau=3 * 2.0**-7, alpha=0.5, horizon=5 * 2.0**-7
         )
-        grid = ParticleGrid(states=states, params=params)
+        grid = ParticleGrid(states=states, grid=params)
         assert _csv_text(grid) == reference_csv_text(grid)
