@@ -31,21 +31,18 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
 
 import numpy as np
-import scipy
-from scipy.special import ndtri
 
 from .errors import CapacityError, ShapeError
+from .noise import SCIPY_DIR, ndtri, scipy_extension
 
 # The largest sample the assignment solver takes (its cost is cubic in size).
 ASSIGNMENT_CAP = 512
 
 # The assignment solver's extension module and the directory it is loaded from.
 _SOLVER = "scipy.optimize._lsap"
-_SOLVER_DIR = os.path.join(scipy.__path__[0], "optimize")
+_SOLVER_DIR = os.path.join(SCIPY_DIR, "optimize")
 
 _QUANTILE_CLIP = 1e-12  # keeps the inverse normal CDF finite at cell edges
 _NORMAL_NODES = 64  # Gauss-Legendre nodes per quantile cell
@@ -105,15 +102,7 @@ def _assignment_solver():
     """scipy's ``linear_sum_assignment``, loaded once from ``_SOLVER`` alone,
     without running ``scipy.optimize``'s ``__init__``; an ImportError that
     names the module and ``_SOLVER_DIR`` when it is not there."""
-    finder = FileFinder(_SOLVER_DIR, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec(_SOLVER)
-    if spec is None:
-        raise ImportError(
-            f"no extension module {_SOLVER} in {_SOLVER_DIR}", name=_SOLVER
-        )
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.linear_sum_assignment
+    return scipy_extension(_SOLVER, _SOLVER_DIR).linear_sum_assignment
 
 
 def _sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -104,11 +105,15 @@ def validate(
     shape (2, state_dim), and (2, state_dim, bm_dim) from ``diffusion``;
     ``neutral`` pure; ``drift`` and ``diffusion`` giving each system the
     bits of a call on it alone), grid integrality (tau/delta and
-    horizon/delta) and the step/exponent ranges.  Then each segment's seed
-    and particle count, both integers; a violation several segments share
-    is listed once.
+    horizon/delta) and the step/exponent ranges, each range skipped when a
+    grid field it reads is not a real number.  Then each segment: a
+    ``(seed, particles)`` pair of integers.  A violation several segments
+    share is listed once.
     """
-    segments = tuple(segments)
+    try:
+        segments = tuple(segments)
+    except TypeError:
+        return [f"a run's segments must be a sequence, got {segments!r}"]
     if not segments:
         return ["a run needs at least one segment"]
     v = []
@@ -183,26 +188,38 @@ def validate(
             f"array of shape {shape}"
         )
 
-    if grid.tau <= 0:
+    real = set()
+    for name in ("delta", "tau", "alpha", "horizon"):
+        value = getattr(grid, name)
+        if isinstance(value, Real):
+            real.add(name)
+        else:
+            v.append(f"{name} must be a real number, got {value!r}")
+    delay = 0.0
+    if "tau" in real and grid.tau <= 0:
         v.append(f"tau must be positive, got {grid.tau}")
-    if not 0.0 < grid.delta < min(1.0, grid.tau):
-        v.append(
-            f"delta must lie in (0, min(1, tau)) = "
-            f"(0, {min(1.0, grid.tau)}), got {grid.delta}"
-        )
-    delay = grid.tau / grid.delta if grid.delta > 0 else 0.0
-    if grid.delta > 0 and grid.tau > 0 and not is_integer_ratio(grid.tau, grid.delta):
-        v.append(f"tau/delta = {delay!r} is not a positive integer")
-    elif delay > MAX_DELAY_STEPS:
-        v.append(f"tau/delta = {delay!r} exceeds the cap of {MAX_DELAY_STEPS} steps")
-    if not 0.0 < grid.alpha <= 0.5:
+    if {"delta", "tau"} <= real:
+        if not 0.0 < grid.delta < min(1.0, grid.tau):
+            v.append(
+                f"delta must lie in (0, min(1, tau)) = "
+                f"(0, {min(1.0, grid.tau)}), got {grid.delta}"
+            )
+        delay = grid.tau / grid.delta if grid.delta > 0 else 0.0
+        if delay > 0 and not is_integer_ratio(grid.tau, grid.delta):
+            v.append(f"tau/delta = {delay!r} is not a positive integer")
+        elif delay > MAX_DELAY_STEPS:
+            cap = f"the cap of {MAX_DELAY_STEPS} steps"
+            v.append(f"tau/delta = {delay!r} exceeds {cap}")
+    if "alpha" in real and not 0.0 < grid.alpha <= 0.5:
         v.append(f"alpha must lie in (0, 1/2], got {grid.alpha}")
-    if grid.horizon <= 0:
+    if "horizon" in real and grid.horizon <= 0:
         v.append(f"horizon must be positive, got {grid.horizon}")
-    elif grid.delta > 0 and not is_integer_ratio(grid.horizon, grid.delta):
-        v.append(
-            f"horizon/delta = {grid.horizon / grid.delta!r} is not a positive integer"
-        )
+    elif {"delta", "horizon"} <= real and grid.delta > 0:
+        if not is_integer_ratio(grid.horizon, grid.delta):
+            v.append(
+                f"horizon/delta = {grid.horizon / grid.delta!r} is not a "
+                "positive integer"
+            )
 
     # probe the initial segment at its grid points, if at most the cap of them
     if 0 < delay <= MAX_DELAY_STEPS:
@@ -219,7 +236,12 @@ def validate(
         except Exception as exc:
             v.append(f"initial segment not evaluable on [-tau, 0]: {exc!r}")
 
-    for seed, particles in segments:
+    for segment in segments:
+        try:
+            seed, particles = segment
+        except (TypeError, ValueError):
+            v.append(f"a segment must be a (seed, particles) pair, got {segment!r}")
+            continue
         try:
             check_seed(seed)
         except GridError as exc:

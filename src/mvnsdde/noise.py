@@ -13,17 +13,52 @@ one or more seeds side by side (:func:`stream_seeds`), so no full grid
 exists in memory.  :func:`generate` concatenates the stream into one array,
 the oracle the tests check streamed runs against, and :func:`coarsen` is
 the one coarsening rule.
+
+``ndtri``, the one scipy.special function the package uses, comes from
+scipy's ``_ufuncs`` extension alone (:func:`scipy_extension`), so the 51
+more modules and about 13 MiB of ``scipy.special``'s ``__init__`` never load.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
 import math
+import os
+import sys
+import types
 
 import numpy as np
+import scipy
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .errors import GridError
+
+# The directory of scipy's own subpackages.
+SCIPY_DIR = scipy.__path__[0]
+
+
+def scipy_extension(module: str, directory: str):
+    """scipy's extension ``module`` from ``directory``, loaded without its
+    package's ``__init__``: unless the package is loaded, a stub of it stands
+    in while the module and the siblings it imports relatively load.  A
+    module not in ``directory`` is an ImportError naming both."""
+    if importlib.machinery.PathFinder.find_spec(module, [directory]) is None:
+        raise ImportError(f"no extension module {module} in {directory}", name=module)
+    package = module.rpartition(".")[0]
+    if package in sys.modules:
+        return importlib.import_module(module)
+    stub = types.ModuleType(package)
+    stub.__path__ = [directory]
+    sys.modules[package] = stub
+    try:
+        return importlib.import_module(module)
+    finally:
+        del sys.modules[package]
+
+
+ndtri = scipy_extension(
+    "scipy.special._ufuncs", os.path.join(SCIPY_DIR, "special")
+).ndtri
 
 # Particle streams use key=[seed, particle] with particle < 2**63; auxiliary
 # streams (validation probes, sampling experiments) live in the high half so

@@ -320,6 +320,27 @@ class TestValidate:
             "a run needs at least one segment"
         ]
 
+    @pytest.mark.parametrize("segment", [5, (1, 2, 3)], ids=["int", "triple"])
+    def test_a_segment_not_a_pair_is_one_violation(self, segment):
+        report = validate(example51(), _params(), [segment, (314, 10), segment])
+        assert report == [
+            f"a segment must be a (seed, particles) pair, got {segment!r}"
+        ]
+
+    def test_segments_not_a_sequence_is_one_violation(self):
+        report = validate(example51(), _params(), 5)
+        assert report == ["a run's segments must be a sequence, got 5"]
+
+    def test_a_grid_field_not_a_real_number_is_one_violation(self):
+        # the checks that read delta are skipped; the others still run
+        report = validate(example51(), Grid("0.1", 2**-5, 0.5, 0.25), SEGMENT)
+        assert report == ["delta must be a real number, got '0.1'"]
+        report = validate(example51(), Grid(2**-11, None, 0.75, 0.25), SEGMENT)
+        assert report == [
+            "tau must be a real number, got None",
+            "alpha must lie in (0, 1/2], got 0.75",
+        ]
+
 
 # example51 with one callback of the wrong shape, each as one violation:
 # (model, the callback it names, the shape it gets, the shape it needs)

@@ -1,6 +1,10 @@
-"""Brownian stream generation and coarsening."""
+"""Brownian stream generation and coarsening, and the load of ``ndtri``."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,3 +232,49 @@ class TestSeedsPerBlock:
         assert seeds == 1 or chunk * seeds * particles * bm_dim <= budget
         more = noise.chunk_steps((seeds + 1) * particles, bm_dim, multiple)
         assert more < half or more * (seeds + 1) * particles * bm_dim > budget
+
+
+def _fresh(code: str) -> list[str]:
+    """The words a fresh interpreter prints after running ``code``."""
+    src = Path(noise.__file__).resolve().parent.parent
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+class TestNdtriLoad:
+    """``ndtri`` comes from scipy's ``_ufuncs`` alone, and is scipy's own."""
+
+    @pytest.mark.parametrize("first", ["scipy.special", "mvnsdde.noise"])
+    def test_is_scipys_own_ndtri_in_either_import_order(self, first):
+        code = (
+            f"import {first}, mvnsdde.noise, scipy.special\n"
+            "print(mvnsdde.noise.ndtri is scipy.special.ndtri)"
+        )
+        assert _fresh(code) == ["True"]
+
+    def test_missing_ufuncs_names_its_cause_and_leaves_no_stub(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
+        with pytest.raises(ImportError) as info:
+            noise.scipy_extension("scipy.special._ufuncs", str(tmp_path))
+        assert str(info.value) == (
+            f"no extension module scipy.special._ufuncs in {tmp_path}"
+        )
+        assert info.value.name == "scipy.special._ufuncs"
+        assert "scipy.special" not in sys.modules
+
+    def test_a_module_that_fails_to_load_leaves_no_stub(self, tmp_path, monkeypatch):
+        (tmp_path / "_ufuncs.py").write_text("raise ImportError('no ufuncs')\n")
+        monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
+        monkeypatch.delitem(sys.modules, "scipy.special._ufuncs", raising=False)
+        with pytest.raises(ImportError, match="no ufuncs"):
+            noise.scipy_extension("scipy.special._ufuncs", str(tmp_path))
+        assert "scipy.special" not in sys.modules
+        assert "scipy.special._ufuncs" not in sys.modules

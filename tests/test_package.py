@@ -84,3 +84,26 @@ def test_cli_import_leaves_heavy_modules_out():
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
     assert not any(loaded), [n for n, hit in zip(absent, loaded) if hit]
+
+
+def test_a_run_loads_ndtri_without_scipy_special(tmp_path):
+    # scipy.special's __init__ loads 51 more scipy modules and about 13 MiB;
+    # a lazy import of it anywhere in a run would move that cost into the work
+    root = Path(__file__).resolve().parent.parent
+    absent = ["scipy.special", "scipy.special._basic", "scipy._lib._array_api"]
+    code = (
+        "import json, sys\nimport mvnsdde.cli as cli\n"
+        f"cfg = cli.parse({str(root / 'configs' / 'simulate_small.cfg')!r}, "
+        f"{{'outdir': {str(tmp_path)!r}}})\n"
+        "assert cli.dispatch(cfg) == 0\n"
+        f"print(json.dumps([name in sys.modules for name in {absent!r}]))"
+    )
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])  # after the run's report
+    assert not any(loaded), [n for n, hit in zip(absent, loaded) if hit]
