@@ -43,18 +43,17 @@ class OverflowAbort(MvnsddeError, RuntimeError):
 
     Carries the step index at which the first non-finite coordinate appeared,
     the seed of the particle system it appeared in and that system's
-    offending particle indices (0-based).  ``prefix`` is ``None``, or the
-    grid of every row before that step when :func:`~mvnsdde.simulate` ran.
+    offending particle indices (0-based).  ``prefix`` is ``None``, or, when
+    :func:`~mvnsdde.simulate` ran, the :class:`~mvnsdde.ParticleGrid` that
+    recorded every row before that step.
     """
 
-    def __init__(self, step: int, particles: np.ndarray, seed: int | None = None):
+    def __init__(self, step: int, particles: np.ndarray, seed: int):
         self.step = int(step)
         self.particles = np.asarray(particles, dtype=np.int64)
         self.prefix = None
         self.seed = seed
         ids = ", ".join(str(p) for p in self.particles[:8])
         more = "..." if self.particles.size > 8 else ""
-        where = "" if seed is None else f"seed {seed}, "
-        super().__init__(
-            f"non-finite state at step {self.step} ({where}particles {ids}{more})"
-        )
+        where = f"seed {seed}, particles {ids}{more}"
+        super().__init__(f"non-finite state at step {self.step} ({where})")

@@ -320,7 +320,7 @@ def taming_comparison(
     and |x0| >= 3; smaller starting points stay subcritical.
     """
     grids = [Grid(delta, tau, alpha, horizon, taming) for taming in (True, False)]
-    moment, divergence = MomentMax(2), Divergence(particles)
+    moment, divergence = MomentMax(2), Divergence()
     coupled_pass(model, [(seed, particles)], grids, [moment, divergence])
     return TamingReport(
         tamed_max_moment=moment.value,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -90,43 +90,11 @@ def _same_bits(a: np.ndarray, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def validate(
-    model: ModelSpec, grid: Grid, segments: Sequence[tuple[int, int]]
-) -> list[str]:
-    """Every violated structural condition of one run, an empty list when
-    the run may start; never raises.
-
-    A run is a :class:`Grid` and its ``(seed, particles)`` segments.  The
-    model and the grid are checked once: the contraction modulus, the
-    growth power (at most ``MAX_GROWTH_POWER``, the error-exponent window),
-    the neutral map probes (zero at zero, contractivity on pairs drawn from
-    one fixed stream, so every seed gets the same verdict), the callbacks on
-    a probe batch of two one-row systems from that stream (float arrays of
-    shape (2, state_dim), and (2, state_dim, bm_dim) from ``diffusion``;
-    ``neutral`` pure; ``drift`` and ``diffusion`` giving each system the
-    bits of a call on it alone), grid integrality (tau/delta and
-    horizon/delta) and the step/exponent ranges, each range skipped when a
-    grid field it reads is not a real number.  Then each segment: a
-    ``(seed, particles)`` pair of integers.  A violation several segments
-    share is listed once.
-    """
-    try:
-        segments = tuple(segments)
-    except TypeError:
-        return [f"a run's segments must be a sequence, got {segments!r}"]
-    if not segments:
-        return ["a run needs at least one segment"]
+def _probe(model: ModelSpec, ok: set[str]) -> list[str]:
+    """The violations :func:`validate` finds by calling the callbacks of a
+    ``model`` with a valid ``state_dim``, skipping each probe that reads a
+    field not in ``ok`` (``contraction``, ``bm_dim``)."""
     v = []
-
-    lam = model.contraction
-    if not 0.0 < lam < 1.0:
-        v.append(f"contraction modulus must lie in (0, 1), got {lam}")
-    if not 0 <= model.growth_power <= MAX_GROWTH_POWER:
-        v.append(
-            f"growth power must lie in [0, {MAX_GROWTH_POWER:g}] (the window "
-            f"q <= p/(2(c+1)) at q = 2, p = 12), got {model.growth_power}"
-        )
-
     zero = np.zeros((1, model.state_dim))
     try:
         d0 = np.asarray(model.neutral(zero))
@@ -138,17 +106,19 @@ def validate(
     rng = derived_generator(0, _PROBE_TAG)
     y1 = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (_PROBE_PAIRS, model.state_dim))
     y2 = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (_PROBE_PAIRS, model.state_dim))
-    try:
-        gap = np.linalg.norm(model.neutral(y1) - model.neutral(y2), axis=1)
-        bound = lam * np.linalg.norm(y1 - y2, axis=1) + _PROBE_SLACK
-        bad = int(np.sum(gap > bound))
-        if bad:
-            v.append(
-                f"neutral map violates the stated contraction modulus "
-                f"{lam} on {bad}/{_PROBE_PAIRS} probe pairs"
-            )
-    except Exception as exc:
-        v.append(f"neutral map probe failed: {exc!r}")
+    if "contraction" in ok:
+        lam = model.contraction
+        try:
+            gap = np.linalg.norm(model.neutral(y1) - model.neutral(y2), axis=1)
+            bound = lam * np.linalg.norm(y1 - y2, axis=1) + _PROBE_SLACK
+            bad = int(np.sum(gap > bound))
+            if bad:
+                v.append(
+                    f"neutral map violates the stated contraction modulus "
+                    f"{lam} on {bad}/{_PROBE_PAIRS} probe pairs"
+                )
+        except Exception as exc:
+            v.append(f"neutral map probe failed: {exc!r}")
 
     # each callback on a probe batch of two one-row systems, then again, bit
     # for bit: neutral on the same batch, drift and diffusion on each system
@@ -169,6 +139,8 @@ def validate(
         ("drift", model.drift, state, alone, split),
         ("diffusion", model.diffusion, state + (model.bm_dim,), alone, split),
     ):
+        if name == "diffusion" and "bm_dim" not in ok:
+            continue
         try:
             out = call(x, y, mu)
             outs = [call(*args) for args in again]
@@ -187,18 +159,68 @@ def validate(
             f"{name} returned {got} on the probe batch, expected a float "
             f"array of shape {shape}"
         )
+    return v
 
-    real = set()
-    for name in ("delta", "tau", "alpha", "horizon"):
-        value = getattr(grid, name)
+
+def validate(
+    model: ModelSpec, grid: Grid, segments: Sequence[tuple[int, int]]
+) -> list[str]:
+    """Every violated structural condition of one run, an empty list when
+    the run may start; never raises.
+
+    A run is a :class:`Grid` and its ``(seed, particles)`` segments.  The
+    fields come first: ``state_dim`` and ``bm_dim`` must be integers >= 1
+    (not bools), ``contraction``, ``growth_power`` and the grid's fields
+    real numbers; each check and probe below that reads a bad field is
+    skipped.  The model and the grid are checked once: the contraction
+    modulus, the growth power (at most ``MAX_GROWTH_POWER``, the
+    error-exponent window), the neutral map probes (zero at zero,
+    contractivity on pairs drawn from one fixed stream, so every seed gets
+    the same verdict), the callbacks on a probe batch of two one-row
+    systems from that stream (float arrays of shape (2, state_dim), and
+    (2, state_dim, bm_dim) from ``diffusion``; ``neutral`` pure; ``drift``
+    and ``diffusion`` giving each system the bits of a call on it alone),
+    grid integrality (tau/delta and horizon/delta) and the step/exponent
+    ranges.  Then each segment: a ``(seed, particles)`` pair of integers.
+    A violation several segments share is listed once.
+    """
+    try:
+        segments = tuple(segments)
+    except TypeError:
+        return [f"a run's segments must be a sequence, got {segments!r}"]
+    if not segments:
+        return ["a run needs at least one segment"]
+    v, ok = [], set()  # ok: the fields of the right type, which checks read
+    for name in ("state_dim", "bm_dim"):
+        value = getattr(model, name)
+        if isinstance(value, Integral) and not isinstance(value, bool) and value > 0:
+            ok.add(name)
+        else:
+            v.append(f"{name} must be an integer >= 1, got {value!r}")
+    fields = [(model, "contraction"), (model, "growth_power")]
+    fields += [(grid, name) for name in ("delta", "tau", "alpha", "horizon")]
+    for owner, name in fields:
+        value = getattr(owner, name)
         if isinstance(value, Real):
-            real.add(name)
+            ok.add(name)
         else:
             v.append(f"{name} must be a real number, got {value!r}")
+
+    lam = model.contraction
+    if "contraction" in ok and not 0.0 < lam < 1.0:
+        v.append(f"contraction modulus must lie in (0, 1), got {lam}")
+    if "growth_power" in ok and not 0 <= model.growth_power <= MAX_GROWTH_POWER:
+        v.append(
+            f"growth power must lie in [0, {MAX_GROWTH_POWER:g}] (the window "
+            f"q <= p/(2(c+1)) at q = 2, p = 12), got {model.growth_power}"
+        )
+    if "state_dim" in ok:
+        v += _probe(model, ok)
+
     delay = 0.0
-    if "tau" in real and grid.tau <= 0:
+    if "tau" in ok and grid.tau <= 0:
         v.append(f"tau must be positive, got {grid.tau}")
-    if {"delta", "tau"} <= real:
+    if {"delta", "tau"} <= ok:
         if not 0.0 < grid.delta < min(1.0, grid.tau):
             v.append(
                 f"delta must lie in (0, min(1, tau)) = "
@@ -210,11 +232,11 @@ def validate(
         elif delay > MAX_DELAY_STEPS:
             cap = f"the cap of {MAX_DELAY_STEPS} steps"
             v.append(f"tau/delta = {delay!r} exceeds {cap}")
-    if "alpha" in real and not 0.0 < grid.alpha <= 0.5:
+    if "alpha" in ok and not 0.0 < grid.alpha <= 0.5:
         v.append(f"alpha must lie in (0, 1/2], got {grid.alpha}")
-    if "horizon" in real and grid.horizon <= 0:
+    if "horizon" in ok and grid.horizon <= 0:
         v.append(f"horizon must be positive, got {grid.horizon}")
-    elif {"delta", "horizon"} <= real and grid.delta > 0:
+    elif {"delta", "horizon"} <= ok and grid.delta > 0:
         if not is_integer_ratio(grid.horizon, grid.delta):
             v.append(
                 f"horizon/delta = {grid.horizon / grid.delta!r} is not a "
@@ -222,7 +244,7 @@ def validate(
             )
 
     # probe the initial segment at its grid points, if at most the cap of them
-    if 0 < delay <= MAX_DELAY_STEPS:
+    if "state_dim" in ok and 0 < delay <= MAX_DELAY_STEPS:
         n0 = grid.delay_steps
         try:
             for n in range(-n0, 1):

@@ -13,13 +13,14 @@ segments.  :func:`coupled_pass` runs segments at one or more grids, one
 :class:`Stepper` each, streaming their seeds' Brownian paths block by block.
 :func:`simulate` and :func:`simulate_terminal` are a pass over one grid
 and one segment, so the path follows from its seed, step and horizon.
+A record keeps what a run keeps besides its delay window; the grid
+:func:`simulate` returns is its :class:`ParticleGrid` record.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -71,25 +72,26 @@ def tame_drift(b_value: np.ndarray, delta: float, alpha: float) -> np.ndarray:
     return tamed
 
 
-@dataclass(frozen=True)
 class ParticleGrid:
-    """Piecewise-constant numerical solution on the full time grid.
+    """Piecewise-constant numerical solution on the full time grid: the
+    record that keeps every row of a run, allocated at the first row.
 
-    ``states`` has shape (delay_steps + total_steps + 1, particles,
-    state_dim); row i holds grid index n = i - delay_steps.  Rows for
-    n <= 0 are the sampled initial segment.
+    ``states`` are the rows recorded so far, shape (rows, particles,
+    state_dim); row i holds grid index n = i - delay_steps, and rows for
+    n <= 0 are the sampled initial segment.  After a finished run that is
+    the whole grid; after an :class:`OverflowAbort` it is the finite prefix
+    before the aborted step, whose row is never recorded.
     """
 
-    states: np.ndarray
-    grid: Grid
+    def __init__(self, grid: Grid):
+        self.grid, self.states = grid, None
 
-    @property
-    def particles(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def state_dim(self) -> int:
-        return self.states.shape[2]
+    def __call__(self, row: np.ndarray, index: int) -> None:
+        n0 = self.grid.delay_steps
+        if self.states is None:
+            self._rows = np.empty((n0 + self.grid.total_steps + 1, *row.shape))
+        self._rows[index + n0] = row
+        self.states = self._rows[: index + n0 + 1]
 
     @property
     def delay_steps(self) -> int:
@@ -109,16 +111,16 @@ class ParticleGrid:
         more.  The per-particle line tails are built once, so a block is one
         %-format of its states' texts.
         """
-        dim = self.state_dim
+        _, particles, dim = self.states.shape
         header = "t,particle," + ",".join(f"comp{i}" for i in range(dim))
         fh.write(header + "\n")
         values = ",".join(["%s"] * dim)
         # the leading b"" makes t.join(pieces) put t before every tail
         pieces = [b""] + [
-            f",{a + 1},{values}\n".encode() for a in range(self.particles)
+            f",{a + 1},{values}\n".encode() for a in range(particles)
         ]
         n0, delta = self.delay_steps, self.grid.delta
-        rows = max(1, BLOCK_VALUES // max(1, self.particles * dim))
+        rows = max(1, BLOCK_VALUES // max(1, particles * dim))
         for start in range(0, len(self.states), rows):
             block = self.states[start : start + rows]
             texts = tuple(g17_texts(block))
@@ -193,33 +195,22 @@ class MomentMax:
 
 class Divergence:
     """Record of the particles whose stepped state ever went non-finite or
-    exceeded :data:`DIVERGENCE_THRESHOLD` (``diverged``), and the first step
-    where one did (``first_step``); its run steps on past non-finite rows."""
+    exceeded :data:`DIVERGENCE_THRESHOLD` (``diverged``, a mask sized at the
+    first row), and the first step where one did (``first_step``); its run
+    steps on past non-finite rows."""
 
-    def __init__(self, particles: int):
-        self.diverged, self.first_step = np.zeros(particles, bool), None
+    def __init__(self):
+        self.diverged = self.first_step = None
 
     def __call__(self, row: np.ndarray, index: int) -> None:
+        if self.diverged is None:
+            self.diverged = np.zeros(len(row), bool)
         if index > 0:  # the initial segment is given, not stepped
             # a nan or inf coordinate makes the norm nan or inf
             bad = ~(np.linalg.norm(row, axis=1) <= DIVERGENCE_THRESHOLD)
             if bad.any() and self.first_step is None:
                 self.first_step = index
             self.diverged |= bad
-
-
-class GridRows:
-    """Record that copies every row of a run into its full grid (``states``),
-    allocated at the first row, once the run has validated."""
-
-    def __init__(self, grid: Grid):
-        self.grid, self.states = grid, None
-
-    def __call__(self, row: np.ndarray, index: int) -> None:
-        n0 = self.grid.delay_steps
-        if self.states is None:
-            self.states = np.empty((n0 + self.grid.total_steps + 1, *row.shape))
-        self.states[index + n0] = row
 
 
 class Stepper:
@@ -239,7 +230,7 @@ class Stepper:
     it is finished, in grid index order: the initial segment's rows in the
     constructor, after validation, then each stepped row right after its
     finiteness check.  The row is a view of the ring, so a record copies
-    what it keeps (:class:`GridRows`, :class:`MomentMax`,
+    what it keeps (:class:`ParticleGrid`, :class:`MomentMax`,
     :class:`Divergence`).  The first non-finite row raises
     :class:`OverflowAbort`, naming its segment's seed and that segment's
     offending particles, before it is recorded; a run whose record is a
@@ -371,20 +362,20 @@ def coupled_pass(
 
 
 def simulate(model: ModelSpec, grid: Grid, seed: int, particles: int) -> ParticleGrid:
-    """Run one system on the path of ``seed`` at ``grid``; keep every row.
+    """Run one system on the path of ``seed`` at ``grid``; return the
+    :class:`ParticleGrid` that recorded every row.
 
     Raises :class:`ValidationFailure` when the configuration violates the
     structural conditions, and :class:`OverflowAbort` when a state goes
-    non-finite; its ``prefix`` is then the grid of the rows before that step.
+    non-finite; its ``prefix`` is then that grid: the rows before that step.
     """
-    rows = GridRows(grid)
+    rows = ParticleGrid(grid)
     try:
         coupled_pass(model, [(seed, particles)], [grid], [rows])
     except OverflowAbort as abort:
-        finite = rows.states[: grid.delay_steps + abort.step]
-        abort.prefix = ParticleGrid(finite, grid)
+        abort.prefix = rows
         raise
-    return ParticleGrid(rows.states, grid)
+    return rows
 
 
 def simulate_terminal(model: ModelSpec, grid: Grid, seed: int, particles: int):

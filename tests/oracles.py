@@ -6,7 +6,7 @@ import numpy as np
 
 from mvnsdde import EmpiricalMeasure, ParticleGrid, ShapeError, Stepper
 from mvnsdde.model import ModelSpec
-from mvnsdde.scheme import GridRows, sample_moments
+from mvnsdde.scheme import sample_moments
 
 
 def run_on(model, grid, increments) -> ParticleGrid:
@@ -17,9 +17,19 @@ def run_on(model, grid, increments) -> ParticleGrid:
     ``increments`` is the whole (steps, particles, bm_dim) path, such as
     zeros, permuted columns or :func:`mvnsdde.generate`'s array.
     """
-    rows = GridRows(grid)
+    rows = ParticleGrid(grid)
     Stepper(model, grid, [(0, increments.shape[1])], record=rows).advance(increments)
-    return ParticleGrid(states=rows.states, grid=grid)
+    return rows
+
+
+def recorded(states, grid) -> ParticleGrid:
+    """The :class:`~mvnsdde.ParticleGrid` at ``grid`` that has recorded
+    ``states`` (rows, particles, dim) row by row, from grid index
+    -delay_steps on."""
+    rows = ParticleGrid(grid)
+    for i, row in enumerate(states):
+        rows(row, i - grid.delay_steps)
+    return rows
 
 
 def total_steps(grid: ParticleGrid) -> int:

@@ -64,6 +64,11 @@ class TestParse:
         with pytest.raises(Exception, match="valid keys"):
             parse(path, subcommand="simulate")
 
+    def test_unknown_override_lists_valid(self):
+        match = r"^unknown config key 'nope'; valid keys: a_coef, alpha, "
+        with pytest.raises(ConfigError, match=match):
+            parse(None, {"nope": 1}, "simulate")
+
     def test_repeated_key_names_both_lines(self, tmp_path):
         path = write_cfg(tmp_path, "seed = 1\n# later\nseed = 2\n")
         with pytest.raises(ConfigError, match=r":3: key 'seed' already set on line 1"):
@@ -204,6 +209,27 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([*argv, "--outdir", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("taming = maybe", "bad value for 'taming': not a boolean: 'maybe'"),
+            (
+                "particles = many",
+                "bad value for 'particles': invalid literal for int() with base 10",
+            ),
+            ("just text", "{path}:3: expected 'key = value', got 'just text'"),
+        ],
+        ids=["boolean", "integer", "no_key"],
+    )
+    def test_bad_config_line_refused_before_echo(
+        self, tmp_path, capsys, line, message
+    ):
+        path = write_cfg(tmp_path, f"subcommand = simulate\nseed = 1\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--outdir", str(out)]) == 1
+        assert f"error: {message.format(path=path)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_mc_reps_writes_no_table(self, tmp_path, capsys):

@@ -17,7 +17,6 @@ from mvnsdde import (
     ExperimentReport,
     Grid,
     GridError,
-    ParticleGrid,
     ValidationFailure,
     chaos_error_vs_particles,
     cubic_no_mf,
@@ -32,7 +31,7 @@ from mvnsdde import (
     strong_error_vs_dt,
     taming_comparison,
 )
-from oracles import moment_monitor
+from oracles import moment_monitor, recorded
 
 
 def forbidden(*args, **kwargs):
@@ -252,7 +251,7 @@ class TestChaosErrorVsParticles:
 def _constant_grid(value, particles=3, rows=5, dim=1):
     states = np.full((rows, particles, dim), float(value))
     params = Grid(delta=0.25, tau=0.25, alpha=0.5, horizon=(rows - 2) * 0.25)
-    return ParticleGrid(states=states, grid=params)
+    return recorded(states, params)
 
 
 class TestMomentMonitor:

@@ -19,7 +19,6 @@ from mvnsdde import (
     CapacityError,
     EmpiricalMeasure,
     Grid,
-    ParticleGrid,
     ShapeError,
     w2_assignment,
     w2sq_to_standard_normal_1d,
@@ -27,7 +26,7 @@ from mvnsdde import (
 import mvnsdde
 from mvnsdde import measure
 from mvnsdde.noise import derived_generator
-from oracles import column, one_system, w2_1d
+from oracles import column, one_system, recorded, w2_1d
 
 
 def rng(tag=0):
@@ -387,7 +386,7 @@ def _tiny_grid(states):
     params = Grid(
         delta=0.25, tau=0.25, alpha=0.5, horizon=(states.shape[0] - 2) * 0.25
     )
-    return ParticleGrid(states=states, grid=params)
+    return recorded(states, params)
 
 
 class TestMeasureFromColumn:

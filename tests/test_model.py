@@ -21,6 +21,7 @@ from mvnsdde import (
     example51,
     linear_meanfield,
     simulate,
+    simulate_terminal,
     validate,
 )
 from mvnsdde.model import MODELS
@@ -330,6 +331,56 @@ class TestValidate:
     def test_segments_not_a_sequence_is_one_violation(self):
         report = validate(example51(), _params(), 5)
         assert report == ["a run's segments must be a sequence, got 5"]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("contraction", "x", "contraction must be a real number, got 'x'"),
+            ("growth_power", None, "growth_power must be a real number, got None"),
+            ("state_dim", "1", "state_dim must be an integer >= 1, got '1'"),
+            ("state_dim", True, "state_dim must be an integer >= 1, got True"),
+        ],
+        ids=["contraction_str", "growth_power_none", "state_dim_str", "state_dim_bool"],
+    )
+    def test_a_model_field_of_the_wrong_type_is_one_violation(
+        self, field, value, message
+    ):
+        # the checks and probes that read the field are skipped
+        model = dataclasses.replace(example51(), **{field: value})
+        assert validate(model, _params(), SEGMENT) == [message]
+
+    def test_a_model_without_noise_is_refused_before_any_draw(self, monkeypatch):
+        model = dataclasses.replace(
+            example51(), bm_dim=0, diffusion=lambda x, y, mu: np.zeros(x.shape + (0,))
+        )
+        message = "bm_dim must be an integer >= 1, got 0"
+        assert validate(model, _params(), SEGMENT) == [message]
+        _forbid_draws(monkeypatch)
+        with pytest.raises(ValidationFailure, match=message):
+            simulate_terminal(model, _params(), *SEGMENT[0])
+
+    @pytest.mark.parametrize(
+        "field, value", [("tau", -0.5), ("horizon", -1.0)], ids=["tau", "horizon"]
+    )
+    def test_a_negative_time_is_a_violation(self, field, value):
+        report = validate(example51(), _params(**{field: value}), SEGMENT)
+        assert f"{field} must be positive, got {value}" in report
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("neutral", "neutral map failed at zero: "),
+            ("initial_segment", "initial segment not evaluable on [-tau, 0]: "),
+        ],
+        ids=["neutral", "initial_segment"],
+    )
+    def test_a_raising_callback_is_a_violation(self, field, message):
+        def fails(*args):
+            raise RuntimeError("no value here")
+
+        model = dataclasses.replace(example51(), **{field: fails})
+        report = validate(model, _params(), SEGMENT)
+        assert f"{message}RuntimeError('no value here')" in report
 
     def test_a_grid_field_not_a_real_number_is_one_violation(self):
         # the checks that read delta are skipped; the others still run

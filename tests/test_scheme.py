@@ -33,9 +33,10 @@ from mvnsdde import (
 from mvnsdde._g17 import BLOCK_VALUES
 from mvnsdde.model import ModelSpec
 from mvnsdde.noise import chunk_steps
-from mvnsdde.scheme import Divergence, GridRows, MomentMax, coupled_pass
+from mvnsdde.scheme import Divergence, MomentMax, coupled_pass
 from oracles import (
-    column, moment_monitor, one_system, planar_meanfield, run_on, total_steps,
+    column, moment_monitor, one_system, planar_meanfield, recorded, run_on,
+    total_steps,
 )
 
 
@@ -376,7 +377,7 @@ class TestStepper:
     def test_resumes_across_any_block_split(self, cuts):
         model, params, segment, noise = self._setup()
         whole = simulate(model, params, *segment)
-        rows = GridRows(params)
+        rows = ParticleGrid(params)
         run = Stepper(model, params, [segment], record=rows)
         edges = [0] + sorted(cuts) + [params.total_steps]
         for a, b in zip(edges, edges[1:]):
@@ -496,7 +497,7 @@ class TestRecord:
             run.advance(increments)
         assert info.value.step == 2
         assert seen == [-2, -1, 0, 1]
-        divergence = Divergence(4)
+        divergence = Divergence()
         run = Stepper(model, params, [self.SEGMENT], record=divergence)
         run.advance(increments)
         assert run.steps_done == 4
@@ -529,7 +530,7 @@ class TestSegments:
 
     def test_a_run_of_several_segments_takes_a_record(self):
         model = example51()
-        rows = GridRows(self.GRID)
+        rows = ParticleGrid(self.GRID)
         run = Stepper(model, self.GRID, self.SEGMENTS, record=rows)
         run.advance(np.concatenate(self._paths(), axis=1))
         for (start, stop), seg in zip(run.bounds, self.SEGMENTS):
@@ -624,7 +625,7 @@ class TestTwoDimensional:
     def test_coarse_run_sees_the_coarsened_path(self):
         model, fine = planar_meanfield(), self._params()
         coarse = self._params(delta=2.0**-6)
-        rows = GridRows(coarse)
+        rows = ParticleGrid(coarse)
         coupled_pass(model, [self.SEGMENT], [fine, coarse], [None, rows])
         noise = generate(*self.SEGMENT, 2, fine.delta, 1.0)
         alone = run_on(model, coarse, coarsen(noise, 2))
@@ -661,7 +662,7 @@ class TestOverflow:
 
     def test_tracked_run_reports_divergence(self):
         model, params = self._setup(taming=False)
-        divergence = Divergence(20)
+        divergence = Divergence()
         coupled_pass(model, [(11, 20)], [params], [divergence])
         assert divergence.diverged.mean() == 1.0
         assert divergence.first_step is not None
@@ -706,13 +707,13 @@ class TestCsvExport:
 
 def reference_csv_text(grid):
     """The line-by-line f-string export that ``write_csv`` replaced."""
-    dim = grid.state_dim
+    _, particles, dim = grid.states.shape
     header = "t,particle," + ",".join(f"comp{i}" for i in range(dim))
     lines = [header]
     n0 = grid.delay_steps
     for row_i in range(grid.states.shape[0]):
         t = (row_i - n0) * grid.grid.delta
-        for a in range(grid.particles):
+        for a in range(particles):
             vals = ",".join(f"{x:.17g}" for x in grid.states[row_i, a])
             lines.append(f"{t:.17g},{a + 1},{vals}")
     return "\n".join(lines) + "\n"
@@ -753,7 +754,7 @@ class TestStreamingExport:
             delta=delta, tau=delay_steps * delta, alpha=0.5,
             horizon=total_steps * delta,
         )
-        grid = ParticleGrid(states=bits.view(np.float64), grid=params)
+        grid = recorded(bits.view(np.float64), params)
         assert grid.delay_steps == delay_steps
         buf = io.StringIO()
         grid.write_csv(buf)
@@ -765,7 +766,7 @@ class TestStreamingExport:
         for particles, dim, rows in ((3, 2, 1500), (700, 3, 5), (5000, 1, 3)):
             params = Grid(delta=0.5, tau=0.5, alpha=0.5, horizon=(rows - 2) * 0.5)
             states = np.arange(rows * particles * dim, dtype=np.float64)
-            grid = ParticleGrid(states.reshape(rows, particles, dim), params)
+            grid = recorded(states.reshape(rows, particles, dim), params)
             writes = []
 
             class Recorder:
@@ -793,5 +794,5 @@ class TestStreamingExport:
         params = Grid(
             delta=2.0**-7, tau=3 * 2.0**-7, alpha=0.5, horizon=5 * 2.0**-7
         )
-        grid = ParticleGrid(states=states, grid=params)
+        grid = recorded(states, params)
         assert _csv_text(grid) == reference_csv_text(grid)
