@@ -2,8 +2,9 @@
 
 :class:`RunConfig` lists every config key with its type and default; the
 file parser, the ``--flags`` and the echo are derived from its fields.
-``READS`` lists the keys each subcommand reads; any other key must keep its
-default.
+``READS``, the keys each subcommand reads, are the parameters of the
+function it runs (``RUNS``); any other key must keep its default.
+:func:`parse` refuses every unusable key or value before anything is written.
 Config files are flat ``key = value`` text (``#`` comments, lists as
 comma-separated values), flags override file values, and the resolved
 config is echoed to ``<outdir>/config.echo``, which reruns the same job.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 from dataclasses import dataclass
@@ -28,14 +30,14 @@ from .experiments import (
     Stopwatch,
     chaos_error_vs_particles,
     check_at_least,
-    check_dim,
+    check_rate_sizes,
     check_sizes,
     empirical_measure_rate,
     strong_error_vs_dt,
     taming_comparison,
     write_summary,
 )
-from .model import MODELS, Grid, build_model, validate
+from .model import MODELS, Grid, build_model, model_keys, validate
 from .noise import check_seed
 from .scheme import simulate
 
@@ -78,30 +80,26 @@ class RunConfig:
 
 GRID_KEYS = tuple(f.name for f in dataclasses.fields(Grid))
 
-# The keys each subcommand passes by name to the function it runs: besides
-# ``subcommand`` and ``outdir``, the only keys its run reads.  ``model``
-# passes the model built from the keys it takes (``model.MODELS``), and
-# simulate and validate pass their grid keys as one Grid (validate its seed
-# and particles as one segment).  A key outside the run's keys must keep its
-# default; validate checks configs written for every subcommand, so it
-# accepts every key.
-READS = {
-    "simulate": ("model", *GRID_KEYS, "seed", "particles"),
-    "convergence-dt": (
-        "model", "particles", "delta_ref", "deltas", "tau", "alpha",
-        "horizon", "seed", "taming", "replicates",
-    ),
-    "convergence-particles": (
-        "model", "xis", "delta", "tau", "alpha", "horizon", "seed", "taming",
-        "replicates",
-    ),
-    "taming-compare": (
-        "model", "delta", "particles", "tau", "horizon", "seed", "alpha",
-    ),
-    "empirical-rate": ("dim", "xis", "mc_reps", "seed"),
-    "validate": ("model", *GRID_KEYS, "seed", "particles"),
+# The function each subcommand runs.  Its parameters, read at import before
+# any caller rebinds a name, are the keys the run reads (``READS``): ``grid``
+# stands for the Grid keys, ``segments`` for seed and particles, ``model`` for
+# the model and its factory's keys (``model_keys``).  validate checks configs
+# written for every subcommand, so it accepts every key.
+RUNS = {
+    "simulate": simulate,
+    "convergence-dt": strong_error_vs_dt,
+    "convergence-particles": chaos_error_vs_particles,
+    "taming-compare": taming_comparison,
+    "empirical-rate": empirical_measure_rate,
+    "validate": validate,
 }
-SUBCOMMANDS = tuple(READS)
+SUBCOMMANDS = tuple(RUNS)
+_STANDS_FOR = {"grid": GRID_KEYS, "segments": ("seed", "particles")}
+READS = {
+    sub: tuple(key for name in inspect.signature(run).parameters
+               for key in _STANDS_FOR.get(name, (name,)))
+    for sub, run in RUNS.items()
+}
 
 
 def _int(raw) -> int:
@@ -192,7 +190,8 @@ def parse(
     config_path=None, overrides: dict | None = None, subcommand: str | None = None
 ) -> RunConfig:
     """Resolve defaults, config file, and command-line overrides (in that
-    order of increasing precedence) into a fully explicit RunConfig."""
+    order of increasing precedence) into a fully explicit RunConfig, or
+    refuse a key the run does not read or a value no run can use."""
     values = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     if config_path is not None:
         values.update(_read_config_file(config_path))
@@ -215,74 +214,64 @@ def parse(
             )
     if values["seed"] is None:
         raise ConfigError("missing seed: every run must set one explicitly")
+    subcommand = values["subcommand"]
+    if subcommand == "taming-compare" and values["model"] != "cubic_no_mf":
+        raise ConfigError(
+            f"taming-compare runs only model cubic_no_mf, got {values['model']!r}"
+        )
+    reads = READS[subcommand]
+    if "model" in reads:
+        reads += model_keys(values["model"])
+    for f in dataclasses.fields(RunConfig):
+        value = values[f.name]
+        unread = f.name not in reads + ("subcommand", "outdir")
+        if unread and value != f.default and subcommand != "validate":
+            raise ConfigError(
+                f"{subcommand} does not read key {f.name!r} (set to "
+                f"{value!r}); it reads: {', '.join(reads)}"
+            )
     check_seed(values["seed"])
     check_at_least("particles", values["particles"], 1)
     check_sizes("delta_ref", [values["delta_ref"]])
     for key in ("deltas", "xis"):
         check_sizes(key, values[key])
+    check_at_least("replicates", values["replicates"], 1)
+    check_at_least("mc_reps", values["mc_reps"], 0)
+    check_rate_sizes(values["dim"], values["xis"])
     if values["outdir"] is None:
         values["outdir"] = os.environ.get(OUTDIR_ENV, "out")
     return RunConfig(**values)
 
 
-def _arguments(cfg: RunConfig) -> dict:
-    """The keys the run of ``cfg`` reads (``READS``), with their values.
-
-    Any other key set off its default is a :class:`ConfigError`; validate
-    accepts every key, and checks the studies' keys as the studies do.
-    """
-    reads = READS[cfg.subcommand]
-    if "model" in reads:
-        reads += MODELS[cfg.model][1]
-    if cfg.subcommand == "validate":
-        check_at_least("replicates", cfg.replicates, 1)
-        check_dim(cfg.dim)
-        check_at_least("mc_reps", cfg.mc_reps, 0)
-    else:
-        for f in dataclasses.fields(RunConfig):
-            value = getattr(cfg, f.name)
-            if f.name in reads + ("subcommand", "outdir") or value == f.default:
-                continue
-            raise ConfigError(
-                f"{cfg.subcommand} does not read key {f.name!r} (set to "
-                f"{value!r}); it reads: {', '.join(reads)}"
-            )
-    return {key: getattr(cfg, key) for key in reads}
+def _argument(cfg: RunConfig, name: str):
+    """The value of a run function's parameter ``name``: the config key of
+    that name, or the object built from the keys it stands for."""
+    if name == "model":
+        keys = model_keys(cfg.model)
+        return build_model(cfg.model, **{key: getattr(cfg, key) for key in keys})
+    if name == "grid":
+        return Grid(**{key: getattr(cfg, key) for key in GRID_KEYS})
+    if name == "segments":
+        return [(cfg.seed, cfg.particles)]
+    return getattr(cfg, name)
 
 
 def dispatch(cfg: RunConfig) -> int:
-    """Run one subcommand; outputs land in the config's output directory.
+    """Run the subcommand of ``cfg``, a config from :func:`parse`; outputs,
+    ``config.echo`` first, land in the config's output directory.
 
-    A key set off its default that the run does not read is refused
-    before anything is written.
+    The run calls the function bound at its module-level name when it
+    starts, so a rebinding of that name (a tracer's) takes effect.
     """
-    if cfg.subcommand == "taming-compare" and cfg.model != "cubic_no_mf":
-        raise ConfigError(
-            f"taming-compare runs only model cubic_no_mf, got {cfg.model!r}"
-        )
-    args = _arguments(cfg)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.echo").write_text(echo_text(cfg))
 
-    if "model" in args:
-        keys = {key: args.pop(key) for key in MODELS[cfg.model][1]}
-        args["model"] = build_model(cfg.model, **keys)
-    if cfg.subcommand in ("simulate", "validate"):
-        args["grid"] = Grid(**{key: args.pop(key) for key in GRID_KEYS})
-        if cfg.subcommand == "validate":
-            args["segments"] = [(args.pop("seed"), args.pop("particles"))]
-    run = {
-        "simulate": simulate,
-        "convergence-dt": strong_error_vs_dt,
-        "convergence-particles": chaos_error_vs_particles,
-        "taming-compare": taming_comparison,
-        "empirical-rate": empirical_measure_rate,
-        "validate": validate,
-    }[cfg.subcommand]
+    run = RUNS[cfg.subcommand]
+    args = {name: _argument(cfg, name) for name in inspect.signature(run).parameters}
     try:
         with Stopwatch() as sw:
-            result = run(**args)
+            result = globals()[run.__name__](**args)
     except OverflowAbort as abort:
         if abort.prefix is not None:
             abort.prefix.to_csv(outdir / "grid.partial.csv")

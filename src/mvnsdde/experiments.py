@@ -333,9 +333,13 @@ def taming_comparison(
     )
 
 
-def check_dim(dim: int) -> None:
+def check_rate_sizes(dim: int, xis) -> None:
+    """The rate study's dims, 1 and 5, and at dim 5 its cap on the sizes
+    ``xis``, a list :func:`check_sizes` has passed."""
     if dim not in W2SQ_RATE:
         raise ConfigError(f"supported dims are 1 and 5, got {dim}")
+    if dim == 5 and max(xis) > ASSIGNMENT_CAP:
+        raise CapacityError(f"size {max(xis)} exceeds assignment cap {ASSIGNMENT_CAP}")
 
 
 def empirical_measure_rate(
@@ -352,13 +356,9 @@ def empirical_measure_rate(
     rms_error column holds the mean squared distance; stderr is its Monte
     Carlo standard error over the repetitions.
     """
-    check_dim(dim)
     xis = check_sizes("xis", xis)
     check_at_least("mc_reps", mc_reps, 0)
-    if dim == 5 and xis[-1] > ASSIGNMENT_CAP:
-        raise CapacityError(
-            f"size {xis[-1]} exceeds assignment cap {ASSIGNMENT_CAP}"
-        )
+    check_rate_sizes(dim, xis)
     rng = derived_generator(seed, _RATE_TAG + dim)
     rows = []
     if mc_reps == 0:

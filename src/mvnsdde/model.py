@@ -21,6 +21,7 @@ alone, bit for bit.  Callbacks must be pure: the integrator computes
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -374,19 +375,20 @@ def cubic_no_mf(x0: float = 0.0) -> ModelSpec:
     return _cubic_model("cubic_no_mf", drift, lambda t: np.array([x0]))
 
 
-# Each built-in model by CLI name: its factory and the config keys it takes.
-MODELS = {
-    "example51": (example51, ()),
-    "linear_meanfield": (linear_meanfield, ("a_coef", "b_coef", "sigma0", "x0")),
-    "cubic_no_mf": (cubic_no_mf, ("x0",)),
-}
+# Each built-in model's factory by CLI name.
+MODELS = {f.__name__: f for f in (example51, linear_meanfield, cubic_no_mf)}
+
+
+def model_keys(name: str) -> tuple[str, ...]:
+    """The config keys model ``name`` takes: its factory's parameters."""
+    return tuple(inspect.signature(MODELS[name]).parameters)
 
 
 def build_model(name: str, **keys) -> ModelSpec:
     """Construct a built-in model by CLI name from the keys it takes
-    (``MODELS``); a key left out takes the factory's default."""
+    (``model_keys``); a key left out takes the factory's default."""
     if name not in MODELS:
         raise ConfigError(
             f"unknown model {name!r}; valid models: {', '.join(MODELS)}"
         )
-    return MODELS[name][0](**keys)
+    return MODELS[name](**keys)

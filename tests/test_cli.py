@@ -16,8 +16,10 @@ from mvnsdde import (
     cubic_no_mf, example51, experiments, moment_bound_vs_dt, noise,
     taming_comparison,
 )
+from mvnsdde import cli
 from mvnsdde.cli import RunConfig, echo_text, main, parse
 from mvnsdde.errors import ConfigError
+from mvnsdde.model import MODELS, Grid, model_keys
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -203,6 +205,24 @@ class TestExitCodes:
             (["validate", "--seed", "1", "--xis=-3"], "sizes must be >= 1, got -3"),
             (["validate", "--seed", "1", "--xis", "4,4"], "sizes must be distinct"),
             (["validate", "--seed", "1", "--mc-reps=-5"], "mc_reps must be >= 0"),
+            (
+                ["convergence-dt", "--seed", "1", "--replicates", "0"],
+                "replicates must be >= 1, got 0",
+            ),
+            (
+                ["convergence-particles", "--seed", "1", "--replicates", "0"],
+                "replicates must be >= 1, got 0",
+            ),
+            (["empirical-rate", "--seed", "1", "--mc-reps=-1"], "mc_reps must be >= 0, got -1"),
+            (["empirical-rate", "--seed", "1", "--dim", "3"], "supported dims are 1 and 5, got 3"),
+            (
+                ["empirical-rate", "--seed", "1", "--dim", "5", "--xis", "16,1024"],
+                "size 1024 exceeds assignment cap 512",
+            ),
+            (
+                ["validate", "--seed", "1", "--dim", "5", "--xis", "16,1024"],
+                "size 1024 exceeds assignment cap 512",
+            ),
         ],
     )
     def test_refused_before_echo(self, tmp_path, capsys, argv, message):
@@ -500,6 +520,87 @@ class TestUnreadKeys:
             for out in (out1, out2)
         ]
         assert reports[0]["report"] == reports[1]["report"]
+
+
+class TestRunDeclaration:
+    """Each subcommand is declared once, by the function it runs: its keys
+    are that function's parameters, and dispatch calls it by name."""
+
+    def test_reads_are_the_run_parameters(self):
+        grid = ("delta", "tau", "alpha", "horizon", "taming")
+        assert cli.READS == {
+            "simulate": ("model", *grid, "seed", "particles"),
+            "convergence-dt": (
+                "model", "particles", "delta_ref", "deltas", "tau", "alpha",
+                "horizon", "seed", "taming", "replicates",
+            ),
+            "convergence-particles": (
+                "model", "xis", "delta", "tau", "alpha", "horizon", "seed",
+                "taming", "replicates",
+            ),
+            "taming-compare": (
+                "model", "delta", "particles", "tau", "horizon", "seed", "alpha",
+            ),
+            "empirical-rate": ("dim", "xis", "mc_reps", "seed"),
+            "validate": ("model", *grid, "seed", "particles"),
+        }
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert {key for keys in cli.READS.values() for key in keys} <= fields
+
+    def test_model_keys_are_the_factory_parameters(self):
+        assert [model_keys(name) for name in MODELS] == [
+            (), ("a_coef", "b_coef", "sigma0", "x0"), ("x0",),
+        ]
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert {key for name in MODELS for key in model_keys(name)} <= fields
+
+    @pytest.mark.parametrize(
+        "subcommand, name, parameters",
+        [
+            ("simulate", "simulate", ["model", "grid", "seed", "particles"]),
+            (
+                "convergence-dt", "strong_error_vs_dt",
+                ["model", "particles", "delta_ref", "deltas", "tau", "alpha",
+                 "horizon", "seed", "taming", "replicates"],
+            ),
+            (
+                "convergence-particles", "chaos_error_vs_particles",
+                ["model", "xis", "delta", "tau", "alpha", "horizon", "seed",
+                 "taming", "replicates"],
+            ),
+            (
+                "taming-compare", "taming_comparison",
+                ["model", "delta", "particles", "tau", "horizon", "seed", "alpha"],
+            ),
+            ("empirical-rate", "empirical_measure_rate", ["dim", "xis", "mc_reps", "seed"]),
+            ("validate", "validate", ["model", "grid", "segments"]),
+        ],
+    )
+    def test_dispatch_calls_the_name_bound_at_run_time(
+        self, tmp_path, monkeypatch, subcommand, name, parameters
+    ):
+        calls = []
+
+        class Called(Exception):
+            pass
+
+        def recorder(**kwargs):
+            calls.append(kwargs)
+            raise Called
+
+        monkeypatch.setattr(cli, name, recorder)
+        model = "cubic_no_mf" if subcommand == "taming-compare" else "example51"
+        overrides = {"seed": 9, "model": model, "outdir": str(tmp_path)}
+        with pytest.raises(Called):
+            cli.dispatch(parse(None, overrides, subcommand))
+        assert [list(kwargs) for kwargs in calls] == [parameters]
+        args = calls[0]
+        if "model" in args:
+            assert args["model"].name == model
+        if "grid" in args:
+            assert args["grid"] == Grid(2.0**-11, 2.0**-5, 0.5, 1.0, True)
+        if "segments" in args:
+            assert args["segments"] == [(9, 1000)]
 
 
 class TestRefusedInAFreshProcess:

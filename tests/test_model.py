@@ -164,7 +164,7 @@ class TestCallbackContract:
 
     @pytest.mark.parametrize(
         "model",
-        [factory() for factory, _ in MODELS.values()] + [planar_meanfield()],
+        [factory() for factory in MODELS.values()] + [planar_meanfield()],
         ids=lambda model: model.name,
     )
     def test_two_systems_equal_each_system_alone(self, model):
@@ -420,7 +420,7 @@ class TestCallbackShapes:
 
     @pytest.mark.parametrize(
         "model",
-        [factory() for factory, _ in MODELS.values()] + [planar_meanfield()],
+        [factory() for factory in MODELS.values()] + [planar_meanfield()],
         ids=lambda model: model.name,
     )
     def test_well_shaped_models_pass(self, model):
