@@ -19,6 +19,7 @@ import dataclasses
 import inspect
 import os
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,12 +28,12 @@ from .experiments import (
     D5_PROXY_NOTE,
     W2SQ_RATE,
     ExperimentReport,
-    Stopwatch,
     chaos_error_vs_particles,
     check_at_least,
     check_rate_sizes,
     check_sizes,
     empirical_measure_rate,
+    peak_rss_mb,
     strong_error_vs_dt,
     taming_comparison,
     write_summary,
@@ -269,9 +270,9 @@ def dispatch(cfg: RunConfig) -> int:
 
     run = RUNS[cfg.subcommand]
     args = {name: _argument(cfg, name) for name in inspect.signature(run).parameters}
+    t0 = time.perf_counter()
     try:
-        with Stopwatch() as sw:
-            result = globals()[run.__name__](**args)
+        result = globals()[run.__name__](**args)
     except OverflowAbort as abort:
         if abort.prefix is not None:
             abort.prefix.to_csv(outdir / "grid.partial.csv")
@@ -280,6 +281,7 @@ def dispatch(cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
         raise
+    seconds, peak_mb = time.perf_counter() - t0, peak_rss_mb()
 
     if cfg.subcommand == "validate":
         print("\n".join(f"violation: {v}" for v in result) or "ok")
@@ -292,7 +294,7 @@ def dispatch(cfg: RunConfig) -> int:
     if cfg.subcommand == "taming-compare":
         write_summary(
             outdir / f"{name}.summary.json", name, dataclasses.asdict(cfg),
-            sw.seconds, sw.peak_rss_mb, report=dataclasses.asdict(result),
+            seconds, peak_mb, report=dataclasses.asdict(result),
         )
         print(
             f"untamed divergence fraction = "
@@ -315,9 +317,8 @@ def dispatch(cfg: RunConfig) -> int:
         ),
     }[cfg.subcommand]
     report = ExperimentReport(
-        name, dataclasses.asdict(cfg), result, sw.seconds,
-        reference_slope=reference_slope, notes=notes,
-        peak_rss_mb=sw.peak_rss_mb,
+        name, dataclasses.asdict(cfg), result, seconds,
+        reference_slope=reference_slope, notes=notes, peak_rss_mb=peak_mb,
     )
     report.write(outdir)
     if report.slope is None:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import resource
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -460,30 +459,16 @@ class ExperimentReport:
             fh.write(self.gnuplot_text())
 
 
-def _peak_rss_kib() -> int:
-    """The process's peak resident set size in KiB: ``VmHWM`` where
-    /proc/self/status exists, else ``ru_maxrss``.  On Linux a process started
-    by vfork+exec (``subprocess``) inherits its parent's ``ru_maxrss``, while
-    ``VmHWM`` is the peak of its own address space."""
+def peak_rss_mb() -> float:
+    """The process's peak resident set size in MiB, everything up to now:
+    ``VmHWM`` where /proc/self/status exists, else ``ru_maxrss``.  On Linux a
+    process started by vfork+exec (``subprocess``) inherits its parent's
+    ``ru_maxrss``, while ``VmHWM`` is the peak of its own address space."""
     try:
         with open("/proc/self/status") as fh:
             for line in fh:
                 if line.startswith("VmHWM:"):
-                    return int(line.split()[1])
+                    return int(line.split()[1]) / 1024
     except OSError:
         pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-
-class Stopwatch:
-    """Wall-clock timer for experiment reports; also reads the process's
-    peak resident set size (MiB, everything up to the exit) as peak_rss_mb."""
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self._t0
-        self.peak_rss_mb = _peak_rss_kib() / 1024
-        return False
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -46,6 +46,7 @@ _SOLVER_DIR = os.path.join(SCIPY_DIR, "optimize")
 
 _QUANTILE_CLIP = 1e-12  # keeps the inverse normal CDF finite at cell edges
 _NORMAL_NODES = 64  # Gauss-Legendre nodes per quantile cell
+_CELL_BLOCK = 4096  # quantile cells per quadrature block: 8 MiB of nodes
 
 
 class EmpiricalMeasure:
@@ -146,17 +147,20 @@ def _normal_cell_moments(size: int):
 
     Returns (a, b) with a_i = integral of ndtri(u) and b_i = integral of
     ndtri(u)^2 over the i-th cell ((i-1)/size, i/size), by Gauss-Legendre
-    quadrature with ``_NORMAL_NODES`` points per cell.
+    quadrature with ``_NORMAL_NODES`` points per cell.  The cells are summed
+    ``_CELL_BLOCK`` at a time, so the node arrays stay bounded.
     """
     x, w = np.polynomial.legendre.leggauss(_NORMAL_NODES)
     edges = np.linspace(0.0, 1.0, size + 1)
-    lo = edges[:-1, None]
-    hi = edges[1:, None]
-    u = lo + (x[None, :] + 1.0) * 0.5 * (hi - lo)
-    ww = w[None, :] * 0.5 * (hi - lo)
-    q = ndtri(np.clip(u, _QUANTILE_CLIP, 1.0 - _QUANTILE_CLIP))
-    a = (ww * q).sum(axis=1)
-    b = (ww * q * q).sum(axis=1)
+    a, b = np.empty(size), np.empty(size)
+    for start in range(0, size, _CELL_BLOCK):
+        stop = min(start + _CELL_BLOCK, size)
+        lo, hi = edges[start:stop, None], edges[start + 1 : stop + 1, None]
+        u = lo + (x[None, :] + 1.0) * 0.5 * (hi - lo)
+        ww = w[None, :] * 0.5 * (hi - lo)
+        q = ndtri(np.clip(u, _QUANTILE_CLIP, 1.0 - _QUANTILE_CLIP))
+        a[start:stop] = (ww * q).sum(axis=1)
+        b[start:stop] = (ww * q * q).sum(axis=1)
     a.flags.writeable = False
     b.flags.writeable = False
     return a, b

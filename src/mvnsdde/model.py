@@ -91,10 +91,9 @@ def _same_bits(a: np.ndarray, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _probe(model: ModelSpec, ok: set[str]) -> list[str]:
+def _probe(model: ModelSpec) -> list[str]:
     """The violations :func:`validate` finds by calling the callbacks of a
-    ``model`` with a valid ``state_dim``, skipping each probe that reads a
-    field not in ``ok`` (``contraction``, ``bm_dim``)."""
+    ``model`` whose fields have the right types."""
     v = []
     zero = np.zeros((1, model.state_dim))
     try:
@@ -107,19 +106,18 @@ def _probe(model: ModelSpec, ok: set[str]) -> list[str]:
     rng = derived_generator(0, _PROBE_TAG)
     y1 = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (_PROBE_PAIRS, model.state_dim))
     y2 = rng.uniform(-_PROBE_BOX, _PROBE_BOX, (_PROBE_PAIRS, model.state_dim))
-    if "contraction" in ok:
-        lam = model.contraction
-        try:
-            gap = np.linalg.norm(model.neutral(y1) - model.neutral(y2), axis=1)
-            bound = lam * np.linalg.norm(y1 - y2, axis=1) + _PROBE_SLACK
-            bad = int(np.sum(gap > bound))
-            if bad:
-                v.append(
-                    f"neutral map violates the stated contraction modulus "
-                    f"{lam} on {bad}/{_PROBE_PAIRS} probe pairs"
-                )
-        except Exception as exc:
-            v.append(f"neutral map probe failed: {exc!r}")
+    lam = model.contraction
+    try:
+        gap = np.linalg.norm(model.neutral(y1) - model.neutral(y2), axis=1)
+        bound = lam * np.linalg.norm(y1 - y2, axis=1) + _PROBE_SLACK
+        bad = int(np.sum(gap > bound))
+        if bad:
+            v.append(
+                f"neutral map violates the stated contraction modulus "
+                f"{lam} on {bad}/{_PROBE_PAIRS} probe pairs"
+            )
+    except Exception as exc:
+        v.append(f"neutral map probe failed: {exc!r}")
 
     # each callback on a probe batch of two one-row systems, then again, bit
     # for bit: neutral on the same batch, drift and diffusion on each system
@@ -140,8 +138,6 @@ def _probe(model: ModelSpec, ok: set[str]) -> list[str]:
         ("drift", model.drift, state, alone, split),
         ("diffusion", model.diffusion, state + (model.bm_dim,), alone, split),
     ):
-        if name == "diffusion" and "bm_dim" not in ok:
-            continue
         try:
             out = call(x, y, mu)
             outs = [call(*args) for args in again]
@@ -170,82 +166,80 @@ def validate(
     the run may start; never raises.
 
     A run is a :class:`Grid` and its ``(seed, particles)`` segments.  The
-    fields come first: ``state_dim`` and ``bm_dim`` must be integers >= 1
-    (not bools), ``contraction``, ``growth_power`` and the grid's fields
-    real numbers; each check and probe below that reads a bad field is
-    skipped.  The model and the grid are checked once: the contraction
-    modulus, the growth power (at most ``MAX_GROWTH_POWER``, the
-    error-exponent window), the neutral map probes (zero at zero,
-    contractivity on pairs drawn from one fixed stream, so every seed gets
-    the same verdict), the callbacks on a probe batch of two one-row
-    systems from that stream (float arrays of shape (2, state_dim), and
-    (2, state_dim, bm_dim) from ``diffusion``; ``neutral`` pure; ``drift``
-    and ``diffusion`` giving each system the bits of a call on it alone),
-    grid integrality (tau/delta and horizon/delta) and the step/exponent
-    ranges.  Then each segment: a ``(seed, particles)`` pair of integers.
-    A violation several segments share is listed once.
+    segments and the fields come first: ``segments`` a non-empty sequence,
+    ``state_dim`` and ``bm_dim`` integers >= 1 (not bools),
+    ``contraction``, ``growth_power`` and the grid's ``delta``, ``tau``,
+    ``alpha`` and ``horizon`` real numbers, and ``taming`` a bool.  A mistyped field ends
+    the report: those violations are all it lists.  Otherwise the model
+    and the grid are checked once: the contraction modulus, the growth
+    power (at most ``MAX_GROWTH_POWER``, the error-exponent window), the
+    neutral map probes (zero at zero, contractivity on pairs drawn from one
+    fixed stream, so every seed gets the same verdict), the callbacks on a
+    probe batch of two one-row systems from that stream (float arrays of
+    shape (2, state_dim), and (2, state_dim, bm_dim) from ``diffusion``;
+    ``neutral`` pure; ``drift`` and ``diffusion`` giving each system the
+    bits of a call on it alone), grid integrality (tau/delta and
+    horizon/delta) and the step/exponent ranges.  Then each segment: a
+    ``(seed, particles)`` pair of integers.  A violation several segments
+    share is listed once.
     """
+    v = []
     try:
         segments = tuple(segments)
+        if not segments:
+            v.append("a run needs at least one segment")
     except TypeError:
-        return [f"a run's segments must be a sequence, got {segments!r}"]
-    if not segments:
-        return ["a run needs at least one segment"]
-    v, ok = [], set()  # ok: the fields of the right type, which checks read
+        v.append(f"a run's segments must be a sequence, got {segments!r}")
     for name in ("state_dim", "bm_dim"):
         value = getattr(model, name)
-        if isinstance(value, Integral) and not isinstance(value, bool) and value > 0:
-            ok.add(name)
-        else:
+        if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
             v.append(f"{name} must be an integer >= 1, got {value!r}")
     fields = [(model, "contraction"), (model, "growth_power")]
     fields += [(grid, name) for name in ("delta", "tau", "alpha", "horizon")]
     for owner, name in fields:
         value = getattr(owner, name)
-        if isinstance(value, Real):
-            ok.add(name)
-        else:
+        if not isinstance(value, Real):
             v.append(f"{name} must be a real number, got {value!r}")
+    if not isinstance(grid.taming, bool):
+        v.append(f"taming must be a bool, got {grid.taming!r}")
+    if v:
+        return v
 
     lam = model.contraction
-    if "contraction" in ok and not 0.0 < lam < 1.0:
+    if not 0.0 < lam < 1.0:
         v.append(f"contraction modulus must lie in (0, 1), got {lam}")
-    if "growth_power" in ok and not 0 <= model.growth_power <= MAX_GROWTH_POWER:
+    if not 0 <= model.growth_power <= MAX_GROWTH_POWER:
         v.append(
             f"growth power must lie in [0, {MAX_GROWTH_POWER:g}] (the window "
             f"q <= p/(2(c+1)) at q = 2, p = 12), got {model.growth_power}"
         )
-    if "state_dim" in ok:
-        v += _probe(model, ok)
+    v += _probe(model)
 
-    delay = 0.0
-    if "tau" in ok and grid.tau <= 0:
+    if grid.tau <= 0:
         v.append(f"tau must be positive, got {grid.tau}")
-    if {"delta", "tau"} <= ok:
-        if not 0.0 < grid.delta < min(1.0, grid.tau):
-            v.append(
-                f"delta must lie in (0, min(1, tau)) = "
-                f"(0, {min(1.0, grid.tau)}), got {grid.delta}"
-            )
-        delay = grid.tau / grid.delta if grid.delta > 0 else 0.0
-        if delay > 0 and not is_integer_ratio(grid.tau, grid.delta):
-            v.append(f"tau/delta = {delay!r} is not a positive integer")
-        elif delay > MAX_DELAY_STEPS:
-            cap = f"the cap of {MAX_DELAY_STEPS} steps"
-            v.append(f"tau/delta = {delay!r} exceeds {cap}")
-    if "alpha" in ok and not 0.0 < grid.alpha <= 0.5:
+    if not 0.0 < grid.delta < min(1.0, grid.tau):
+        v.append(
+            f"delta must lie in (0, min(1, tau)) = "
+            f"(0, {min(1.0, grid.tau)}), got {grid.delta}"
+        )
+    delay = grid.tau / grid.delta if grid.delta > 0 else 0.0
+    if delay > 0 and not is_integer_ratio(grid.tau, grid.delta):
+        v.append(f"tau/delta = {delay!r} is not a positive integer")
+    elif delay > MAX_DELAY_STEPS:
+        cap = f"the cap of {MAX_DELAY_STEPS} steps"
+        v.append(f"tau/delta = {delay!r} exceeds {cap}")
+    if not 0.0 < grid.alpha <= 0.5:
         v.append(f"alpha must lie in (0, 1/2], got {grid.alpha}")
-    if "horizon" in ok and grid.horizon <= 0:
+    if grid.horizon <= 0:
         v.append(f"horizon must be positive, got {grid.horizon}")
-    elif {"delta", "horizon"} <= ok and grid.delta > 0:
-        if not is_integer_ratio(grid.horizon, grid.delta):
-            v.append(
-                f"horizon/delta = {grid.horizon / grid.delta!r} is not a "
-                "positive integer"
-            )
+    elif grid.delta > 0 and not is_integer_ratio(grid.horizon, grid.delta):
+        v.append(
+            f"horizon/delta = {grid.horizon / grid.delta!r} is not a "
+            "positive integer"
+        )
 
     # probe the initial segment at its grid points, if at most the cap of them
-    if "state_dim" in ok and 0 < delay <= MAX_DELAY_STEPS:
+    if 0 < delay <= MAX_DELAY_STEPS:
         n0 = grid.delay_steps
         try:
             for n in range(-n0, 1):

@@ -131,16 +131,14 @@ def seeds_per_block(particles: int, bm_dim: int, multiple: int = 1) -> int:
 
     Seeds join while the shared block still fits the element budget and
     keeps at least half (rounded down) the steps of the block one seed gets
-    alone; both block lengths are :func:`chunk_steps`.
+    alone; both block lengths are :func:`chunk_steps`.  So the shared
+    block, a multiple of ``multiple`` long, must keep ``least`` steps, the
+    first multiple not below that half (nor below ``multiple``), and as
+    many seeds join as fit ``least`` steps of their columns in the budget.
     """
     half = chunk_steps(particles, bm_dim, multiple) // 2
-    seeds = 1
-    while True:
-        width = (seeds + 1) * particles
-        chunk = chunk_steps(width, bm_dim, multiple)
-        if chunk < half or chunk * width * bm_dim > _CHUNK_ELEMENTS:
-            return seeds
-        seeds += 1
+    least = -(-max(half, multiple) // multiple) * multiple
+    return max(1, _CHUNK_ELEMENTS // (least * particles * bm_dim))
 
 
 def stream_seeds(columns: dict, bm_dim, delta_base, horizon, chunk):

@@ -252,12 +252,12 @@ class Stepper:
         n0 = grid.delay_steps
         self._buf = np.empty((n0 + 2, self.particles, model.state_dim))
         self._record, self._aborts = record, not isinstance(record, Divergence)
-        self._neutral = None  # neutral map of the next step's delayed row
         self.steps_done = 0
         for i in range(n0 + 1):
             self._buf[i] = np.asarray(model.initial_segment((i - n0) * grid.delta))
             if record is not None:
                 record(self._buf[i], i - n0)
+        self._neutral = model.neutral(self._buf[0])  # the first step's delayed row
 
     def advance(self, increments: np.ndarray) -> None:
         """Take one step per row of ``increments`` (steps, particles, bm_dim)."""
@@ -277,8 +277,6 @@ class Stepper:
                 x, delayed = buf[(n + n0) % cap], buf[n % cap]
                 # callbacks are pure: this step's neutral(delayed) is the last
                 # step's neutral of the next delayed row
-                if self._neutral is None:
-                    self._neutral = model.neutral(delayed)
                 neutral = self._neutral, model.neutral(buf[(n + 1) % cap])
                 new = em_step(
                     x, delayed, model, grid, EmpiricalMeasure(x, bounds), inc,

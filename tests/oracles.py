@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvnsdde import EmpiricalMeasure, ParticleGrid, ShapeError, Stepper
+from mvnsdde import EmpiricalMeasure, ParticleGrid, ShapeError, Stepper, noise
 from mvnsdde.model import ModelSpec
 from mvnsdde.scheme import sample_moments
 
@@ -61,6 +61,21 @@ def w2_1d(x, y) -> float:
     xs = np.sort(x.ravel(), kind="stable")
     ys = np.sort(y.ravel(), kind="stable")
     return float(np.sqrt(np.mean((xs - ys) ** 2)))
+
+
+def seeds_per_block_search(particles: int, bm_dim: int, multiple: int = 1) -> int:
+    """:func:`mvnsdde.noise.seeds_per_block` by search: add one seed at a
+    time while the shared block, a :func:`~mvnsdde.noise.chunk_steps` long,
+    fits the element budget and keeps at least half the steps of the block
+    one seed gets alone."""
+    half = noise.chunk_steps(particles, bm_dim, multiple) // 2
+    seeds = 1
+    while True:
+        width = (seeds + 1) * particles
+        chunk = noise.chunk_steps(width, bm_dim, multiple)
+        if chunk < half or chunk * width * bm_dim > noise._CHUNK_ELEMENTS:
+            return seeds
+        seeds += 1
 
 
 def linear_meanfield_mean(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -379,6 +380,32 @@ class TestNormalDistance:
     def test_dim_error(self):
         with pytest.raises(ShapeError):
             w2sq_to_standard_normal_1d([[0.0, 0.0]])
+
+    def test_blocked_table_equals_the_whole_one(self, monkeypatch):
+        # the table sums its cells in blocks; 10007 cells span three of 4096
+        size = 10007
+        x, w = np.polynomial.legendre.leggauss(measure._NORMAL_NODES)
+        edges = np.linspace(0.0, 1.0, size + 1)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        u = lo + (x[None, :] + 1.0) * 0.5 * (hi - lo)
+        ww = w[None, :] * 0.5 * (hi - lo)
+        clip = measure._QUANTILE_CLIP
+        q = measure.ndtri(np.clip(u, clip, 1.0 - clip))
+        whole = [(ww * q).sum(axis=1), (ww * q * q).sum(axis=1)]
+        for block in (4096, 1000, 1):
+            monkeypatch.setattr(measure, "_CELL_BLOCK", block)
+            table = measure._normal_cell_moments.__wrapped__(size)
+            assert [t.tobytes() for t in table] == [t.tobytes() for t in whole]
+
+    def test_table_memory_stays_bounded(self):
+        # the unblocked table's node arrays took about 259 MiB at 2**17 cells
+        tracemalloc.start()
+        try:
+            measure._normal_cell_moments.__wrapped__(2**17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 def _tiny_grid(states):

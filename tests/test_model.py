@@ -383,14 +383,17 @@ class TestValidate:
         assert f"{message}RuntimeError('no value here')" in report
 
     def test_a_grid_field_not_a_real_number_is_one_violation(self):
-        # the checks that read delta are skipped; the others still run
+        # a mistyped field ends the report: no later check runs
         report = validate(example51(), Grid("0.1", 2**-5, 0.5, 0.25), SEGMENT)
         assert report == ["delta must be a real number, got '0.1'"]
         report = validate(example51(), Grid(2**-11, None, 0.75, 0.25), SEGMENT)
-        assert report == [
-            "tau must be a real number, got None",
-            "alpha must lie in (0, 1/2], got 0.75",
-        ]
+        assert report == ["tau must be a real number, got None"]
+        # a truthy string is not read as "tamed"
+        grid = Grid(0.25, 0.5, 0.5, 1.0, taming="no")
+        report = validate(cubic_no_mf(x0=5.0), grid, [(2, 5)])
+        assert report == ["taming must be a bool, got 'no'"]
+        with pytest.raises(ValidationFailure, match="taming must be a bool"):
+            simulate_terminal(cubic_no_mf(x0=5.0), grid, 2, 5)
 
 
 # example51 with one callback of the wrong shape, each as one violation:

@@ -16,6 +16,7 @@ from scipy.special import ndtri
 from mvnsdde import GridError, coarsen, generate
 from mvnsdde import noise
 from mvnsdde.noise import seeds_per_block, stream_seeds
+from oracles import seeds_per_block_search
 
 
 def particle_block(seed, particle, steps, bm_dim, delta):
@@ -232,6 +233,17 @@ class TestSeedsPerBlock:
         assert seeds == 1 or chunk * seeds * particles * bm_dim <= budget
         more = noise.chunk_steps((seeds + 1) * particles, bm_dim, multiple)
         assert more < half or more * (seeds + 1) * particles * bm_dim > budget
+
+    @given(
+        particles=st.integers(1, 2**18),
+        bm_dim=st.integers(1, 5),
+        multiple=st.integers(0, 10).map(lambda k: 2**k),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_formula_equals_the_search(self, particles, bm_dim, multiple):
+        assert seeds_per_block(particles, bm_dim, multiple) == seeds_per_block_search(
+            particles, bm_dim, multiple
+        )
 
 
 def _fresh(code: str) -> list[str]:
