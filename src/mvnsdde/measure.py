@@ -24,7 +24,10 @@ starts from zero duals, finds shorter paths.  Adding a constant to a whole
 row or column changes no permutation's rank, so the optimal matching is
 the same (the tests pin the plain solver's distance bit for bit).  The
 distance is still read from the unreduced costs, whose rounding the
-reduction would alter.
+reduction would alter, so it is recomputed from the matched points.  The
+reduction runs in place, in the cost buffer a caller may lend
+(``w2_assignment(x, y, out=buf)``), so repeated solves allocate no n x n
+array.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ _SOLVER_DIR = os.path.join(SCIPY_DIR, "optimize")
 _QUANTILE_CLIP = 1e-12  # keeps the inverse normal CDF finite at cell edges
 _NORMAL_NODES = 64  # Gauss-Legendre nodes per quantile cell
 _CELL_BLOCK = 4096  # quantile cells per quadrature block: 8 MiB of nodes
+_TILE_ROWS = 16  # cost rows summed at a time: 64 KiB temporaries at the cap
 
 
 class EmpiricalMeasure:
@@ -106,19 +110,31 @@ def _assignment_solver():
     return scipy_extension(_SOLVER, _SOLVER_DIR).linear_sum_assignment
 
 
-def _sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The (len(x), len(y)) squared Euclidean distances of two (size, dim)
-    samples, summed coordinate by coordinate from the first, as
-    ``cdist(x, y, "sqeuclidean")`` sums them, so they are its bits; a square
-    that overflows is inf, as there."""
+def _sq_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the squared Euclidean distances of the points
+    ``a`` and ``b``, their coordinates on the last axis, summed coordinate
+    by coordinate from the first, as ``cdist(x, y, "sqeuclidean")`` sums
+    them, so they are its bits; a square that overflows is inf, as there."""
     with np.errstate(over="ignore"):
-        cost = (x[:, 0, None] - y[None, :, 0]) ** 2
-        for k in range(1, x.shape[1]):
-            cost += (x[:, k, None] - y[None, :, k]) ** 2
-    return cost
+        np.square(np.subtract(a[..., 0], b[..., 0], out=out), out=out)
+        for k in range(1, a.shape[-1]):
+            out += (a[..., k] - b[..., k]) ** 2
+    return out
 
 
-def w2_assignment(x, y) -> float:
+def _sq_distances(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """The (len(x), len(y)) squared Euclidean distances of two (size, dim)
+    samples (:func:`_sq_sum`), in ``out`` if given, filled ``_TILE_ROWS``
+    rows at a time so the temporaries stay a tile."""
+    if out is None:
+        out = np.empty((len(x), len(y)))
+    for start in range(0, len(x), _TILE_ROWS):
+        tile = slice(start, start + _TILE_ROWS)
+        _sq_sum(x[tile, None, :], y[None, :, :], out[tile])
+    return out
+
+
+def w2_assignment(x, y, out=None) -> float:
     """Exact Wasserstein-2 distance of two equal-size samples via
     minimum-cost bipartite assignment.
 
@@ -128,17 +144,30 @@ def w2_assignment(x, y) -> float:
 
     The solver gets the column-then-row reduced costs, which give the same
     matching with shorter augmenting paths (see the module docstring).  The
-    distance averages the matched entries of the unreduced squared
-    distances, because the reduced entries carry other rounding.
+    distance averages the matched squared distances, recomputed from the
+    matched points, because the reduced entries carry other rounding.
+
+    ``out``, a writeable C-contiguous float64 (size, size) array, holds the
+    costs instead of a new one, so a caller solving many samples of one
+    size reuses one buffer; its contents are overwritten, and a buffer of
+    another shape, dtype or layout is a :class:`ShapeError`.
     """
     x, y = _samples(x, y)
-    if len(x) > ASSIGNMENT_CAP:
-        raise CapacityError(f"size {len(x)} exceeds assignment cap {ASSIGNMENT_CAP}")
-    cost = _sq_distances(x, y)
-    reduced = cost - cost.min(axis=0)
-    reduced -= reduced.min(axis=1, keepdims=True)
-    rows, cols = _assignment_solver()(reduced)
-    return float(np.sqrt(cost[rows, cols].mean()))
+    size = len(x)
+    if size > ASSIGNMENT_CAP:
+        raise CapacityError(f"size {size} exceeds assignment cap {ASSIGNMENT_CAP}")
+    if out is not None and not (
+        isinstance(out, np.ndarray) and out.shape == (size, size)
+        and out.dtype == np.float64 and out.flags.carray
+    ):
+        raise ShapeError(
+            f"out must be a writeable C-contiguous float64 ({size}, {size}) array"
+        )
+    cost = _sq_distances(x, y, out)
+    cost -= cost.min(axis=0)
+    cost -= cost.min(axis=1, keepdims=True)
+    rows, cols = _assignment_solver()(cost)
+    return float(np.sqrt(_sq_sum(x[rows], y[cols], np.empty(size)).mean()))
 
 
 @lru_cache(maxsize=64)

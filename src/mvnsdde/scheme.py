@@ -295,7 +295,8 @@ class Stepper:
         k = bisect_right([stop for _, stop in self.bounds], bad[0])
         start, stop = self.bounds[k]
         raise OverflowAbort(
-            step=step, particles=bad[bad < stop] - start, seed=self.segments[k][0]
+            step=step, particles=bad[bad < stop] - start, seed=self.segments[k][0],
+            delta=self.grid.delta,
         )
 
     @property

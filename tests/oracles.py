@@ -4,7 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvnsdde import EmpiricalMeasure, ParticleGrid, ShapeError, Stepper, noise
+from mvnsdde import (
+    EmpiricalMeasure, ErrorRow, ErrorTable, ParticleGrid, ShapeError, Stepper,
+    experiments, noise, w2_assignment,
+)
 from mvnsdde.model import ModelSpec
 from mvnsdde.scheme import sample_moments
 
@@ -61,6 +64,31 @@ def w2_1d(x, y) -> float:
     xs = np.sort(x.ravel(), kind="stable")
     ys = np.sort(y.ravel(), kind="stable")
     return float(np.sqrt(np.mean((xs - ys) ** 2)))
+
+
+def rate_draws(xis, mc_reps: int, seed: int):
+    """The dim-5 pairs of :func:`mvnsdde.empirical_measure_rate` in draw
+    order: (size, repetition, x, y) for each size of ``xis``, ascending,
+    and each repetition, x drawn before y."""
+    rng = noise.derived_generator(seed, experiments._RATE_TAG + 5)
+    for size in sorted(xis):
+        for r in range(mc_reps):
+            x = rng.standard_normal((size, 5))
+            yield size, r, x, rng.standard_normal((size, 5))
+
+
+def rate_table_sequential(xis, mc_reps: int, seed: int) -> ErrorTable:
+    """:func:`mvnsdde.empirical_measure_rate`'s dim-5 table, one repetition
+    at a time in one thread: draw x, then y, then ``w2_assignment(x, y) ** 2``."""
+    squares: dict[int, list[float]] = {}
+    for size, _, x, y in rate_draws(xis, mc_reps, seed):
+        squares.setdefault(size, []).append(w2_assignment(x, y) ** 2)
+    rows = []
+    for size, vals in squares.items():
+        vals = np.array(vals)
+        stderr = float(vals.std(ddof=1) / np.sqrt(mc_reps)) if mc_reps > 1 else 0.0
+        rows.append(ErrorRow(float(size), float(vals.mean()), stderr, mc_reps))
+    return ErrorTable(rows)
 
 
 def seeds_per_block_search(particles: int, bm_dim: int, multiple: int = 1) -> int:

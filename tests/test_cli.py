@@ -301,6 +301,20 @@ class TestExitCodes:
         assert rc == 3
         assert (out / "grid.partial.csv").exists()
 
+    def test_overflow_names_its_grid(self, tmp_path, capsys):
+        # step 7 exists on the 0.0625 and 0.125 grids; the message says which
+        rc = main(
+            [
+                "convergence-dt", "--model", "cubic_no_mf", "--x0", "5",
+                "--no-taming", "--delta-ref", "0.0625", "--deltas", "0.125,0.25",
+                "--tau", "0.5", "--particles", "10", "--seed", "1",
+                "--outdir", str(tmp_path / "o"),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "non-finite state at step 7 of the delta 0.125 grid, t = 0.875 (seed 1," in err
+
     def test_taming_compare_other_model_is_1(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = main(

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -30,8 +33,10 @@ from mvnsdde import (
     simulate,
     strong_error_vs_dt,
     taming_comparison,
+    w2_assignment,
 )
-from oracles import moment_monitor, recorded
+from mvnsdde.noise import derived_generator
+from oracles import moment_monitor, rate_draws, rate_table_sequential, recorded
 
 
 def forbidden(*args, **kwargs):
@@ -384,6 +389,123 @@ class TestEmpiricalMeasureRate:
     def test_five_dim_decays(self):
         table = empirical_measure_rate(dim=5, xis=[16, 64], mc_reps=10, seed=6)
         assert table.rows[0].rms_error > table.rows[1].rms_error
+
+
+def cpus(monkeypatch, count: int) -> None:
+    """Make the process look as if it may run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestTwoSolvers:
+    """The dim-5 repetitions are solved on two threads, with the bits of one
+    thread solving them in order."""
+
+    @pytest.mark.parametrize("seed", [0, 555, 2**64 - 1])
+    @pytest.mark.parametrize("mc_reps", [1, 2, 7])
+    def test_table_equals_the_sequential_oracle(self, monkeypatch, seed, mc_reps):
+        cpus(monkeypatch, 2)
+        xis = [1, 5, 16, 33]
+        table = empirical_measure_rate(dim=5, xis=xis, mc_reps=mc_reps, seed=seed)
+        assert table.rows == rate_table_sequential(xis, mc_reps, seed).rows
+
+    @staticmethod
+    def _reversed(monkeypatch, xis, seed):
+        """Wrap ``experiments.w2_assignment`` so that the first repetition of
+        each size waits until the second is solved; return the list that
+        records the (size, repetition) of each finished solve."""
+        index = {x.tobytes(): (size, r) for size, r, x, _ in rate_draws(xis, 2, seed)}
+        second_done = {size: threading.Event() for size in xis}
+        finished = []
+        solve = experiments.w2_assignment
+
+        def reversed_solve(x, y, out=None):
+            size, r = index[x.tobytes()]
+            if r == 0:
+                assert second_done[size].wait(timeout=10)
+            value = solve(x, y, out=out)
+            finished.append((size, r))
+            if r == 1:
+                second_done[size].set()
+            return value
+
+        monkeypatch.setattr(experiments, "w2_assignment", reversed_solve)
+        return finished
+
+    def test_values_keep_draw_order_when_the_solves_finish_in_reverse(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        xis, seed = [4, 16, 40], 31
+        want = [w2_assignment(x, y) ** 2 for _, _, x, y in rate_draws(xis, 2, seed)]
+        finished = self._reversed(monkeypatch, xis, seed)
+        rng = derived_generator(seed, experiments._RATE_TAG + 5)
+        got = [experiments._assignment_squares(rng, size, 5, 2) for size in xis]
+        assert finished == [(size, r) for size in xis for r in (1, 0)]
+        assert np.concatenate(got).tolist() == want
+
+    def test_table_unchanged_when_the_solves_finish_in_reverse(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        xis, seed = [4, 16, 40], 32
+        finished = self._reversed(monkeypatch, xis, seed)
+        table = empirical_measure_rate(dim=5, xis=xis, mc_reps=2, seed=seed)
+        assert finished == [(size, r) for size in xis for r in (1, 0)]
+        assert table.rows == rate_table_sequential(xis, 2, seed).rows
+
+    def test_many_small_solves_under_fast_thread_switches(self, monkeypatch):
+        # a switch every microsecond interleaves the solvers at every
+        # bytecode; a repetition solved twice, or a pair drawn out of turn,
+        # breaks the count or the table
+        cpus(monkeypatch, 2)
+        xis, seed = [1, 2, 3, 5, 8], 77
+        calls = []
+        solve = experiments.w2_assignment
+
+        def counted(x, y, out=None):
+            calls.append(None)
+            return solve(x, y, out=out)
+
+        monkeypatch.setattr(experiments, "w2_assignment", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table = empirical_measure_rate(dim=5, xis=xis, mc_reps=64, seed=seed)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 64 * len(xis)
+        assert table.rows == rate_table_sequential(xis, 64, seed).rows
+
+    def test_a_failing_solve_stops_both_solvers_and_is_raised(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        calls, lock = [], threading.Lock()
+        solve = experiments.w2_assignment
+
+        def third_call_fails(x, y, out=None):
+            with lock:
+                calls.append(x)
+                if len(calls) == 3:
+                    raise RuntimeError("third solve failed")
+            return solve(x, y, out=out)
+
+        monkeypatch.setattr(experiments, "w2_assignment", third_call_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third solve failed"):
+            empirical_measure_rate(dim=5, xis=[64], mc_reps=50, seed=3)
+        assert threading.active_count() == before
+        # the other solver finishes the solve it holds, then takes no more
+        assert len(calls) <= 4
+
+    def test_one_cpu_solves_in_the_calling_thread(self, monkeypatch):
+        cpus(monkeypatch, 1)
+        threads = []
+        solve = experiments.w2_assignment
+
+        def recording_solve(x, y, out=None):
+            threads.append(threading.current_thread())
+            return solve(x, y, out=out)
+
+        monkeypatch.setattr(experiments, "w2_assignment", recording_solve)
+        table = empirical_measure_rate(dim=5, xis=[8, 16], mc_reps=5, seed=12)
+        assert set(threads) == {threading.current_thread()}
+        assert len(threads) == 10
+        assert table.rows == rate_table_sequential([8, 16], 5, 12).rows
 
 
 class TestReports:

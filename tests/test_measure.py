@@ -305,6 +305,39 @@ class TestW2Assignment:
             got = w2_assignment(x, y)
             assert got == self._plain(x, y)
 
+    @pytest.mark.parametrize("size, dim", [(1, 1), (3, 5), (16, 2), (17, 5), (512, 5)])
+    def test_a_lent_buffer_gives_the_same_bits(self, size, dim):
+        g = rng(11)
+        x, y = g.standard_normal((2, size, dim))
+        buf = np.full((size, size), np.nan)
+        assert w2_assignment(x, y, out=buf) == w2_assignment(x, y)
+        x, y = g.standard_normal((2, size, dim))  # a second solve in one buffer
+        assert w2_assignment(x, y, out=buf) == w2_assignment(x, y)
+
+    @pytest.mark.parametrize(
+        "buf",
+        [
+            np.empty((4, 5)),
+            np.empty((5, 5)),
+            np.empty((4, 4), dtype=np.float32),
+            np.empty((4, 4), order="F"),
+            np.empty((4, 8))[:, ::2],
+            np.empty(16),
+            [[0.0] * 4] * 4,
+        ],
+        ids=["rectangular", "other size", "float32", "fortran", "strided", "flat", "list"],
+    )
+    def test_a_wrong_buffer_is_refused(self, buf):
+        x = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ShapeError, match="out must be"):
+            w2_assignment(x, x[::-1], out=buf)
+
+    def test_a_read_only_buffer_is_refused(self):
+        buf = np.empty((3, 3))
+        buf.flags.writeable = False
+        with pytest.raises(ShapeError, match="out must be"):
+            w2_assignment(np.zeros(3), np.ones(3), out=buf)
+
     def test_zero_measure_gives_moment(self):
         g = rng(5)
         x = g.normal(size=(23, 3))
@@ -347,6 +380,25 @@ class TestSquaredDistances:
         want = cdist(x, y, "sqeuclidean")
         assert np.isinf(want).any() and (want == 0.0).any()
         assert got.tobytes() == want.tobytes()
+
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 100).filter(lambda n: n % 16),
+        st.integers(1, 40),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tiles_equal_the_whole_sum(self, dim, rows, cols, data):
+        # the rows are summed 16 at a time; a last partial tile changes nothing
+        x = data.draw(arrays(np.float64, (rows, dim), elements=_coordinates()))
+        y = data.draw(arrays(np.float64, (cols, dim), elements=_coordinates()))
+        with np.errstate(over="ignore"):
+            whole = (x[:, 0, None] - y[None, :, 0]) ** 2
+            for k in range(1, dim):
+                whole += (x[:, k, None] - y[None, :, k]) ** 2
+        got = measure._sq_distances(x, y, np.full((rows, cols), np.nan))
+        assert got.tobytes() == whole.tobytes()
 
 
 class TestNormalDistance:

@@ -548,6 +548,7 @@ class TestSegments:
             run.advance(increments)
         abort = info.value
         assert (abort.step, abort.seed) == (3, 2**64 - 1)
+        assert abort.delta == self.GRID.delta
         assert abort.particles.tolist() == [1, 3]
 
 
