@@ -37,7 +37,6 @@ from .model import (
 from .noise import coarsen, generate
 from .scheme import (
     ParticleGrid,
-    Stepper,
     em_step,
     simulate,
     simulate_terminal,
@@ -61,7 +60,6 @@ __all__ = [
     "OverflowAbort",
     "ParticleGrid",
     "ShapeError",
-    "Stepper",
     "TamingReport",
     "ValidationFailure",
     "build_model",

@@ -10,8 +10,9 @@ class MvnsddeError(Exception):
 
 
 class ShapeError(MvnsddeError, ValueError):
-    """A sample of the wrong rank, dimension or size, or one that is empty
-    or has a non-finite point; or a cost buffer that does not fit them."""
+    """A sample of the wrong rank, dimension or size, one that is empty or
+    has a non-finite point, or one whose squared distances could overflow;
+    or a cost buffer that does not fit them."""
 
 
 class CapacityError(MvnsddeError):

@@ -13,14 +13,14 @@ exchangeable but weakly correlated through the measure, which the reports
 state).
 
 The studies stream their noise: a study is a list of
-:class:`~mvnsdde.model.Grid` values, and one
-:func:`~mvnsdde.scheme.coupled_pass` runs a pass's ``(seed, particles)``
-segments at every grid (the replicate seeds, and in the particle study
-every seed × particle count), each grid's run on the block sums of one
-streamed fine path.  A pass takes as many replicate seeds as
-:func:`~mvnsdde.noise.seeds_per_block` lets share one noise budget, so
-memory is that budget plus each segment's delay window.  Results equal
-those of one run per seed and size bit for bit.
+:class:`~mvnsdde.model.Grid` values and its ``(seed, particles)`` segments
+(the replicate seeds, and in the particle study every seed × particle
+count), and it is one :func:`~mvnsdde.scheme.coupled_pass` call, which
+runs every grid on the block sums of one streamed fine path and returns
+the terminal states.  That call groups the seeds into passes of as many
+as :func:`~mvnsdde.noise.seeds_per_block` lets share one noise budget, so
+memory is that budget plus each segment's delay window and the
+terminals.  Results equal those of one run per seed and size bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .measure import (
     ASSIGNMENT_CAP, _assignment_solver, w2_assignment, w2sq_to_standard_normal_1d,
 )
 from .model import Grid, ModelSpec
-from .noise import check_seed, derived_generator, seeds_per_block
+from .noise import check_seed, derived_generator
 from .scheme import DIVERGENCE_THRESHOLD, Divergence, MomentMax, coupled_pass
 
 _RATE_TAG = 0x3A7E  # auxiliary stream namespace for sampling experiments
@@ -165,14 +165,6 @@ def _replicate_seeds(seed: int, replicates: int) -> list[int]:
     return [(check_seed(seed) + r) % 2**64 for r in range(replicates)]
 
 
-def _passes(seeds: list[int], particles: int, bm_dim: int, multiple: int):
-    """The replicate seeds in groups, one per pass (:func:`seeds_per_block`)."""
-    # a count below 1 groups as 1 does; the first pass's runs refuse it
-    # in validation, before any noise is drawn
-    size = seeds_per_block(max(1, particles), bm_dim, multiple)
-    return [seeds[i : i + size] for i in range(0, len(seeds), size)]
-
-
 def strong_error_vs_dt(
     model: ModelSpec,
     particles: int,
@@ -199,21 +191,13 @@ def strong_error_vs_dt(
     """
     check_sizes("delta_ref", [delta_ref])
     deltas = check_sizes("deltas", deltas)
-    sq_errors: list[list[np.ndarray]] = [[] for _ in deltas]
-    seeds = _replicate_seeds(seed, replicates)
-    # sizes the passes' blocks only; the runs check every step
-    ratio = deltas[-1] / delta_ref
-    multiple = round(ratio) if ratio < math.inf else 1
+    segments = [(s, particles) for s in _replicate_seeds(seed, replicates)]
     grids = [Grid(d, tau, alpha, horizon, taming) for d in [delta_ref, *deltas]]
-    for group in _passes(seeds, particles, model.bm_dim, max(1, multiple)):
-        segments = [(run_seed, particles) for run_seed in group]
-        ref, *tests = coupled_pass(model, segments, grids)
-        for e2s, test in zip(sq_errors, tests):
-            e2s.append(np.sum((ref.terminal - test.terminal) ** 2, axis=1))
+    ref, *tests = coupled_pass(model, segments, grids)
     return ErrorTable(
         [
-            _row_from_sq_errors(delta, np.concatenate(e2s))
-            for delta, e2s in zip(deltas, sq_errors)
+            _row_from_sq_errors(delta, np.sum((ref - test) ** 2, axis=1))
+            for delta, test in zip(deltas, tests)
         ]
     )
 
@@ -239,25 +223,16 @@ def chaos_error_vs_particles(
     Every system of the seeds that share a pass is a segment of one run.
     """
     xis = check_sizes("xis", xis)
-    sq_errors: list[list[np.ndarray]] = [[] for _ in xis]
     seeds = _replicate_seeds(seed, replicates)
+    segments = [(run_seed, xi) for run_seed in seeds for xi in xis]
     grid = Grid(delta, tau, alpha, horizon, taming)
-    for group in _passes(seeds, xis[-1], model.bm_dim, 1):
-        segments = [(run_seed, xi) for run_seed in group for xi in xis]
-        [run] = coupled_pass(model, segments, [grid])
-        systems = [run.terminal[start:stop] for start, stop in run.bounds]
-        for k in range(len(group)):
-            *tests, ref = systems[k * len(xis) : (k + 1) * len(xis)]
-            for e2s, test in zip(sq_errors, tests):
-                xi = len(test)
-                e2s.append(np.sum((ref[:xi] - test) ** 2, axis=1))
-            sq_errors[-1].append(np.zeros(xis[-1]))
-    return ErrorTable(
-        [
-            _row_from_sq_errors(xi, np.concatenate(e2s))
-            for xi, e2s in zip(xis, sq_errors)
-        ]
-    )
+    [terminal] = coupled_pass(model, segments, [grid])
+    # one row per replicate seed: its systems side by side, the reference last
+    by_seed = terminal.reshape(len(seeds), sum(xis), model.state_dim)
+    systems = np.split(by_seed, np.cumsum(xis)[:-1], axis=1)
+    ref = systems[-1]
+    e2s = [np.sum((ref[:, :xi] - test) ** 2, axis=2) for xi, test in zip(xis, systems)]
+    return ErrorTable([_row_from_sq_errors(xi, e2.ravel()) for xi, e2 in zip(xis, e2s)])
 
 
 def moment_bound_vs_dt(

@@ -51,6 +51,7 @@ _QUANTILE_CLIP = 1e-12  # keeps the inverse normal CDF finite at cell edges
 _NORMAL_NODES = 64  # Gauss-Legendre nodes per quantile cell
 _CELL_BLOCK = 4096  # quantile cells per quadrature block: 8 MiB of nodes
 _TILE_ROWS = 16  # cost rows summed at a time: 64 KiB temporaries at the cap
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class EmpiricalMeasure:
@@ -84,7 +85,10 @@ class EmpiricalMeasure:
 def _samples(*samples) -> list[np.ndarray]:
     """The samples as (size, dim) float64 arrays, a (size,) one as dim 1; a
     :class:`ShapeError` for another rank, an empty sample, a non-finite
-    coordinate or samples of different shapes."""
+    coordinate, samples of different shapes, or samples so large that a
+    sum of size * dim squared differences of their coordinates could
+    overflow float64 (each difference is bounded by the samples' largest
+    magnitudes added, a check linear in their size)."""
     out = []
     for sample in samples:
         pts = np.asarray(sample, dtype=np.float64)
@@ -99,6 +103,9 @@ def _samples(*samples) -> list[np.ndarray]:
         if out and pts.shape != out[0].shape:
             raise ShapeError(f"shape mismatch: {out[0].shape} vs {pts.shape}")
         out.append(pts)
+    span = sum(float(np.abs(pts).max()) for pts in out)
+    if span * span * out[0].size > _FLOAT_MAX:  # an overflowing product is inf
+        raise ShapeError(f"coordinates up to {span:g} apart could overflow float64")
     return out
 
 
@@ -150,7 +157,8 @@ def w2_assignment(x, y, out=None) -> float:
     ``out``, a writeable C-contiguous float64 (size, size) array, holds the
     costs instead of a new one, so a caller solving many samples of one
     size reuses one buffer; its contents are overwritten, and a buffer of
-    another shape, dtype or layout is a :class:`ShapeError`.
+    another shape, dtype or layout is a :class:`ShapeError`, as are
+    samples whose squared distances could overflow (:func:`_samples`).
     """
     x, y = _samples(x, y)
     size = len(x)
@@ -200,7 +208,8 @@ def w2sq_to_standard_normal_1d(x) -> float:
 
     Integrates (x_(i) - ndtri(u))^2 over each quantile cell of width
     1/size, with u clipped away from {0, 1} to keep the quantile function
-    finite.
+    finite.  A sample whose sum of squares could overflow is a
+    :class:`ShapeError` (:func:`_samples`).
     """
     (x,) = _samples(x)
     if x.shape[1] != 1:

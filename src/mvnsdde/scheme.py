@@ -9,10 +9,11 @@ stored time-major; grid index n runs from -delay_steps (start of the initial
 segment) to total_steps.
 
 A run is a :class:`~mvnsdde.model.Grid` and its ``(seed, particles)``
-segments.  :func:`coupled_pass` runs segments at one or more grids, one
-:class:`Stepper` each, streaming their seeds' Brownian paths block by block.
-:func:`simulate` and :func:`simulate_terminal` are a pass over one grid
-and one segment, so the path follows from its seed, step and horizon.
+segments.  :func:`coupled_pass` runs a study's segments at one or more
+grids in passes of one :class:`Stepper` per grid, streaming their seeds'
+Brownian paths block by block.  :func:`simulate` and :func:`simulate_terminal`
+are a pass over one grid and one segment, so the path follows from its
+seed, step and horizon.
 A record keeps what a run keeps besides its delay window; the grid
 :func:`simulate` returns is its :class:`ParticleGrid` record.
 """
@@ -29,7 +30,7 @@ from ._g17 import BLOCK_VALUES, g17_texts
 from .errors import GridError, OverflowAbort, ValidationFailure
 from .measure import EmpiricalMeasure
 from .model import Grid, ModelSpec, validate
-from .noise import chunk_steps, coarsen, stream_seeds
+from .noise import chunk_steps, coarsen, seeds_per_block, stream_seeds
 
 # A Divergence record counts a particle as diverged once its norm exceeds this.
 DIVERGENCE_THRESHOLD = 1e10
@@ -222,28 +223,24 @@ class Stepper:
     Python step advances them all.  The step's
     :class:`~mvnsdde.measure.EmpiricalMeasure` gives every row its own
     segment's mean, so each segment ends bit for bit where a run of its own
-    would.  The constructor calls :func:`~mvnsdde.model.validate` once on
-    the whole run and raises :class:`ValidationFailure` on any violation.
+    would.  It does not validate: :func:`coupled_pass` validates every run
+    it builds before the first.
 
     States live in a ring of delay_steps + 2 rows (the current state and
     both lookbacks).  ``record(row, index)`` is called once for each row as
     it is finished, in grid index order: the initial segment's rows in the
-    constructor, after validation, then each stepped row right after its
-    finiteness check.  The row is a view of the ring, so a record copies
-    what it keeps (:class:`ParticleGrid`, :class:`MomentMax`,
-    :class:`Divergence`).  The first non-finite row raises
-    :class:`OverflowAbort`, naming its segment's seed and that segment's
-    offending particles, before it is recorded; a run whose record is a
-    :class:`Divergence` steps on past it.
+    constructor, then each stepped row right after its finiteness check.
+    The row is a view of the ring, so a record copies what it keeps
+    (:class:`ParticleGrid`, :class:`MomentMax`, :class:`Divergence`).  The
+    first non-finite row raises :class:`OverflowAbort`, naming its segment's
+    seed and that segment's offending particles, before it is recorded; a
+    run whose record is a :class:`Divergence` steps on past it.
     """
 
     def __init__(
         self, model: ModelSpec, grid: Grid, segments: Sequence[tuple[int, int]],
         record=None,
     ):
-        violations = validate(model, grid, segments)
-        if violations:
-            raise ValidationFailure(violations)
         self.model, self.grid = model, grid
         self.segments = tuple((int(seed), int(n)) for seed, n in segments)
         stops = list(accumulate(n for _, n in self.segments))
@@ -311,53 +308,72 @@ class Stepper:
 def coupled_pass(
     model: ModelSpec, segments: Sequence[tuple[int, int]], grids: Sequence[Grid],
     records=None,
-) -> list[Stepper]:
-    """Run ``segments`` at every grid of a study on their seeds' streamed
-    Brownian paths, one :class:`Stepper` per grid with its record from
-    ``records``; return the finished runs.
+) -> list[np.ndarray]:
+    """Run a study's ``segments`` at every ``grids`` entry on their seeds'
+    streamed Brownian paths, each grid with its record from ``records``;
+    return each grid's terminal states, the segments' rows in order.
 
-    Every run validates as it is built.  The path is streamed at the first
-    grid's step and horizon.  Every grid needs that horizon and a step
-    count that divides the path's by a power of two, its factor; any other
-    grid is a :class:`GridError` before any run steps.  A segment takes the
-    leading columns of its seed's stream, gathered once per block, so a
-    smaller system reuses a larger one's streams.  The seeds share one
-    block budget and blocks are a multiple of every factor long, so each
-    run sees :func:`~mvnsdde.noise.coarsen`'s sums of the path.
+    Each grid is validated once on all the segments.  The path is streamed
+    at the first grid's step and horizon; every grid needs that horizon and
+    a step count that divides the path's by a power of two, its factor, or
+    is a :class:`GridError` before any noise is drawn.  Consecutive
+    segments run in passes of at most :func:`~mvnsdde.noise.seeds_per_block`
+    seeds (one pass given ``records``), one :class:`Stepper` per grid.  A
+    segment takes the leading columns of its seed's stream, so a smaller
+    system reuses a larger one's.  Blocks are a multiple of every factor
+    long, so each run sees :func:`~mvnsdde.noise.coarsen`'s sums of the path.
     """
-    records = [None] * len(grids) if records is None else records
-    pairs = list(zip(grids, records, strict=True))  # before any run is built
-    runs = [Stepper(model, grid, segments, record) for grid, record in pairs]
-    fine = runs[0].grid
+    if not grids:
+        raise GridError("a pass needs at least one grid")
+    whole = records is not None  # a record keeps one run's rows: one pass
+    records = records if whole else [None] * len(grids)
+    pairs = list(zip(grids, records, strict=True))  # before any validation
+    for grid in grids:
+        if violations := validate(model, grid, segments):
+            raise ValidationFailure(violations)
+    fine = grids[0]
     horizon, steps = fine.horizon, fine.total_steps
     factors = []
-    for run in runs:
-        if run.grid.horizon != horizon:
-            raise GridError("every run of a pass needs the first run's horizon")
-        run_steps = run.grid.total_steps
-        factor, rest = divmod(steps, run_steps)
+    for grid in grids:
+        if grid.horizon != horizon:
+            raise GridError("every grid of a pass needs the first grid's horizon")
+        factor, rest = divmod(steps, grid.total_steps)
         if rest or factor < 1 or factor & (factor - 1):
-            raise GridError(
-                f"{steps} path steps are not {run_steps} run steps times a power of two"
-            )
+            raise GridError(f"steps {steps} / {grid.total_steps} is not a power of two")
         factors.append(factor)
-    layout = runs[0].segments
-    columns: dict[int, int] = {}
-    for seed, particles in layout:
-        columns[seed] = max(columns.get(seed, 0), particles)
-    first = dict(zip(columns, accumulate([0, *columns.values()])))
-    gather = np.concatenate([first[seed] + np.arange(n) for seed, n in layout])
-    width = sum(columns.values())
-    if np.array_equal(gather, np.arange(width)):
-        gather = None  # every drawn column, in order
-    chunk = chunk_steps(width, model.bm_dim, max(factors))
-    for block in stream_seeds(columns, model.bm_dim, fine.delta, horizon, chunk):
-        if gather is not None:
-            block = block.take(gather, axis=1)
-        for run, factor in zip(runs, factors):
-            run.advance(coarsen(block, factor))
-        del block  # free it before the next block is drawn
-    return runs
+    size = seeds_per_block(max(n for _, n in segments), model.bm_dim, max(factors))
+    passes = [[]]
+    for seed, n in segments:
+        held = {s for s, _ in passes[-1]}
+        if not whole and seed not in held and len(held) == size:
+            passes.append([])
+        passes[-1].append((seed, n))
+    rows = sum(n for _, n in segments)
+    terminals = [np.empty((rows, model.state_dim)) for _ in grids]
+    start = 0
+    for part in passes:
+        runs = [Stepper(model, grid, part, record) for grid, record in pairs]
+        layout = runs[0].segments
+        columns: dict[int, int] = {}
+        for seed, particles in layout:
+            columns[seed] = max(columns.get(seed, 0), particles)
+        first = dict(zip(columns, accumulate([0, *columns.values()])))
+        gather = np.concatenate([first[seed] + np.arange(n) for seed, n in layout])
+        width = sum(columns.values())
+        if np.array_equal(gather, np.arange(width)):
+            gather = None  # every drawn column, in order
+        chunk = chunk_steps(width, model.bm_dim, max(factors))
+        for block in stream_seeds(columns, model.bm_dim, fine.delta, horizon, chunk):
+            if gather is not None:
+                block = block.take(gather, axis=1)
+            for run, factor in zip(runs, factors):
+                run.advance(coarsen(block, factor))
+            del block  # free it before the next block is drawn
+        # copied: a run's terminal is a view that would keep its ring alive
+        for terminal, run in zip(terminals, runs):
+            terminal[start : start + run.particles] = run.terminal
+        start += runs[0].particles
+    return terminals
 
 
 def simulate(model: ModelSpec, grid: Grid, seed: int, particles: int) -> ParticleGrid:
@@ -378,8 +394,6 @@ def simulate(model: ModelSpec, grid: Grid, seed: int, particles: int) -> Particl
 
 
 def simulate_terminal(model: ModelSpec, grid: Grid, seed: int, particles: int):
-    """Run the scheme keeping only a delay ring buffer; return the finished run.
-
-    Its ``terminal`` is bit-identical to that of :func:`simulate`.
-    """
+    """Run the scheme keeping only a delay ring buffer; return the states at
+    the horizon, bit-identical to the ``terminal`` of :func:`simulate`."""
     return coupled_pass(model, [(seed, particles)], [grid])[0]

@@ -5,11 +5,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvnsdde import (
-    EmpiricalMeasure, ErrorRow, ErrorTable, ParticleGrid, ShapeError, Stepper,
-    experiments, noise, w2_assignment,
+    EmpiricalMeasure, ErrorRow, ErrorTable, ParticleGrid, ShapeError, experiments,
+    noise, w2_assignment,
 )
 from mvnsdde.model import ModelSpec
-from mvnsdde.scheme import sample_moments
+from mvnsdde.scheme import Stepper, sample_moments
 
 
 def run_on(model, grid, increments) -> ParticleGrid:

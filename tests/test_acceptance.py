@@ -148,7 +148,7 @@ def test_criterion_3_meanfield_oracle():
     t0 = time.perf_counter()
     model = linear_meanfield(a_coef=-1.0, b_coef=0.5, sigma0=0.2, x0=1.0)
     params = Grid(delta=2.0**-10, tau=2.0**-5, alpha=0.5, horizon=1.0)
-    terminal = simulate_terminal(model, params, SEED_MEANFIELD, 2000).terminal[:, 0]
+    terminal = simulate_terminal(model, params, SEED_MEANFIELD, 2000)[:, 0]
     est = float(terminal.mean())
     stderr = float(terminal.std(ddof=1) / math.sqrt(terminal.size))
     target = linear_meanfield_mean(1.0, a_coef=-1.0, b_coef=0.5, x0=1.0)

@@ -1048,9 +1048,11 @@ class TestReplicatesFlag:
 
 
 class TestBenchmarkTracer:
-    def test_tracer_installs_and_counts_a_run(self, tmp_path):
-        # perfbench/spans.py rebinds package names by hand; a renamed or
-        # deleted name must fail here, not only under ``run.py --trace 1``
+    """perfbench/spans.py rebinds package names by hand; a renamed or
+    deleted name must fail here, not only under ``run.py --trace 1``."""
+
+    def _traced(self, argv):
+        """The exit status, counts and call counts of a traced CLI run."""
         root = Path(__file__).resolve().parent.parent
         code = (
             "import json, sys\n"
@@ -1063,10 +1065,6 @@ class TestBenchmarkTracer:
             "calls = {name: rec[0] for name, rec in tracer.calls.items()}\n"
             "print(json.dumps([rc, tracer.counts, calls]))\n"
         )
-        argv = [
-            "simulate", "--seed", "4", "--particles", "3", "--delta", "0.25",
-            "--tau", "0.5", "--horizon", "1.0", "--outdir", str(tmp_path / "o"),
-        ]
         paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         done = subprocess.run(
@@ -1074,7 +1072,27 @@ class TestBenchmarkTracer:
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        rc, counts, calls = json.loads(done.stdout.splitlines()[-1])
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_tracer_installs_and_counts_a_run(self, tmp_path):
+        argv = [
+            "simulate", "--seed", "4", "--particles", "3", "--delta", "0.25",
+            "--tau", "0.5", "--horizon", "1.0", "--outdir", str(tmp_path / "o"),
+        ]
+        rc, counts, calls = self._traced(argv)
         assert rc == 0
         assert counts["scheme.run.particle_steps"] == 3 * 4
         assert [calls[k] for k in ("scheme.run", "scheme.em_step", "scheme.export")] == [1, 4, 1]
+
+    def test_tracer_sees_one_validation_per_grid(self, tmp_path):
+        # two replicates at three step sizes: the study's one pass call
+        # validates each grid once, where the benchmark's span times it
+        argv = [
+            "convergence-dt", "--seed", "4", "--particles", "3",
+            "--delta-ref", "0.0625", "--deltas", "0.125,0.25", "--tau", "0.5",
+            "--horizon", "1.0", "--replicates", "2", "--outdir", str(tmp_path / "o"),
+        ]
+        rc, counts, calls = self._traced(argv)
+        assert rc == 0
+        assert calls["model.validate"] == 3
+        assert counts["scheme.run.particle_steps"] == 2 * 3 * (16 + 8 + 4)

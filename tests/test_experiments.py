@@ -29,13 +29,15 @@ from mvnsdde import (
     fit_loglog_slope,
     linear_meanfield,
     moment_bound_vs_dt,
+    noise,
     scheme,
     simulate,
     strong_error_vs_dt,
     taming_comparison,
+    validate,
     w2_assignment,
 )
-from mvnsdde.noise import derived_generator
+from mvnsdde.noise import derived_generator, stream_seeds
 from oracles import moment_monitor, rate_draws, rate_table_sequential, recorded
 
 
@@ -174,6 +176,32 @@ class TestStrongErrorVsDt:
         b = strong_error_vs_dt(example51(), **kw)
         assert a.csv_text() == b.csv_text()
 
+    def test_one_validation_per_grid_whatever_the_passes(self, monkeypatch):
+        # 4 numbers a block put each seed of 4 particles in a pass of its own
+        kw = dict(
+            particles=4, delta_ref=2.0**-9, deltas=[2.0**-8, 2.0**-7],
+            tau=2.0**-5, alpha=0.5, horizon=0.25, seed=77, replicates=3,
+        )
+        shared = strong_error_vs_dt(example51(), **kw)
+        seen, passes = [], []
+
+        def counted(model, grid, segments):
+            seen.append((grid.delta, segments))
+            return validate(model, grid, segments)
+
+        def streamed(columns, *args):
+            passes.append(list(columns))
+            return stream_seeds(columns, *args)
+
+        monkeypatch.setattr(scheme, "validate", counted)
+        monkeypatch.setattr(scheme, "stream_seeds", streamed)
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 4)
+        table = strong_error_vs_dt(example51(), **kw)
+        segments = [(77, 4), (78, 4), (79, 4)]
+        assert seen == [(d, segments) for d in (2.0**-9, 2.0**-8, 2.0**-7)]
+        assert passes == [[77], [78], [79]]
+        assert table.csv_text() == shared.csv_text()
+
 
 class TestStreamedMemory:
     def test_dt_study_holds_no_fine_grid(self):
@@ -227,8 +255,30 @@ class TestChaosErrorVsParticles:
             example51(), xis=[4, 8], delta=2.0**-7, tau=2.0**-5, alpha=0.5,
             horizon=0.25, seed=8, replicates=4,
         )
-        # two seeds share a pass: two passes of one run of four segments
-        assert calls == {"validate": 2, "pass": 2}
+        # one study, one grid: one pass call validates it once, whatever
+        # its seeds' passes
+        assert calls == {"validate": 1, "pass": 1}
+
+    def test_memory_across_passes_grows_by_the_terminals_only(self, monkeypatch):
+        # a block of 1024 numbers puts each seed in a pass of its own; a
+        # finished pass keeps a copy of its terminal states, not its ring
+        xis = [64, 256, 1024]
+        kw = dict(
+            xis=xis, delta=2.0**-7, tau=2.0**-4, alpha=0.5, horizon=2.0**-4, seed=8
+        )
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", xis[-1])
+        assert noise.seeds_per_block(xis[-1], 1) == 1
+        chaos_error_vs_particles(example51(), replicates=2, **kw)  # warm caches
+        peaks = []
+        for replicates in (2, 16):
+            tracemalloc.start()
+            try:
+                chaos_error_vs_particles(example51(), replicates=replicates, **kw)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        terminals = 16 * sum(xis) * 8  # (particles, state_dim) float64
+        assert peaks[1] - peaks[0] <= terminals
 
     def test_measure_independent_model_exact_zero(self):
         table = chaos_error_vs_particles(

@@ -258,6 +258,13 @@ class TestW2Assignment:
         with pytest.raises(ShapeError):
             w2_assignment([[1.0]], [[1.0, 2.0]])
 
+    def test_overflowing_distances_are_refused(self):
+        # refused before any arithmetic: an inf cost would meet inf - inf
+        with pytest.raises(ShapeError, match="could overflow float64"):
+            w2_assignment([[1e200], [0.0]], [[-1e200], [0.0]])
+        # two squares of up to 4e300 still fit in float64
+        assert w2_assignment([[1e150], [0.0]], [[-1e150], [0.0]]) == pytest.approx(1e150)
+
     def test_matches_sorted_oracle_in_1d(self):
         g = rng(3)
         for _ in range(100):
@@ -432,6 +439,11 @@ class TestNormalDistance:
     def test_dim_error(self):
         with pytest.raises(ShapeError):
             w2sq_to_standard_normal_1d([[0.0, 0.0]])
+
+    def test_an_overflowing_sum_of_squares_is_refused(self):
+        with pytest.raises(ShapeError, match="could overflow float64"):
+            w2sq_to_standard_normal_1d([1e200, -1e200])
+        assert w2sq_to_standard_normal_1d([1e150, -1e150]) == pytest.approx(1e300)
 
     def test_blocked_table_equals_the_whole_one(self, monkeypatch):
         # the table sums its cells in blocks; 10007 cells span three of 4096

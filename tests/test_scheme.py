@@ -16,7 +16,6 @@ from mvnsdde import (
     GridError,
     OverflowAbort,
     ParticleGrid,
-    Stepper,
     ValidationFailure,
     coarsen,
     cubic_no_mf,
@@ -32,8 +31,8 @@ from mvnsdde import (
 )
 from mvnsdde._g17 import BLOCK_VALUES
 from mvnsdde.model import ModelSpec
-from mvnsdde.noise import chunk_steps
-from mvnsdde.scheme import Divergence, MomentMax, coupled_pass
+from mvnsdde.noise import chunk_steps, stream_seeds
+from mvnsdde.scheme import Divergence, MomentMax, Stepper, coupled_pass
 from oracles import (
     column, moment_monitor, one_system, planar_meanfield, recorded, run_on,
     total_steps,
@@ -322,7 +321,7 @@ class TestSimulate:
         params = Grid(delta=2.0**-8, tau=2.0**-5, alpha=0.5, horizon=1.0)
         full = simulate(model, params, 77, 40)
         ring = simulate_terminal(model, params, 77, 40)
-        assert np.array_equal(full.terminal, ring.terminal)
+        assert np.array_equal(full.terminal, ring)
 
     @pytest.mark.parametrize("model", [example51(), linear_meanfield()])
     def test_streamed_path_equals_the_whole_grid(self, model):
@@ -419,14 +418,17 @@ class TestStepper:
         run.advance(noise[-1:])
         assert run.terminal.shape == (segment[1], 1)
 
+    # a Stepper does not validate; the pass that builds it does
+
     def test_validates_every_segment(self):
         model, params, segment, _ = self._setup()
         with pytest.raises(ValidationFailure, match="alpha"):
-            Stepper(model, dataclasses.replace(params, alpha=0.9), [segment])
+            coupled_pass(model, [segment], [dataclasses.replace(params, alpha=0.9)])
         with pytest.raises(ValidationFailure, match="particles must be >= 1"):
-            Stepper(model, params, [segment, (6, 0)])
+            coupled_pass(model, [segment, (6, 0)], [params])
 
     def test_validates_a_run_once(self, monkeypatch):
+        # 3 numbers a block put each seed of 3 particles in a pass of its own
         model, params, _, _ = self._setup(particles=3)
         seen = []
 
@@ -435,14 +437,15 @@ class TestStepper:
             return validate(model, grid, segments)
 
         monkeypatch.setattr(scheme, "validate", counted)
+        monkeypatch.setattr("mvnsdde.noise._CHUNK_ELEMENTS", 3)
         segments = [(seed, 3) for seed in range(8)]
-        Stepper(model, params, segments)
+        coupled_pass(model, segments, [params])
         assert seen == [(params, segments)]
 
     def test_a_run_without_segments_is_refused(self):
         model, params, _, _ = self._setup()
         with pytest.raises(ValidationFailure, match="at least one segment"):
-            Stepper(model, params, [])
+            coupled_pass(model, [], [params])
 
 
 class TestRecord:
@@ -474,9 +477,9 @@ class TestRecord:
     def test_nothing_is_recorded_before_validation(self):
         seen = []
         with pytest.raises(ValidationFailure):
-            Stepper(
-                example51(), self._params(alpha=0.9), [self.SEGMENT],
-                record=lambda row, n: seen.append(n),
+            coupled_pass(
+                example51(), [self.SEGMENT], [self._params(alpha=0.9)],
+                [lambda row, n: seen.append(n)],
             )
         assert seen == []
 
@@ -592,14 +595,64 @@ class TestCoupledPass:
             )
         assert seen == []
 
+    def test_a_pass_needs_a_grid(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pass without grids got this far")
+
+        monkeypatch.setattr(scheme, "validate", forbidden)
+        monkeypatch.setattr(scheme, "stream_seeds", forbidden)
+        with pytest.raises(GridError, match="a pass needs at least one grid"):
+            coupled_pass(example51(), [(1, 2)], [])
+
+    @given(
+        segments=st.lists(
+            st.tuples(st.sampled_from([4, 2**64 - 1]), st.integers(1, 6)),
+            min_size=1, max_size=6,
+        ),
+        coarse=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_grouping_of_the_seeds_gives_each_segments_own_bits(
+        self, segments, coarse
+    ):
+        # widest numbers a block put each seed in a pass of its own, so a
+        # seed that recurs after another runs in two passes; 4 * widest fit
+        # both seeds in one pass, with or without a coarse grid
+        model, fine = example51(), self._params(horizon=2.0**-4)
+        grids = [fine, self._params(delta=2.0**-6, horizon=2.0**-4)][: 1 + coarse]
+        seeds = [seed for seed, _ in segments]
+        widest = max(n for _, n in segments)
+        alone = [coupled_pass(model, [segment], grids) for segment in segments]
+        changes = sum(a != b for a, b in zip(seeds, seeds[1:]))
+        for budget, passes in ((widest, 1 + changes), (4 * widest, 1)):
+            calls = []
+
+            def counted(columns, *args):
+                calls.append(columns)
+                return stream_seeds(columns, *args)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("mvnsdde.noise._CHUNK_ELEMENTS", budget)
+                patch.setattr(scheme, "stream_seeds", counted)
+                terminals = coupled_pass(model, segments, grids)
+            assert len(calls) == passes
+            start = 0
+            for (seed, n), own in zip(segments, alone):
+                for terminal, own_terminal in zip(terminals, own):
+                    rows = terminal[start : start + n]
+                    assert rows.tobytes() == own_terminal.tobytes()
+                ring = simulate_terminal(model, fine, seed, n)
+                assert terminals[0][start : start + n].tobytes() == ring.tobytes()
+                start += n
+
     def test_each_run_ends_where_its_own_run_does(self):
         model, fine = example51(), self._params()
         coarse = self._params(delta=2.0**-6)
-        runs = coupled_pass(model, [(5, 6)], [fine, coarse])
+        terminals = coupled_pass(model, [(5, 6)], [fine, coarse])
         path = generate(5, 6, 1, fine.delta, fine.horizon)
-        for run, params, factor in zip(runs, (fine, coarse), (1, 2)):
+        for terminal, params, factor in zip(terminals, (fine, coarse), (1, 2)):
             alone = run_on(model, params, coarsen(path, factor))
-            assert run.terminal.tobytes() == alone.terminal.tobytes()
+            assert terminal.tobytes() == alone.terminal.tobytes()
 
 
 class TestTwoDimensional:
