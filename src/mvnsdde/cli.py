@@ -83,9 +83,9 @@ GRID_KEYS = tuple(f.name for f in dataclasses.fields(Grid))
 
 # The function each subcommand runs.  Its parameters, read at import before
 # any caller rebinds a name, are the keys the run reads (``READS``): ``grid``
-# stands for the Grid keys, ``segments`` for seed and particles, ``model`` for
-# the model and its factory's keys (``model_keys``).  validate checks configs
-# written for every subcommand, so it accepts every key.
+# and ``grids`` (validate's one) stand for the Grid keys, ``segments`` for seed
+# and particles, ``model`` for the model and its factory's keys
+# (``model_keys``).  validate accepts every key: it checks any subcommand's.
 RUNS = {
     "simulate": simulate,
     "convergence-dt": strong_error_vs_dt,
@@ -95,7 +95,7 @@ RUNS = {
     "validate": validate,
 }
 SUBCOMMANDS = tuple(RUNS)
-_STANDS_FOR = {"grid": GRID_KEYS, "segments": ("seed", "particles")}
+_STANDS_FOR = {"grid": GRID_KEYS, "grids": GRID_KEYS, "segments": ("seed", "particles")}
 READS = {
     sub: tuple(key for name in inspect.signature(run).parameters
                for key in _STANDS_FOR.get(name, (name,)))
@@ -250,8 +250,9 @@ def _argument(cfg: RunConfig, name: str):
     if name == "model":
         keys = model_keys(cfg.model)
         return build_model(cfg.model, **{key: getattr(cfg, key) for key in keys})
-    if name == "grid":
-        return Grid(**{key: getattr(cfg, key) for key in GRID_KEYS})
+    if name in ("grid", "grids"):
+        grid = Grid(**{key: getattr(cfg, key) for key in GRID_KEYS})
+        return grid if name == "grid" else [grid]
     if name == "segments":
         return [(cfg.seed, cfg.particles)]
     return getattr(cfg, name)

@@ -160,50 +160,56 @@ def _probe(model: ModelSpec) -> list[str]:
 
 
 def validate(
-    model: ModelSpec, grid: Grid, segments: Sequence[tuple[int, int]]
+    model: ModelSpec, grids: Sequence[Grid], segments: Sequence[tuple[int, int]]
 ) -> list[str]:
-    """Every violated structural condition of one run, an empty list when
-    the run may start; never raises.
+    """Every violated structural condition of a study, an empty list when
+    it may start; never raises.
 
-    A run is a :class:`Grid` and its ``(seed, particles)`` segments.  The
-    segments and the fields come first: ``segments`` a non-empty sequence,
-    ``state_dim`` and ``bm_dim`` integers >= 1 (not bools),
-    ``contraction``, ``growth_power`` and the grid's ``delta``, ``tau``,
-    ``alpha`` and ``horizon`` real numbers, and ``taming`` a bool.  A mistyped field ends
-    the report: those violations are all it lists.  Otherwise the model
-    and the grid are checked once: the contraction modulus, the growth
+    A study is the :class:`Grid` values one pass runs on one path and their
+    ``(seed, particles)`` segments.  The shapes and the fields come first:
+    ``grids`` a non-empty sequence of Grid values, ``segments`` a non-empty
+    sequence, ``state_dim`` and ``bm_dim`` integers >= 1 (not bools),
+    ``contraction``, ``growth_power`` and each grid's ``delta``, ``tau``,
+    ``alpha`` and ``horizon`` real numbers, and ``taming`` a bool.  A
+    mistyped field ends the report: those violations are all it lists.
+    Otherwise the model is checked once: the contraction modulus, the growth
     power (at most ``MAX_GROWTH_POWER``, the error-exponent window), the
     neutral map probes (zero at zero, contractivity on pairs drawn from one
-    fixed stream, so every seed gets the same verdict), the callbacks on a
-    probe batch of two one-row systems from that stream (float arrays of
+    fixed stream, so every seed gets the same verdict) and the callbacks on
+    a probe batch of two one-row systems from that stream (float arrays of
     shape (2, state_dim), and (2, state_dim, bm_dim) from ``diffusion``;
     ``neutral`` pure; ``drift`` and ``diffusion`` giving each system the
-    bits of a call on it alone), grid integrality (tau/delta and
-    horizon/delta) and the step/exponent ranges.  Then each segment: a
-    ``(seed, particles)`` pair of integers.  A violation several segments
-    share is listed once.
+    bits of a call on it alone).  Then each grid (integrality of tau/delta
+    and horizon/delta, the step/exponent ranges, the initial segment) and,
+    if all pass, the pass rules: the first grid's horizon, and a step count
+    that divides the first's by a power of two.  Then each segment: a
+    ``(seed, particles)`` pair of integers.  Each violation is listed once.
     """
     v = []
-    try:
-        segments = tuple(segments)
-        if not segments:
-            v.append("a run needs at least one segment")
-    except TypeError:
+    if not isinstance(segments, Sequence):
         v.append(f"a run's segments must be a sequence, got {segments!r}")
+    elif not segments:
+        v.append("a run needs at least one segment")
+    if not isinstance(grids, Sequence) or not all(isinstance(g, Grid) for g in grids):
+        v.append(f"a pass's grids must be a sequence of Grid values, got {grids!r}")
+        grids = ()
+    elif not grids:
+        v.append("a pass needs at least one grid")
     for name in ("state_dim", "bm_dim"):
         value = getattr(model, name)
         if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
             v.append(f"{name} must be an integer >= 1, got {value!r}")
     fields = [(model, "contraction"), (model, "growth_power")]
-    fields += [(grid, name) for name in ("delta", "tau", "alpha", "horizon")]
+    for grid in grids:
+        fields += [(grid, name) for name in ("delta", "tau", "alpha", "horizon")]
+        if not isinstance(grid.taming, bool):
+            v.append(f"taming must be a bool, got {grid.taming!r}")
     for owner, name in fields:
         value = getattr(owner, name)
         if not isinstance(value, Real):
             v.append(f"{name} must be a real number, got {value!r}")
-    if not isinstance(grid.taming, bool):
-        v.append(f"taming must be a bool, got {grid.taming!r}")
     if v:
-        return v
+        return list(dict.fromkeys(v))
 
     lam = model.contraction
     if not 0.0 < lam < 1.0:
@@ -215,43 +221,54 @@ def validate(
         )
     v += _probe(model)
 
-    if grid.tau <= 0:
-        v.append(f"tau must be positive, got {grid.tau}")
-    if not 0.0 < grid.delta < min(1.0, grid.tau):
-        v.append(
-            f"delta must lie in (0, min(1, tau)) = "
-            f"(0, {min(1.0, grid.tau)}), got {grid.delta}"
-        )
-    delay = grid.tau / grid.delta if grid.delta > 0 else 0.0
-    if delay > 0 and not is_integer_ratio(grid.tau, grid.delta):
-        v.append(f"tau/delta = {delay!r} is not a positive integer")
-    elif delay > MAX_DELAY_STEPS:
-        cap = f"the cap of {MAX_DELAY_STEPS} steps"
-        v.append(f"tau/delta = {delay!r} exceeds {cap}")
-    if not 0.0 < grid.alpha <= 0.5:
-        v.append(f"alpha must lie in (0, 1/2], got {grid.alpha}")
-    if grid.horizon <= 0:
-        v.append(f"horizon must be positive, got {grid.horizon}")
-    elif grid.delta > 0 and not is_integer_ratio(grid.horizon, grid.delta):
-        v.append(
-            f"horizon/delta = {grid.horizon / grid.delta!r} is not a "
-            "positive integer"
-        )
+    checked = len(v)
+    for grid in grids:
+        if grid.tau <= 0:
+            v.append(f"tau must be positive, got {grid.tau}")
+        if not 0.0 < grid.delta < min(1.0, grid.tau):
+            v.append(
+                f"delta must lie in (0, min(1, tau)) = "
+                f"(0, {min(1.0, grid.tau)}), got {grid.delta}"
+            )
+        delay = grid.tau / grid.delta if grid.delta > 0 else 0.0
+        if delay > 0 and not is_integer_ratio(grid.tau, grid.delta):
+            v.append(f"tau/delta = {delay!r} is not a positive integer")
+        elif delay > MAX_DELAY_STEPS:
+            cap = f"the cap of {MAX_DELAY_STEPS} steps"
+            v.append(f"tau/delta = {delay!r} exceeds {cap}")
+        if not 0.0 < grid.alpha <= 0.5:
+            v.append(f"alpha must lie in (0, 1/2], got {grid.alpha}")
+        if grid.horizon <= 0:
+            v.append(f"horizon must be positive, got {grid.horizon}")
+        elif grid.delta > 0 and not is_integer_ratio(grid.horizon, grid.delta):
+            v.append(
+                f"horizon/delta = {grid.horizon / grid.delta!r} is not a "
+                "positive integer"
+            )
 
-    # probe the initial segment at its grid points, if at most the cap of them
-    if 0 < delay <= MAX_DELAY_STEPS:
-        n0 = grid.delay_steps
-        try:
-            for n in range(-n0, 1):
-                val = np.asarray(model.initial_segment(n * grid.delta))
-                if val.shape != (model.state_dim,):
-                    v.append(
-                        f"initial segment at t = {n * grid.delta} has shape "
-                        f"{val.shape}, expected ({model.state_dim},)"
-                    )
-                    break
-        except Exception as exc:
-            v.append(f"initial segment not evaluable on [-tau, 0]: {exc!r}")
+        # probe the initial segment at its grid points, if at most the cap of them
+        if 0 < delay <= MAX_DELAY_STEPS:
+            n0 = grid.delay_steps
+            try:
+                for n in range(-n0, 1):
+                    val = np.asarray(model.initial_segment(n * grid.delta))
+                    if val.shape != (model.state_dim,):
+                        v.append(
+                            f"initial segment at t = {n * grid.delta} has shape "
+                            f"{val.shape}, expected ({model.state_dim},)"
+                        )
+                        break
+            except Exception as exc:
+                v.append(f"initial segment not evaluable on [-tau, 0]: {exc!r}")
+
+    if grids and len(v) == checked:  # every step count is a positive integer
+        fine = grids[0]
+        for grid in grids[1:]:
+            factor, rest = divmod(fine.total_steps, grid.total_steps)
+            if grid.horizon != fine.horizon:
+                v.append(f"horizon {grid.horizon} is not {fine.horizon}")
+            elif rest or factor & (factor - 1):
+                v.append(f"delta {grid.delta} is not {fine.delta} times a power of two")
 
     for segment in segments:
         try:

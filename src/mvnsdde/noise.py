@@ -8,11 +8,12 @@ consumed in flat ``step * bm_dim + component`` order, mapped to uniforms in
 fine-step runs therefore share one Brownian path: summing blocks of fine
 increments reproduces the coarse increments of the same path exactly.
 
-Every run reads the path as a stream of time-major blocks, the paths of
-one or more seeds side by side (:func:`stream_seeds`), so no full grid
-exists in memory.  :func:`generate` concatenates the stream into one array,
-the oracle the tests check streamed runs against, and :func:`coarsen` is
-the one coarsening rule.
+Every run reads the path as a stream of time-major blocks, a pass's
+segments laid out by :func:`stream_seeds`, so no full grid exists in
+memory.  With :func:`coarsen`, the one coarsening rule, this module owns the
+whole determinism contract: streams keyed by particle id, a smaller system
+reading a prefix of a larger one's, and block sums.  :func:`generate`
+concatenates one segment's stream, the oracle of the tests.
 
 ``ndtri``, the one scipy.special function the package uses, comes from
 scipy's ``_ufuncs`` extension alone (:func:`scipy_extension`), so the 51
@@ -26,6 +27,7 @@ import math
 import os
 import sys
 import types
+from itertools import accumulate
 
 import numpy as np
 import scipy
@@ -71,16 +73,16 @@ _CHUNK_ELEMENTS = 2**17
 
 
 def is_whole(value) -> bool:
-    """Whether ``value`` is an int or a whole float."""
+    """Whether ``value`` is an int or a whole float; a bool is neither."""
     try:
-        return int(value) == value
+        return not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         return False
 
 
 def check_seed(seed) -> int:
     """``seed`` as an int; a :class:`GridError` unless it is a whole number
-    that fits 64 unsigned bits (3.5 is refused, not truncated)."""
+    that fits 64 unsigned bits (3.5 and True are refused, not read as 3 and 1)."""
     whole = int(seed) if is_whole(seed) else -1
     if not 0 <= whole < 2**64:
         raise GridError(f"seed must be a 64-bit unsigned integer, got {seed}")
@@ -105,21 +107,6 @@ def derived_generator(seed: int, tag: int) -> Generator:
     return Generator(Philox(key=[seed, _AUX_NAMESPACE + tag]))
 
 
-def _check_grid(seed, particles, bm_dim, delta_base, horizon):
-    """Validate grid arguments; return the seed as an int and the step count."""
-    seed = check_seed(seed)
-    if particles < 1 or bm_dim < 1:
-        raise GridError("particles and bm_dim must be >= 1")
-    if delta_base <= 0:
-        raise GridError(f"delta_base must be positive, got {delta_base}")
-    if not is_integer_ratio(horizon, delta_base):
-        raise GridError(
-            f"horizon/delta = {horizon / delta_base!r} is not a positive "
-            "integer step count"
-        )
-    return seed, round(horizon / delta_base)
-
-
 def chunk_steps(particles: int, bm_dim: int, multiple: int = 1) -> int:
     """Steps per streamed block: the element budget, a multiple of ``multiple``."""
     fit = _CHUNK_ELEMENTS // (particles * bm_dim) // multiple * multiple
@@ -141,39 +128,56 @@ def seeds_per_block(particles: int, bm_dim: int, multiple: int = 1) -> int:
     return max(1, _CHUNK_ELEMENTS // (least * particles * bm_dim))
 
 
-def stream_seeds(columns: dict, bm_dim, delta_base, horizon, chunk):
-    """The increments of several seeds' streams as blocks of ``chunk`` time rows.
+def stream_seeds(segments, bm_dim, delta_base, horizon, multiple=1):
+    """The increments of a pass's ``(seed, particles)`` segments as blocks
+    of time rows, each segment's columns in segment order.
 
-    ``columns`` maps each seed to its particle count; a block holds the
-    first seed's particles, then the next seed's, and so on.  Blocks are
-    (chunk, particles, bm_dim), the last one shorter if need be; each is a
-    time-major view of stream-major memory, so not C-ordered.  Each
-    particle keeps one Philox generator, and successive draws continue its
-    stream, so the blocks are the same path whatever their length.
+    Each seed's streams are drawn once, as many as its largest segment
+    takes, and each segment takes the leading ones.  Blocks are (steps,
+    particles, bm_dim), :func:`chunk_steps` of the drawn width and
+    ``multiple`` long (the last one shorter if need be); each is a
+    time-major view of stream-major memory (of the draw's gathered rows
+    unless the segments take every stream in order), so not C-ordered.
+    Each particle keeps one Philox generator, and successive draws continue
+    its stream, so the blocks are the same path whatever their length.
     """
-    keys = []
-    for seed, particles in columns.items():
-        seed, steps = _check_grid(seed, particles, bm_dim, delta_base, horizon)
-        keys += [(seed, a) for a in range(particles)]
-    if chunk < 1:
-        raise GridError(f"chunk must be >= 1 step, got {chunk}")
+    counts = [bm_dim, multiple, *(particles for _, particles in segments)]
+    if not segments or not all(is_whole(n) and n >= 1 for n in counts):
+        raise GridError("a stream needs segments; particles, bm_dim and multiple >= 1")
+    if not (delta_base > 0 and is_integer_ratio(horizon, delta_base)):
+        raise GridError(f"horizon {horizon} is not whole steps of {delta_base}")
+    bm_dim, multiple = int(bm_dim), int(multiple)
+    steps, columns = round(horizon / delta_base), {}
+    for seed, particles in segments:
+        seed = check_seed(seed)
+        columns[seed] = max(columns.get(seed, 0), int(particles))
+    first = dict(zip(columns, accumulate([0, *columns.values()])))
+    width = sum(columns.values())
+    gather = [first[int(seed)] + np.arange(int(n)) for seed, n in segments]
+    gather = np.concatenate(gather)
+    if np.array_equal(gather, np.arange(width)):
+        gather = None  # every drawn stream, in order
     # exact uint64 words: numpy rounds a list key's words >= 2**63 through
-    # float64, so distinct seeds would share a stream
-    streams = [Generator(Philox(key=np.array(key, dtype=np.uint64))) for key in keys]
+    # float64, so distinct seeds would share a stream; building the keys as a
+    # list first raised particle_sweep's peak RSS by 0.9 MiB
+    streams = [Generator(Philox(key=np.array((seed, a), dtype=np.uint64)))
+               for seed, particles in columns.items() for a in range(particles)]
+    chunk = chunk_steps(width, bm_dim, multiple)
     scale = np.sqrt(delta_base)
     # a generator expression keeps no yielded block alive while the next is drawn
     return (
-        _draw(streams, min(chunk, steps - n), bm_dim, scale)
-        for n in range(0, steps, int(chunk))
+        _draw(streams, min(chunk, steps - n), bm_dim, scale, gather)
+        for n in range(0, steps, chunk)
     )
 
 
-def _draw(streams, steps, bm_dim, scale) -> np.ndarray:
-    """Next ``steps`` rows of every stream: raw -> uniform (0, 1) -> ndtri -> scale.
+def _draw(streams, steps, bm_dim, scale, gather=None) -> np.ndarray:
+    """Next ``steps`` rows of every stream (or of the ``gather`` streams):
+    raw -> uniform (0, 1) -> ndtri -> scale.
 
-    One array holds the block: each stream fills its own row and every
-    transform runs in place, so the (steps, streams, bm_dim) result is a
-    time-major view of stream-major memory, not a C-ordered array.
+    One array holds the block: each stream fills its own row, every
+    transform runs in place and a gather copies whole rows, so the (steps,
+    streams, bm_dim) result is a time-major view of stream-major memory.
     """
     u = np.empty((len(streams), steps * bm_dim))
     for row, rng in zip(u, streams):
@@ -181,7 +185,9 @@ def _draw(streams, steps, bm_dim, scale) -> np.ndarray:
     u += 2.0**-54
     ndtri(u, out=u)
     u *= scale
-    return u.reshape(len(streams), steps, bm_dim).transpose(1, 0, 2)
+    if gather is not None:
+        u = u.take(gather, axis=0)  # rebound, so the draw is freed here
+    return u.reshape(len(u), steps, bm_dim).transpose(1, 0, 2)
 
 
 def generate(
@@ -193,10 +199,7 @@ def generate(
     (seed, a, n, k), so regeneration with any particle count reproduces the
     shared streams bit-for-bit.
     """
-    # chunk_steps divides by particles * bm_dim, so check them first
-    _check_grid(seed, particles, bm_dim, delta_base, horizon)
-    chunk = chunk_steps(particles, bm_dim)
-    blocks = stream_seeds({seed: particles}, bm_dim, delta_base, horizon, chunk)
+    blocks = stream_seeds([(seed, particles)], bm_dim, delta_base, horizon)
     return np.concatenate(list(blocks))
 
 
@@ -205,11 +208,12 @@ def coarsen(increments: np.ndarray, factor: int) -> np.ndarray:
 
     The one coarsening rule, so a coarse run sees the same sums whether its
     fine path arrives whole or in blocks of a multiple of ``factor`` rows.
-    ``factor`` must divide the row count; 1 returns the input.
+    ``factor`` must be a whole number (not a bool) dividing the row count;
+    1 returns the input.
     """
+    if not is_whole(factor) or factor < 1:
+        raise GridError(f"coarsening factor must be an integer >= 1, got {factor!r}")
     factor = int(factor)
-    if factor < 1:
-        raise GridError(f"coarsening factor must be >= 1, got {factor}")
     if len(increments) % factor != 0:
         raise GridError(
             f"factor {factor} does not divide step count {len(increments)}"

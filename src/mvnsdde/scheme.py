@@ -10,10 +10,10 @@ segment) to total_steps.
 
 A run is a :class:`~mvnsdde.model.Grid` and its ``(seed, particles)``
 segments.  :func:`coupled_pass` runs a study's segments at one or more
-grids in passes of one :class:`Stepper` per grid, streaming their seeds'
-Brownian paths block by block.  :func:`simulate` and :func:`simulate_terminal`
-are a pass over one grid and one segment, so the path follows from its
-seed, step and horizon.
+grids in passes of one :class:`Stepper` per grid; it only steps, on the
+Brownian blocks :func:`~mvnsdde.noise.stream_seeds` lays out.
+:func:`simulate` and :func:`simulate_terminal` are a pass over one grid and
+one segment, so the path follows from its seed, step and horizon.
 A record keeps what a run keeps besides its delay window; the grid
 :func:`simulate` returns is its :class:`ParticleGrid` record.
 """
@@ -30,7 +30,7 @@ from ._g17 import BLOCK_VALUES, g17_texts
 from .errors import GridError, OverflowAbort, ValidationFailure
 from .measure import EmpiricalMeasure
 from .model import Grid, ModelSpec, validate
-from .noise import chunk_steps, coarsen, seeds_per_block, stream_seeds
+from .noise import coarsen, seeds_per_block, stream_seeds
 
 # A Divergence record counts a particle as diverged once its norm exceeds this.
 DIVERGENCE_THRESHOLD = 1e10
@@ -313,34 +313,22 @@ def coupled_pass(
     streamed Brownian paths, each grid with its record from ``records``;
     return each grid's terminal states, the segments' rows in order.
 
-    Each grid is validated once on all the segments.  The path is streamed
-    at the first grid's step and horizon; every grid needs that horizon and
-    a step count that divides the path's by a power of two, its factor, or
-    is a :class:`GridError` before any noise is drawn.  Consecutive
-    segments run in passes of at most :func:`~mvnsdde.noise.seeds_per_block`
-    seeds (one pass given ``records``), one :class:`Stepper` per grid.  A
-    segment takes the leading columns of its seed's stream, so a smaller
-    system reuses a larger one's.  Blocks are a multiple of every factor
-    long, so each run sees :func:`~mvnsdde.noise.coarsen`'s sums of the path.
+    One :func:`~mvnsdde.model.validate` call judges the whole study before
+    anything is drawn or recorded, so every grid's step count divides the
+    first grid's by a power of two, its factor.  Consecutive segments run
+    in passes of at most :func:`~mvnsdde.noise.seeds_per_block` seeds (one
+    pass given ``records``), one :class:`Stepper` per grid, on the blocks
+    :func:`~mvnsdde.noise.stream_seeds` lays out at the first grid's step,
+    a multiple of every factor long, so each run sees
+    :func:`~mvnsdde.noise.coarsen`'s sums of the path.
     """
-    if not grids:
-        raise GridError("a pass needs at least one grid")
     whole = records is not None  # a record keeps one run's rows: one pass
     records = records if whole else [None] * len(grids)
     pairs = list(zip(grids, records, strict=True))  # before any validation
-    for grid in grids:
-        if violations := validate(model, grid, segments):
-            raise ValidationFailure(violations)
+    if violations := validate(model, grids, segments):
+        raise ValidationFailure(violations)
     fine = grids[0]
-    horizon, steps = fine.horizon, fine.total_steps
-    factors = []
-    for grid in grids:
-        if grid.horizon != horizon:
-            raise GridError("every grid of a pass needs the first grid's horizon")
-        factor, rest = divmod(steps, grid.total_steps)
-        if rest or factor < 1 or factor & (factor - 1):
-            raise GridError(f"steps {steps} / {grid.total_steps} is not a power of two")
-        factors.append(factor)
+    factors = [fine.total_steps // grid.total_steps for grid in grids]
     size = seeds_per_block(max(n for _, n in segments), model.bm_dim, max(factors))
     passes = [[]]
     for seed, n in segments:
@@ -349,23 +337,12 @@ def coupled_pass(
             passes.append([])
         passes[-1].append((seed, n))
     rows = sum(n for _, n in segments)
+    path = model.bm_dim, fine.delta, fine.horizon, max(factors)
     terminals = [np.empty((rows, model.state_dim)) for _ in grids]
     start = 0
     for part in passes:
         runs = [Stepper(model, grid, part, record) for grid, record in pairs]
-        layout = runs[0].segments
-        columns: dict[int, int] = {}
-        for seed, particles in layout:
-            columns[seed] = max(columns.get(seed, 0), particles)
-        first = dict(zip(columns, accumulate([0, *columns.values()])))
-        gather = np.concatenate([first[seed] + np.arange(n) for seed, n in layout])
-        width = sum(columns.values())
-        if np.array_equal(gather, np.arange(width)):
-            gather = None  # every drawn column, in order
-        chunk = chunk_steps(width, model.bm_dim, max(factors))
-        for block in stream_seeds(columns, model.bm_dim, fine.delta, horizon, chunk):
-            if gather is not None:
-                block = block.take(gather, axis=1)
+        for block in stream_seeds(part, *path):
             for run, factor in zip(runs, factors):
                 run.advance(coarsen(block, factor))
             del block  # free it before the next block is drawn

@@ -587,7 +587,7 @@ class TestRunDeclaration:
                 ["model", "delta", "particles", "tau", "horizon", "seed", "alpha"],
             ),
             ("empirical-rate", "empirical_measure_rate", ["dim", "xis", "mc_reps", "seed"]),
-            ("validate", "validate", ["model", "grid", "segments"]),
+            ("validate", "validate", ["model", "grids", "segments"]),
         ],
     )
     def test_dispatch_calls_the_name_bound_at_run_time(
@@ -1084,9 +1084,9 @@ class TestBenchmarkTracer:
         assert counts["scheme.run.particle_steps"] == 3 * 4
         assert [calls[k] for k in ("scheme.run", "scheme.em_step", "scheme.export")] == [1, 4, 1]
 
-    def test_tracer_sees_one_validation_per_grid(self, tmp_path):
+    def test_tracer_sees_one_validation_per_study(self, tmp_path):
         # two replicates at three step sizes: the study's one pass call
-        # validates each grid once, where the benchmark's span times it
+        # validates the study once, where the benchmark's span times it
         argv = [
             "convergence-dt", "--seed", "4", "--particles", "3",
             "--delta-ref", "0.0625", "--deltas", "0.125,0.25", "--tau", "0.5",
@@ -1094,5 +1094,18 @@ class TestBenchmarkTracer:
         ]
         rc, counts, calls = self._traced(argv)
         assert rc == 0
-        assert calls["model.validate"] == 3
+        assert calls["model.validate"] == 1
         assert counts["scheme.run.particle_steps"] == 2 * 3 * (16 + 8 + 4)
+
+    def test_tracer_sees_the_gathered_particle_study(self, tmp_path):
+        # two replicates of three nested sizes: each pass gathers every
+        # system's leading streams from its seed's one draw
+        argv = [
+            "convergence-particles", "--seed", "4", "--xis", "2,3,5",
+            "--delta", "0.0625", "--tau", "0.125", "--horizon", "1.0",
+            "--replicates", "2", "--outdir", str(tmp_path / "o"),
+        ]
+        rc, counts, calls = self._traced(argv)
+        assert rc == 0
+        assert calls["model.validate"] == 1
+        assert counts["scheme.run.particle_steps"] == 16 * 2 * (2 + 3 + 5)

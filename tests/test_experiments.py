@@ -94,15 +94,16 @@ class TestStrongErrorVsDt:
         assert table.rows[0].rms_error == 0.0
         assert table.rows[1].rms_error > 0.0
 
-    def test_non_power_of_two_rejected(self):
+    def test_non_power_of_two_rejected(self, monkeypatch):
+        monkeypatch.setattr(scheme, "stream_seeds", forbidden)
         with pytest.raises(ConfigError):
             strong_error_vs_dt(
                 example51(), particles=4, delta_ref=2.0**-8,
                 deltas=[3.0 * 2.0**-8], tau=2.0**-5, alpha=0.5, horizon=0.25,
                 seed=5,
             )
-        # a valid grid finer than the path: the pass refuses it
-        with pytest.raises(GridError, match="power of two"):
+        # a valid grid finer than the path: the study's verdict refuses it
+        with pytest.raises(ValidationFailure, match="power of two"):
             strong_error_vs_dt(
                 example51(), particles=4, delta_ref=2.0**-8,
                 deltas=[2.0**-9], tau=2.0**-5, alpha=0.5, horizon=0.25, seed=5,
@@ -176,7 +177,7 @@ class TestStrongErrorVsDt:
         b = strong_error_vs_dt(example51(), **kw)
         assert a.csv_text() == b.csv_text()
 
-    def test_one_validation_per_grid_whatever_the_passes(self, monkeypatch):
+    def test_one_validation_per_study_whatever_the_passes(self, monkeypatch):
         # 4 numbers a block put each seed of 4 particles in a pass of its own
         kw = dict(
             particles=4, delta_ref=2.0**-9, deltas=[2.0**-8, 2.0**-7],
@@ -185,21 +186,21 @@ class TestStrongErrorVsDt:
         shared = strong_error_vs_dt(example51(), **kw)
         seen, passes = [], []
 
-        def counted(model, grid, segments):
-            seen.append((grid.delta, segments))
-            return validate(model, grid, segments)
+        def counted(model, grids, segments):
+            seen.append(([grid.delta for grid in grids], segments))
+            return validate(model, grids, segments)
 
-        def streamed(columns, *args):
-            passes.append(list(columns))
-            return stream_seeds(columns, *args)
+        def streamed(part, *args):
+            passes.append(list(part))
+            return stream_seeds(part, *args)
 
         monkeypatch.setattr(scheme, "validate", counted)
         monkeypatch.setattr(scheme, "stream_seeds", streamed)
         monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 4)
         table = strong_error_vs_dt(example51(), **kw)
         segments = [(77, 4), (78, 4), (79, 4)]
-        assert seen == [(d, segments) for d in (2.0**-9, 2.0**-8, 2.0**-7)]
-        assert passes == [[77], [78], [79]]
+        assert seen == [([2.0**-9, 2.0**-8, 2.0**-7], segments)]
+        assert passes == [[(77, 4)], [(78, 4)], [(79, 4)]]
         assert table.csv_text() == shared.csv_text()
 
 

@@ -14,6 +14,7 @@ from mvnsdde import (
     ConfigError,
     EmpiricalMeasure,
     Grid,
+    GridError,
     ValidationFailure,
     build_model,
     chaos_error_vs_particles,
@@ -200,76 +201,130 @@ class TestGrid:
 
 class TestValidate:
     def test_example51_acceptance_setup_ok(self):
-        assert validate(example51(), _params(), SEGMENT) == []
+        assert validate(example51(), [_params()], SEGMENT) == []
 
     def test_non_integer_delay_ratio(self):
-        report = validate(example51(), _params(tau=1.0, delta=0.3), SEGMENT)
+        report = validate(example51(), [_params(tau=1.0, delta=0.3)], SEGMENT)
         assert report
         assert any("tau/delta" in v for v in report)
 
     def test_contraction_at_one_rejected(self):
         model = dataclasses.replace(example51(), contraction=1.0)
-        report = validate(model, _params(), SEGMENT)
+        report = validate(model, [_params()], SEGMENT)
         assert any("contraction" in v for v in report)
 
     def test_contractivity_probe_catches_lies(self):
         # claim a modulus below the map's true one: probe must object
         model = dataclasses.replace(example51(), contraction=0.25)
-        report = validate(model, _params(), SEGMENT)
+        report = validate(model, [_params()], SEGMENT)
         assert any("probe" in v or "modulus" in v for v in report)
 
     def test_neutral_nonzero_at_zero(self):
         model = dataclasses.replace(
             example51(), neutral=lambda y: -0.5 * y + 0.125
         )
-        report = validate(model, _params(), SEGMENT)
+        report = validate(model, [_params()], SEGMENT)
         assert any("zero" in v for v in report)
 
     def test_delta_range(self):
-        report = validate(example51(), _params(delta=0.5, tau=2.0**-5), SEGMENT)
+        report = validate(example51(), [_params(delta=0.5, tau=2.0**-5)], SEGMENT)
         assert any("min(1, tau)" in v for v in report)
 
     def test_alpha_range(self):
-        report = validate(example51(), _params(alpha=0.75), SEGMENT)
+        report = validate(example51(), [_params(alpha=0.75)], SEGMENT)
         assert any("alpha" in v for v in report)
-        report = validate(example51(), _params(alpha=0.0), SEGMENT)
+        report = validate(example51(), [_params(alpha=0.0)], SEGMENT)
         assert any("alpha" in v for v in report)
 
     def test_horizon_ratio(self):
-        report = validate(example51(), _params(horizon=1.0 + 2.0**-12), SEGMENT)
+        report = validate(example51(), [_params(horizon=1.0 + 2.0**-12)], SEGMENT)
         assert any("horizon/delta" in v for v in report)
 
     def test_exponent_window(self):
         # q = 2, p = 12: q <= p/(2(c+1)) holds up to growth power c = 2
         assert example51().growth_power == 2.0
-        assert validate(example51(), _params(), SEGMENT) == []
+        assert validate(example51(), [_params()], SEGMENT) == []
         quartic = dataclasses.replace(example51(), growth_power=3.0)
-        bad_c = validate(quartic, _params(), SEGMENT)
+        bad_c = validate(quartic, [_params()], SEGMENT)
         assert any("p/(2(c+1))" in v for v in bad_c)
 
     def test_linear_model_wide_window(self):
         # growth power 0 sits well inside the window
-        assert validate(linear_meanfield(), _params(), SEGMENT) == []
+        assert validate(linear_meanfield(), [_params()], SEGMENT) == []
 
     def test_seed_outside_64_bits_is_a_violation(self):
-        report = validate(example51(), _params(), [(2**64, 10)])
+        report = validate(example51(), [_params()], [(2**64, 10)])
         expect = f"seed must be a 64-bit unsigned integer, got {2**64}"
         assert report == [expect]
 
     def test_a_fractional_seed_is_a_violation_not_a_truncation(self, monkeypatch):
-        assert validate(example51(), _params(), [(3.0, 10)]) == []
-        report = validate(example51(), _params(), [(3.5, 10)])
+        assert validate(example51(), [_params()], [(3.0, 10)]) == []
+        report = validate(example51(), [_params()], [(3.5, 10)])
         assert report == ["seed must be a 64-bit unsigned integer, got 3.5"]
         _forbid_draws(monkeypatch)
         with pytest.raises(ValidationFailure, match="got 3.5"):
             simulate(example51(), _params(), 3.5, 10)
 
     def test_a_fractional_particle_count_is_a_violation(self, monkeypatch):
-        report = validate(example51(), _params(), [(314, 2.5)])
+        report = validate(example51(), [_params()], [(314, 2.5)])
         assert report == ["particles must be an integer, got 2.5"]
         _forbid_draws(monkeypatch)
         with pytest.raises(ValidationFailure, match="particles must be an integer"):
             simulate(example51(), _params(), 314, 2.5)
+
+    @pytest.mark.parametrize("true", [True, np.True_], ids=["bool", "np_bool"])
+    def test_a_bool_seed_or_particle_count_is_a_violation(self, true, monkeypatch):
+        # True would run seed 1 with one particle
+        assert validate(example51(), [_params()], [(true, 10), (314, true)]) == [
+            "seed must be a 64-bit unsigned integer, got True",
+            "particles must be an integer, got True",
+        ]
+        _forbid_draws(monkeypatch)
+        with pytest.raises(ValidationFailure, match="got True"):
+            simulate_terminal(example51(), _params(), true, true)
+        with pytest.raises(GridError, match="seed must be .* got True"):
+            derived_generator(true, 1)
+        with pytest.raises(GridError, match="seed must be .* got True"):
+            chaos_error_vs_particles(
+                example51(), xis=[4, 8], delta=2.0**-7, tau=2.0**-5, alpha=0.5,
+                horizon=0.25, seed=true,
+            )
+
+    def test_a_study_is_judged_whole(self, monkeypatch):
+        # the model is probed once for all the grids, and each grid is checked
+        probes = []
+        monkeypatch.setattr(
+            mvnsdde.model, "_probe", lambda model: probes.append(model) or []
+        )
+        grids = [_params(delta=2.0**-k) for k in (11, 9, 7)]
+        assert validate(example51(), grids, SEGMENT) == []
+        assert len(probes) == 1
+        report = validate(example51(), [*grids, _params(alpha=0.75)], SEGMENT)
+        assert report == ["alpha must lie in (0, 1/2], got 0.75"]
+
+    def test_the_pass_rules_are_violations_naming_both_grids(self):
+        # every grid is valid alone: 0.75 is 96 steps of 2**-7 and 32 of 3 * 2**-7
+        fine = _params(delta=2.0**-7, tau=3 * 2.0**-5, horizon=0.75)
+        coarse = _params(delta=3 * 2.0**-7, tau=3 * 2.0**-5, horizon=0.75)
+        finer = _params(delta=2.0**-8, tau=3 * 2.0**-5, horizon=0.75)
+        shorter = _params(delta=2.0**-6, tau=3 * 2.0**-5, horizon=0.375)
+        assert validate(example51(), [fine, coarse, finer, shorter], SEGMENT) == [
+            "delta 0.0234375 is not 0.0078125 times a power of two",
+            "delta 0.00390625 is not 0.0078125 times a power of two",
+            "horizon 0.375 is not 0.75",
+        ]
+        assert validate(example51(), [coarse, fine], SEGMENT) == [
+            "delta 0.0078125 is not 0.0234375 times a power of two"
+        ]
+
+    @pytest.mark.parametrize(
+        "grids", [_params(), [_params(), "grid"], 5], ids=["one_grid", "str", "int"]
+    )
+    def test_grids_not_a_sequence_of_grids_is_one_violation(self, grids):
+        assert validate(example51(), grids, SEGMENT) == [
+            f"a pass's grids must be a sequence of Grid values, got {grids!r}"
+        ]
+        assert validate(example51(), [], SEGMENT) == ["a pass needs at least one grid"]
 
     def test_delay_window_above_the_cap_is_not_probed(self, monkeypatch):
         probed = []
@@ -277,22 +332,22 @@ class TestValidate:
             example51(), initial_segment=lambda t: probed.append(t) or np.array([t])
         )
         monkeypatch.setattr(mvnsdde.model, "MAX_DELAY_STEPS", 64)
-        assert validate(model, _params(tau=64 * 2.0**-11), SEGMENT) == []
+        assert validate(model, [_params(tau=64 * 2.0**-11)], SEGMENT) == []
         assert len(probed) == 65
         probed.clear()
-        report = validate(model, _params(tau=128 * 2.0**-11), SEGMENT)
+        report = validate(model, [_params(tau=128 * 2.0**-11)], SEGMENT)
         assert report == ["tau/delta = 128.0 exceeds the cap of 64 steps"]
         assert probed == []
 
     def test_particles_positive(self):
-        report = validate(example51(), _params(), [(314, 0)])
+        report = validate(example51(), [_params()], [(314, 0)])
         assert any("particles" in v for v in report)
 
     def test_segment_shape_violation(self):
         model = dataclasses.replace(
             example51(), initial_segment=lambda t: np.array([t, t])
         )
-        report = validate(model, _params(), SEGMENT)
+        report = validate(model, [_params()], SEGMENT)
         assert any("segment" in v for v in report)
 
     def test_one_verdict_for_every_seed(self):
@@ -301,13 +356,13 @@ class TestValidate:
         model = dataclasses.replace(
             example51(), neutral=lambda y: -0.5 * y + 0.5 * (y >= 5.0)
         )
-        verdicts = [validate(model, _params(), [(seed, 10)]) for seed in range(16)]
+        verdicts = [validate(model, [_params()], [(seed, 10)]) for seed in range(16)]
         assert all(v == verdicts[0] for v in verdicts)
         assert any("contraction modulus" in v for v in verdicts[0])
 
     def test_a_run_of_segments_lists_a_shared_violation_once(self):
         segments = [(s, 0) for s in (1, 2, 2**64, 2**64 + 1)]
-        assert validate(example51(), _params(), segments) == [
+        assert validate(example51(), [_params()], segments) == [
             "particles must be >= 1, got 0",
             f"seed must be a 64-bit unsigned integer, got {2**64}",
             f"seed must be a 64-bit unsigned integer, got {2**64 + 1}",
@@ -316,20 +371,20 @@ class TestValidate:
     def test_segments_differ_only_in_seed_and_particles(self):
         # a segment is nothing but a seed and a particle count
         segments = [(314, 10), (7, 3)]
-        assert validate(example51(), _params(), segments) == []
-        assert validate(example51(), _params(), []) == [
+        assert validate(example51(), [_params()], segments) == []
+        assert validate(example51(), [_params()], []) == [
             "a run needs at least one segment"
         ]
 
     @pytest.mark.parametrize("segment", [5, (1, 2, 3)], ids=["int", "triple"])
     def test_a_segment_not_a_pair_is_one_violation(self, segment):
-        report = validate(example51(), _params(), [segment, (314, 10), segment])
+        report = validate(example51(), [_params()], [segment, (314, 10), segment])
         assert report == [
             f"a segment must be a (seed, particles) pair, got {segment!r}"
         ]
 
     def test_segments_not_a_sequence_is_one_violation(self):
-        report = validate(example51(), _params(), 5)
+        report = validate(example51(), [_params()], 5)
         assert report == ["a run's segments must be a sequence, got 5"]
 
     @pytest.mark.parametrize(
@@ -347,14 +402,14 @@ class TestValidate:
     ):
         # the checks and probes that read the field are skipped
         model = dataclasses.replace(example51(), **{field: value})
-        assert validate(model, _params(), SEGMENT) == [message]
+        assert validate(model, [_params()], SEGMENT) == [message]
 
     def test_a_model_without_noise_is_refused_before_any_draw(self, monkeypatch):
         model = dataclasses.replace(
             example51(), bm_dim=0, diffusion=lambda x, y, mu: np.zeros(x.shape + (0,))
         )
         message = "bm_dim must be an integer >= 1, got 0"
-        assert validate(model, _params(), SEGMENT) == [message]
+        assert validate(model, [_params()], SEGMENT) == [message]
         _forbid_draws(monkeypatch)
         with pytest.raises(ValidationFailure, match=message):
             simulate_terminal(model, _params(), *SEGMENT[0])
@@ -363,7 +418,7 @@ class TestValidate:
         "field, value", [("tau", -0.5), ("horizon", -1.0)], ids=["tau", "horizon"]
     )
     def test_a_negative_time_is_a_violation(self, field, value):
-        report = validate(example51(), _params(**{field: value}), SEGMENT)
+        report = validate(example51(), [_params(**{field: value})], SEGMENT)
         assert f"{field} must be positive, got {value}" in report
 
     @pytest.mark.parametrize(
@@ -379,18 +434,18 @@ class TestValidate:
             raise RuntimeError("no value here")
 
         model = dataclasses.replace(example51(), **{field: fails})
-        report = validate(model, _params(), SEGMENT)
+        report = validate(model, [_params()], SEGMENT)
         assert f"{message}RuntimeError('no value here')" in report
 
     def test_a_grid_field_not_a_real_number_is_one_violation(self):
         # a mistyped field ends the report: no later check runs
-        report = validate(example51(), Grid("0.1", 2**-5, 0.5, 0.25), SEGMENT)
+        report = validate(example51(), [Grid("0.1", 2**-5, 0.5, 0.25)], SEGMENT)
         assert report == ["delta must be a real number, got '0.1'"]
-        report = validate(example51(), Grid(2**-11, None, 0.75, 0.25), SEGMENT)
+        report = validate(example51(), [Grid(2**-11, None, 0.75, 0.25)], SEGMENT)
         assert report == ["tau must be a real number, got None"]
         # a truthy string is not read as "tamed"
         grid = Grid(0.25, 0.5, 0.5, 1.0, taming="no")
-        report = validate(cubic_no_mf(x0=5.0), grid, [(2, 5)])
+        report = validate(cubic_no_mf(x0=5.0), [grid], [(2, 5)])
         assert report == ["taming must be a bool, got 'no'"]
         with pytest.raises(ValidationFailure, match="taming must be a bool"):
             simulate_terminal(cubic_no_mf(x0=5.0), grid, 2, 5)
@@ -427,12 +482,12 @@ class TestCallbackShapes:
         ids=lambda model: model.name,
     )
     def test_well_shaped_models_pass(self, model):
-        assert validate(model, _params(), SEGMENT) == []
+        assert validate(model, [_params()], SEGMENT) == []
 
     @pytest.mark.parametrize("case", MISSHAPEN, ids=str)
     def test_misshapen_callback_is_one_violation_naming_it(self, case):
         model, name, got, want = MISSHAPEN[case]
-        assert validate(model, _params(), SEGMENT) == [
+        assert validate(model, [_params()], SEGMENT) == [
             f"{name} returned a float64 array of shape {got} on the probe "
             f"batch, expected a float array of shape {want}"
         ]
@@ -464,7 +519,7 @@ class TestCallbackShapes:
             drift=counted("drift", base.drift),
             diffusion=counted("diffusion", base.diffusion),
         )
-        validate(model, _params(), [(1, 10), (2, 10)])
+        validate(model, [_params()], [(1, 10), (2, 10)])
         probes = [call for call in calls if call[1] == (2, 1)]
         # neutral twice, for purity
         names = ("neutral", "neutral", "drift", "diffusion")
@@ -489,14 +544,14 @@ class TestCallbackShapes:
     def test_non_float_array_is_a_violation(self, callback, result, got):
         model = dataclasses.replace(example51(), **{callback: result})
         assert f"{callback} returned {got} on the probe batch" in "\n".join(
-            validate(model, _params(), SEGMENT)
+            validate(model, [_params()], SEGMENT)
         )
 
     def test_failing_callback_is_a_violation(self):
         model = dataclasses.replace(
             example51(), diffusion=lambda x, y, mu: np.linalg.inv(x)
         )
-        report = validate(model, _params(), SEGMENT)
+        report = validate(model, [_params()], SEGMENT)
         assert len(report) == 1
         assert report[0].startswith("diffusion failed on the probe batch: LinAlgError")
 
@@ -529,7 +584,7 @@ class TestBatchIndependenceAndPurity:
             _E51,
             drift=lambda x, y, mu: mvnsdde.model._cubic_drift(x, y) + x.mean(axis=0),
         )
-        assert validate(model, _params(), SEGMENT) == [f"drift {_SPLIT}"]
+        assert validate(model, [_params()], SEGMENT) == [f"drift {_SPLIT}"]
         _forbid_draws(monkeypatch)
         with pytest.raises(ValidationFailure, match="^validation failed: drift is not"):
             chaos_error_vs_particles(
@@ -541,10 +596,10 @@ class TestBatchIndependenceAndPurity:
         model = dataclasses.replace(
             _E51, diffusion=lambda x, y, mu: (x - x.mean(axis=0) + 0.5 * y)[..., None]
         )
-        assert validate(model, _params(), SEGMENT) == [f"diffusion {_SPLIT}"]
+        assert validate(model, [_params()], SEGMENT) == [f"diffusion {_SPLIT}"]
 
     def test_an_impure_neutral_is_one_violation_naming_it(self):
         model = dataclasses.replace(_E51, neutral=_alternating_neutral())
-        assert validate(model, _params(), SEGMENT) == [
+        assert validate(model, [_params()], SEGMENT) == [
             "neutral is not pure: a second call on the probe batch gave other bits"
         ]

@@ -63,11 +63,12 @@ class TestGenerate:
         assert abs(incs.mean()) <= 4.0 * np.sqrt(0.25 / n)
         assert abs(incs.var(ddof=1) / 0.25 - 1.0) <= 0.05
 
-    def test_particle_prefix_property(self):
+    def test_particle_prefix_property(self, monkeypatch):
         big = generate(42, particles=8, bm_dim=2, delta_base=0.5, horizon=4.0)
         small = generate(42, particles=3, bm_dim=2, delta_base=0.5, horizon=4.0)
         assert np.array_equal(big[:, :3, :], small)
-        streamed = np.concatenate(list(stream_seeds({42: 8}, 2, 0.5, 4.0, 3)))
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 3 * 8 * 2)  # 3-step blocks
+        streamed = np.concatenate(list(stream_seeds([(42, 8)], 2, 0.5, 4.0)))
         assert np.array_equal(streamed[:, :3, :], small)
 
     def test_entry_matches_per_particle_block(self):
@@ -89,6 +90,11 @@ class TestGenerate:
             generate(1, particles=1, bm_dim=1, delta_base=0.3, horizon=1.0)
 
     def test_bad_arguments(self):
+        # whole floats are read as their integers, bools are not
+        whole = generate(1.0, particles=2.0, bm_dim=2.0, delta_base=0.5, horizon=1.0)
+        assert whole.tobytes() == generate(1, 2, 2, 0.5, 1.0).tobytes()
+        with pytest.raises(GridError):
+            generate(1, particles=2, bm_dim=True, delta_base=0.5, horizon=1.0)
         with pytest.raises(GridError):
             generate(-1, particles=1, bm_dim=1, delta_base=0.5, horizon=1.0)
         with pytest.raises(GridError):
@@ -123,6 +129,14 @@ class TestCoarsen:
         assert a.shape == b.shape == (8, 4, 1)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
+    @pytest.mark.parametrize("factor", [2.5, True, np.True_], ids=["2.5", "True", "np_True"])
+    def test_a_factor_not_a_whole_number_is_refused(self, factor):
+        # 2.5 would sum pairs, and True would be read as 1
+        grid = np.arange(8.0).reshape(4, 2, 1)
+        with pytest.raises(GridError, match="factor must be an integer >= 1"):
+            coarsen(grid, factor)
+        assert coarsen(grid, 2.0).tobytes() == coarsen(grid, 2).tobytes()
+
     def test_divisibility_error(self):
         grid = generate(2, particles=1, bm_dim=1, delta_base=0.2, horizon=1.0)
         with pytest.raises(GridError):
@@ -152,9 +166,11 @@ class TestStream:
         chunk = data.draw(st.integers(1, steps), label="chunk")
         delta = 2.0**-6
         grid = generate(seed, particles, bm_dim, delta, steps * delta)
-        blocks = list(
-            stream_seeds({seed: particles}, bm_dim, delta, steps * delta, chunk)
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(noise, "_CHUNK_ELEMENTS", chunk * particles * bm_dim)
+            blocks = list(
+                stream_seeds([(seed, particles)], bm_dim, delta, steps * delta)
+            )
         assert [len(b) for b in blocks[:-1]] == [chunk] * (len(blocks) - 1)
         full = np.concatenate(blocks)
         assert full.tobytes() == grid.tobytes()
@@ -166,24 +182,27 @@ class TestStream:
             sums = np.concatenate([coarsen(b, f) for b in blocks])
             assert sums.tobytes() == coarse.tobytes()
 
-    def test_block_shape_and_last_chunk(self):
-        blocks = list(stream_seeds({4: 3}, 2, 0.25, 2.5, 4))
+    def test_block_shape_and_last_chunk(self, monkeypatch):
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 4 * 3 * 2)  # 4-step blocks
+        blocks = list(stream_seeds([(4, 3)], 2, 0.25, 2.5))
         assert [b.shape for b in blocks] == [(4, 3, 2), (4, 3, 2), (2, 3, 2)]
 
-    def test_seeds_side_by_side(self):
+    def test_seeds_side_by_side(self, monkeypatch):
         # each seed's columns are its own stream, whatever the neighbours
-        blocks = list(stream_seeds({9: 3, 2**64 - 1: 5}, 2, 0.25, 2.5, 4))
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 4 * 8 * 2)  # 4-step blocks
+        blocks = list(stream_seeds([(9, 3), (2**64 - 1, 5)], 2, 0.25, 2.5))
         assert [b.shape for b in blocks] == [(4, 8, 2), (4, 8, 2), (2, 8, 2)]
         full = np.concatenate(blocks)
-        nine = np.concatenate(list(stream_seeds({9: 3}, 2, 0.25, 2.5, 4)))
-        last = np.concatenate(list(stream_seeds({2**64 - 1: 5}, 2, 0.25, 2.5, 4)))
+        nine = np.concatenate(list(stream_seeds([(9, 3)], 2, 0.25, 2.5)))
+        last = np.concatenate(list(stream_seeds([(2**64 - 1, 5)], 2, 0.25, 2.5)))
         assert full[:, :3].tobytes() == nine.tobytes()
         assert full[:, 3:].tobytes() == last.tobytes()
 
     @pytest.mark.parametrize("bm_dim", [1, 2])
-    def test_a_block_is_its_only_array(self, bm_dim):
+    def test_a_block_is_its_only_array(self, bm_dim, monkeypatch):
         # the generators are built before the first block, so trace after
-        blocks = stream_seeds({6: 256}, bm_dim, 2.0**-6, 1.0, 64)
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 64 * 256 * bm_dim)
+        blocks = stream_seeds([(6, 256)], bm_dim, 2.0**-6, 1.0)
         tracemalloc.start()
         try:
             block = next(blocks)
@@ -193,13 +212,66 @@ class TestStream:
         assert block.shape == (64, 256, bm_dim)
         assert peak <= 1.1 * block.nbytes
 
+    def test_a_gathered_block_frees_its_draw(self, monkeypatch):
+        # one seed in two segments: its 256 streams are drawn once and each
+        # block gathers 64 + 256 columns of them; a consumed block and its
+        # draw are gone before the next draw, so no second draw is alive
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 64 * 256)
+        blocks = stream_seeds([(6, 64), (6, 256)], 1, 2.0**-6, 2.0)
+        drawn, gathered = 64 * 256 * 8, 64 * 320 * 8
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                block = next(blocks)
+                assert block.shape == (64, 320, 1)
+                del block
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (drawn + gathered)
+
+    @given(
+        segments=st.lists(
+            st.tuples(st.sampled_from([5, 2**64 - 1]), st.integers(1, 8)),
+            min_size=1, max_size=6,
+        ),
+        bm_dim=st.integers(1, 2),
+        multiple=st.sampled_from([1, 2, 4, 8]),
+        blocks=st.integers(1, 4),
+        budget=st.integers(1, 200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_segments_read_prefixes_and_blocks_coarsen_whole(
+        self, segments, bm_dim, multiple, blocks, budget
+    ):
+        # seeds recur in any order; a small budget gives short blocks
+        delta, steps = 2.0**-6, multiple * blocks
+        horizon = steps * delta
+        paths = [generate(seed, n, bm_dim, delta, horizon) for seed, n in segments]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(noise, "_CHUNK_ELEMENTS", budget)
+            stream = list(stream_seeds(segments, bm_dim, delta, horizon, multiple))
+        assert all(len(block) % multiple == 0 for block in stream[:-1])
+        full = np.concatenate(stream)
+        start = 0
+        for (_, n), path in zip(segments, paths):
+            assert full[:, start : start + n].tobytes() == path.tobytes()
+            start += n
+        for f in (f for f in (1, 2, 4, 8) if multiple % f == 0):
+            coarse = np.concatenate([coarsen(path, f) for path in paths], axis=1)
+            row = 0
+            for block in stream:
+                rows = coarse[row // f : (row + len(block)) // f]
+                assert coarsen(block, f).tobytes() == rows.tobytes()
+                row += len(block)
+
     def test_bad_arguments(self):
         with pytest.raises(GridError):
-            stream_seeds({1: 2}, 1, 0.5, 1.0, 0)
+            stream_seeds([(1, 2)], 1, 0.5, 1.0, 0)
         with pytest.raises(GridError):
-            stream_seeds({1: 0}, 1, 0.5, 1.0, 4)
+            stream_seeds([(1, 0)], 1, 0.5, 1.0, 4)
         with pytest.raises(GridError):
-            stream_seeds({1: 2}, 1, 0.3, 1.0, 4)
+            stream_seeds([(1, 2)], 1, 0.3, 1.0, 4)
 
 
 class TestSeedsPerBlock:

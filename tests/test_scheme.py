@@ -432,15 +432,15 @@ class TestStepper:
         model, params, _, _ = self._setup(particles=3)
         seen = []
 
-        def counted(model, grid, segments):
-            seen.append((grid, segments))
-            return validate(model, grid, segments)
+        def counted(model, grids, segments):
+            seen.append((grids, segments))
+            return validate(model, grids, segments)
 
         monkeypatch.setattr(scheme, "validate", counted)
         monkeypatch.setattr("mvnsdde.noise._CHUNK_ELEMENTS", 3)
         segments = [(seed, 3) for seed in range(8)]
         coupled_pass(model, segments, [params])
-        assert seen == [(params, segments)]
+        assert seen == [([params], segments)]
 
     def test_a_run_without_segments_is_refused(self):
         model, params, _, _ = self._setup()
@@ -562,7 +562,9 @@ class TestCoupledPass:
         params = Grid(delta=2.0**-7, tau=2.0**-5, alpha=0.5, horizon=0.5)
         return dataclasses.replace(params, **changes)
 
-    def _refused(self, monkeypatch, grids, match, records=None, error=GridError):
+    def _refused(
+        self, monkeypatch, grids, match, records=None, error=ValidationFailure
+    ):
         def forbidden(*args, **kwargs):
             raise AssertionError("a refused pass drew noise")
 
@@ -596,13 +598,7 @@ class TestCoupledPass:
         assert seen == []
 
     def test_a_pass_needs_a_grid(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a pass without grids got this far")
-
-        monkeypatch.setattr(scheme, "validate", forbidden)
-        monkeypatch.setattr(scheme, "stream_seeds", forbidden)
-        with pytest.raises(GridError, match="a pass needs at least one grid"):
-            coupled_pass(example51(), [(1, 2)], [])
+        self._refused(monkeypatch, [], "a pass needs at least one grid")
 
     @given(
         segments=st.lists(
