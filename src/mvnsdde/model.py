@@ -297,11 +297,24 @@ def _cubic_neutral(y):
 
 
 def _cubic_drift(x, y):
-    return x - x * x * x + BETA * y - _BETA3 * (y * y * y)
+    """x - x*x*x + BETA*y - _BETA3*(y*y*y), the same operations in the same
+    order, built in two arrays it allocates."""
+    out = x * x
+    out *= x
+    np.subtract(x, out, out=out)
+    term = np.multiply(BETA, y)
+    out += term
+    np.multiply(y, y, out=term)
+    term *= y
+    term *= _BETA3
+    out -= term
+    return out
 
 
 def _cubic_diffusion(x, y, mu):
-    return (x + BETA * y)[..., None]
+    out = np.multiply(BETA, y)
+    np.add(x, out, out=out)
+    return out[..., None]
 
 
 def _cubic_model(name, drift, segment) -> ModelSpec:
@@ -329,7 +342,9 @@ def example51() -> ModelSpec:
     """
 
     def drift(x, y, mu):
-        return _cubic_drift(x, y) + mu.mean
+        out = _cubic_drift(x, y)
+        out += mu.mean
+        return out
 
     return _cubic_model("example51", drift, lambda t: np.array([t]))
 

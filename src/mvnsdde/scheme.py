@@ -59,7 +59,8 @@ def tame_drift(b_value: np.ndarray, delta: float, alpha: float) -> np.ndarray:
             denom = np.linalg.norm(b, axis=axis, keepdims=True)
     denom *= scale
     denom += 1.0
-    tamed = b / denom
+    # a 1-D denominator has the drift's shape, so it takes the quotient
+    tamed = np.divide(b, denom, out=denom if dim == 1 else None)
     if dim > 1:
         vectors, out = b.reshape(-1, dim), tamed.reshape(-1, dim)
         rows = np.isinf(denom.ravel()) & np.isfinite(vectors).all(axis=1)
@@ -161,17 +162,18 @@ def em_step(
     if grid.taming:
         drift_step = tame_drift(b, grid.delta, grid.alpha)
         drift_step *= grid.delta
-    else:
-        drift_step = b * grid.delta
+    else:  # float64, as tame_drift makes it, so the noise term fits in it
+        drift_step = np.multiply(b, grid.delta, dtype=np.float64)
     sigma = model.diffusion(current, delayed, measure)
-    if model.state_dim == 1 and model.bm_dim == 1:
-        noise_term = sigma[..., 0] * increments
-    else:
-        noise_term = np.einsum("pdm,pm->pd", sigma, increments)
     # neutral[1] + (current - neutral[0] + b_eff * delta + noise_term),
-    # summed in that order
+    # summed in that order; the noise term goes into the drift step's
+    # array, which this step owns, once that is added
     new = np.subtract(current, neutral[0], out=out)
     new += drift_step
+    if model.state_dim == 1 and model.bm_dim == 1:
+        noise_term = np.multiply(sigma[..., 0], increments, out=drift_step)
+    else:
+        noise_term = np.einsum("pdm,pm->pd", sigma, increments, out=drift_step)
     new += noise_term
     return np.add(neutral[1], new, out=new)
 
@@ -322,11 +324,11 @@ def coupled_pass(
     a multiple of every factor long, so each run sees
     :func:`~mvnsdde.noise.coarsen`'s sums of the path.
     """
-    whole = records is not None  # a record keeps one run's rows: one pass
-    records = records if whole else [None] * len(grids)
-    pairs = list(zip(grids, records, strict=True))  # before any validation
     if violations := validate(model, grids, segments):
         raise ValidationFailure(violations)
+    whole = records is not None  # a record keeps one run's rows: one pass
+    records = records if whole else [None] * len(grids)
+    pairs = list(zip(grids, records, strict=True))
     fine = grids[0]
     factors = [fine.total_steps // grid.total_steps for grid in grids]
     size = seeds_per_block(max(n for _, n in segments), model.bm_dim, max(factors))
@@ -345,7 +347,7 @@ def coupled_pass(
         for block in stream_seeds(part, *path):
             for run, factor in zip(runs, factors):
                 run.advance(coarsen(block, factor))
-            del block  # free it before the next block is drawn
+            del block  # free it before the next block is gathered
         # copied: a run's terminal is a view that would keep its ring alive
         for terminal, run in zip(terminals, runs):
             terminal[start : start + run.particles] = run.terminal

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +15,10 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from mvnsdde import GridError, coarsen, generate
+from mvnsdde import (
+    Grid, GridError, OverflowAbort, coarsen, cubic_no_mf, example51, generate,
+    simulate, simulate_terminal,
+)
 from mvnsdde import noise
 from mvnsdde.noise import seeds_per_block, stream_seeds
 from oracles import seeds_per_block_search
@@ -214,8 +219,9 @@ class TestStream:
 
     def test_a_gathered_block_frees_its_draw(self, monkeypatch):
         # one seed in two segments: its 256 streams are drawn once and each
-        # block gathers 64 + 256 columns of them; a consumed block and its
-        # draw are gone before the next draw, so no second draw is alive
+        # block gathers 64 + 256 columns of them; a draw is gone once it is
+        # gathered, and a consumed block before the next gather, so no
+        # second draw or gathered block is alive
         monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 64 * 256)
         blocks = stream_seeds([(6, 64), (6, 256)], 1, 2.0**-6, 2.0)
         drawn, gathered = 64 * 256 * 8, 64 * 320 * 8
@@ -229,6 +235,24 @@ class TestStream:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * (drawn + gathered)
+
+    def test_no_third_block_is_alive(self, monkeypatch):
+        # every stream in order: a block is its draw, and the next one is
+        # drawn while it is out, so two blocks are alive, never three
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 64 * 256)
+        blocks = stream_seeds([(6, 256)], 1, 2.0**-6, 4.0)
+        drawn = 64 * 256 * 8
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                block = next(blocks)
+                assert block.shape == (64, 256, 1)
+                del block
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            blocks.close()
+        assert peak <= 1.1 * 2 * drawn
 
     @given(
         segments=st.lists(
@@ -272,6 +296,128 @@ class TestStream:
             stream_seeds([(1, 0)], 1, 0.5, 1.0, 4)
         with pytest.raises(GridError):
             stream_seeds([(1, 2)], 1, 0.3, 1.0, 4)
+
+
+class TestHelperThread:
+    """Each block's transform runs on a helper thread while the block
+    before it is out: same bits, no thread left behind, errors raised here."""
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        # a slow transform: a helper not joined would still be running
+        def slow(u, out):
+            time.sleep(0.02)
+            return ndtri(u, out=out)
+
+        monkeypatch.setattr(noise, "ndtri", slow)
+        start = threading.active_count()
+        yield
+        assert threading.active_count() == start
+
+    def test_a_finished_pass_leaves_no_thread(self, threads, monkeypatch):
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 8)
+        grid = Grid(delta=2.0**-5, tau=2.0**-4, alpha=0.5, horizon=0.5)
+        simulate_terminal(example51(), grid, 3, 4)
+
+    def test_an_overflow_mid_pass_leaves_no_thread(self, threads, monkeypatch):
+        # 2-step blocks: the abort comes blocks before the last one
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 2 * 4)
+        grid = Grid(delta=0.125, tau=0.25, alpha=0.5, horizon=4.0, taming=False)
+        with pytest.raises(OverflowAbort) as info:
+            simulate(cubic_no_mf(x0=5.0), grid, 11, 4)
+        assert info.value.step < grid.total_steps - 2
+
+    def test_closing_a_half_read_stream_leaves_no_thread(self, threads, monkeypatch):
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 4 * 3)
+        blocks = stream_seeds([(4, 3)], 1, 0.25, 4.0)
+        next(blocks)
+        next(blocks)
+        blocks.close()
+
+    def test_a_transform_error_is_raised_once_on_the_calling_thread(self, monkeypatch):
+        # the second block's transform fails while the first block is out
+        calls, reported = [], []
+
+        def failing(u, out):
+            calls.append(threading.current_thread())
+            if len(calls) == 2:
+                raise FloatingPointError("ndtri failed")
+            return ndtri(u, out=out)
+
+        monkeypatch.setattr(noise, "ndtri", failing)
+        monkeypatch.setattr(threading, "excepthook", reported.append)
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 4 * 3)
+        start = threading.active_count()
+        blocks = stream_seeds([(4, 3)], 1, 0.25, 4.0)
+        assert next(blocks).shape == (4, 3, 1)
+        with pytest.raises(FloatingPointError, match="ndtri failed"):
+            next(blocks)
+        assert next(blocks, None) is None
+        assert threading.active_count() == start
+        assert len(calls) == 2 and threading.main_thread() not in calls
+        assert reported == []
+
+    @pytest.mark.parametrize("segments", [[(6, 5)], [(6, 2), (6, 5), (7, 3)]])
+    def test_a_block_is_not_written_after_it_is_yielded(self, segments, monkeypatch):
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 4 * 8)
+        blocks = stream_seeds(segments, 2, 0.25, 4.0)
+        first = next(blocks)
+        kept = first.copy()
+        next(blocks)
+        next(blocks)
+        assert first.tobytes() == kept.tobytes()
+        blocks.close()
+
+    @given(
+        segments=st.lists(
+            st.tuples(st.sampled_from([5, 2**64 - 1]), st.integers(1, 6)),
+            min_size=1, max_size=5,
+        ),
+        bm_dim=st.integers(1, 3),
+        budget=st.integers(1, 60),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_equal_the_direct_philox_reference(self, segments, bm_dim, budget):
+        # many short blocks, each drawn while the one before is out
+        steps, delta = 12, 2.0**-4
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(noise, "_CHUNK_ELEMENTS", budget)
+            full = np.concatenate(
+                list(stream_seeds(segments, bm_dim, delta, steps * delta))
+            )
+        columns = [
+            particle_block(seed, a, steps, bm_dim, delta)
+            for seed, n in segments for a in range(n)
+        ]
+        assert full.tobytes() == np.stack(columns, axis=1).tobytes()
+
+    def test_streams_read_at_once_keep_their_bits(self, monkeypatch):
+        # four streams read side by side, eight threads with their helpers,
+        # switching every 10 us: each hand-over still gives its own block
+        monkeypatch.setattr(noise, "_CHUNK_ELEMENTS", 2 * 3)
+        steps, delta = 40, 2.0**-4
+        results = {}
+
+        def read(seed):
+            blocks = stream_seeds([(seed, 3)], 1, delta, steps * delta)
+            results[seed] = np.concatenate(list(blocks))
+
+        start = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=read, args=(s,)) for s in range(4)]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert threading.active_count() == start
+        for seed in range(4):
+            columns = [particle_block(seed, a, steps, 1, delta) for a in range(3)]
+            assert results[seed].tobytes() == np.stack(columns, axis=1).tobytes()
 
 
 class TestSeedsPerBlock:

@@ -69,6 +69,15 @@ class TestTameDrift:
         out = tame_drift(np.array([2.0]), 0.25, 0.5)
         assert out[0] == 1.0
 
+    @pytest.mark.parametrize("shape", [(1,), (5, 1), (3,), (5, 3)])
+    def test_the_drift_is_read_not_written(self, shape):
+        # the 1-D path divides into its own denominator, never into the drift
+        b = np.random.default_rng(1).standard_normal(shape) * 10
+        kept = b.copy()
+        out = tame_drift(b, 0.01, 0.5)
+        assert b.tobytes() == kept.tobytes()
+        assert not np.shares_memory(out, b)
+
     def test_huge_drift_capped(self):
         out = tame_drift(np.array([1e6]), 0.01, 0.5)
         assert abs(out[0]) < 0.01**-0.5
@@ -599,6 +608,12 @@ class TestCoupledPass:
 
     def test_a_pass_needs_a_grid(self, monkeypatch):
         self._refused(monkeypatch, [], "a pass needs at least one grid")
+
+    def test_a_grid_where_the_list_belongs_is_a_violation(self, monkeypatch):
+        # judged before the grids are counted or paired with records
+        match = "a pass's grids must be a sequence of Grid values"
+        self._refused(monkeypatch, self._params(horizon=0.25), match)
+        self._refused(monkeypatch, (grid for grid in [self._params()]), match)
 
     @given(
         segments=st.lists(
