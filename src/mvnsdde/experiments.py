@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import resource
 import threading
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from .measure import (
     ASSIGNMENT_CAP, _assignment_solver, w2_assignment, w2sq_to_standard_normal_1d,
 )
 from .model import Grid, ModelSpec
-from .noise import check_seed, derived_generator
+from .noise import check_seed, derived_generator, is_whole
 from .scheme import DIVERGENCE_THRESHOLD, Divergence, MomentMax, coupled_pass
 
 _RATE_TAG = 0x3A7E  # auxiliary stream namespace for sampling experiments
@@ -135,24 +134,32 @@ def _row_from_sq_errors(resolution, e2: np.ndarray) -> ErrorRow:
     )
 
 
-def check_at_least(key: str, value: int, least: int) -> None:
+def check_at_least(key: str, value, least: int) -> int:
+    """``value`` as an int; a :class:`ConfigError` naming ``key`` unless it
+    is a whole number of at least ``least`` (True is refused, not read as 1)."""
+    if not is_whole(value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return int(value)
 
 
 def check_sizes(key: str, sizes) -> list:
     """The one rule for a study's list of sizes, ``xis`` or ``deltas``: the
     list, sorted, with at least one entry, none repeated, each positive and
-    finite and each of ``xis`` an integer.  ``delta_ref`` is a one-entry list."""
+    finite, none a bool, and each of ``xis`` an integer.  ``delta_ref`` is a
+    one-entry list."""
     whole = key == "xis"
     noun, bound = ("sample sizes", ">= 1") if whole else (key, "positive and finite")
     if len(sizes) == 0:
         unit = "sample size" if whole else "step size"
         raise ConfigError(f"{key} is empty: give at least one {unit}")
     for size in sizes:
+        if isinstance(size, (bool, np.bool_)):
+            raise ConfigError(f"{key} must hold numbers, got the bool {size!r}")
         if not 0 < size < math.inf:  # also false for nan
             raise ConfigError(f"{noun} must be {bound}, got {size}")
-        if whole and size != int(size):
+        if whole and not is_whole(size):
             raise ConfigError(f"sample sizes must be integers, got {size}")
     sizes = sorted(int(s) if whole else float(s) for s in sizes)
     if any(b == a for a, b in zip(sizes, sizes[1:])):
@@ -161,7 +168,7 @@ def check_sizes(key: str, sizes) -> list:
 
 
 def _replicate_seeds(seed: int, replicates: int) -> list[int]:
-    check_at_least("replicates", replicates, 1)
+    replicates = check_at_least("replicates", replicates, 1)
     return [(check_seed(seed) + r) % 2**64 for r in range(replicates)]
 
 
@@ -311,13 +318,14 @@ def taming_comparison(
     )
 
 
-def check_rate_sizes(dim: int, xis) -> None:
-    """The rate study's dims, 1 and 5, and at dim 5 its cap on the sizes
-    ``xis``, a list :func:`check_sizes` has passed."""
-    if dim not in W2SQ_RATE:
-        raise ConfigError(f"supported dims are 1 and 5, got {dim}")
+def check_rate_sizes(dim, xis) -> int:
+    """``dim`` as an int: the rate study's dims, 1 and 5 (not True), and at
+    dim 5 its cap on the sizes ``xis``, a list :func:`check_sizes` has passed."""
+    if not is_whole(dim) or dim not in W2SQ_RATE:
+        raise ConfigError(f"supported dims are 1 and 5, got {dim!r}")
     if dim == 5 and max(xis) > ASSIGNMENT_CAP:
         raise CapacityError(f"size {max(xis)} exceeds assignment cap {ASSIGNMENT_CAP}")
+    return int(dim)
 
 
 def _assignment_squares(rng, size: int, dim: int, reps: int) -> np.ndarray:
@@ -325,20 +333,22 @@ def _assignment_squares(rng, size: int, dim: int, reps: int) -> np.ndarray:
     ``size`` standard normal points in ``dim`` dimensions, the r-th from the
     r-th pair drawn from ``rng``: x, then y.
 
-    The calling thread and, when the process may run on two CPUs, one
-    helper thread solve them (scipy's solver releases the GIL), each with
-    its own cost buffer.  A solver takes the next index and draws its pair
-    under one lock, so the values are those of one thread solving in
-    order, bit for bit.  The first exception in either solver stops the
-    other and is raised after the join.
+    The calling thread and one helper thread solve them (scipy's solver
+    releases the GIL), each with its own cost buffer.  A solver takes the
+    next index and draws its pair under one lock, so the values are those
+    of one thread solving in order, bit for bit.  An exception in either
+    solver stops the other and is raised here.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
+
     vals = np.empty(reps)
-    lock, indices, errors = threading.Lock(), iter(range(reps)), []
+    lock, indices, failed = threading.Lock(), iter(range(reps)), False
 
     def solve():
+        nonlocal failed
         buf = np.empty((size, size))
         try:
-            while not errors:
+            while not failed:
                 with lock:
                     r = next(indices, None)
                     if r is None:
@@ -346,20 +356,16 @@ def _assignment_squares(rng, size: int, dim: int, reps: int) -> np.ndarray:
                     x = rng.standard_normal((size, dim))
                     y = rng.standard_normal((size, dim))
                 vals[r] = w2_assignment(x, y, out=buf) ** 2
-        except BaseException as exc:  # raised by the calling thread after the join
-            errors.append(exc)
+        except BaseException:
+            failed = True
+            raise
 
     # loading the solver swaps sys.modules entries: one thread only
     _assignment_solver()
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    helpers = [threading.Thread(target=solve)] if cpus >= 2 else []
-    for helper in helpers:
-        helper.start()
-    solve()
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(1) as helper:
+        other = helper.submit(solve)
+        solve()
+        other.result()
     return vals
 
 
@@ -374,13 +380,13 @@ def empirical_measure_rate(
     dim = 1 integrates each sorted sample against the exact N(0,1) quantile
     function; dim = 5 uses the two-independent-samples assignment proxy (see
     ``D5_PROXY_NOTE``), with sizes up to ``ASSIGNMENT_CAP``, on two solvers
-    where there are two CPUs (:func:`_assignment_squares`).  The
-    rms_error column holds the mean squared distance; stderr is its Monte
-    Carlo standard error over the repetitions.
+    (:func:`_assignment_squares`).  The rms_error column holds the mean
+    squared distance; stderr is its Monte Carlo standard error over the
+    repetitions.
     """
     xis = check_sizes("xis", xis)
-    check_at_least("mc_reps", mc_reps, 0)
-    check_rate_sizes(dim, xis)
+    mc_reps = check_at_least("mc_reps", mc_reps, 0)
+    dim = check_rate_sizes(dim, xis)
     rng = derived_generator(seed, _RATE_TAG + dim)
     rows = []
     if mc_reps == 0:

@@ -353,7 +353,7 @@ def linear_meanfield(
     a_coef: float = -1.0,
     b_coef: float = 0.5,
     sigma0: float = 0.2,
-    x0: float = 1.0,
+    x0: float = 0.0,
 ) -> ModelSpec:
     """Linear model with additive noise and a closed-form mean.
 

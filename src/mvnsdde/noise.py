@@ -11,13 +11,13 @@ increments reproduces the coarse increments of the same path exactly.
 Every run reads the path as a stream of time-major blocks, a pass's
 segments laid out by :func:`stream_seeds`, so no full grid exists in
 memory.  Two blocks are in flight: while one is out, the calling thread
-draws the next one's uniforms and a helper thread transforms them, which
-gives the same bits because each number is a pure function of its key
-and counter.  With :func:`coarsen`, the one coarsening rule, this module
-owns the whole determinism contract: streams keyed by particle id, a
-smaller system reading a prefix of a larger one's, and block sums.
-:func:`generate` concatenates one segment's stream, the oracle of the
-tests.
+draws the next one's uniforms and a ``ThreadPoolExecutor``'s one helper
+transforms them, which gives the same bits because each number is a pure
+function of its key and counter.  With :func:`coarsen`, the one
+coarsening rule, this module owns the whole determinism contract: streams
+keyed by particle id, a smaller system reading a prefix of a larger
+one's, and block sums.  :func:`generate` concatenates one segment's
+stream, the oracle of the tests.
 
 ``ndtri``, the one scipy.special function the package uses, comes from
 scipy's ``_ufuncs`` extension alone (:func:`scipy_extension`), so the 51
@@ -30,7 +30,6 @@ import importlib.machinery
 import math
 import os
 import sys
-import threading
 import types
 from itertools import accumulate
 
@@ -146,9 +145,9 @@ def stream_seeds(segments, bm_dim, delta_base, horizon, multiple=1):
     unless the segments take every stream in order), so not C-ordered.
     Each particle keeps one Philox generator, and successive draws continue
     its stream, so the blocks are the same path whatever their length.
-    Each block is drawn and transformed while the one before it is out
-    (:func:`_blocks`), so a caller that drops a block before asking for the
-    next holds at most two.
+    Each block is drawn, and transformed on one helper thread, while the
+    one before it is out (:func:`_blocks`), so a caller that drops a block
+    before asking for the next holds at most two.
     """
     counts = [bm_dim, multiple, *(particles for _, particles in segments)]
     if not segments or not all(is_whole(n) and n >= 1 for n in counts):
@@ -176,61 +175,45 @@ def stream_seeds(segments, bm_dim, delta_base, horizon, multiple=1):
     return _blocks(streams, lengths, bm_dim, np.sqrt(delta_base), gather)
 
 
+def _transform(u, scale) -> None:
+    """Turn the uniforms ``u`` into increments of standard deviation
+    ``scale``, in place: the offset, ``ndtri`` and the scale."""
+    u += 2.0**-54
+    ndtri(u, out=u)
+    u *= scale
+
+
 def _blocks(streams, lengths, bm_dim, scale, gather):
     """The blocks of ``lengths`` rows of every stream (or of the ``gather``
     streams), each drawn while the one before it is out.
 
     This thread fills a block's uniforms, each stream its own row in stream
-    order, and hands them to the stream's one helper thread, which turns
-    them into increments in place (offset, ndtri, scale) while this one
-    yields the block before; the gather copies whole rows once that block
-    is dropped.  So at most two blocks are alive, the one out and the one
-    drawn: two draws, or a draw and a gathered block.  The helper calls
-    only ``ndtri`` and ndarray methods, each a pure function of its
-    numbers, so the bits are those of the same transform on this thread.
-    A block waits for its transform before it is yielded, an error the
-    helper hits is raised here, and the helper is joined when the stream
-    ends or is closed.
+    order, and submits their :func:`_transform` to one helper thread while
+    it yields the block before; the gather copies whole rows once that
+    block is dropped.  So at most two blocks are alive: two draws, or a
+    draw and a gathered block.  The transform calls only ``ndtri`` and
+    ndarray methods, each a pure function of its numbers, so the bits are
+    those of this thread.  A block waits for its transform, an error the
+    helper hits is raised here, and the executor joins the helper when the
+    stream ends or is closed, or at interpreter exit.
     """
-    handed, errors = [], []  # draws to transform, then None; what it hit
-    todo, done = threading.Semaphore(0), threading.Semaphore(0)
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
 
-    def transform():
-        while todo.acquire() and (u := handed.pop(0)) is not None:
-            try:
-                u += 2.0**-54
-                ndtri(u, out=u)
-                u *= scale
-            except BaseException as exc:  # raised by the calling thread
-                errors.append(exc)
-            del u  # so the calling thread alone decides when a draw is freed
-            done.release()
-
-    # a daemon, so a stream never closed cannot hold up interpreter exit
-    helper = threading.Thread(target=transform, daemon=True)
-    helper.start()
     block = None
-    try:
+    with ThreadPoolExecutor(1) as helper:
         for steps in lengths:
             u = np.empty((len(streams), steps * bm_dim))
             for i, rng in enumerate(streams):  # no row view outlives the fill
                 rng.random(out=u[i])  # (raw >> 11) * 2**-53, one raw per number
-            handed.append(u)
-            todo.release()
+            transformed = helper.submit(_transform, u, scale)
             if block is not None:
                 yield block
                 block = None  # freed before the gather, if the caller is done
-            done.acquire()
-            if errors:
-                raise errors[0]
+            transformed.result()
             if gather is not None:
                 u = u.take(gather, axis=0)  # rebound, so the draw is freed here
             block = u.reshape(len(u), steps, bm_dim).transpose(1, 0, 2)
-        yield block
-    finally:
-        handed.append(None)
-        todo.release()
-        helper.join()
+    yield block
 
 
 def generate(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -567,6 +568,13 @@ class TestRunDeclaration:
         ]
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         assert {key for name in MODELS for key in model_keys(name)} <= fields
+
+    def test_each_model_key_has_one_default(self):
+        # the library's factory and the CLI's config start a model alike
+        defaults = RunConfig()
+        for name, factory in MODELS.items():
+            for key, parameter in inspect.signature(factory).parameters.items():
+                assert parameter.default == getattr(defaults, key), (name, key)
 
     @pytest.mark.parametrize(
         "subcommand, name, parameters",

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -43,6 +42,43 @@ from oracles import moment_monitor, rate_draws, rate_table_sequential, recorded
 
 def forbidden(*args, **kwargs):
     raise AssertionError("drew noise before checking the input")
+
+
+STUDY_KEYS = dict(tau=0.5, alpha=0.5, horizon=1.0, seed=1)
+
+
+class TestCountsAndSizes:
+    """A bool is not a number, and a count is a whole one: each study
+    argument that would be misread is refused, naming its key."""
+
+    @pytest.mark.parametrize(
+        "key, run",
+        [
+            ("xis", lambda: chaos_error_vs_particles(
+                cubic_no_mf(), xis=[np.True_, 4], delta=0.25, **STUDY_KEYS)),
+            ("deltas", lambda: experiments.check_sizes("deltas", [True])),
+            ("replicates", lambda: strong_error_vs_dt(
+                cubic_no_mf(), 4, 0.125, [0.25], replicates=True, **STUDY_KEYS)),
+            ("replicates", lambda: strong_error_vs_dt(
+                cubic_no_mf(), 4, 0.125, [0.25], replicates=1.5, **STUDY_KEYS)),
+            ("dim", lambda: empirical_measure_rate(dim=True, xis=[4], mc_reps=2, seed=1)),
+            ("dim", lambda: empirical_measure_rate(dim=5.5, xis=[4], mc_reps=2, seed=1)),
+            ("mc_reps", lambda: empirical_measure_rate(dim=1, xis=[4], mc_reps=True, seed=1)),
+            ("mc_reps", lambda: empirical_measure_rate(dim=1, xis=[4], mc_reps=2.5, seed=1)),
+        ],
+    )
+    def test_refused_naming_the_key(self, key, run, monkeypatch):
+        monkeypatch.setattr(experiments, "derived_generator", forbidden)
+        monkeypatch.setattr(scheme, "stream_seeds", forbidden)
+        with pytest.raises(ConfigError, match=key):
+            run()
+
+    def test_whole_floats_are_read_as_ints(self):
+        assert experiments.check_at_least("mc_reps", 2.0, 0) == 2
+        assert type(experiments.check_at_least("mc_reps", np.int64(3), 0)) is int
+        table = empirical_measure_rate(dim=5.0, xis=[4], mc_reps=2.0, seed=1)
+        assert table == empirical_measure_rate(dim=5, xis=[4], mc_reps=2, seed=1)
+        assert table.rows[0].samples == 2 and type(table.rows[0].samples) is int
 
 
 class TestFitLoglogSlope:
@@ -442,19 +478,13 @@ class TestEmpiricalMeasureRate:
         assert table.rows[0].rms_error > table.rows[1].rms_error
 
 
-def cpus(monkeypatch, count: int) -> None:
-    """Make the process look as if it may run on ``count`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 class TestTwoSolvers:
     """The dim-5 repetitions are solved on two threads, with the bits of one
     thread solving them in order."""
 
     @pytest.mark.parametrize("seed", [0, 555, 2**64 - 1])
     @pytest.mark.parametrize("mc_reps", [1, 2, 7])
-    def test_table_equals_the_sequential_oracle(self, monkeypatch, seed, mc_reps):
-        cpus(monkeypatch, 2)
+    def test_table_equals_the_sequential_oracle(self, seed, mc_reps):
         xis = [1, 5, 16, 33]
         table = empirical_measure_rate(dim=5, xis=xis, mc_reps=mc_reps, seed=seed)
         assert table.rows == rate_table_sequential(xis, mc_reps, seed).rows
@@ -483,7 +513,6 @@ class TestTwoSolvers:
         return finished
 
     def test_values_keep_draw_order_when_the_solves_finish_in_reverse(self, monkeypatch):
-        cpus(monkeypatch, 2)
         xis, seed = [4, 16, 40], 31
         want = [w2_assignment(x, y) ** 2 for _, _, x, y in rate_draws(xis, 2, seed)]
         finished = self._reversed(monkeypatch, xis, seed)
@@ -493,7 +522,6 @@ class TestTwoSolvers:
         assert np.concatenate(got).tolist() == want
 
     def test_table_unchanged_when_the_solves_finish_in_reverse(self, monkeypatch):
-        cpus(monkeypatch, 2)
         xis, seed = [4, 16, 40], 32
         finished = self._reversed(monkeypatch, xis, seed)
         table = empirical_measure_rate(dim=5, xis=xis, mc_reps=2, seed=seed)
@@ -504,7 +532,6 @@ class TestTwoSolvers:
         # a switch every microsecond interleaves the solvers at every
         # bytecode; a repetition solved twice, or a pair drawn out of turn,
         # breaks the count or the table
-        cpus(monkeypatch, 2)
         xis, seed = [1, 2, 3, 5, 8], 77
         calls = []
         solve = experiments.w2_assignment
@@ -524,7 +551,6 @@ class TestTwoSolvers:
         assert table.rows == rate_table_sequential(xis, 64, seed).rows
 
     def test_a_failing_solve_stops_both_solvers_and_is_raised(self, monkeypatch):
-        cpus(monkeypatch, 2)
         calls, lock = [], threading.Lock()
         solve = experiments.w2_assignment
 
@@ -542,21 +568,6 @@ class TestTwoSolvers:
         assert threading.active_count() == before
         # the other solver finishes the solve it holds, then takes no more
         assert len(calls) <= 4
-
-    def test_one_cpu_solves_in_the_calling_thread(self, monkeypatch):
-        cpus(monkeypatch, 1)
-        threads = []
-        solve = experiments.w2_assignment
-
-        def recording_solve(x, y, out=None):
-            threads.append(threading.current_thread())
-            return solve(x, y, out=out)
-
-        monkeypatch.setattr(experiments, "w2_assignment", recording_solve)
-        table = empirical_measure_rate(dim=5, xis=[8, 16], mc_reps=5, seed=12)
-        assert set(threads) == {threading.current_thread()}
-        assert len(threads) == 10
-        assert table.rows == rate_table_sequential([8, 16], 5, 12).rows
 
 
 class TestReports:

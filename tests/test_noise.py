@@ -508,3 +508,15 @@ class TestNdtriLoad:
             noise.scipy_extension("scipy.special._ufuncs", str(tmp_path))
         assert "scipy.special" not in sys.modules
         assert "scipy.special._ufuncs" not in sys.modules
+
+
+def test_a_half_read_stream_left_in_a_global_lets_the_interpreter_exit():
+    # the helper is not a daemon: the executor's exit hook stops it, with
+    # the next block's transform still submitted when the program ends
+    code = (
+        "from mvnsdde import noise\n"
+        "noise._CHUNK_ELEMENTS = 4 * 3\n"
+        "blocks = noise.stream_seeds([(4, 3)], 1, 0.25, 4.0)\n"
+        "print(next(blocks).shape[0], next(blocks).shape[0])\n"
+    )
+    assert _fresh(code) == ["4", "4"]

@@ -59,7 +59,9 @@ def test_every_export_is_read_by_the_package_or_the_readme():
 def test_cli_import_leaves_heavy_modules_out():
     # scipy.optimize (which loads scipy.spatial) costs about 0.27 s and
     # 23 MiB, so w2_assignment loads only its solver's extension module, on
-    # its first call; the export's formatter imports nothing beyond numpy
+    # its first call; the export's formatter imports nothing beyond numpy;
+    # the helper threads' concurrent.futures (which loads logging) is
+    # imported where a helper starts
     tree = ast.parse(Path(_g17.__file__).read_text())
     kernel_imports = {
         alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -68,7 +70,7 @@ def test_cli_import_leaves_heavy_modules_out():
         node.module for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level == 0
     }
-    absent = ["scipy.optimize", "scipy.spatial"]
+    absent = ["scipy.optimize", "scipy.spatial", "concurrent.futures", "logging"]
     absent += sorted(kernel_imports - {"numpy", "__future__"})
     code = (
         "import json, sys\nimport mvnsdde.cli\n"
