@@ -260,17 +260,26 @@ def _argument(cfg: RunConfig, name: str):
 
 def dispatch(cfg: RunConfig) -> int:
     """Run the subcommand of ``cfg``, a config from :func:`parse`; outputs,
-    ``config.echo`` first, land in the config's output directory.
+    ``config.echo`` first, land in the config's output directory.  A
+    ``validate`` judges before it writes, so a refused config leaves no
+    file, as a parse error does.
 
     The run calls the function bound at its module-level name when it
     starts, so a rebinding of that name (a tracer's) takes effect.
     """
+    run = RUNS[cfg.subcommand]
+    args = {name: _argument(cfg, name) for name in inspect.signature(run).parameters}
+    if cfg.subcommand == "validate":
+        violations = globals()[run.__name__](**args)
+        print("\n".join(f"violation: {v}" for v in violations) or "ok")
+        if violations:
+            return 2
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.echo").write_text(echo_text(cfg))
+    if cfg.subcommand == "validate":
+        return 0
 
-    run = RUNS[cfg.subcommand]
-    args = {name: _argument(cfg, name) for name in inspect.signature(run).parameters}
     t0 = time.perf_counter()
     try:
         result = globals()[run.__name__](**args)
@@ -284,9 +293,6 @@ def dispatch(cfg: RunConfig) -> int:
         raise
     seconds, peak_mb = time.perf_counter() - t0, peak_rss_mb()
 
-    if cfg.subcommand == "validate":
-        print("\n".join(f"violation: {v}" for v in result) or "ok")
-        return 2 if result else 0
     if cfg.subcommand == "simulate":
         result.to_csv(outdir / "grid.csv")
         print(f"wrote {outdir / 'grid.csv'}")

@@ -28,6 +28,15 @@ reduction would alter, so it is recomputed from the matched points.  The
 reduction runs in place, in the cost buffer a caller may lend
 (``w2_assignment(x, y, out=buf)``), so repeated solves allocate no n x n
 array.
+
+The costs of an n-point solve are built in tiles of ``_TILE_VALUES // n``
+rows (64 at the cap), with one scratch tile per solve (256 KiB at the
+cap), in two passes: the first sums a tile's squared distances and folds
+it into the column minima while it is in cache, the second subtracts the
+column and then the row minima.  Each entry sees the whole-matrix
+operations in their order and minima are exact, so the bits are those.
+At the cap and dim 5 that is about 150 numpy calls, few points at which a
+rate study's two solver threads trade the GIL.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ _SOLVER_DIR = os.path.join(SCIPY_DIR, "optimize")
 _QUANTILE_CLIP = 1e-12  # keeps the inverse normal CDF finite at cell edges
 _NORMAL_NODES = 64  # Gauss-Legendre nodes per quantile cell
 _CELL_BLOCK = 4096  # quantile cells per quadrature block: 8 MiB of nodes
-_TILE_ROWS = 16  # cost rows summed at a time: 64 KiB temporaries at the cap
+_TILE_VALUES = 2**15  # cost entries per tile: 64 rows and 256 KiB at the cap
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
@@ -117,28 +126,46 @@ def _assignment_solver():
     return scipy_extension(_SOLVER, _SOLVER_DIR).linear_sum_assignment
 
 
-def _sq_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _sq_sum(a, b, out: np.ndarray, part: np.ndarray) -> np.ndarray:
     """``out`` filled with the squared Euclidean distances of the points
-    ``a`` and ``b``, their coordinates on the last axis, summed coordinate
-    by coordinate from the first, as ``cdist(x, y, "sqeuclidean")`` sums
-    them, so they are its bits; a square that overflows is inf, as there."""
+    ``a`` and ``b``, given coordinate first (``a[k]`` holds the k-th
+    coordinates, broadcast against ``b[k]``), summed coordinate by
+    coordinate from the first, as ``cdist(x, y, "sqeuclidean")`` sums them,
+    so they are its bits; a square that overflows is inf, as there.
+    ``part``, of ``out``'s shape, holds each further coordinate's squares."""
     with np.errstate(over="ignore"):
-        np.square(np.subtract(a[..., 0], b[..., 0], out=out), out=out)
-        for k in range(1, a.shape[-1]):
-            out += (a[..., k] - b[..., k]) ** 2
+        np.subtract(a[0], b[0], out=out)
+        np.multiply(out, out, out=out)  # what np.square and ** 2 compute
+        for k in range(1, len(a)):
+            np.subtract(a[k], b[k], out=part)
+            np.multiply(part, part, out=part)
+            out += part
     return out
 
 
-def _sq_distances(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+def _tiles(rows: int, cols: int) -> list[slice]:
+    """The row slices of a (rows, cols) matrix, ``_TILE_VALUES // cols``
+    rows each (at least one), the last one possibly shorter."""
+    step = max(1, _TILE_VALUES // cols)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _sq_distances(x: np.ndarray, y: np.ndarray, out=None):
     """The (len(x), len(y)) squared Euclidean distances of two (size, dim)
-    samples (:func:`_sq_sum`), in ``out`` if given, filled ``_TILE_ROWS``
-    rows at a time so the temporaries stay a tile."""
+    samples (:func:`_sq_sum`), in ``out`` if given, and their column
+    minima, built a tile (:func:`_tiles`) at a time from the transposed
+    coordinates, each tile folded into the minima while it is in cache."""
+    xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)[:, None]
     if out is None:
         out = np.empty((len(x), len(y)))
-    for start in range(0, len(x), _TILE_ROWS):
-        tile = slice(start, start + _TILE_ROWS)
-        _sq_sum(x[tile, None, :], y[None, :, :], out[tile])
-    return out
+    tiles = _tiles(len(x), len(y))
+    part = np.empty_like(out[tiles[0]])
+    col_min = np.full(len(y), np.inf)
+    for span in tiles:
+        tile = out[span]
+        _sq_sum(xt[:, span, None], yt, tile, part[: len(tile)])
+        np.minimum(col_min, tile.min(axis=0), out=col_min)
+    return out, col_min
 
 
 def w2_assignment(x, y, out=None) -> float:
@@ -155,8 +182,8 @@ def w2_assignment(x, y, out=None) -> float:
     matched points, because the reduced entries carry other rounding.
 
     ``out``, a writeable C-contiguous float64 (size, size) array, holds the
-    costs instead of a new one, so a caller solving many samples of one
-    size reuses one buffer; its contents are overwritten, and a buffer of
+    reduced costs instead of a new one, so a caller solving many samples of
+    one size reuses one buffer; its contents are overwritten, and a buffer of
     another shape, dtype or layout is a :class:`ShapeError`, as are
     samples whose squared distances could overflow (:func:`_samples`).
     """
@@ -171,11 +198,14 @@ def w2_assignment(x, y, out=None) -> float:
         raise ShapeError(
             f"out must be a writeable C-contiguous float64 ({size}, {size}) array"
         )
-    cost = _sq_distances(x, y, out)
-    cost -= cost.min(axis=0)
-    cost -= cost.min(axis=1, keepdims=True)
+    cost, col_min = _sq_distances(x, y, out)
+    for span in _tiles(size, size):
+        tile = cost[span]
+        tile -= col_min
+        tile -= tile.min(axis=1, keepdims=True)
     rows, cols = _assignment_solver()(cost)
-    return float(np.sqrt(_sq_sum(x[rows], y[cols], np.empty(size)).mean()))
+    sq = _sq_sum(x[rows].T, y[cols].T, *np.empty((2, size)))
+    return float(np.sqrt(sq.mean()))
 
 
 @lru_cache(maxsize=64)

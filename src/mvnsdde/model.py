@@ -317,6 +317,14 @@ def _cubic_diffusion(x, y, mu):
     return out[..., None]
 
 
+def _refuse_bools(**params) -> None:
+    """A :class:`ConfigError` naming the first of a factory's float
+    parameters given a bool (True is refused, not read as 1)."""
+    for key, value in params.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ConfigError(f"{key} must be a number, got the bool {value!r}")
+
+
 def _cubic_model(name, drift, segment) -> ModelSpec:
     return ModelSpec(
         name=name,
@@ -361,6 +369,7 @@ def linear_meanfield(
     m'(t) = (a_coef + b_coef) m(t) with m(0) = x0, so it is
     x0 * exp((a_coef + b_coef) t).
     """
+    _refuse_bools(a_coef=a_coef, b_coef=b_coef, sigma0=sigma0, x0=x0)
 
     def neutral(y):
         return np.zeros_like(y)
@@ -394,6 +403,7 @@ def cubic_no_mf(x0: float = 0.0) -> ModelSpec:
     studies and the drift for taming demonstrations: from |x0| >= 3 the
     untamed update overshoots super-exponentially at coarse steps.
     """
+    _refuse_bools(x0=x0)
 
     def drift(x, y, mu):
         return _cubic_drift(x, y)

@@ -107,7 +107,7 @@ def seeds_per_block_search(particles: int, bm_dim: int, multiple: int = 1) -> in
 
 
 def linear_meanfield_mean(
-    t: float, a_coef: float = -1.0, b_coef: float = 0.5, x0: float = 1.0
+    t: float, a_coef: float = -1.0, b_coef: float = 0.5, x0: float = 0.0
 ) -> float:
     """Exact mean m(t) = x0 * exp((a_coef + b_coef) t) of
     :func:`mvnsdde.linear_meanfield`."""

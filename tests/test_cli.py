@@ -266,6 +266,16 @@ class TestExitCodes:
         assert main(argv) == 0
         assert capsys.readouterr().out.strip() == "ok"
 
+    def test_refused_validate_is_2_and_writes_nothing(self, tmp_path, capsys):
+        # the echo was once written before the config was judged
+        out = tmp_path / "o"
+        assert main(["validate", "--seed", "1", "--tau=-0.5", "--outdir", str(out)]) == 2
+        assert "violation: tau must be positive, got -0.5" in capsys.readouterr().out
+        assert not out.exists()
+        assert main(["validate", "--seed", "1", "--outdir", str(out)]) == 0
+        want = parse(None, {"seed": 1, "outdir": str(out)}, subcommand="validate")
+        assert parse(out / "config.echo") == want
+
     def test_unknown_flag_is_1(self):
         assert main(["simulate", "--frobnicate", "1"]) == 1
 
@@ -897,7 +907,7 @@ class TestConfigEcho:
         argv = ["validate", "--no-taming", "--outdir", str(out)]
         for key, value in self.FLAG_VALUES.items():
             argv += ["--" + key.replace("_", "-"), value]
-        main(argv)  # config.echo is written before the run, whatever its status
+        assert main(argv) == 0  # only an accepted validate writes config.echo
         cfg = parse(out / "config.echo")
         assert all(getattr(cfg, f.name) != f.default for f in fields)
         overrides = dict(self.FLAG_VALUES, taming=False, outdir=str(out))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
@@ -374,8 +374,10 @@ class TestSquaredDistances:
     def test_equals_cdist_bit_for_bit(self, dim, rows, cols, data):
         x = data.draw(arrays(np.float64, (rows, dim), elements=_coordinates()))
         y = data.draw(arrays(np.float64, (cols, dim), elements=_coordinates()))
-        got = measure._sq_distances(x, y)
-        assert got.tobytes() == cdist(x, y, "sqeuclidean").tobytes()
+        got, col_min = measure._sq_distances(x, y)
+        want = cdist(x, y, "sqeuclidean")
+        assert got.tobytes() == want.tobytes()
+        assert col_min.tobytes() == want.min(axis=0).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 5])
     def test_equals_cdist_bit_for_bit_at_the_cap(self, dim):
@@ -383,29 +385,54 @@ class TestSquaredDistances:
         x, y = g.normal(size=(2, 512, dim)) * 10.0 ** g.integers(-320, 200, (2, 512, dim))
         x[g.random(x.shape) < 0.05] = -0.0
         y[g.random(y.shape) < 0.05] = 0.0
-        got = measure._sq_distances(x, y)
+        got, col_min = measure._sq_distances(x, y)
         want = cdist(x, y, "sqeuclidean")
         assert np.isinf(want).any() and (want == 0.0).any()
         assert got.tobytes() == want.tobytes()
-
+        assert col_min.tobytes() == want.min(axis=0).tobytes()
 
     @given(
         st.integers(1, 6),
-        st.integers(1, 100).filter(lambda n: n % 16),
-        st.integers(1, 40),
+        st.integers(1, 300),
+        st.integers(1, 1024),
         st.data(),
     )
     @settings(max_examples=100, deadline=None)
     def test_tiles_equal_the_whole_sum(self, dim, rows, cols, data):
-        # the rows are summed 16 at a time; a last partial tile changes nothing
+        # the rows are built _TILE_VALUES // cols at a time (32 rows at 1024
+        # columns); a last partial tile changes nothing
+        assume(rows % max(1, measure._TILE_VALUES // cols))
         x = data.draw(arrays(np.float64, (rows, dim), elements=_coordinates()))
         y = data.draw(arrays(np.float64, (cols, dim), elements=_coordinates()))
         with np.errstate(over="ignore"):
             whole = (x[:, 0, None] - y[None, :, 0]) ** 2
             for k in range(1, dim):
                 whole += (x[:, k, None] - y[None, :, k]) ** 2
-        got = measure._sq_distances(x, y, np.full((rows, cols), np.nan))
+        got, _ = measure._sq_distances(x, y, np.full((rows, cols), np.nan))
         assert got.tobytes() == whole.tobytes()
+
+    # sizes in one tile (up to 181 = _TILE_VALUES // 181 rows), in several
+    # with a shorter last one (200: 163 + 37 rows), and at the cap (8 x 64)
+    @given(
+        st.one_of(st.integers(1, 181), st.integers(182, 511), st.just(512)),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(size=1, dim=1, seed=0)
+    @example(size=181, dim=5, seed=1)
+    @example(size=200, dim=5, seed=2)
+    @example(size=512, dim=5, seed=3)
+    @settings(max_examples=30, deadline=None)
+    def test_a_lent_buffer_holds_cdists_reduced_costs(self, size, dim, seed):
+        g = np.random.default_rng(seed)
+        x, y = g.standard_normal((2, size, dim))
+        buf = np.full((size, size), np.nan)
+        got = w2_assignment(x, y, out=buf)
+        want = cdist(x, y, "sqeuclidean")
+        want -= want.min(axis=0)
+        want -= want.min(axis=1, keepdims=True)
+        assert buf.tobytes() == want.tobytes()
+        assert got == TestW2Assignment._plain(x, y)  # bit for bit
 
 
 class TestNormalDistance:

@@ -25,7 +25,7 @@ from mvnsdde import (
     simulate_terminal,
     validate,
 )
-from mvnsdde.model import MODELS
+from mvnsdde.model import MODELS, model_keys
 from mvnsdde.noise import derived_generator
 from oracles import linear_meanfield_mean, one_system, planar_meanfield
 
@@ -118,7 +118,7 @@ class TestExample51:
 
 class TestLinearMeanfield:
     def test_mean_oracle(self):
-        assert linear_meanfield_mean(1.0) == pytest.approx(math.exp(-0.5))
+        assert linear_meanfield_mean(1.0, x0=1.0) == pytest.approx(math.exp(-0.5))
         assert linear_meanfield_mean(1.0, a_coef=-1.0, b_coef=0.0, x0=2.0) == (
             pytest.approx(2.0 * math.exp(-1.0))
         )
@@ -190,6 +190,16 @@ class TestBuildModel:
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
             build_model("heat_equation")
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [(name, key) for name in MODELS for key in model_keys(name)],
+    )
+    @pytest.mark.parametrize("true", [True, np.True_], ids=["bool", "np_bool"])
+    def test_a_bool_parameter_is_refused(self, name, key, true):
+        # True was once read as 1.0
+        with pytest.raises(ConfigError, match=f"^{key} must be a number, got the bool"):
+            MODELS[name](**{key: true})
 
 
 class TestGrid:
