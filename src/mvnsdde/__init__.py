@@ -34,7 +34,7 @@ from .model import (
     linear_meanfield,
     validate,
 )
-from .noise import coarsen, generate
+from .noise import coarsen
 from .scheme import (
     ParticleGrid,
     em_step,
@@ -70,7 +70,6 @@ __all__ = [
     "empirical_measure_rate",
     "example51",
     "fit_loglog_slope",
-    "generate",
     "linear_meanfield",
     "moment_bound_vs_dt",
     "simulate",

@@ -2,9 +2,10 @@
 
 :class:`RunConfig` lists every config key with its type and default; the
 file parser, the ``--flags`` and the echo are derived from its fields.
-``READS``, the keys each subcommand reads, are the parameters of the
-function it runs (``RUNS``); any other key must keep its default.
-:func:`parse` refuses every unusable key or value before anything is written.
+``READS``, the keys each run reads, are the parameters of the function it
+runs (``RUNS``); any other key must keep its default.  :func:`parse` refuses
+every unusable key or value, each run's by its plan (``PLANS``), before
+anything is written; ``validate`` judges a run as the run does.
 Config files are flat ``key = value`` text (``#`` comments, lists as
 comma-separated values), flags override file values, and the resolved
 config is echoed to ``<outdir>/config.echo``, which reruns the same job.
@@ -28,14 +29,16 @@ from .experiments import (
     D5_PROXY_NOTE,
     W2SQ_RATE,
     ExperimentReport,
+    chaos_error_plan,
     chaos_error_vs_particles,
     check_at_least,
-    check_rate_sizes,
-    check_sizes,
     empirical_measure_rate,
     peak_rss_mb,
+    rate_plan,
+    strong_error_plan,
     strong_error_vs_dt,
     taming_comparison,
+    taming_plan,
     write_summary,
 )
 from .model import MODELS, Grid, build_model, model_keys, validate
@@ -81,25 +84,32 @@ class RunConfig:
 
 GRID_KEYS = tuple(f.name for f in dataclasses.fields(Grid))
 
-# The function each subcommand runs.  Its parameters, read at import before
-# any caller rebinds a name, are the keys the run reads (``READS``): ``grid``
-# and ``grids`` (validate's one) stand for the Grid keys, ``segments`` for seed
-# and particles, ``model`` for the model and its factory's keys
-# (``model_keys``).  validate accepts every key: it checks any subcommand's.
+# The function each run runs.  Its parameters, read at import before any
+# caller rebinds a name, are the keys the run reads (``READS``): ``grid``
+# stands for the Grid keys, ``model`` for the model and its factory's keys.
 RUNS = {
     "simulate": simulate,
     "convergence-dt": strong_error_vs_dt,
     "convergence-particles": chaos_error_vs_particles,
     "taming-compare": taming_comparison,
     "empirical-rate": empirical_measure_rate,
-    "validate": validate,
 }
-SUBCOMMANDS = tuple(RUNS)
-_STANDS_FOR = {"grid": GRID_KEYS, "grids": GRID_KEYS, "segments": ("seed", "particles")}
+SUBCOMMANDS = (*RUNS, "validate")
 READS = {
     sub: tuple(key for name in inspect.signature(run).parameters
-               for key in _STANDS_FOR.get(name, (name,)))
+               for key in (GRID_KEYS if name == "grid" else (name,)))
     for sub, run in RUNS.items()
+}
+
+
+# Each run's plan, on keys it reads: their checked values as the ``(segments,
+# grids)`` of its pass (``empirical-rate`` runs none: its dim, xis, mc_reps).
+PLANS = {
+    "simulate": lambda grid, seed, particles: ([(seed, particles)], [grid]),
+    "convergence-dt": strong_error_plan,
+    "convergence-particles": chaos_error_plan,
+    "taming-compare": taming_plan,
+    "empirical-rate": rate_plan,
 }
 
 
@@ -192,7 +202,8 @@ def parse(
 ) -> RunConfig:
     """Resolve defaults, config file, and command-line overrides (in that
     order of increasing precedence) into a fully explicit RunConfig, or
-    refuse a key the run does not read or a value no run can use."""
+    refuse a key the run does not read or a value its plan refuses; ``validate``
+    judges the config's run (``simulate`` if none), other subcommands set it."""
     values = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     if config_path is not None:
         values.update(_read_config_file(config_path))
@@ -200,7 +211,9 @@ def parse(
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}; {_VALID_KEYS}")
         values[key] = _coerce(key, raw)
-    if subcommand is not None:
+    if subcommand == "validate":
+        values["subcommand"] = values["subcommand"] or "simulate"
+    elif subcommand is not None:
         values["subcommand"] = subcommand
 
     if values["subcommand"] is None:
@@ -208,7 +221,7 @@ def parse(
             "no subcommand given (positional argument or 'subcommand' key); "
             "one of: " + ", ".join(SUBCOMMANDS)
         )
-    for key, valid in (("subcommand", SUBCOMMANDS), ("model", MODELS)):
+    for key, valid in (("subcommand", RUNS), ("model", MODELS)):
         if values[key] not in valid:
             raise ConfigError(
                 f"unknown {key} {values[key]!r}; valid: " + ", ".join(valid)
@@ -226,60 +239,66 @@ def parse(
     for f in dataclasses.fields(RunConfig):
         value = values[f.name]
         unread = f.name not in reads + ("subcommand", "outdir")
-        if unread and value != f.default and subcommand != "validate":
+        if unread and value != f.default:
             raise ConfigError(
                 f"{subcommand} does not read key {f.name!r} (set to "
                 f"{value!r}); it reads: {', '.join(reads)}"
             )
     check_seed(values["seed"])
     check_at_least("particles", values["particles"], 1)
-    check_sizes("delta_ref", [values["delta_ref"]])
-    for key in ("deltas", "xis"):
-        check_sizes(key, values[key])
-    check_at_least("replicates", values["replicates"], 1)
-    check_at_least("mc_reps", values["mc_reps"], 0)
-    check_rate_sizes(values["dim"], values["xis"])
     if values["outdir"] is None:
         values["outdir"] = os.environ.get(OUTDIR_ENV, "out")
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    PLANS[subcommand](**_arguments(PLANS[subcommand], cfg))
+    return cfg
 
 
-def _argument(cfg: RunConfig, name: str):
-    """The value of a run function's parameter ``name``: the config key of
-    that name, or the object built from the keys it stands for."""
-    if name == "model":
-        keys = model_keys(cfg.model)
-        return build_model(cfg.model, **{key: getattr(cfg, key) for key in keys})
-    if name in ("grid", "grids"):
-        grid = Grid(**{key: getattr(cfg, key) for key in GRID_KEYS})
-        return grid if name == "grid" else [grid]
-    if name == "segments":
-        return [(cfg.seed, cfg.particles)]
-    return getattr(cfg, name)
+def _arguments(fn, cfg: RunConfig) -> dict:
+    """The arguments of ``fn``, a run or a plan: for each parameter, the
+    config key of that name, or the object built from the keys it stands for."""
+    args = {}
+    for name in inspect.signature(fn).parameters:
+        if name == "model":
+            keys = model_keys(cfg.model)
+            args[name] = build_model(cfg.model, **{k: getattr(cfg, k) for k in keys})
+        elif name == "grid":
+            args[name] = Grid(**{key: getattr(cfg, key) for key in GRID_KEYS})
+        else:
+            args[name] = getattr(cfg, name)
+    return args
+
+
+def _echo(cfg: RunConfig) -> Path:
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "config.echo").write_text(echo_text(cfg))
+    return outdir
+
+
+def judge(cfg: RunConfig) -> int:
+    """The ``validate`` subcommand: check the model of the run of ``cfg``, a
+    config from :func:`parse`, on that run's plan, as the run does, and
+    write ``config.echo`` only if it passes."""
+    if model := _arguments(RUNS[cfg.subcommand], cfg).get("model"):
+        plan = PLANS[cfg.subcommand]
+        segments, grids = plan(**_arguments(plan, cfg))
+        if violations := validate(model, grids, segments):
+            raise ValidationFailure(violations)
+    print("ok")
+    _echo(cfg)
+    return 0
 
 
 def dispatch(cfg: RunConfig) -> int:
     """Run the subcommand of ``cfg``, a config from :func:`parse`; outputs,
-    ``config.echo`` first, land in the config's output directory.  A
-    ``validate`` judges before it writes, so a refused config leaves no
-    file, as a parse error does.
+    ``config.echo`` first, land in the config's output directory.
 
     The run calls the function bound at its module-level name when it
     starts, so a rebinding of that name (a tracer's) takes effect.
     """
     run = RUNS[cfg.subcommand]
-    args = {name: _argument(cfg, name) for name in inspect.signature(run).parameters}
-    if cfg.subcommand == "validate":
-        violations = globals()[run.__name__](**args)
-        print("\n".join(f"violation: {v}" for v in violations) or "ok")
-        if violations:
-            return 2
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.echo").write_text(echo_text(cfg))
-    if cfg.subcommand == "validate":
-        return 0
-
+    args = _arguments(run, cfg)  # a model that cannot be built writes nothing
+    outdir = _echo(cfg)
     t0 = time.perf_counter()
     try:
         result = globals()[run.__name__](**args)
@@ -376,7 +395,7 @@ def main(argv=None) -> int:
         config, subcommand = args.pop("config"), args.pop("subcommand")
         overrides = {key: value for key, value in args.items() if value is not None}
         cfg = parse(config, overrides, subcommand=subcommand)
-        return dispatch(cfg)
+        return judge(cfg) if subcommand == "validate" else dispatch(cfg)
     except ValidationFailure as exc:
         for violation in exc.violations:
             print(f"violation: {violation}", file=sys.stderr)

@@ -15,12 +15,14 @@ state).
 The studies stream their noise: a study is a list of
 :class:`~mvnsdde.model.Grid` values and its ``(seed, particles)`` segments
 (the replicate seeds, and in the particle study every seed × particle
-count), and it is one :func:`~mvnsdde.scheme.coupled_pass` call, which
-runs every grid on the block sums of one streamed fine path and returns
-the terminal states.  That call groups the seeds into passes of as many
-as :func:`~mvnsdde.noise.seeds_per_block` lets share one noise budget, so
-memory is that budget plus each segment's delay window and the
-terminals.  Results equal those of one run per seed and size bit for bit.
+count), checked and laid out from its keys alone by its plan
+(``strong_error_plan`` and so on), which the CLI's ``validate`` judges.  A
+study is one :func:`~mvnsdde.scheme.coupled_pass` call, which runs every
+grid on the block sums of one streamed fine path and returns the terminal
+states.  That call groups the seeds into passes of as many as
+:func:`~mvnsdde.noise.seeds_per_block` lets share one noise budget, so
+memory is that budget plus each segment's delay window and the terminals.
+Results equal those of one run per seed and size bit for bit.
 """
 
 from __future__ import annotations
@@ -172,6 +174,18 @@ def _replicate_seeds(seed: int, replicates: int) -> list[int]:
     return [(check_seed(seed) + r) % 2**64 for r in range(replicates)]
 
 
+def strong_error_plan(
+    particles: int, delta_ref: float, deltas: list[float], tau: float, alpha: float,
+    horizon: float, seed: int, taming: bool = True, replicates: int = 1,
+) -> tuple[list[tuple[int, int]], list[Grid]]:
+    """Each replicate seed's segment; the delta_ref grid, then the sorted deltas'."""
+    check_sizes("delta_ref", [delta_ref])
+    deltas = check_sizes("deltas", deltas)
+    segments = [(s, particles) for s in _replicate_seeds(seed, replicates)]
+    grids = [Grid(d, tau, alpha, horizon, taming) for d in [delta_ref, *deltas]]
+    return segments, grids
+
+
 def strong_error_vs_dt(
     model: ModelSpec,
     particles: int,
@@ -196,17 +210,26 @@ def strong_error_vs_dt(
     for sensitivity checks of the single-run estimate.  Replicates that
     share a pass are segments of each step size's one run.
     """
-    check_sizes("delta_ref", [delta_ref])
-    deltas = check_sizes("deltas", deltas)
-    segments = [(s, particles) for s in _replicate_seeds(seed, replicates)]
-    grids = [Grid(d, tau, alpha, horizon, taming) for d in [delta_ref, *deltas]]
+    segments, grids = strong_error_plan(
+        particles, delta_ref, deltas, tau, alpha, horizon, seed, taming, replicates
+    )
     ref, *tests = coupled_pass(model, segments, grids)
     return ErrorTable(
         [
-            _row_from_sq_errors(delta, np.sum((ref - test) ** 2, axis=1))
-            for delta, test in zip(deltas, tests)
+            _row_from_sq_errors(grid.delta, np.sum((ref - test) ** 2, axis=1))
+            for grid, test in zip(grids[1:], tests)
         ]
     )
+
+
+def chaos_error_plan(
+    xis: list[int], delta: float, tau: float, alpha: float, horizon: float,
+    seed: int, taming: bool = True, replicates: int = 1,
+) -> tuple[list[tuple[int, int]], list[Grid]]:
+    """Each replicate seed's systems at the sorted xis, seed by seed; one grid."""
+    xis = check_sizes("xis", xis)
+    segments = [(s, xi) for s in _replicate_seeds(seed, replicates) for xi in xis]
+    return segments, [Grid(delta, tau, alpha, horizon, taming)]
 
 
 def chaos_error_vs_particles(
@@ -229,13 +252,13 @@ def chaos_error_vs_particles(
     ``replicates`` pools independent master seeds as in the step-size study.
     Every system of the seeds that share a pass is a segment of one run.
     """
-    xis = check_sizes("xis", xis)
-    seeds = _replicate_seeds(seed, replicates)
-    segments = [(run_seed, xi) for run_seed in seeds for xi in xis]
-    grid = Grid(delta, tau, alpha, horizon, taming)
-    [terminal] = coupled_pass(model, segments, [grid])
+    segments, grids = chaos_error_plan(
+        xis, delta, tau, alpha, horizon, seed, taming, replicates
+    )
+    [terminal] = coupled_pass(model, segments, grids)
+    xis = sorted({xi for _, xi in segments})
     # one row per replicate seed: its systems side by side, the reference last
-    by_seed = terminal.reshape(len(seeds), sum(xis), model.state_dim)
+    by_seed = terminal.reshape(-1, sum(xis), model.state_dim)
     systems = np.split(by_seed, np.cumsum(xis)[:-1], axis=1)
     ref = systems[-1]
     e2s = [np.sum((ref[:, :xi] - test) ** 2, axis=2) for xi, test in zip(xis, systems)]
@@ -287,6 +310,15 @@ class TamingReport:
     divergence_threshold: float
 
 
+def taming_plan(
+    delta: float, particles: int, tau: float, horizon: float, seed: int,
+    alpha: float = 0.5,
+) -> tuple[list[tuple[int, int]], list[Grid]]:
+    """One segment; its grid tamed, then untamed."""
+    grids = [Grid(delta, tau, alpha, horizon, taming) for taming in (True, False)]
+    return [(seed, particles)], grids
+
+
 def taming_comparison(
     model: ModelSpec,
     delta: float,
@@ -304,9 +336,9 @@ def taming_comparison(
     Meant for :func:`~mvnsdde.model.cubic_no_mf` at coarse steps 1/4 or 1/8
     and |x0| >= 3; smaller starting points stay subcritical.
     """
-    grids = [Grid(delta, tau, alpha, horizon, taming) for taming in (True, False)]
+    segments, grids = taming_plan(delta, particles, tau, horizon, seed, alpha)
     moment, divergence = MomentMax(2), Divergence()
-    coupled_pass(model, [(seed, particles)], grids, [moment, divergence])
+    coupled_pass(model, segments, grids, [moment, divergence])
     return TamingReport(
         tamed_max_moment=moment.value,
         tamed_argmax_index=moment.index,
@@ -318,14 +350,16 @@ def taming_comparison(
     )
 
 
-def check_rate_sizes(dim, xis) -> int:
-    """``dim`` as an int: the rate study's dims, 1 and 5 (not True), and at
-    dim 5 its cap on the sizes ``xis``, a list :func:`check_sizes` has passed."""
+def rate_plan(dim: int, xis: list[int], mc_reps: int) -> tuple[int, list[int], int]:
+    """The rate study's checked dim (1 or 5, not True), sorted xis (at most
+    ``ASSIGNMENT_CAP`` at dim 5) and mc_reps: it runs no pass."""
+    xis = check_sizes("xis", xis)
+    mc_reps = check_at_least("mc_reps", mc_reps, 0)
     if not is_whole(dim) or dim not in W2SQ_RATE:
         raise ConfigError(f"supported dims are 1 and 5, got {dim!r}")
     if dim == 5 and max(xis) > ASSIGNMENT_CAP:
         raise CapacityError(f"size {max(xis)} exceeds assignment cap {ASSIGNMENT_CAP}")
-    return int(dim)
+    return int(dim), xis, mc_reps
 
 
 def _assignment_squares(rng, size: int, dim: int, reps: int) -> np.ndarray:
@@ -384,13 +418,11 @@ def empirical_measure_rate(
     squared distance; stderr is its Monte Carlo standard error over the
     repetitions.
     """
-    xis = check_sizes("xis", xis)
-    mc_reps = check_at_least("mc_reps", mc_reps, 0)
-    dim = check_rate_sizes(dim, xis)
+    dim, xis, mc_reps = rate_plan(dim, xis, mc_reps)
     rng = derived_generator(seed, _RATE_TAG + dim)
-    rows = []
     if mc_reps == 0:
         return ErrorTable([])
+    rows = []
     for xi in xis:
         if dim == 5:
             vals = _assignment_squares(rng, xi, dim, mc_reps)
@@ -398,18 +430,8 @@ def empirical_measure_rate(
             vals = np.empty(mc_reps)
             for r in range(mc_reps):
                 vals[r] = w2sq_to_standard_normal_1d(rng.standard_normal(xi))
-        mean = float(vals.mean())
-        stderr = (
-            float(vals.std(ddof=1) / np.sqrt(mc_reps)) if mc_reps > 1 else 0.0
-        )
-        rows.append(
-            ErrorRow(
-                resolution=float(xi),
-                rms_error=mean,
-                stderr=stderr,
-                samples=mc_reps,
-            )
-        )
+        stderr = float(vals.std(ddof=1) / np.sqrt(mc_reps)) if mc_reps > 1 else 0.0
+        rows.append(ErrorRow(float(xi), float(vals.mean()), stderr, mc_reps))
     return ErrorTable(rows)
 
 

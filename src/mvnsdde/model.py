@@ -170,7 +170,7 @@ def validate(
     ``grids`` a non-empty sequence of Grid values, ``segments`` a non-empty
     sequence, ``state_dim`` and ``bm_dim`` integers >= 1 (not bools),
     ``contraction``, ``growth_power`` and each grid's ``delta``, ``tau``,
-    ``alpha`` and ``horizon`` real numbers, and ``taming`` a bool.  A
+    ``alpha`` and ``horizon`` real numbers (not bools), and ``taming`` a bool.  A
     mistyped field ends the report: those violations are all it lists.
     Otherwise the model is checked once: the contraction modulus, the growth
     power (at most ``MAX_GROWTH_POWER``, the error-exponent window), the
@@ -206,7 +206,7 @@ def validate(
             v.append(f"taming must be a bool, got {grid.taming!r}")
     for owner, name in fields:
         value = getattr(owner, name)
-        if not isinstance(value, Real):
+        if not isinstance(value, Real) or isinstance(value, bool):
             v.append(f"{name} must be a real number, got {value!r}")
     if v:
         return list(dict.fromkeys(v))
@@ -223,7 +223,7 @@ def validate(
 
     checked = len(v)
     for grid in grids:
-        if grid.tau <= 0:
+        if not grid.tau > 0:  # also true for nan
             v.append(f"tau must be positive, got {grid.tau}")
         if not 0.0 < grid.delta < min(1.0, grid.tau):
             v.append(
@@ -238,7 +238,7 @@ def validate(
             v.append(f"tau/delta = {delay!r} exceeds {cap}")
         if not 0.0 < grid.alpha <= 0.5:
             v.append(f"alpha must lie in (0, 1/2], got {grid.alpha}")
-        if grid.horizon <= 0:
+        if not grid.horizon > 0:
             v.append(f"horizon must be positive, got {grid.horizon}")
         elif grid.delta > 0 and not is_integer_ratio(grid.horizon, grid.delta):
             v.append(

@@ -18,7 +18,7 @@ def run_on(model, grid, increments) -> ParticleGrid:
     them by.
 
     ``increments`` is the whole (steps, particles, bm_dim) path, such as
-    zeros, permuted columns or :func:`mvnsdde.generate`'s array.
+    zeros, permuted columns or :func:`mvnsdde.noise.generate`'s array.
     """
     rows = ParticleGrid(grid)
     Stepper(model, grid, [(0, increments.shape[1])], record=rows).advance(increments)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from mvnsdde import (
-    cubic_no_mf, example51, experiments, moment_bound_vs_dt, noise,
+    cubic_no_mf, example51, experiments, moment_bound_vs_dt, noise, scheme,
     taming_comparison,
 )
 from mvnsdde import cli
@@ -23,6 +23,11 @@ from mvnsdde.errors import ConfigError
 from mvnsdde.model import MODELS, Grid, model_keys
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the flags that name a shipped config, for validate to judge its run
+FIGURE1, CHAOS, RATE_D1 = (
+    ("--config", str(CONFIGS / name))
+    for name in ("figure1.cfg", "chaos.cfg", "empirical_rate_d1.cfg")
+)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -78,14 +83,15 @@ class TestParse:
             parse(path, subcommand="validate")
 
     def test_typed_list_overrides(self):
-        cfg = parse(
-            None, {"xis": (2, 4), "deltas": [0.5, 0.25], "seed": 1},
-            subcommand="validate",
-        )
+        # each list through a run that reads it: no run reads both
+        cfg = parse(None, {"xis": (2, 4), "seed": 1}, "convergence-particles")
         assert cfg.xis == (2, 4)
+        text = {"xis": "2,4", "seed": "1"}
+        assert parse(None, text, "convergence-particles") == cfg
+        cfg = parse(None, {"deltas": [0.5, 0.25], "seed": 1}, "convergence-dt")
         assert cfg.deltas == (0.5, 0.25)
-        text = {"xis": "2,4", "deltas": "0.5, 0.25", "seed": "1"}
-        assert parse(None, text, subcommand="validate") == cfg
+        text = {"deltas": "0.5, 0.25", "seed": "1"}
+        assert parse(None, text, "convergence-dt") == cfg
 
     def test_workers_is_an_unknown_key(self, tmp_path):
         path = write_cfg(tmp_path, "seed = 1\nworkers = 1\n")
@@ -108,8 +114,14 @@ class TestParse:
         assert cfg.seed == 9
 
     def test_subcommand_from_file(self, tmp_path):
+        path = write_cfg(tmp_path, "subcommand = convergence-dt\nseed = 1\n")
+        assert parse(path).subcommand == "convergence-dt"
+        # validate judges the run its config names, so the config keeps it
+        assert parse(path, subcommand="validate").subcommand == "convergence-dt"
+        # a config names a run; validate is not one
         path = write_cfg(tmp_path, "subcommand = validate\nseed = 1\n")
-        assert parse(path).subcommand == "validate"
+        with pytest.raises(ConfigError, match="unknown subcommand 'validate'"):
+            parse(path)
 
     def test_missing_subcommand(self, tmp_path):
         path = write_cfg(tmp_path, "seed = 1\n")
@@ -118,7 +130,7 @@ class TestParse:
 
     def test_list_parsing(self, tmp_path):
         path = write_cfg(tmp_path, "seed = 1\nxis = 2,4, 8\n")
-        cfg = parse(path, subcommand="validate")
+        cfg = parse(path, subcommand="convergence-particles")
         assert cfg.xis == (2, 4, 8)
 
     def test_outdir_env_fallback(self, tmp_path, monkeypatch):
@@ -196,16 +208,16 @@ class TestExitCodes:
         "argv, message",
         [
             (["simulate", "--seed", "-1"], "seed must be a 64-bit unsigned"),
-            (["validate", "--seed", "1", "--replicates", "0"], "replicates must"),
-            (["validate", "--seed", "1", "--dim", "3"], "supported dims are"),
+            (["validate", *FIGURE1, "--replicates", "0"], "replicates must"),
+            (["validate", *RATE_D1, "--dim", "3"], "supported dims are"),
             (["convergence-dt", "--seed", "1", "--deltas", "inf"], "deltas must"),
             (["convergence-dt", "--seed", "1", "--deltas", "nan"], "deltas must"),
             (["convergence-dt", "--seed", "1", "--deltas", "0"], "deltas must"),
             (["convergence-dt", "--seed", "1", "--delta-ref", "-1"], "delta_ref must"),
-            (["validate", "--seed", "1", "--xis", "0,4"], "sizes must be >= 1, got 0"),
-            (["validate", "--seed", "1", "--xis=-3"], "sizes must be >= 1, got -3"),
-            (["validate", "--seed", "1", "--xis", "4,4"], "sizes must be distinct"),
-            (["validate", "--seed", "1", "--mc-reps=-5"], "mc_reps must be >= 0"),
+            (["validate", *CHAOS, "--xis", "0,4"], "sizes must be >= 1, got 0"),
+            (["validate", *CHAOS, "--xis=-3"], "sizes must be >= 1, got -3"),
+            (["validate", *CHAOS, "--xis", "4,4"], "sizes must be distinct"),
+            (["validate", *RATE_D1, "--mc-reps=-5"], "mc_reps must be >= 0"),
             (
                 ["convergence-dt", "--seed", "1", "--replicates", "0"],
                 "replicates must be >= 1, got 0",
@@ -221,7 +233,7 @@ class TestExitCodes:
                 "size 1024 exceeds assignment cap 512",
             ),
             (
-                ["validate", "--seed", "1", "--dim", "5", "--xis", "16,1024"],
+                ["validate", *RATE_D1, "--dim", "5", "--xis", "16,1024"],
                 "size 1024 exceeds assignment cap 512",
             ),
         ],
@@ -260,21 +272,26 @@ class TestExitCodes:
         assert "mc_reps must be >= 0, got -5" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
-    @pytest.mark.parametrize("keys", [["--xis", "64,16"], ["--mc-reps", "0"]])
+    @pytest.mark.parametrize(
+        "keys", [[*CHAOS, "--xis", "64,16"], [*RATE_D1, "--mc-reps", "0"]]
+    )
     def test_validate_takes_what_a_study_takes(self, tmp_path, capsys, keys):
         argv = ["validate", "--seed", "1", *keys, "--outdir", str(tmp_path / "o")]
         assert main(argv) == 0
         assert capsys.readouterr().out.strip() == "ok"
 
     def test_refused_validate_is_2_and_writes_nothing(self, tmp_path, capsys):
-        # the echo was once written before the config was judged
+        # the echo was once written before the config was judged; a refusal
+        # goes to stderr, as the run's own does
         out = tmp_path / "o"
         assert main(["validate", "--seed", "1", "--tau=-0.5", "--outdir", str(out)]) == 2
-        assert "violation: tau must be positive, got -0.5" in capsys.readouterr().out
+        assert "violation: tau must be positive, got -0.5" in capsys.readouterr().err
         assert not out.exists()
         assert main(["validate", "--seed", "1", "--outdir", str(out)]) == 0
         want = parse(None, {"seed": 1, "outdir": str(out)}, subcommand="validate")
+        # the echo holds the run it judged, simulate, and reruns that run
         assert parse(out / "config.echo") == want
+        assert want.subcommand == "simulate"
 
     def test_unknown_flag_is_1(self):
         assert main(["simulate", "--frobnicate", "1"]) == 1
@@ -420,16 +437,18 @@ class TestExitCodes:
 
 
 class TestOneListRule:
-    """Every subcommand that reads ``xis`` or ``deltas``, and validate, takes
-    and refuses the same lists with the same exit code and message."""
+    """Every subcommand that reads ``xis`` or ``deltas``, and validate of
+    such a run, takes and refuses the same lists with the same exit code and
+    message."""
 
     RUNS = {
         "convergence-dt": ["--particles", "4", "--delta-ref", "0.00390625",
                            "--horizon", "0.25"],
         "convergence-particles": ["--delta", "0.0078125", "--horizon", "0.25"],
         "empirical-rate": ["--mc-reps", "2"],
-        "validate": [],
     }
+    # the run validate judges per key: one that reads it
+    JUDGED = {"deltas": "convergence-dt", "xis": "convergence-particles"}
     # per key and case: the list, then the refusal's message (None: it runs)
     LISTS = {
         "deltas": {
@@ -450,7 +469,12 @@ class TestOneListRule:
 
     def run(self, tmp_path, capsys, subcommand, key, value, name):
         out = tmp_path / name
-        argv = [subcommand, "--seed", "1", *self.RUNS[subcommand],
+        flags = self.RUNS.get(subcommand, [])
+        if subcommand == "validate":
+            judged = self.JUDGED[key]
+            path = write_cfg(tmp_path, f"subcommand = {judged}\n", "judged.cfg")
+            flags = ["--config", str(path), *self.RUNS[judged]]
+        argv = [subcommand, "--seed", "1", *flags,
                 f"--{key}={value}", "--outdir", str(out)]
         rc = main(argv)
         return rc, capsys.readouterr().err, out
@@ -475,6 +499,7 @@ class TestOneListRule:
             return
         assert (rc, err) == (0, "")
         if subcommand == "validate":
+            assert (out / "config.echo").exists()
             return
         # the study sorts the list: the same table as the ascending one
         ascending = ",".join(sorted(value.split(","), key=float))
@@ -567,10 +592,44 @@ class TestRunDeclaration:
                 "model", "delta", "particles", "tau", "horizon", "seed", "alpha",
             ),
             "empirical-rate": ("dim", "xis", "mc_reps", "seed"),
-            "validate": ("model", *grid, "seed", "particles"),
         }
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         assert {key for keys in cli.READS.values() for key in keys} <= fields
+        # validate is a subcommand that judges a run, not a run
+        assert cli.SUBCOMMANDS == (*cli.RUNS, "validate")
+
+    def test_each_run_has_a_plan_on_keys_it_reads(self):
+        assert list(cli.PLANS) == list(cli.RUNS)
+        for sub, plan in cli.PLANS.items():
+            parameters = inspect.signature(plan).parameters
+            keys = [
+                key for name in parameters
+                for key in (cli.GRID_KEYS if name == "grid" else (name,))
+            ]
+            assert set(keys) <= set(cli.READS[sub]) - {"model"}, sub
+
+    def test_each_default_is_the_configs(self):
+        # a library call of a run or a plan and a CLI run default alike
+        defaults, checked = RunConfig(), set()
+        for fn in [*cli.RUNS.values(), *cli.PLANS.values()]:
+            for key, parameter in inspect.signature(fn).parameters.items():
+                if parameter.default is not parameter.empty:
+                    assert parameter.default == getattr(defaults, key), (fn, key)
+                    checked.add(key)
+        assert checked == {"taming", "replicates", "alpha"}
+
+    def test_readme_lists_each_runs_reads(self):
+        readme = (CONFIGS.parent / "README.md").read_text()
+        header = r"^\| subcommand +\| reads \|\n\|[-| ]+\|\n((?:\|.*\|\n)+)"
+        rows = {}
+        for line in re.search(header, readme, flags=re.M)[1].splitlines():
+            sub, reads = line.strip("|").split("|")
+            rows[sub.strip(" `")] = tuple(re.findall(r"`(\w+)`", reads))
+        # README leaves out the seed, which every run reads
+        assert rows == {
+            sub: tuple(key for key in reads if key != "seed")
+            for sub, reads in cli.READS.items()
+        }
 
     def test_model_keys_are_the_factory_parameters(self):
         assert [model_keys(name) for name in MODELS] == [
@@ -605,6 +664,7 @@ class TestRunDeclaration:
                 ["model", "delta", "particles", "tau", "horizon", "seed", "alpha"],
             ),
             ("empirical-rate", "empirical_measure_rate", ["dim", "xis", "mc_reps", "seed"]),
+            # validate judges simulate's plan when the config names no run
             ("validate", "validate", ["model", "grids", "segments"]),
         ],
     )
@@ -616,23 +676,89 @@ class TestRunDeclaration:
         class Called(Exception):
             pass
 
-        def recorder(**kwargs):
-            calls.append(kwargs)
+        bind = inspect.signature(getattr(cli, name)).bind
+
+        def recorder(*args, **kwargs):
+            calls.append(bind(*args, **kwargs).arguments)
             raise Called
 
         monkeypatch.setattr(cli, name, recorder)
         model = "cubic_no_mf" if subcommand == "taming-compare" else "example51"
         overrides = {"seed": 9, "model": model, "outdir": str(tmp_path)}
+        run = cli.judge if subcommand == "validate" else cli.dispatch
         with pytest.raises(Called):
-            cli.dispatch(parse(None, overrides, subcommand))
+            run(parse(None, overrides, subcommand))
         assert [list(kwargs) for kwargs in calls] == [parameters]
         args = calls[0]
         if "model" in args:
             assert args["model"].name == model
         if "grid" in args:
             assert args["grid"] == Grid(2.0**-11, 2.0**-5, 0.5, 1.0, True)
+        if "grids" in args:
+            assert args["grids"] == [Grid(2.0**-11, 2.0**-5, 0.5, 1.0, True)]
         if "segments" in args:
             assert args["segments"] == [(9, 1000)]
+
+
+class TestValidateJudgesTheRun:
+    """validate judges the run its config names, as that run judges itself:
+    the same keys, the same plan, the same verdict."""
+
+    def test_judges_what_each_shipped_run_validates(self, tmp_path, monkeypatch):
+        judged, ran = [], []
+
+        class Stop(Exception):
+            pass
+
+        def recorder(seen, verdict):
+            def record(model, grids, segments):
+                seen.append((model.name, list(grids), list(segments)))
+                return verdict()
+
+            return record
+
+        def stop(*args, **kwargs):
+            raise Stop  # before the run draws anything
+
+        monkeypatch.setattr(cli, "validate", recorder(judged, list))
+        monkeypatch.setattr(scheme, "validate", recorder(ran, stop))
+        monkeypatch.setattr(experiments, "derived_generator", stop)
+        paths = sorted(CONFIGS.glob("*.cfg"))
+        assert len(paths) == 7
+        for path in paths:
+            del judged[:], ran[:]
+            out = tmp_path / path.stem
+            assert main(["validate", "--config", str(path), "--outdir", str(out)]) == 0
+            with pytest.raises(Stop):
+                cli.dispatch(parse(path, {"outdir": str(out)}))
+            # one study, one validate call; the rate study runs no pass
+            assert judged == ran, path.name
+            assert len(ran) == (not path.name.startswith("empirical_rate")), path.name
+
+    def test_refuses_the_study_the_run_refuses(self, tmp_path, capsys):
+        # a 0.0234375 step divides neither tau nor the horizon: validate once
+        # judged the delta grid alone and printed ok
+        flags = [*FIGURE1, "--deltas", "0.0234375"]
+        assert main(["convergence-dt", *flags, "--outdir", str(tmp_path / "r")]) == 2
+        refused = capsys.readouterr()
+        out = tmp_path / "v"
+        assert main(["validate", *flags, "--outdir", str(out)]) == 2
+        assert capsys.readouterr() == refused
+        assert refused.out == "" and refused.err == (
+            "violation: tau/delta = 1.3333333333333333 is not a positive integer\n"
+            "violation: horizon/delta = 42.666666666666664 is not a positive integer\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--model", "cubic_no_mf"], ["--x0", "3"]])
+    def test_refuses_a_key_the_run_does_not_read(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        path = CONFIGS / "empirical_rate_d5.cfg"
+        argv = ["validate", "--config", str(path), *flags, "--outdir", str(out)]
+        assert main(argv) == 1
+        key = flags[0].removeprefix("--")
+        assert f"empirical-rate does not read key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRefusedInAFreshProcess:
@@ -668,6 +794,12 @@ class TestRefusedInAFreshProcess:
                 1, "particles must be >= 1, got 0",
             ),
             (["validate", "--particles", "0"], 1, "particles must be >= 1, got 0"),
+            # tau <= 0 is false for nan: simulate died in Grid.delay_steps
+            (
+                ["simulate", "--tau", "nan", "--particles", "3"],
+                2, "violation: tau must be positive, got nan",
+            ),
+            (["validate", "--tau", "nan"], 2, "violation: tau must be positive, got nan"),
         ],
     )
     def test_exits_before_the_timeout(self, tmp_path, argv, rc, message):
@@ -899,20 +1031,39 @@ class TestConfigEcho:
             digest = hashlib.sha256((text + "workers = 1\n").encode()).hexdigest()
             assert digest == self.ECHO_SHA256[path.name], path.name
 
+    # runs that together read every key, model keys at linear_meanfield's
+    ROUND_TRIPS = (
+        "simulate", "convergence-dt", "convergence-particles", "empirical-rate",
+    )
+
     def test_every_key_round_trips_through_its_flag(self, tmp_path):
         fields = dataclasses.fields(RunConfig)
         flagged = set(self.FLAG_VALUES) | {"subcommand", "taming", "outdir"}
         assert flagged == {f.name for f in fields}
-        out = tmp_path / "o"
-        argv = ["validate", "--no-taming", "--outdir", str(out)]
-        for key, value in self.FLAG_VALUES.items():
-            argv += ["--" + key.replace("_", "-"), value]
-        assert main(argv) == 0  # only an accepted validate writes config.echo
-        cfg = parse(out / "config.echo")
-        assert all(getattr(cfg, f.name) != f.default for f in fields)
-        overrides = dict(self.FLAG_VALUES, taming=False, outdir=str(out))
-        assert cfg == parse(None, overrides, subcommand="validate")
-        assert parse(write_cfg(tmp_path, echo_text(cfg), "again.cfg")) == cfg
+        tripped = {"subcommand", "outdir"}
+        for sub in self.ROUND_TRIPS:
+            reads = cli.READS[sub]
+            if "model" in reads:
+                reads += model_keys(self.FLAG_VALUES["model"])
+            out = tmp_path / sub
+            path = write_cfg(tmp_path, f"subcommand = {sub}\n", f"{sub}.cfg")
+            argv = ["validate", "--config", str(path), "--outdir", str(out)]
+            overrides = {"outdir": str(out)}
+            for key in reads:
+                if key == "taming":
+                    argv.append("--no-taming")
+                    overrides[key] = False
+                else:
+                    argv += ["--" + key.replace("_", "-"), self.FLAG_VALUES[key]]
+                    overrides[key] = self.FLAG_VALUES[key]
+            # only an accepted validate writes config.echo
+            assert main(argv) == 0, sub
+            cfg = parse(out / "config.echo")
+            assert all(getattr(cfg, key) != getattr(RunConfig(), key) for key in reads)
+            assert cfg == parse(path, overrides, subcommand="validate")
+            assert parse(write_cfg(tmp_path, echo_text(cfg), "again.cfg")) == cfg
+            tripped |= set(reads)
+        assert tripped == {f.name for f in fields}
 
 
 class TestGoldenBytes:

@@ -447,6 +447,36 @@ class TestValidate:
         report = validate(model, [_params()], SEGMENT)
         assert f"{message}RuntimeError('no value here')" in report
 
+    @pytest.mark.parametrize(
+        "field", ["contraction", "growth_power", "delta", "tau", "alpha", "horizon"]
+    )
+    def test_a_bool_in_a_real_field_is_one_violation(self, field, monkeypatch):
+        # True is refused, not read as 1, as in state_dim and bm_dim
+        if field in ("contraction", "growth_power"):
+            model, grid = dataclasses.replace(example51(), **{field: True}), _params()
+        else:
+            model, grid = example51(), _params(**{field: True})
+        message = f"{field} must be a real number, got True"
+        assert validate(model, [grid], SEGMENT) == [message]
+        _forbid_draws(monkeypatch)
+        with pytest.raises(ValidationFailure, match=message):
+            simulate_terminal(model, grid, *SEGMENT[0])
+
+    def test_a_grid_of_bools_does_not_run_at_tau_and_horizon_1(self):
+        # Grid(0.25, True, 0.5, True) once ran silently with tau = T = 1
+        report = validate(cubic_no_mf(), [Grid(0.25, True, 0.5, True)], SEGMENT)
+        assert report == [
+            "tau must be a real number, got True",
+            "horizon must be a real number, got True",
+        ]
+
+    def test_a_nan_tau_is_a_violation(self):
+        # tau <= 0 is false for nan, which then reached Grid.delay_steps
+        report = validate(example51(), [_params(tau=math.nan)], SEGMENT)
+        assert "tau must be positive, got nan" in report
+        report = validate(example51(), [_params(horizon=math.nan)], SEGMENT)
+        assert "horizon must be positive, got nan" in report
+
     def test_a_grid_field_not_a_real_number_is_one_violation(self):
         # a mistyped field ends the report: no later check runs
         report = validate(example51(), [Grid("0.1", 2**-5, 0.5, 0.25)], SEGMENT)

@@ -16,11 +16,11 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from mvnsdde import (
-    Grid, GridError, OverflowAbort, coarsen, cubic_no_mf, example51, generate,
-    simulate, simulate_terminal,
+    Grid, GridError, OverflowAbort, coarsen, cubic_no_mf, example51, simulate,
+    simulate_terminal,
 )
 from mvnsdde import noise
-from mvnsdde.noise import seeds_per_block, stream_seeds
+from mvnsdde.noise import generate, seeds_per_block, stream_seeds
 from oracles import seeds_per_block_search
 
 

@@ -24,7 +24,6 @@ def test_all_lists_exactly_the_public_names():
 # Exported names that no package code reads and README's library example
 # does not run, each with the reason it stays exported.
 UNREAD_EXPORTS = {
-    "generate": "perfbench's tracer wraps it, until the benchmark's next version",
     "moment_bound_vs_dt": "the paper's moment-bound study, which no subcommand runs yet",
 }
 

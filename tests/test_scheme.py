@@ -21,7 +21,6 @@ from mvnsdde import (
     cubic_no_mf,
     em_step,
     example51,
-    generate,
     linear_meanfield,
     scheme,
     simulate,
@@ -31,7 +30,7 @@ from mvnsdde import (
 )
 from mvnsdde._g17 import BLOCK_VALUES
 from mvnsdde.model import ModelSpec
-from mvnsdde.noise import chunk_steps, stream_seeds
+from mvnsdde.noise import chunk_steps, generate, stream_seeds
 from mvnsdde.scheme import Divergence, MomentMax, Stepper, coupled_pass
 from oracles import (
     column, moment_monitor, one_system, planar_meanfield, recorded, run_on,
