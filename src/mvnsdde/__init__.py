@@ -35,13 +35,7 @@ from .model import (
     validate,
 )
 from .noise import coarsen
-from .scheme import (
-    ParticleGrid,
-    em_step,
-    simulate,
-    simulate_terminal,
-    tame_drift,
-)
+from .scheme import ParticleGrid, simulate, simulate_terminal
 
 __version__ = "0.1.0"
 
@@ -66,7 +60,6 @@ __all__ = [
     "chaos_error_vs_particles",
     "coarsen",
     "cubic_no_mf",
-    "em_step",
     "empirical_measure_rate",
     "example51",
     "fit_loglog_slope",
@@ -75,7 +68,6 @@ __all__ = [
     "simulate",
     "simulate_terminal",
     "strong_error_vs_dt",
-    "tame_drift",
     "taming_comparison",
     "validate",
     "w2_assignment",

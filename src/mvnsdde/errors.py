@@ -20,7 +20,8 @@ class CapacityError(MvnsddeError):
 
 
 class GridError(MvnsddeError, ValueError):
-    """Inconsistent time-grid bookkeeping (step counts, coarsening factors)."""
+    """Inconsistent time-grid bookkeeping (step counts, coarsening factors)
+    or a seed that is not a 64-bit unsigned integer."""
 
 
 class ConfigError(MvnsddeError, ValueError):

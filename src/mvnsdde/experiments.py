@@ -176,7 +176,7 @@ def _replicate_seeds(seed: int, replicates: int) -> list[int]:
 
 def strong_error_plan(
     particles: int, delta_ref: float, deltas: list[float], tau: float, alpha: float,
-    horizon: float, seed: int, taming: bool = True, replicates: int = 1,
+    horizon: float, seed: int, taming: bool, replicates: int,
 ) -> tuple[list[tuple[int, int]], list[Grid]]:
     """Each replicate seed's segment; the delta_ref grid, then the sorted deltas'."""
     check_sizes("delta_ref", [delta_ref])
@@ -224,7 +224,7 @@ def strong_error_vs_dt(
 
 def chaos_error_plan(
     xis: list[int], delta: float, tau: float, alpha: float, horizon: float,
-    seed: int, taming: bool = True, replicates: int = 1,
+    seed: int, taming: bool, replicates: int,
 ) -> tuple[list[tuple[int, int]], list[Grid]]:
     """Each replicate seed's systems at the sorted xis, seed by seed; one grid."""
     xis = check_sizes("xis", xis)
@@ -311,8 +311,7 @@ class TamingReport:
 
 
 def taming_plan(
-    delta: float, particles: int, tau: float, horizon: float, seed: int,
-    alpha: float = 0.5,
+    delta: float, particles: int, tau: float, horizon: float, seed: int, alpha: float,
 ) -> tuple[list[tuple[int, int]], list[Grid]]:
     """One segment; its grid tamed, then untamed."""
     grids = [Grid(delta, tau, alpha, horizon, taming) for taming in (True, False)]
@@ -345,7 +344,7 @@ def taming_comparison(
         untamed_divergence_fraction=float(divergence.diverged.mean()),
         untamed_diverged_count=int(divergence.diverged.sum()),
         first_divergence_step=divergence.first_step,
-        particles=particles,
+        particles=len(divergence.diverged),  # the int the pass ran
         divergence_threshold=DIVERGENCE_THRESHOLD,
     )
 

@@ -180,7 +180,8 @@ def validate(
     shape (2, state_dim), and (2, state_dim, bm_dim) from ``diffusion``;
     ``neutral`` pure; ``drift`` and ``diffusion`` giving each system the
     bits of a call on it alone).  Then each grid (integrality of tau/delta
-    and horizon/delta, the step/exponent ranges, the initial segment) and,
+    and horizon/delta, the step/exponent ranges, the initial segment: a
+    finite array of shape (state_dim,) at each grid point) and,
     if all pass, the pass rules: the first grid's horizon, and a step count
     that divides the first's by a power of two.  Then each segment: a
     ``(seed, particles)`` pair of integers.  Each violation is listed once.
@@ -258,6 +259,10 @@ def validate(
                             f"{val.shape}, expected ({model.state_dim},)"
                         )
                         break
+                    if not np.isfinite(val.astype(float)).all():  # as a run reads it
+                        t = n * grid.delta
+                        v.append(f"initial segment at t = {t} is {val}, not finite")
+                        break
             except Exception as exc:
                 v.append(f"initial segment not evaluable on [-tau, 0]: {exc!r}")
 
@@ -317,12 +322,15 @@ def _cubic_diffusion(x, y, mu):
     return out[..., None]
 
 
-def _refuse_bools(**params) -> None:
+def _refuse_non_finite(**params) -> None:
     """A :class:`ConfigError` naming the first of a factory's float
-    parameters given a bool (True is refused, not read as 1)."""
+    parameters that is not a finite real number: True is refused, not read
+    as 1, and nan or inf, not stepped into an overflow."""
     for key, value in params.items():
         if isinstance(value, (bool, np.bool_)):
             raise ConfigError(f"{key} must be a number, got the bool {value!r}")
+        if not (isinstance(value, Real) and -np.inf < value < np.inf):
+            raise ConfigError(f"{key} must be a finite real number, got {value!r}")
 
 
 def _cubic_model(name, drift, segment) -> ModelSpec:
@@ -369,7 +377,7 @@ def linear_meanfield(
     m'(t) = (a_coef + b_coef) m(t) with m(0) = x0, so it is
     x0 * exp((a_coef + b_coef) t).
     """
-    _refuse_bools(a_coef=a_coef, b_coef=b_coef, sigma0=sigma0, x0=x0)
+    _refuse_non_finite(a_coef=a_coef, b_coef=b_coef, sigma0=sigma0, x0=x0)
 
     def neutral(y):
         return np.zeros_like(y)
@@ -403,7 +411,7 @@ def cubic_no_mf(x0: float = 0.0) -> ModelSpec:
     studies and the drift for taming demonstrations: from |x0| >= 3 the
     untamed update overshoots super-exponentially at coarse steps.
     """
-    _refuse_bools(x0=x0)
+    _refuse_non_finite(x0=x0)
 
     def drift(x, y, mu):
         return _cubic_drift(x, y)

@@ -137,32 +137,26 @@ def stream_seeds(segments, bm_dim, delta_base, horizon, multiple=1):
     """The increments of a pass's ``(seed, particles)`` segments as blocks
     of time rows, each segment's columns in segment order.
 
-    Each seed's streams are drawn once, as many as its largest segment
-    takes, and each segment takes the leading ones.  Blocks are (steps,
-    particles, bm_dim), :func:`chunk_steps` of the drawn width and
-    ``multiple`` long (the last one shorter if need be); each is a
-    time-major view of stream-major memory (of the draw's gathered rows
-    unless the segments take every stream in order), so not C-ordered.
-    Each particle keeps one Philox generator, and successive draws continue
-    its stream, so the blocks are the same path whatever their length.
-    Each block is drawn, and transformed on one helper thread, while the
-    one before it is out (:func:`_blocks`), so a caller that drops a block
-    before asking for the next holds at most two.
+    It takes a pass as :func:`~mvnsdde.scheme.coupled_pass` hands it,
+    judged and in ints, and checks nothing again.  Each seed's streams are
+    drawn once, as many as its largest segment takes, and each segment
+    takes the leading ones.  Blocks are (steps, particles, bm_dim),
+    :func:`chunk_steps` of the drawn width and ``multiple`` long (the last
+    one shorter if need be); each is a time-major view of stream-major
+    memory (of the draw's gathered rows unless the segments take every
+    stream in order), so not C-ordered.  Each particle keeps one Philox
+    generator, and successive draws continue its stream, so the blocks are
+    the same path whatever their length.  Each block is drawn, and
+    transformed on one helper thread, while the one before it is out
+    (:func:`_blocks`), so a caller that drops a block before asking for the
+    next holds at most two.
     """
-    counts = [bm_dim, multiple, *(particles for _, particles in segments)]
-    if not segments or not all(is_whole(n) and n >= 1 for n in counts):
-        raise GridError("a stream needs segments; particles, bm_dim and multiple >= 1")
-    if not (delta_base > 0 and is_integer_ratio(horizon, delta_base)):
-        raise GridError(f"horizon {horizon} is not whole steps of {delta_base}")
-    bm_dim, multiple = int(bm_dim), int(multiple)
     steps, columns = round(horizon / delta_base), {}
     for seed, particles in segments:
-        seed = check_seed(seed)
-        columns[seed] = max(columns.get(seed, 0), int(particles))
+        columns[seed] = max(columns.get(seed, 0), particles)
     first = dict(zip(columns, accumulate([0, *columns.values()])))
     width = sum(columns.values())
-    gather = [first[int(seed)] + np.arange(int(n)) for seed, n in segments]
-    gather = np.concatenate(gather)
+    gather = np.concatenate([first[seed] + np.arange(n) for seed, n in segments])
     if np.array_equal(gather, np.arange(width)):
         gather = None  # every drawn stream, in order
     # exact uint64 words: numpy rounds a list key's words >= 2**63 through

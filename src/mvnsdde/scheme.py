@@ -225,8 +225,8 @@ class Stepper:
     Python step advances them all.  The step's
     :class:`~mvnsdde.measure.EmpiricalMeasure` gives every row its own
     segment's mean, so each segment ends bit for bit where a run of its own
-    would.  It does not validate: :func:`coupled_pass` validates every run
-    it builds before the first.
+    would.  It neither validates nor converts: :func:`coupled_pass`
+    validates every run it builds before the first and hands it int counts.
 
     States live in a ring of delay_steps + 2 rows (the current state and
     both lookbacks).  ``record(row, index)`` is called once for each row as
@@ -243,8 +243,7 @@ class Stepper:
         self, model: ModelSpec, grid: Grid, segments: Sequence[tuple[int, int]],
         record=None,
     ):
-        self.model, self.grid = model, grid
-        self.segments = tuple((int(seed), int(n)) for seed, n in segments)
+        self.model, self.grid, self.segments = model, grid, segments
         stops = list(accumulate(n for _, n in self.segments))
         self.bounds = tuple(zip([0] + stops[:-1], stops))
         self.particles = stops[-1]
@@ -317,15 +316,17 @@ def coupled_pass(
 
     One :func:`~mvnsdde.model.validate` call judges the whole study before
     anything is drawn or recorded, so every grid's step count divides the
-    first grid's by a power of two, its factor.  Consecutive segments run
-    in passes of at most :func:`~mvnsdde.noise.seeds_per_block` seeds (one
-    pass given ``records``), one :class:`Stepper` per grid, on the blocks
+    first grid's by a power of two, its factor; then the judged segments
+    (a count of 2.0 among them) become ints, the one conversion.  Segments
+    run in passes of at most :func:`~mvnsdde.noise.seeds_per_block` seeds
+    (one pass given ``records``), one :class:`Stepper` per grid, on the blocks
     :func:`~mvnsdde.noise.stream_seeds` lays out at the first grid's step,
     a multiple of every factor long, so each run sees
     :func:`~mvnsdde.noise.coarsen`'s sums of the path.
     """
     if violations := validate(model, grids, segments):
         raise ValidationFailure(violations)
+    segments = [(int(seed), int(n)) for seed, n in segments]  # judged whole
     whole = records is not None  # a record keeps one run's rows: one pass
     records = records if whole else [None] * len(grids)
     pairs = list(zip(grids, records, strict=True))

@@ -22,13 +22,13 @@ from mvnsdde import (
     moment_bound_vs_dt,
     simulate_terminal,
     strong_error_vs_dt,
-    tame_drift,
     taming_comparison,
     w2_assignment,
 )
 from mvnsdde import noise
 from mvnsdde.cli import main as cli_main
 from mvnsdde.noise import derived_generator
+from mvnsdde.scheme import tame_drift
 from oracles import linear_meanfield_mean, w2_1d
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

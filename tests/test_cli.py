@@ -609,7 +609,7 @@ class TestRunDeclaration:
             assert set(keys) <= set(cli.READS[sub]) - {"model"}, sub
 
     def test_each_default_is_the_configs(self):
-        # a library call of a run or a plan and a CLI run default alike
+        # a library call of a run and a CLI run default alike
         defaults, checked = RunConfig(), set()
         for fn in [*cli.RUNS.values(), *cli.PLANS.values()]:
             for key, parameter in inspect.signature(fn).parameters.items():
@@ -617,6 +617,10 @@ class TestRunDeclaration:
                     assert parameter.default == getattr(defaults, key), (fn, key)
                     checked.add(key)
         assert checked == {"taming", "replicates", "alpha"}
+        # a plan is called with every argument: no second copy of a default
+        for plan in cli.PLANS.values():
+            parameters = inspect.signature(plan).parameters.values()
+            assert all(p.default is p.empty for p in parameters), plan
 
     def test_readme_lists_each_runs_reads(self):
         readme = (CONFIGS.parent / "README.md").read_text()
@@ -800,6 +804,16 @@ class TestRefusedInAFreshProcess:
                 2, "violation: tau must be positive, got nan",
             ),
             (["validate", "--tau", "nan"], 2, "violation: tau must be positive, got nan"),
+            # a non-finite model parameter once ran into an overflow abort
+            # (exit 3, with a prefix of nan rows) or validated as ok
+            (
+                ["simulate", "--model", "cubic_no_mf", "--x0", "nan", "--particles", "2"],
+                1, "x0 must be a finite real number, got nan",
+            ),
+            (
+                ["validate", "--model", "linear_meanfield", "--b-coef", "inf"],
+                1, "b_coef must be a finite real number, got inf",
+            ),
         ],
     )
     def test_exits_before_the_timeout(self, tmp_path, argv, rc, message):

@@ -81,6 +81,44 @@ class TestCountsAndSizes:
         assert table.rows[0].samples == 2 and type(table.rows[0].samples) is int
 
 
+GRID = Grid(0.25, 0.5, 0.5, 1.0)
+
+
+class TestWholeFloatParticles:
+    """validate accepts a whole float as a particle count, and coupled_pass
+    runs it as its int: each entry point gives the bits of ``particles=2``
+    (it once died in ``np.empty`` with a bare TypeError), and 2.5 stays a
+    violation naming ``particles``."""
+
+    RUNS = {
+        "simulate": lambda n: simulate(example51(), GRID, 3, n).states,
+        "simulate_terminal": lambda n: scheme.simulate_terminal(example51(), GRID, 3, n),
+        "strong_error_vs_dt": lambda n: strong_error_vs_dt(
+            example51(), n, 0.125, [0.25], **STUDY_KEYS),
+        "taming_comparison": lambda n: taming_comparison(
+            cubic_no_mf(x0=3.0), 0.25, n, 0.5, 1.0, seed=1),
+        "moment_bound_vs_dt": lambda n: moment_bound_vs_dt(
+            example51(), n, [0.125, 0.25], **STUDY_KEYS),
+    }
+
+    @staticmethod
+    def bits(out):
+        # repr round-trips every float, so equal reprs are equal bits
+        return out.tobytes() if isinstance(out, np.ndarray) else repr(out)
+
+    @pytest.mark.parametrize("name", RUNS)
+    @pytest.mark.parametrize("count", [2.0, np.float64(2.0)], ids=["float", "np_float64"])
+    def test_a_whole_float_runs_as_its_int(self, name, count):
+        run = self.RUNS[name]
+        assert self.bits(run(count)) == self.bits(run(2))
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_a_fractional_count_is_a_violation(self, name, monkeypatch):
+        monkeypatch.setattr(scheme, "stream_seeds", forbidden)
+        with pytest.raises(ValidationFailure, match="particles must be an integer, got 2.5"):
+            self.RUNS[name](2.5)
+
+
 class TestFitLoglogSlope:
     def test_exact_unit_slope(self):
         table = ErrorTable(

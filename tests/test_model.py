@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,6 +202,23 @@ class TestBuildModel:
         # True was once read as 1.0
         with pytest.raises(ConfigError, match=f"^{key} must be a number, got the bool"):
             MODELS[name](**{key: true})
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [(name, key) for name in MODELS for key in model_keys(name)],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", None])
+    def test_a_parameter_not_a_finite_real_is_refused(self, name, key, value):
+        # nan and inf once ran into an overflow abort at the first step
+        message = f"^{key} must be a finite real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            MODELS[name](**{key: value})
+
+    def test_a_finite_real_of_any_type_is_taken(self):
+        for x0 in (3, np.float32(0.5), np.int64(-2), Fraction(1, 4)):
+            model = cubic_no_mf(x0=x0)
+            assert model.initial_segment(0.0)[0] == x0
+            assert validate(model, [_params()], SEGMENT) == []
 
 
 class TestGrid:
@@ -461,6 +480,18 @@ class TestValidate:
         _forbid_draws(monkeypatch)
         with pytest.raises(ValidationFailure, match=message):
             simulate_terminal(model, grid, *SEGMENT[0])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_non_finite_initial_segment_is_a_violation(self, value, monkeypatch):
+        # a custom model started from it once aborted as an overflow at step 1
+        model = dataclasses.replace(
+            example51(), initial_segment=lambda t: np.array([value if t == 0 else t])
+        )
+        message = f"initial segment at t = 0.0 is [{value}], not finite"
+        assert validate(model, [_params()], SEGMENT) == [message]
+        _forbid_draws(monkeypatch)
+        with pytest.raises(ValidationFailure, match=re.escape(message)):
+            simulate_terminal(model, _params(), *SEGMENT[0])
 
     def test_a_grid_of_bools_does_not_run_at_tau_and_horizon_1(self):
         # Grid(0.25, True, 0.5, True) once ran silently with tau = T = 1

@@ -19,19 +19,19 @@ from mvnsdde import (
     ValidationFailure,
     coarsen,
     cubic_no_mf,
-    em_step,
     example51,
     linear_meanfield,
     scheme,
     simulate,
     simulate_terminal,
-    tame_drift,
     validate,
 )
 from mvnsdde._g17 import BLOCK_VALUES
 from mvnsdde.model import ModelSpec
 from mvnsdde.noise import chunk_steps, generate, stream_seeds
-from mvnsdde.scheme import Divergence, MomentMax, Stepper, coupled_pass
+from mvnsdde.scheme import (
+    Divergence, MomentMax, Stepper, coupled_pass, em_step, tame_drift,
+)
 from oracles import (
     column, moment_monitor, one_system, planar_meanfield, recorded, run_on,
     total_steps,
